@@ -19,6 +19,7 @@ from .specfun import (
     laguerre_fn,
     laguerre_poly,
     ln_gamma,
+    ln_marcum_p,
     q_sum,
 )
 from .landau import (

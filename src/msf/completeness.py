@@ -35,7 +35,7 @@ from .specfun import (
     erf,
     laguerre_fn_table,
     ln_gamma,
-    q_sum,
+    ln_marcum_p,
 )
 from .landau import FieldConfig, make_quadrature, resolve_qnums
 
@@ -72,16 +72,20 @@ def weight_fn(spec: WeightSpec, u: float, v: float,
               ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Measure density W_j(u, v) on squared label moduli.
 
-    W_0 = pi^-2 exp(-(u+v)) Q_{1-mu}(sqrt u, sqrt v)
-    W_1 = pi^-2 exp(-(u+v)) Q_mu(sqrt v, sqrt u)
+    W_0 = pi^-2 exp(-(u+v)) Q_{1-mu}(sqrt u, sqrt v) = pi^-2 P_{1-mu}(u, v)
+    W_1 = pi^-2 exp(-(u+v)) Q_mu(sqrt v, sqrt u)     = pi^-2 P_mu(v, u)
+
+    with P the complementary Marcum function of
+    :func:`msf.specfun.ln_marcum_p`.  ctl is kept for API compatibility
+    and has no effect here.
     """
     if u < 0 or v < 0:
         raise DomainError("u, v must be non-negative")
     if spec.j == 0:
-        q = q_sum(1.0 - spec.mu, math.sqrt(u), math.sqrt(v), ctl)
+        ln_p = ln_marcum_p(1.0 - spec.mu, u, v)
     else:
-        q = q_sum(spec.mu, math.sqrt(v), math.sqrt(u), ctl)
-    return math.exp(-(u + v)) * q / math.pi**2
+        ln_p = ln_marcum_p(spec.mu, v, u)
+    return math.exp(ln_p) / math.pi**2
 
 
 def weight_half_closed(j: int, u: float, v: float) -> float:
@@ -150,56 +154,25 @@ def g_matrix(m: int, n: int, l: int, k: int, mu: float, j: int = 0,
             * moment_check(pv, n_nodes).quadrature_value)
 
 
-def _ln_q_grid(nu: float, su: np.ndarray, sv: np.ndarray, l_max: int | None = None,
-               rel_tol: float = 1e-15) -> np.ndarray:
-    """Elementwise ln Q_nu(su, sv) via the scaled-Bessel route.
-
-    Works for arguments far beyond the overflow range of Q itself; both
-    arrays must be strictly positive.
-    """
-    su = np.asarray(su, dtype=float)
-    sv = np.asarray(sv, dtype=float)
-    if np.any(su <= 0) or np.any(sv <= 0):
-        raise DomainError("grid Q evaluation requires positive arguments")
-    zarg = 2.0 * su * sv
-    if l_max is None:
-        # terms start decaying only past l ~ 2 u v
-        l_max = int(2.0 * float(np.max(zarg))) + 600
-    ln_ratio = np.log(sv) - np.log(su)
-    ln_total = np.full(np.broadcast(su, sv).shape, -np.inf)
-    for l in range(l_max):
-        p = nu + l
-        scaled = _sp.ive(p, zarg)
-        with np.errstate(divide="ignore"):
-            ln_term = np.where(scaled > 0,
-                               p * ln_ratio + zarg + np.log(np.where(scaled > 0, scaled, 1.0)),
-                               -np.inf)
-        ln_total = np.logaddexp(ln_total, ln_term)
-        if l > 4 and float(np.max(ln_term - ln_total)) < math.log(rel_tol):
-            return ln_total
-    raise TruncationError("grid Q series did not converge",
-                          float(np.max(ln_total)), float(np.max(ln_term)))
-
-
-def _ln_q_grid_series(nu: float, su: np.ndarray, sv: np.ndarray,
+def _ln_q_grid_series(nu: float, u: np.ndarray, v: np.ndarray,
                       rel_tol: float = 1e-15, k_cap: int = 40_000) -> np.ndarray:
-    """Elementwise ln Q_nu(su, sv) via the truncated-exponential form.
+    """Elementwise ln Q_nu(sqrt u, sqrt v) via the truncated-exponential form.
 
     Collapsing the double power series along diagonals l + m = k gives
 
-        Q_nu = sum_k  B^(nu+k) e_k(A) / Gamma(nu+k+1),
-        e_k(A) = sum_{m<=k} A^m / m!,   A = su^2, B = sv^2,
+        Q_nu = sum_k  v^(nu+k) e_k(u) / Gamma(nu+k+1),
+        e_k(u) = sum_{m<=k} u^m / m!,
 
     with e_k accumulated iteratively in log space.  Independent of the
-    Bessel-function route, used as its cross-check on grids.
+    Marcum-P kernel, used as its cross-check on grids; u, v > 0.
     """
-    su = np.asarray(su, dtype=float)
-    sv = np.asarray(sv, dtype=float)
-    if np.any(su <= 0) or np.any(sv <= 0):
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if np.any(u <= 0) or np.any(v <= 0):
         raise DomainError("grid Q evaluation requires positive arguments")
-    ln_a = 2.0 * np.log(su)
-    ln_b = 2.0 * np.log(sv)
-    ln_ek = np.zeros(np.broadcast(su, sv).shape)
+    ln_a = np.log(u)
+    ln_b = np.log(v)
+    ln_ek = np.zeros(np.broadcast(u, v).shape)
     ln_total = nu * ln_b - _sp.gammaln(nu + 1.0) + ln_ek
     k = 0
     while True:
@@ -212,6 +185,19 @@ def _ln_q_grid_series(nu: float, su: np.ndarray, sv: np.ndarray,
         if k >= k_cap:
             raise TruncationError("grid Q series did not converge",
                                   float(np.max(ln_total)), float(np.max(ln_term)))
+
+
+def _unity_grid(mu: float, j: int, n_nodes: int):
+    """Tensor Gauss grid (qu, qv, U, V) of the branch-j measure integral.
+
+    The fractional parts of the exponents, shared within one branch, sit
+    in the rule weights: on branch 0 the v-exponents are m - l - mu =
+    integer - mu, and the weight v^(1-mu) leaves integer powers v^(m-l-1).
+    """
+    qu = make_quadrature(0.0 if j == 0 else mu, n_nodes)
+    qv = make_quadrature((1.0 - mu if mu > 0 else 0.0) if j == 0 else 0.0, n_nodes)
+    U, V = np.meshgrid(qu.nodes, qv.nodes, indexing="ij")
+    return qu, qv, U, V
 
 
 def unity_reconstruction(
@@ -228,31 +214,24 @@ def unity_reconstruction(
 
         pi^2 [W_j(u, v) / N_j(u, v)] u^{p_u} v^{p_v} / (Gamma(1+p_u) Gamma(1+p_v))
 
-    is evaluated on a tensor Gauss grid.  Both the weight and the
-    normalization are evaluated numerically as independent Bessel
-    series, so a matrix close to the identity is a genuine check of the
-    measure.  Off-diagonal entries between different l vanish exactly.
+    is evaluated on a tensor Gauss grid.  The weight comes from the
+    Marcum-P kernel (:func:`msf.specfun.ln_marcum_p`) and the
+    normalization from the independent diagonal power series, so a
+    matrix close to the identity is a genuine check of the measure.
+    Off-diagonal entries between different l vanish exactly.  ctl is
+    kept for API compatibility and has no effect here.
     """
     cfg = FieldConfig(mu=mu)
     for (l, m) in basis_pairs:
         resolve_qnums(j, l, m, cfg)  # validates branch domains
-    # shared fractional parts of the exponents within one branch
-    frac_u = 0.0 if j == 0 else mu
-    frac_v = (1.0 - mu if mu > 0 else 0.0) if j == 0 else 0.0
-    # branch 0: v-exponents are m - l - mu = integer - mu; the fractional
-    # weight v^(1-mu) leaves integer powers v^(m-l-1).
-    qu = make_quadrature(frac_u, n_nodes)
-    qv = make_quadrature(frac_v, n_nodes)
-    U = qu.nodes[:, None] * np.ones((1, n_nodes))
-    V = qv.nodes[None, :] * np.ones((n_nodes, 1))
-    # pi^2 W_j exp(u+v) through the scaled-Bessel grid route and N_j
-    # through the independent scalar power-series route; their ratio is
-    # the exponential density, reproduced numerically rather than by
-    # construction.
-    nu = (1.0 - mu) if j == 0 else mu
-    sa, sb = (np.sqrt(U), np.sqrt(V)) if j == 0 else (np.sqrt(V), np.sqrt(U))
-    ln_w = _ln_q_grid(nu, sa, sb)
-    ln_n = _ln_q_grid_series(nu, sa, sb)
+    qu, qv, U, V = _unity_grid(mu, j, n_nodes)
+    frac_u, frac_v = qu.alpha, qv.alpha
+    # pi^2 W_j exp(u+v) through the Marcum-P kernel and N_j through the
+    # independent diagonal power series; their ratio is the exponential
+    # density, reproduced numerically rather than by construction.
+    nu, x, y = (1.0 - mu, U, V) if j == 0 else (mu, V, U)
+    ln_w = ln_marcum_p(nu, x, y) + x + y
+    ln_n = _ln_q_grid_series(nu, x, y)
     ratio = np.exp(ln_w - ln_n)
     n = len(basis_pairs)
     out = np.zeros((n, n))

@@ -11,10 +11,14 @@ convention (overlaps computed with other branch conventions can differ
 by a constant unimodular factor, their moduli agree).
 
 Normalization constants and overlaps are controlled by the Bessel
-series Q_nu of :func:`msf.specfun.q_sum`:
+series Q_nu(a, b) = sum_l (b/a)^(nu+l) I_{nu+l}(2ab):
 
     N_0(u, v) = Q_{1-mu}(sqrt u, sqrt v),
     N_1(u, v) = Q_mu(sqrt v, sqrt u),        u = |z1|^2, v = |z2|^2.
+
+The normalizations are evaluated as exp(u + v) P_nu through the
+complementary Marcum kernel :func:`msf.specfun.ln_marcum_p`; overlaps
+sum the Bessel series at complex arguments.
 
 The exponential sum rule N_0 + N_1 = exp(u + v) is exact at mu = 0
 (integer Bessel orders, where the bilateral generating function
@@ -39,6 +43,7 @@ from .specfun import (
     bessel_i,
     laguerre_fn_table,
     ln_gamma,
+    ln_marcum_p,
 )
 from .landau import FieldConfig, resolve_qnums
 
@@ -194,16 +199,27 @@ def cs_expansion(
     return CSExpansion(j=j, label=label, coeffs=coeffs, norm_const=total, rel_tol=ctl.rel_tol)
 
 
+_LN_DOUBLE_MAX = math.log(np.finfo(float).max)
+
+
 def cs_normalization(j: int, u: float, v: float, mu: float,
                      ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """N_j at squared label moduli (u, v) = (|z1|^2, |z2|^2)."""
-    from .specfun import q_sum
+    """N_j at squared label moduli (u, v) = (|z1|^2, |z2|^2).
 
+    N_0 = exp(u+v) P_{1-mu}(u, v) and N_1 = exp(u+v) P_mu(v, u), summed
+    in log space.  Raises DomainError where N_j exceeds the double
+    range.  ctl is kept for API compatibility and has no effect here.
+    """
     if j == 0:
-        return q_sum(1.0 - mu, math.sqrt(u), math.sqrt(v), ctl)
-    if j == 1:
-        return q_sum(mu, math.sqrt(v), math.sqrt(u), ctl)
-    raise DomainError("branch j must be 0 or 1")
+        ln_p = ln_marcum_p(1.0 - mu, u, v)
+    elif j == 1:
+        ln_p = ln_marcum_p(mu, v, u)
+    else:
+        raise DomainError("branch j must be 0 or 1")
+    ln_n = u + v + ln_p
+    if ln_n > _LN_DOUBLE_MAX:
+        raise DomainError(f"N_{j} = exp({ln_n:.6g}) exceeds the double range")
+    return math.exp(ln_n)
 
 
 def cs_state(
@@ -358,8 +374,10 @@ def mm_superpose(
 def mm_weight_sum(u: float, v: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Sum of the two zero-flux weight functions; constant 1/pi^2.
 
-    Evaluated through the Bessel series (no shortcut), so the constancy
-    is a genuine numerical check of the zero-flux measure.
+    Evaluated through the Marcum-P kernel, branch 1 through its
+    zero-order edge P_0 = P_1 + exp(-(u+v)) I_0(2 sqrt(uv)), with no
+    shortcut, so the constancy is a genuine numerical check of the
+    zero-flux measure.
     """
     from .completeness import WeightSpec, weight_fn
 

@@ -1,4 +1,4 @@
-"""Scalar special functions used throughout the package.
+"""Special functions used throughout the package.
 
 Everything here is a pure function of its inputs.  The conventions:
 
@@ -12,11 +12,18 @@ Everything here is a pure function of its inputs.  The conventions:
 
   an orthonormal family on the half line: integral of I_{n,m} I_{n',m'}
   over rho in (0, inf) is delta_{mm'} for fixed n-m.
+* ``ln_marcum_p`` evaluates, elementwise over arrays of squared
+  moduli, the logarithm of the complementary Marcum function
+
+      P_nu(u, v) = exp(-(u+v)) Q_nu(sqrt u, sqrt v),
+
+  the one route to the weights and normalizations of the coherent-state
+  measure.
 * ``q_sum`` evaluates the Bessel series
 
-      Q_nu(u, v) = sum_{l>=0} (v/u)^{nu+l} I_{nu+l}(2 u v),
+      Q_nu(u, v) = sum_{l>=0} (v/u)^{nu+l} I_{nu+l}(2 u v)
 
-  which controls coherent-state normalizations and overlaps.
+  point by point; it is kept as the scalar reference of that series.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ __all__ = [
     "laguerre_fn_table",
     "bessel_i",
     "erf",
+    "ln_marcum_p",
     "q_sum",
     "q_term",
 ]
@@ -217,7 +225,7 @@ def _q_inner_sum(p0: float, ln_a: float, ln_b: float, rel_tol: float) -> float:
     """
     if ln_b == -np.inf:
         # only the m = 0, p0 = 0 term can survive (0^0 = 1 convention)
-        return 1.0 if p0 == 0.0 and ln_a > -np.inf else (1.0 if p0 == 0.0 else 0.0)
+        return 1.0 if p0 == 0.0 else 0.0
     if ln_a == -np.inf:
         return math.exp(p0 * ln_b - _sp.gammaln(p0 + 1.0))
     block = 64
@@ -238,6 +246,100 @@ def _q_inner_sum(p0: float, ln_a: float, ln_b: float, rel_tol: float) -> float:
         m0 += block
         if m0 > 100_000:
             raise TruncationError("inner Bessel-series sum did not converge", total, float(t[-1]))
+
+
+# below this chndtr loses relative accuracy, and near 1e-300 it underflows to 0
+_CHNDTR_FLOOR = 1e-30
+
+
+def _ln_gammainc(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """ln P(a, x) of the regularized lower incomplete gamma function, x > 0.
+
+    Below the double range P is taken from its Kummer form
+    x^a e^-x M(1, a+1, x) / Gamma(a+1); there x << a, so M stays near 1.
+    """
+    a, x = np.broadcast_arrays(a, x)
+    g = _sp.gammainc(a, x)
+    with np.errstate(divide="ignore"):
+        out = np.log(g)
+    low = g < 1e-280
+    if np.any(low):
+        a, x = a[low], x[low]
+        out[low] = (a * np.log(x) - x - _sp.gammaln(a + 1.0)
+                    + np.log(_sp.hyp1f1(1.0, a + 1.0, x)))
+    return out
+
+
+def _ln_poisson_gamma_mixture(nu: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """ln sum_m exp(-u + m ln u - lnGamma(m+1)) P(nu+m, v), elementwise, v > 0.
+
+    Summed in blocks of 16 m with a running logaddexp; short blocks keep
+    the (m x points) temporaries small.  The terms are log-concave in m,
+    so once a block ends on a decreasing step the rest is bounded by the
+    geometric series of that step; the sum stops when the bound falls
+    below 1e-17 of the total at every point.
+    """
+    block, ln_tol = 16, math.log(1e-17)
+    total = np.full(u.shape, -np.inf)
+    m0 = 0
+    while True:
+        m = np.arange(m0, m0 + block, dtype=float)[:, None]
+        ln_t = -u + _sp.xlogy(m, u) - _sp.gammaln(m + 1.0) + _ln_gammainc(nu + m, v)
+        total = np.logaddexp(total, np.logaddexp.reduce(ln_t, axis=0))
+        with np.errstate(invalid="ignore"):
+            step = ln_t[-1] - ln_t[-2]
+            ln_tail = ln_t[-1] + step - np.log1p(-np.exp(step))
+            done = (ln_t[-1] == -np.inf) | ((step < 0) & (ln_tail - total < ln_tol))
+        if np.all(done):
+            return total
+        m0 += block
+        if m0 > 1_000_000:
+            raise TruncationError("Poisson-gamma mixture did not converge (logarithms)",
+                                  float(np.max(total)), float(np.max(ln_tail)))
+
+
+def ln_marcum_p(nu: float, u, v):
+    """ln P_nu(u, v) elementwise over squared moduli u, v >= 0, nu >= 0.
+
+    P_nu is the complementary generalized Marcum function,
+
+        P_nu(u, v) = exp(-(u+v)) Q_nu(sqrt u, sqrt v)
+                   = sum_m e^-u u^m / m! P(nu+m, v)
+                   = chndtr(2v, 2nu, 2u),
+
+    the non-central chi-square CDF with 2nu degrees of freedom and
+    non-centrality 2u at 2v (Gil, Segura & Temme, ACM TOMS 40(3), 2014).
+    The bulk comes from chndtr.  At nu = 0, where chndtr is nan, it uses
+    P_0 = P_1 + exp(-(u+v)) I_0(2 sqrt(uv)).  Where P falls below 1e-30,
+    where chndtr loses accuracy and then underflows, the Poisson-gamma
+    mixture is summed in log space, so ln P stays finite far past the
+    double range of P.  Edges: P_nu(u, 0) = 0 for nu > 0 (ln P = -inf)
+    and P_0(u, 0) = exp(-u).
+    """
+    nu = float(nu)
+    if not nu >= 0.0:
+        raise DomainError("ln_marcum_p requires nu >= 0")
+    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
+    u, v = np.broadcast_arrays(np.atleast_1d(np.asarray(u, dtype=float)),
+                               np.atleast_1d(np.asarray(v, dtype=float)))
+    if not (np.all(u >= 0.0) and np.all(v >= 0.0) and np.all(np.isfinite(u + v))):
+        raise DomainError("ln_marcum_p requires finite u, v >= 0")
+    if nu == 0.0:
+        p = (_sp.chndtr(2.0 * v, 2.0, 2.0 * u)
+             + np.exp(-((np.sqrt(u) - np.sqrt(v)) ** 2)) * _sp.i0e(2.0 * np.sqrt(u * v)))
+    else:
+        p = _sp.chndtr(2.0 * v, 2.0 * nu, 2.0 * u)
+    with np.errstate(divide="ignore"):
+        out = np.log(p)
+    if nu == 0.0:
+        out = np.where(v == 0.0, -u, out)
+    tail = (p < _CHNDTR_FLOOR) & (v > 0.0)
+    if np.any(tail):
+        out[tail] = _ln_poisson_gamma_mixture(nu, u[tail], v[tail])
+    if np.any(np.isnan(out)):
+        # chndtr gives nan once u or v reach about 1e15
+        raise DomainError("ln_marcum_p: arguments beyond the range of chndtr")
+    return float(out[0]) if scalar else out
 
 
 def q_term(nu: float, l: int, u: float, v: float, rel_tol: float = 1e-16) -> float:

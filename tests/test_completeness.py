@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from msf.landau import FieldConfig
-from msf.specfun import DomainError, erf, ln_gamma
+from msf.specfun import DomainError, erf, ln_gamma, ln_marcum_p
 from msf.completeness import (
     KernelParams,
     WeightSpec,
+    _ln_q_grid_series,
+    _unity_grid,
     angular_delta_smear,
     g_matrix,
     moment_check,
@@ -69,6 +71,14 @@ def test_weight_positivity_sampled():
 def test_weight_vanishing_edge():
     # v = 0 kills the branch-0 weight for mu > 0
     assert weight_fn(WeightSpec(0, 0.3), 2.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("j", (0, 1))
+def test_weight_half_flux_far_out(j):
+    # the Bessel series overflowed to nan here; the true value is erf(40) / (2 pi^2)
+    assert weight_fn(WeightSpec(j, 0.5), 400.0, 400.0) == pytest.approx(
+        weight_half_closed(j, 400.0, 400.0), abs=1e-12)
+    assert weight_half_closed(j, 400.0, 400.0) == pytest.approx(0.0506606, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +155,26 @@ def test_unity_reconstruction_identity():
     pairs1 = [(l, m) for l in range(0, 5) for m in range(0, 5)]
     g1 = unity_reconstruction(pairs1, mu=0.5, j=1, n_nodes=80)
     assert np.max(np.abs(g1 - np.eye(len(pairs1)))) < 1e-6
+
+
+@pytest.mark.parametrize("mu, n_nodes, j", [
+    (0.5, 100, 0), (0.5, 100, 1),   # the C07 grid
+    (0.5, 120, 0), (0.5, 120, 1),   # the CLI's node maximum
+    (0.0, 100, 0), (0.0, 100, 1),   # zero order on branch 1
+])
+def test_unity_grid_weight_matches_series_at_every_node(mu, n_nodes, j):
+    """ln P from the Marcum kernel against the diagonal series, no weights.
+
+    The quadrature weights at the far nodes are below 1e-50, so the
+    reconstructed Gram matrix cannot see a wrong value there; compare
+    the two routes node by node instead.
+    """
+    _, _, U, V = _unity_grid(mu, j, n_nodes)
+    nu, x, y = (1.0 - mu, U, V) if j == 0 else (mu, V, U)
+    ln_p = ln_marcum_p(nu, x, y)
+    ref = _ln_q_grid_series(nu, x, y) - x - y
+    assert np.all(np.isfinite(ln_p))
+    assert np.max(np.abs(ln_p - ref)) <= 1e-10
 
 
 def test_unity_reconstruction_offdiagonal_zero():

@@ -100,6 +100,23 @@ def test_normalization_degenerate_edges():
     assert cs_normalization(1, 0.0, 0.0, 0.0) == 1.0
 
 
+def test_normalization_far_out():
+    # mu = 1/2 erf form N_0 = e^(u+v) [erf(su + sv) - erf(su - sv)] / 2, far
+    # past the range where the Bessel series itself stays finite; written
+    # with erfc where both erf values round to 1
+    for (u, v) in [(300.0, 300.0), (250.0, 1.5), (2.0, 340.0)]:
+        su, sv = math.sqrt(u), math.sqrt(v)
+        if su > sv:
+            diff = sp.erfc(su - sv) - sp.erfc(su + sv)
+        else:
+            diff = sp.erf(su + sv) + sp.erf(sv - su)
+        closed = math.exp(u + v) * diff / 2.0
+        assert cs_normalization(0, u, v, 0.5) == pytest.approx(closed, rel=1e-11)
+    # beyond the double range: a typed error, not inf
+    with pytest.raises(DomainError):
+        cs_normalization(0, 400.0, 400.0, 0.5)
+
+
 def test_cs_state_unit_norm_by_quadrature():
     cfg = FieldConfig(mu=0.5)
     lab = CSLabel(0.7 + 0.2j, -0.4j)

@@ -22,6 +22,7 @@ from msf.specfun import (
     laguerre_fn_table,
     laguerre_poly,
     ln_gamma,
+    ln_marcum_p,
     q_sum,
     q_term,
 )
@@ -328,6 +329,78 @@ def test_q_sum_truncation_reports():
     with pytest.raises(TruncationError) as exc:
         q_sum(0.3, 2.5, 2.5, ctl)
     assert exc.value.partial > 0.0
+
+
+def ln_marcum_p_oracle(nu: float, u: float, v: float, m_max: int | None = None) -> float:
+    """ln P_nu(u, v) from the finite Poisson-gamma sum in 50-digit arithmetic.
+
+    By default the sum runs to m = u + 30 sqrt(u) + 200, far past the
+    Poisson bulk; mpmath's nsum is avoided because its extrapolation goes
+    wrong here (ln P = -950.6 instead of -4.534 at (0.7, 1000, 900)).
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        nu, u, v = mp.mpf(nu), mp.mpf(u), mp.mpf(v)
+        if m_max is None:
+            m_max = int(u + 30 * mp.sqrt(u)) + 200
+        total = mp.mpf(0)
+        for m in range(m_max + 1):
+            g = mp.gammainc(nu + m, 0, v, regularized=True) if nu + m > 0 else 1
+            total += mp.exp(-u + m * mp.log(u) - mp.loggamma(m + 1)) * g
+        return float(mp.log(total))
+
+
+@pytest.mark.parametrize("nu, u, v", [
+    (0.5, 200.0, 2.0), (0.3, 376.0, 0.014), (0.8, 700.0, 1.0),   # lower tail
+    (0.5, 400.0, 400.0), (0.7, 1000.0, 900.0),                   # bulk, large arguments
+    (0.0, 300.0, 5.0),                                           # zero order, lower tail
+])
+def test_ln_marcum_p_against_mpmath(nu, u, v):
+    expect = ln_marcum_p_oracle(nu, u, v)
+    assert ln_marcum_p(nu, u, v) == pytest.approx(expect, rel=1e-12, abs=1e-13)
+
+
+def test_ln_marcum_p_where_gammainc_underflows():
+    # the dominant terms sit near m = sqrt(u v) ~ 158, where P(nu+m, v) is
+    # below 1e-280.  Term m is at most e^-u u^m / m! v^(nu+m) / Gamma(nu+m+1),
+    # a bound that falls by u v / (m (m + nu)) < 0.03 per step past m = 1000,
+    # so the terms past m = 1000 add less than e^-1000 of the total.
+    expect = ln_marcum_p_oracle(0.5, 5e4, 0.5, m_max=1000)
+    assert ln_marcum_p(0.5, 5e4, 0.5) == pytest.approx(expect, rel=1e-13)
+
+
+def test_ln_marcum_p_matches_q_sum():
+    for nu in (0.0, 0.3, 0.5, 1.0):
+        for u in (0.0, 0.4, 2.5, 9.0):
+            for v in (0.3, 1.7, 9.0):
+                q = q_sum(nu, math.sqrt(u), math.sqrt(v))
+                assert math.exp(u + v + ln_marcum_p(nu, u, v)) == pytest.approx(q, rel=1e-12)
+
+
+def test_ln_marcum_p_edges_and_shapes():
+    assert ln_marcum_p(0.7, 2.0, 0.0) == -np.inf
+    assert ln_marcum_p(0.0, 2.0, 0.0) == -2.0
+    assert ln_marcum_p(0.0, 800.0, 0.0) == -800.0  # P_0(u, 0) = e^-u underflows
+    assert ln_marcum_p(0.0, 0.0, 0.0) == 0.0
+    # u = 0 leaves the regularized lower incomplete gamma function
+    assert ln_marcum_p(0.4, 0.0, 1.3) == pytest.approx(math.log(sp.gammainc(0.4, 1.3)),
+                                                        rel=1e-14)
+    assert isinstance(ln_marcum_p(0.5, 1.0, 1.0), float)
+    grid = ln_marcum_p(0.5, np.array([[1.0], [2.0]]), np.array([1.0, 3.0, 5.0]))
+    assert grid.shape == (2, 3)
+    assert grid[1, 2] == ln_marcum_p(0.5, 2.0, 5.0)
+    for bad in ((-0.1, 1.0, 1.0), (0.5, -1.0, 1.0), (0.5, 1.0, np.nan), (0.5, np.inf, 1.0),
+                (0.5, 1e15, 1e15)):
+        with pytest.raises(DomainError):
+            ln_marcum_p(*bad)
+
+
+@given(nu=st.floats(0.0, 1.0), u=st.floats(0.0, 2000.0), v=st.floats(1e-3, 2000.0))
+@settings(max_examples=60, deadline=None)
+def test_ln_marcum_p_finite_probability(nu, u, v):
+    ln_p = ln_marcum_p(nu, u, v)
+    assert math.isfinite(ln_p) and ln_p <= 1e-14
 
 
 def test_series_control_validation():
