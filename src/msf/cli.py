@@ -83,7 +83,6 @@ class RunConfig:
     mass: float = 1.0
     tol: float | None = None
     nodes: int = 100
-    rel_tol: float = 1e-14
     out: str | None = None
     format: str = "json"
     mu_set: bool = False  # whether --mu was given explicitly
@@ -529,7 +528,7 @@ def tabulate(cfg: RunConfig, target: str, args) -> tuple[list[str], list[list]]:
 def _config_echo(cfg: RunConfig) -> dict:
     return {
         "mu": cfg.mu, "l0": cfg.l0, "gamma": cfg.gamma, "vartheta": cfg.vartheta,
-        "mass": cfg.mass, "tol": cfg.tol, "nodes": cfg.nodes, "rel_tol": cfg.rel_tol,
+        "mass": cfg.mass, "tol": cfg.tol, "nodes": cfg.nodes,
     }
 
 
@@ -614,7 +613,7 @@ def _load_config_file() -> dict:
 
 _CONFIG_TYPES = {
     "mu": float, "l0": int, "gamma": float, "vartheta": int, "mass": float,
-    "tol": float, "nodes": int, "rel_tol": float, "out": str, "format": str,
+    "tol": float, "nodes": int, "out": str, "format": str,
 }
 
 

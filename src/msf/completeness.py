@@ -68,16 +68,14 @@ class WeightSpec:
             raise DomainError("mu must lie in [0, 1)")
 
 
-def weight_fn(spec: WeightSpec, u: float, v: float,
-              ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def weight_fn(spec: WeightSpec, u: float, v: float) -> float:
     """Measure density W_j(u, v) on squared label moduli.
 
     W_0 = pi^-2 exp(-(u+v)) Q_{1-mu}(sqrt u, sqrt v) = pi^-2 P_{1-mu}(u, v)
     W_1 = pi^-2 exp(-(u+v)) Q_mu(sqrt v, sqrt u)     = pi^-2 P_mu(v, u)
 
     with P the complementary Marcum function of
-    :func:`msf.specfun.ln_marcum_p`.  ctl is kept for API compatibility
-    and has no effect here.
+    :func:`msf.specfun.ln_marcum_p`.
     """
     if u < 0 or v < 0:
         raise DomainError("u, v must be non-negative")
@@ -125,17 +123,6 @@ def moment_check(n: float, n_nodes: int = 80) -> MomentCheck:
     return MomentCheck(quadrature_value=qval, gamma_value=gval, abs_err=abs(qval - gval))
 
 
-def _branch_exponents(j: int, l: int, m: int, mu: float) -> tuple[float, float]:
-    """(u-exponent, v-exponent) of the radial measure integrand."""
-    if j == 0:
-        if l >= 0:
-            raise DomainError("branch j=0 requires l < 0")
-        return float(m), m - l - mu
-    if l < 0:
-        raise DomainError("branch j=1 requires l >= 0")
-    return m + l + mu, float(m)
-
-
 def g_matrix(m: int, n: int, l: int, k: int, mu: float, j: int = 0,
              n_nodes: int = 80) -> float:
     """Radial measure integral G(m, n; l, k) for the exponential density.
@@ -145,13 +132,14 @@ def g_matrix(m: int, n: int, l: int, k: int, mu: float, j: int = 0,
     integral factorizes into two one-dimensional moments of exp(-x),
     each evaluated by a fractional-weight Gauss rule.  The closed form
     is Gamma(1+m) Gamma(1+m-l-mu) on branch 0 and
-    Gamma(1+m+l+mu) Gamma(1+m) on branch 1.
+    Gamma(1+m+l+mu) Gamma(1+m) on branch 1: the u- and v-exponents are
+    the branch quantum numbers (n1, n2).
     """
     if m != n or l != k:
         return 0.0
-    pu, pv = _branch_exponents(j, l, m, mu)
-    return (moment_check(pu, n_nodes).quadrature_value
-            * moment_check(pv, n_nodes).quadrature_value)
+    q = resolve_qnums(j, l, m, FieldConfig(mu=mu))
+    return (moment_check(q.n1, n_nodes).quadrature_value
+            * moment_check(q.n2, n_nodes).quadrature_value)
 
 
 def _ln_q_grid_series(nu: float, u: np.ndarray, v: np.ndarray,
@@ -205,25 +193,22 @@ def unity_reconstruction(
     mu: float,
     j: int = 0,
     n_nodes: int = 140,
-    ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> np.ndarray:
     """Gram matrix reconstructed from the coherent-state measure.
 
     basis_pairs lists (l, m) on branch j.  The four z integrals reduce
     analytically to two radial ones; the remaining (u, v) integral of
 
-        pi^2 [W_j(u, v) / N_j(u, v)] u^{p_u} v^{p_v} / (Gamma(1+p_u) Gamma(1+p_v))
+        pi^2 [W_j(u, v) / N_j(u, v)] u^{n1} v^{n2} / (Gamma(1+n1) Gamma(1+n2))
 
     is evaluated on a tensor Gauss grid.  The weight comes from the
     Marcum-P kernel (:func:`msf.specfun.ln_marcum_p`) and the
     normalization from the independent diagonal power series, so a
     matrix close to the identity is a genuine check of the measure.
-    Off-diagonal entries between different l vanish exactly.  ctl is
-    kept for API compatibility and has no effect here.
+    Off-diagonal entries between different l vanish exactly.
     """
     cfg = FieldConfig(mu=mu)
-    for (l, m) in basis_pairs:
-        resolve_qnums(j, l, m, cfg)  # validates branch domains
+    qnums = [resolve_qnums(j, l, m, cfg) for (l, m) in basis_pairs]
     qu, qv, U, V = _unity_grid(mu, j, n_nodes)
     frac_u, frac_v = qu.alpha, qv.alpha
     # pi^2 W_j exp(u+v) through the Marcum-P kernel and N_j through the
@@ -237,15 +222,14 @@ def unity_reconstruction(
     out = np.zeros((n, n))
     wu = qu.weights[:, None]
     wv = qv.weights[None, :]
-    for a, (la, ma) in enumerate(basis_pairs):
-        for b, (lb, mb) in enumerate(basis_pairs):
-            if la != lb or ma != mb:
+    for a, qa in enumerate(qnums):
+        for b, qb in enumerate(qnums):
+            if qa != qb:
                 continue  # angular Kronecker deltas
-            pu, pv = _branch_exponents(j, la, ma, mu)
-            poly = U ** (pu - frac_u) * V ** (pv - frac_v)
+            poly = U ** (qa.n1 - frac_u) * V ** (qa.n2 - frac_v)
             integral = float(np.sum(wu * wv * ratio * poly))
             out[a, b] = integral * math.exp(
-                -(ln_gamma(1.0 + pu).real + ln_gamma(1.0 + pv).real)
+                -(ln_gamma(1.0 + qa.n1).real + ln_gamma(1.0 + qa.n2).real)
             )
     return out
 
@@ -281,6 +265,23 @@ def _nu_index(p: KernelParams) -> float:
     return -(p.l + p.mu) if p.j == 0 else (p.l + p.mu)
 
 
+def _wick_radial(nu: float, phi: float, rho: float, rho_p: float) -> float:
+    """exp[-(rho + rho') coth(phi) / 2] I_nu(sqrt(rho rho') / sinh phi) / sinh phi.
+
+    The radial factor of the Hille-Hardy kernels on the Wick axis, phi > 0
+    (gamma tau / 2 for the propagator, gamma tau for the proper-time
+    kernel), assembled in log space with the scaled Bessel function so
+    small phi does not overflow.
+    """
+    sh = math.sinh(phi)
+    zarg = math.sqrt(rho * rho_p) / sh
+    ln_mag = -0.5 * (rho + rho_p) * math.cosh(phi) / sh + zarg
+    scaled = bessel_i(nu, zarg, scaled=True)
+    if scaled <= 0.0:
+        return 0.0
+    return math.exp(ln_mag + math.log(scaled)) / sh
+
+
 def propagator_closed(p: KernelParams, dtheta: float, rho: float, rho_p: float) -> complex:
     """Closed form of the fixed-l kernel (Hille-Hardy type).
 
@@ -298,16 +299,7 @@ def propagator_closed(p: KernelParams, dtheta: float, rho: float, rho_p: float) 
     phase = cmath.exp(1j * (p.l - p.cfg.l0) * dtheta - 1j * (g / 2.0) * (p.l + p.mu) * dt)
     if dt.real == 0.0 and dt.imag < 0.0:
         # Wick axis: everything real apart from the carried phase
-        tau = -dt.imag
-        ph = g * tau / 2.0
-        sh, ch = math.sinh(ph), math.cosh(ph)
-        zarg = math.sqrt(rho * rho_p) / sh
-        ln_mag = -0.5 * (rho + rho_p) * ch / sh + zarg
-        scaled = bessel_i(nu, zarg, scaled=True)
-        if scaled <= 0.0:
-            radial = 0.0
-        else:
-            radial = math.exp(ln_mag + math.log(scaled)) / sh
+        radial = _wick_radial(nu, g * -dt.imag / 2.0, rho, rho_p)
         return (g / (4.0 * math.pi)) * phase * 1j * radial
     phi_t = g * dt / 2.0
     s = cmath.sin(phi_t)

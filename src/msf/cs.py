@@ -30,6 +30,7 @@ to exp(u+v) erf(sqrt u + sqrt v).  See the zero-flux helpers below.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -88,13 +89,18 @@ def _cpow(z: complex, p: float) -> complex:
     return cmath.exp(p * cmath.log(z))
 
 
+def _amplitude(n1: float, n2: float, label: CSLabel) -> complex:
+    """z1^n1 z2^n2 / sqrt(Gamma(1+n1) Gamma(1+n2)), for planar and Dirac states."""
+    c = _cpow(label.z1, n1) * _cpow(label.z2, n2)
+    if c == 0:
+        return 0.0 + 0.0j
+    return c * math.exp(-0.5 * (ln_gamma(1.0 + n1) + ln_gamma(1.0 + n2)).real)
+
+
 def cs_coefficient(j: int, l: int, m: int, label: CSLabel, cfg: FieldConfig) -> complex:
     """Series amplitude z1^n1 z2^n2 / sqrt(Gamma(1+n1) Gamma(1+n2))."""
     q = resolve_qnums(j, l, m, cfg)
-    c = _cpow(label.z1, q.n1) * _cpow(label.z2, q.n2)
-    if c == 0:
-        return 0.0 + 0.0j
-    return c * math.exp(-0.5 * (ln_gamma(1.0 + q.n1) + ln_gamma(1.0 + q.n2)).real)
+    return _amplitude(q.n1, q.n2, label)
 
 
 @dataclass(frozen=True)
@@ -147,12 +153,16 @@ def cs_branch(
         m += 1
 
 
-def _branch_l_values(j: int):
-    l = -1 if j == 0 else 0
-    step = -1 if j == 0 else 1
-    while True:
-        yield l
-        l += step
+def _branch_l_values(j: int, vartheta: int = -1):
+    """Angular numbers of branch j, outward from the flux line.
+
+    Branch 0 counts down from -(1 - vartheta)/2 and branch 1 up from
+    (1 + vartheta)/2: vartheta = -1 gives the planar ranges l < 0 and
+    l >= 0, and the Dirac extensions vartheta = +-1 their own ranges.
+    """
+    if j == 0:
+        return itertools.count(-(1 - vartheta) // 2, -1)
+    return itertools.count((1 + vartheta) // 2)
 
 
 @dataclass(frozen=True)
@@ -202,13 +212,12 @@ def cs_expansion(
 _LN_DOUBLE_MAX = math.log(np.finfo(float).max)
 
 
-def cs_normalization(j: int, u: float, v: float, mu: float,
-                     ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def cs_normalization(j: int, u: float, v: float, mu: float) -> float:
     """N_j at squared label moduli (u, v) = (|z1|^2, |z2|^2).
 
     N_0 = exp(u+v) P_{1-mu}(u, v) and N_1 = exp(u+v) P_mu(v, u), summed
     in log space.  Raises DomainError where N_j exceeds the double
-    range.  ctl is kept for API compatibility and has no effect here.
+    range.
     """
     if j == 0:
         ln_p = ln_marcum_p(1.0 - mu, u, v)
@@ -238,7 +247,7 @@ def cs_state(
     truncation of :func:`cs_branch`.
     """
     if normalized:
-        norm = cs_normalization(j, label.u, label.v, cfg.mu, ctl)
+        norm = cs_normalization(j, label.u, label.v, cfg.mu)
         if norm <= 0.0:
             raise DomainError("coherent state undefined: zero normalization")
     else:
@@ -337,9 +346,10 @@ def cs_overlap(
         r = _q_complex(1.0 - mu, a, b, ctl)
     else:
         r = _q_complex(mu, b, a, ctl)
-    na = cs_normalization(j_a, label_a.u, label_a.v, mu, ctl)
-    nb = cs_normalization(j_b, label_b.u, label_b.v, mu, ctl)
-    return r / math.sqrt(na * nb)
+    na = cs_normalization(j_a, label_a.u, label_a.v, mu)
+    nb = cs_normalization(j_b, label_b.u, label_b.v, mu)
+    # N alone stays in range where the product N N' would not
+    return r / (math.sqrt(na) * math.sqrt(nb))
 
 
 def mm_superpose(
@@ -371,7 +381,7 @@ def mm_superpose(
     return total
 
 
-def mm_weight_sum(u: float, v: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def mm_weight_sum(u: float, v: float) -> float:
     """Sum of the two zero-flux weight functions; constant 1/pi^2.
 
     Evaluated through the Marcum-P kernel, branch 1 through its
@@ -381,6 +391,4 @@ def mm_weight_sum(u: float, v: float, ctl: SeriesControl = DEFAULT_CONTROL) -> f
     """
     from .completeness import WeightSpec, weight_fn
 
-    return weight_fn(WeightSpec(j=0, mu=0.0), u, v, ctl) + weight_fn(
-        WeightSpec(j=1, mu=0.0), u, v, ctl
-    )
+    return weight_fn(WeightSpec(j=0, mu=0.0), u, v) + weight_fn(WeightSpec(j=1, mu=0.0), u, v)

@@ -32,15 +32,17 @@ composite grid (see :mod:`msf.radial`).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .specfun import DEFAULT_CONTROL, DomainError, SeriesControl, laguerre_fn_table, ln_gamma
+from .specfun import DEFAULT_CONTROL, DomainError, SeriesControl, laguerre_fn_table
 from .landau import FieldConfig
 from .radial import RadialGrid, make_radial_grid
-from .cs import CSLabel, _cpow
+from .cs import CSLabel, _amplitude, _branch_l_values
+from .completeness import _wick_radial
 
 __all__ = [
     "DiracConfig",
@@ -424,26 +426,6 @@ def dirac_spinor(q: RelQuantumNumbers, dc: DiracConfig, charge: int,
     return _fix_phase(psi.scale(1.0 / nrm), dc), energy
 
 
-def _rel_l_values(j: int, vartheta: int):
-    if j == 0:
-        l = -(1 - vartheta) // 2
-        while True:
-            yield l
-            l -= 1
-    else:
-        l = (1 + vartheta) // 2
-        while True:
-            yield l
-            l += 1
-
-
-def _rel_coeff(q: RelQuantumNumbers, label: CSLabel) -> complex:
-    c = _cpow(label.z1, q.n1) * _cpow(label.z2, q.n2)
-    if c == 0:
-        return 0.0 + 0.0j
-    return c * math.exp(-0.5 * (ln_gamma(1.0 + q.n1) + ln_gamma(1.0 + q.n2)).real)
-
-
 @dataclass(frozen=True)
 class RelCS:
     """Truncated relativistic coherent state on one branch.
@@ -485,11 +467,11 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
     states: dict = {}
     total = 0.0
     small = 0
-    for count, l in enumerate(_rel_l_values(j, dc.vartheta)):
+    for count, l in enumerate(_branch_l_values(j, dc.vartheta)):
         block = 0.0
         for m in range(m_max + 1):
             q = resolve_rel_qnums(j, l, m, charge, dc)
-            c = _rel_coeff(q, label)
+            c = _amplitude(q.n1, q.n2, label)
             if c == 0:
                 continue
             e = e_energy(q, dc)
@@ -540,22 +522,17 @@ def rel_cs_overlap_closed(j: int, label_a: CSLabel, label_b: CSLabel,
     """Overlap via the scalar route: 2M sum conj(c) c' (E + M) / sqrt(Mcal Mcal')."""
     num = 0.0 + 0.0j
     na = nb = 0.0
-    for l in _take_l(j, dc.vartheta, l_blocks):
+    for l in itertools.islice(_branch_l_values(j, dc.vartheta), l_blocks):
         for m in range(m_max + 1):
             q = resolve_rel_qnums(j, l, m, charge, dc)
-            ca = _rel_coeff(q, label_a)
-            cb = _rel_coeff(q, label_b)
+            ca = _amplitude(q.n1, q.n2, label_a)
+            cb = _amplitude(q.n1, q.n2, label_b)
             e = e_energy(q, dc)
             w = 2.0 * dc.mass * (e + dc.mass)
             num += np.conj(ca) * cb * w
             na += abs(ca) ** 2 * w
             nb += abs(cb) ** 2 * w
     return complex(num / math.sqrt(na * nb))
-
-
-def _take_l(j: int, vartheta: int, count: int):
-    gen = _rel_l_values(j, vartheta)
-    return [next(gen) for _ in range(count)]
 
 
 @dataclass(frozen=True)
@@ -701,12 +678,8 @@ def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
                       - 1j * (l_s + sigma + mu) * g * sc)
     if sc.real == 0.0 and sc.imag < 0.0:
         tau = -sc.imag
-        sh = math.sinh(g * tau)
-        zarg = math.sqrt(rho * rho_p) / sh
         # i pi/4 phase, sqrt(-i tau) and 1/(-i sinh) combine to -1/(sqrt(tau) sinh)
-        ln_mag = -0.5 * (rho + rho_p) * math.cosh(g * tau) / sh + zarg
-        scaled = bessel_i(nu, zarg, scaled=True)
-        radial = math.exp(ln_mag + math.log(scaled)) / sh if scaled > 0 else 0.0
+        radial = _wick_radial(nu, g * tau, rho, rho_p)
         amp = -(g / (8.0 * math.pi**1.5 * math.sqrt(tau))) * radial
         tpart = cmath.exp(-1j * dt * dt / (4.0 * sc))
         return amp * phase * tpart * proj

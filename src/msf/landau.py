@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import DomainError, laguerre_fn
+from .specfun import DomainError, laguerre_fn, laguerre_fn_table
 
 __all__ = [
     "FieldConfig",
@@ -218,8 +218,8 @@ def gram_matrix(states: list[QuantumNumbers], cfg: FieldConfig, n_nodes: int = 6
 
     States with different l are orthogonal exactly (angular integral);
     same-l blocks share one Laguerre order alpha, so a weight-matched
-    Gauss rule integrates the polynomial part exactly.  Quadrature rules
-    are built per l block.
+    Gauss rule integrates the profile products exactly.  Quadrature
+    rules are built per l block.
     """
     n = len(states)
     out = np.zeros((n, n), dtype=complex)
@@ -230,27 +230,11 @@ def gram_matrix(states: list[QuantumNumbers], cfg: FieldConfig, n_nodes: int = 6
         alpha = radial_alpha(states[idx[0]], cfg)
         m_max = max(states[i].m for i in idx)
         quad = make_quadrature(alpha, max(2 * (m_max + 1), 8))
-        # normalized polynomial factors: I_{m+alpha,m} = sqrt-weight * Lhat_m
-        tab = _normalized_laguerre_polys(alpha, m_max, quad.nodes)
+        tab = laguerre_fn_table(alpha, m_max, quad.nodes)
         for a in idx:
             for b in idx:
-                pa, pb = tab[states[a].m], tab[states[b].m]
-                out[a, b] = quad.integrate_weighted(pa * pb)
+                out[a, b] = quad.integrate(tab[states[a].m] * tab[states[b].m])
     return out
-
-
-def _normalized_laguerre_polys(alpha: float, m_max: int, x: np.ndarray) -> np.ndarray:
-    """sqrt(m!/Gamma(m+alpha+1)) L_m^alpha(x) for m = 0..m_max (table)."""
-    tab = np.zeros((m_max + 1,) + x.shape)
-    tab[0] = math.exp(-0.5 * _sp.gammaln(alpha + 1.0))
-    if m_max >= 1:
-        tab[1] = (1.0 + alpha - x) * tab[0] / math.sqrt(1.0 + alpha)
-    for m in range(1, m_max):
-        a = 2 * m + alpha + 1 - x
-        b = math.sqrt(m * (m + alpha))
-        c = math.sqrt((m + 1) * (m + 1 + alpha))
-        tab[m + 1] = (a * tab[m] - b * tab[m - 1]) / c
-    return tab
 
 
 def hamiltonian_radial_residual(q: QuantumNumbers, cfg: FieldConfig, grid) -> float:

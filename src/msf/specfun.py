@@ -310,7 +310,8 @@ def ln_marcum_p(nu: float, u, v):
     the non-central chi-square CDF with 2nu degrees of freedom and
     non-centrality 2u at 2v (Gil, Segura & Temme, ACM TOMS 40(3), 2014).
     The bulk comes from chndtr.  At nu = 0, where chndtr is nan, it uses
-    P_0 = P_1 + exp(-(u+v)) I_0(2 sqrt(uv)).  Where P falls below 1e-30,
+    P_0 = P_1 + exp(-(u+v)) I_0(2 sqrt(uv)); subnormal nu, where chndtr
+    is nan as well, takes this limit.  Where P falls below 1e-30,
     where chndtr loses accuracy and then underflows, the Poisson-gamma
     mixture is summed in log space, so ln P stays finite far past the
     double range of P.  Edges: P_nu(u, 0) = 0 for nu > 0 (ln P = -inf)
@@ -319,6 +320,8 @@ def ln_marcum_p(nu: float, u, v):
     nu = float(nu)
     if not nu >= 0.0:
         raise DomainError("ln_marcum_p requires nu >= 0")
+    if nu < np.finfo(float).tiny:
+        nu = 0.0
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
     u, v = np.broadcast_arrays(np.atleast_1d(np.asarray(u, dtype=float)),
                                np.atleast_1d(np.asarray(v, dtype=float)))

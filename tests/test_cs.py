@@ -138,7 +138,9 @@ def test_overlap_diagonal_and_conjugate_symmetry():
     mu = 0.25
     a = CSLabel(0.7 + 0.2j, -0.4j)
     b = CSLabel(-0.3 + 1.1j, 0.5 - 0.2j)
-    assert cs_overlap(0, a, 0, a, mu) == pytest.approx(1.0, rel=1e-12)
+    # N ~ 1.2e170 at the large label, so N N' is beyond the double range
+    for lab in (a, CSLabel(14 + 0.5j, -0.3 + 14j)):
+        assert cs_overlap(0, lab, 0, lab, mu) == pytest.approx(1.0, rel=1e-12)
     oab = cs_overlap(1, a, 1, b, mu)
     oba = cs_overlap(1, b, 1, a, mu)
     assert oab == pytest.approx(np.conj(oba), rel=1e-12)

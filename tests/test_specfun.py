@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special as sp
 
 from msf.specfun import (
@@ -398,6 +398,7 @@ def test_ln_marcum_p_edges_and_shapes():
 
 @given(nu=st.floats(0.0, 1.0), u=st.floats(0.0, 2000.0), v=st.floats(1e-3, 2000.0))
 @settings(max_examples=60, deadline=None)
+@example(nu=5e-324, u=0.0, v=1.0)  # subnormal nu, where chndtr is nan
 def test_ln_marcum_p_finite_probability(nu, u, v):
     ln_p = ln_marcum_p(nu, u, v)
     assert math.isfinite(ln_p) and ln_p <= 1e-14
