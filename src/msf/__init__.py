@@ -12,7 +12,6 @@ command-line tool (``msf``).
 from .specfun import (
     DomainError,
     IrregularOriginError,
-    SeriesControl,
     TruncationError,
     bessel_i,
     erf,

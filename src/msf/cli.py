@@ -473,13 +473,10 @@ def tabulate(cfg: RunConfig, target: str, args) -> tuple[list[str], list[list]]:
         ugrid = _parse_grid(args.u)
         vgrid = _parse_grid(args.v)
         header = ["u", "v", "w0", "w1"]
-        rows = []
-        for u in ugrid:
-            for v in vgrid:
-                rows.append([u, v,
-                             weight_fn(WeightSpec(0, fc.mu), float(u), float(v)),
-                             weight_fn(WeightSpec(1, fc.mu), float(u), float(v))])
-        return header, rows
+        u, v = (a.ravel() for a in np.meshgrid(ugrid, vgrid, indexing="ij"))
+        w0 = weight_fn(WeightSpec(0, fc.mu), u, v)
+        w1 = weight_fn(WeightSpec(1, fc.mu), u, v)
+        return header, [list(row) for row in zip(u, v, w0, w1)]
     if target == "spectrum":
         header = ["j", "l", "m", "n1", "energy"]
         rows = []
@@ -503,20 +500,14 @@ def tabulate(cfg: RunConfig, target: str, args) -> tuple[list[str], list[list]]:
         rho = _parse_grid(args.rhop)
         q = resolve_qnums(0 if args.l < 0 else 1, args.l, args.m, fc)
         header = ["rho", "re", "im"]
-        rows = []
-        for r in rho:
-            val = stationary_state(q, args.theta, float(r), fc)
-            rows.append([r, val.real, val.imag])
-        return header, rows
+        vals = stationary_state(q, args.theta, rho, fc)
+        return header, [[r, val.real, val.imag] for r, val in zip(rho, vals)]
     if target == "cs-density":
         rho = _parse_grid(args.rhop)
         lab = CSLabel(complex(args.z1), complex(args.z2))
         header = ["rho", "re", "im", "abs2"]
-        rows = []
-        for r in rho:
-            val = cs_state(args.j, lab, args.theta, float(r), fc)
-            rows.append([r, val.real, val.imag, abs(val) ** 2])
-        return header, rows
+        vals = cs_state(args.j, lab, args.theta, rho, fc)
+        return header, [[r, val.real, val.imag, abs(val) ** 2] for r, val in zip(rho, vals)]
     raise DomainError(f"unknown tabulation target: {target}")
 
 

@@ -27,9 +27,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .specfun import (
-    DEFAULT_CONTROL,
     DomainError,
-    SeriesControl,
     TruncationError,
     bessel_i,
     erf,
@@ -68,22 +66,22 @@ class WeightSpec:
             raise DomainError("mu must lie in [0, 1)")
 
 
-def weight_fn(spec: WeightSpec, u: float, v: float) -> float:
-    """Measure density W_j(u, v) on squared label moduli.
+def weight_fn(spec: WeightSpec, u, v):
+    """Measure density W_j(u, v) on squared label moduli, elementwise.
 
     W_0 = pi^-2 exp(-(u+v)) Q_{1-mu}(sqrt u, sqrt v) = pi^-2 P_{1-mu}(u, v)
     W_1 = pi^-2 exp(-(u+v)) Q_mu(sqrt v, sqrt u)     = pi^-2 P_mu(v, u)
 
     with P the complementary Marcum function of
-    :func:`msf.specfun.ln_marcum_p`.
+    :func:`msf.specfun.ln_marcum_p`, which rejects negative u, v.
+    Scalar inputs give a float, arrays an array.
     """
-    if u < 0 or v < 0:
-        raise DomainError("u, v must be non-negative")
     if spec.j == 0:
         ln_p = ln_marcum_p(1.0 - spec.mu, u, v)
     else:
         ln_p = ln_marcum_p(spec.mu, v, u)
-    return math.exp(ln_p) / math.pi**2
+    w = np.exp(ln_p) / math.pi**2
+    return float(w) if np.ndim(w) == 0 else w
 
 
 def weight_half_closed(j: int, u: float, v: float) -> float:
@@ -151,28 +149,38 @@ def _ln_q_grid_series(nu: float, u: np.ndarray, v: np.ndarray,
         Q_nu = sum_k  v^(nu+k) e_k(u) / Gamma(nu+k+1),
         e_k(u) = sum_{m<=k} u^m / m!,
 
-    with e_k accumulated iteratively in log space.  Independent of the
-    Marcum-P kernel, used as its cross-check on grids; u, v > 0.
+    with e_k accumulated iteratively in log space.  A node retires once
+    its own latest term is below rel_tol of its sum; the terms are
+    log-concave in k, so the rest of its series is smaller still.
+    Independent of the Marcum-P kernel, used as its cross-check on
+    grids; u, v > 0.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     if np.any(u <= 0) or np.any(v <= 0):
         raise DomainError("grid Q evaluation requires positive arguments")
-    ln_a = np.log(u)
-    ln_b = np.log(v)
-    ln_ek = np.zeros(np.broadcast(u, v).shape)
-    ln_total = nu * ln_b - _sp.gammaln(nu + 1.0) + ln_ek
+    ln_a, ln_b = np.log(u).ravel(), np.log(v).ravel()
+    ln_ek = np.zeros(ln_a.shape)
+    ln_total = nu * ln_b - _sp.gammaln(nu + 1.0)
+    out = np.empty(ln_a.shape)
+    live = np.arange(ln_a.size)
+    ln_tol = math.log(rel_tol)
     k = 0
-    while True:
+    while live.size:
         k += 1
         ln_ek = np.logaddexp(ln_ek, k * ln_a - _sp.gammaln(k + 1.0))
         ln_term = (nu + k) * ln_b - _sp.gammaln(nu + k + 1.0) + ln_ek
         ln_total = np.logaddexp(ln_total, ln_term)
-        if k > 4 and float(np.max(ln_term - ln_total)) < math.log(rel_tol):
-            return ln_total
-        if k >= k_cap:
+        if k > 4:
+            done = ln_term - ln_total < ln_tol
+            if np.any(done):
+                out[live[done]] = ln_total[done]
+                keep = ~done
+                live, ln_a, ln_b = live[keep], ln_a[keep], ln_b[keep]
+                ln_ek, ln_total = ln_ek[keep], ln_total[keep]
+        if live.size and k >= k_cap:
             raise TruncationError("grid Q series did not converge",
                                   float(np.max(ln_total)), float(np.max(ln_term)))
+    return out.reshape(u.shape)
 
 
 def _unity_grid(mu: float, j: int, n_nodes: int):
@@ -311,8 +319,12 @@ def propagator_closed(p: KernelParams, dtheta: float, rho: float, rho_p: float) 
     return (g / (4.0 * math.pi)) * phase * val
 
 
-def propagator_series(p: KernelParams, dtheta: float, rho: float, rho_p: float,
-                      ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
+# relative tail bound and term cap of the propagator mode sum
+_MODE_REL_TOL = 1e-14
+_MODE_MAX_TERMS = 10**6
+
+
+def propagator_series(p: KernelParams, dtheta: float, rho: float, rho_p: float) -> complex:
     """Spectral mode sum i sum_m exp(-i E_m dt) phi(x) conj(phi(x')).
 
     Absolutely convergent only for Im(dt) < 0; rejected otherwise.  The
@@ -339,9 +351,9 @@ def propagator_series(p: KernelParams, dtheta: float, rho: float, rho_p: float,
         total = 1j * (g / (2.0 * math.pi)) * phase_l * np.dot(weights, prods)
         tail = abs(weights[-1] * prods[-1]) * ratio / (1.0 - ratio)
         scale = max(abs(total), 1e-300)
-        if tail * g / (2.0 * math.pi) <= ctl.rel_tol * scale:
+        if tail * g / (2.0 * math.pi) <= _MODE_REL_TOL * scale:
             return complex(total)
-        if m_max + block >= ctl.max_terms:
+        if m_max + block >= _MODE_MAX_TERMS:
             raise TruncationError("propagator mode sum did not converge",
                                   abs(total), tail)
         m_max += block

@@ -6,19 +6,38 @@ A coherent state on branch j is the double series
     c_{lm} = z1^n1 z2^n2 / sqrt(Gamma(1+n1) Gamma(1+n2)),
 
 with (n1, n2) resolved per branch.  Powers with non-integer exponents
-use the principal logarithm of each label; this fixes the phase
-convention (overlaps computed with other branch conventions can differ
-by a constant unimodular factor, their moduli agree).
+use the principal logarithm of each label, so every amplitude is
+carried in log space as c = exp(ln|c| + i arg c) with
 
-Normalization constants and overlaps are controlled by the Bessel
-series Q_nu(a, b) = sum_l (b/a)^(nu+l) I_{nu+l}(2ab):
+    ln|c| = n1 ln|z1| + n2 ln|z2| - (lnGamma(1+n1) + lnGamma(1+n2)) / 2,
+    arg c = n1 Arg z1 + n2 Arg z2.
+
+Every series of the module runs over one table of these logarithms,
+built by :func:`cs_expansion`: rows are angular numbers l, columns the
+radial numbers m = 0..M.  Along a row |c_{m+1} / c_m| <= |z1 z2| / (m+1),
+so M is where that bound has taken the row below 1e-16 of its largest
+amplitude; the rows stop by the quiet-block rule of
+:func:`_quiet_blocks`.
+
+The normalization constants are the Bessel series
+Q_nu(a, b) = sum_l (b/a)^(nu+l) I_{nu+l}(2ab),
 
     N_0(u, v) = Q_{1-mu}(sqrt u, sqrt v),
-    N_1(u, v) = Q_mu(sqrt v, sqrt u),        u = |z1|^2, v = |z2|^2.
+    N_1(u, v) = Q_mu(sqrt v, sqrt u),        u = |z1|^2, v = |z2|^2,
 
-The normalizations are evaluated as exp(u + v) P_nu through the
-complementary Marcum kernel :func:`msf.specfun.ln_marcum_p`; overlaps
-sum the Bessel series at complex arguments.
+taken in log space as ln N_j = u + v + ln P_nu through the complementary
+Marcum kernel :func:`msf.specfun.ln_marcum_p`.  States and overlaps
+apply them as exp(ln|c| - ln N_j / 2), so normalized values stay finite
+far past the double range of N_j itself.
+
+The overlap of two states is the contraction
+sum conj(c_a) c_b / sqrt(N_a N_b) over the table: the exact inner
+product of the states :func:`cs_state` evaluates, in its phase
+convention.  (Summing the Q series at the label products
+conj(z1) z1', conj(z2) z2' instead gives the same modulus, but a phase
+that can differ by a constant unimodular factor, because the principal
+logarithm of a product is not always the sum of the principal
+logarithms.)
 
 The exponential sum rule N_0 + N_1 = exp(u + v) is exact at mu = 0
 (integer Bessel orders, where the bilateral generating function
@@ -35,18 +54,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special as _sp
 
-from .specfun import (
-    DEFAULT_CONTROL,
-    DomainError,
-    SeriesControl,
-    TruncationError,
-    bessel_i,
-    laguerre_fn_table,
-    ln_gamma,
-    ln_marcum_p,
-)
-from .landau import FieldConfig, resolve_qnums
+from .specfun import DomainError, exp_in_range, laguerre_fn_rows, ln_marcum_p
+from .landau import FieldConfig, radial_alpha, resolve_qnums
 
 __all__ = [
     "CSLabel",
@@ -60,6 +71,13 @@ __all__ = [
     "mm_superpose",
     "mm_weight_sum",
 ]
+
+# amplitude tolerance of the truncated series, relative to sqrt(N_j)
+_EPS = 1e-16
+# rows added to the table at a time
+_L_CHUNK = 32
+# table size beyond which a label is rejected (16 MB per real array)
+_MAX_CELLS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -82,75 +100,99 @@ class CSLabel:
         return abs(self.z2) ** 2
 
 
-def _cpow(z: complex, p: float) -> complex:
-    """z**p via the principal logarithm, with 0**0 = 1 and 0**p = 0."""
-    if z == 0:
-        return 1.0 + 0.0j if p == 0 else 0.0 + 0.0j
-    return cmath.exp(p * cmath.log(z))
+def _ln_power(n: np.ndarray, r: float) -> np.ndarray:
+    """ln r^n over an array of exponents, with 0^0 = 1 and 0^n = 0 otherwise."""
+    if r > 0:
+        return n * math.log(r)
+    return np.where(n == 0, 0.0, -np.inf)
 
 
-def _amplitude(n1: float, n2: float, label: CSLabel) -> complex:
-    """z1^n1 z2^n2 / sqrt(Gamma(1+n1) Gamma(1+n2)), for planar and Dirac states."""
-    c = _cpow(label.z1, n1) * _cpow(label.z2, n2)
-    if c == 0:
-        return 0.0 + 0.0j
-    return c * math.exp(-0.5 * (ln_gamma(1.0 + n1) + ln_gamma(1.0 + n2)).real)
+def _ln_amplitude(n1, n2, label: CSLabel) -> tuple[np.ndarray, np.ndarray]:
+    """(ln|c|, arg c) of c = z1^n1 z2^n2 / sqrt(Gamma(1+n1) Gamma(1+n2)).
+
+    Elementwise over arrays n1, n2 > -1, for planar and Dirac states;
+    ln|c| = -inf where c vanishes.
+    """
+    n1 = np.asarray(n1, dtype=float)
+    n2 = np.asarray(n2, dtype=float)
+    ln_c = (_ln_power(n1, abs(label.z1)) + _ln_power(n2, abs(label.z2))
+            - 0.5 * (_sp.gammaln(1.0 + n1) + _sp.gammaln(1.0 + n2)))
+    return ln_c, n1 * cmath.phase(label.z1) + n2 * cmath.phase(label.z2)
+
+
+def _amplitudes(n1, n2, label: CSLabel) -> np.ndarray:
+    """The complex amplitudes c, elementwise, from the log-space primitive."""
+    ln_c, phase = _ln_amplitude(n1, n2, label)
+    return np.exp(ln_c + 1j * phase)
 
 
 def cs_coefficient(j: int, l: int, m: int, label: CSLabel, cfg: FieldConfig) -> complex:
     """Series amplitude z1^n1 z2^n2 / sqrt(Gamma(1+n1) Gamma(1+n2))."""
     q = resolve_qnums(j, l, m, cfg)
-    return _amplitude(q.n1, q.n2, label)
+    return complex(_amplitudes(q.n1, q.n2, label))
+
+
+def _m_last(label: CSLabel) -> int:
+    """Last radial number M of every row of the table.
+
+    Along a row |c_{m+1} / c_m| = sqrt(uv / ((n1+1)(n2+1))) <= s / (m+1)
+    with s = |z1 z2|, since n1, n2 >= m on both branches.  Past
+    m = ceil(s) the row therefore falls by at least prod s / (i+1); M is
+    where that bound first drops below _EPS, and the rest of the row is
+    a geometric tail of ratio below one.
+    """
+    s = abs(label.z1 * label.z2)
+    m0 = math.ceil(s)
+    i = np.arange(m0, m0 + 32 + int(12.0 * math.sqrt(s)))
+    with np.errstate(divide="ignore"):
+        ln_drop = np.cumsum(np.log(s / (i + 1.0)))
+    return m0 + 1 + int(np.argmax(ln_drop <= math.log(_EPS)))
+
+
+def _table(j: int, ls, label: CSLabel, cfg: FieldConfig, m_last: int):
+    """Laguerre order per row and (ln|c|, arg c) over rows ls, m = 0..m_last.
+
+    n1 and n2 both grow by one with m, so each row is its m = 0 state
+    shifted along the diagonal.
+    """
+    q0 = [resolve_qnums(j, l, 0, cfg) for l in ls]
+    m = np.arange(m_last + 1.0)
+    n1 = np.array([q.n1 for q in q0])[:, None] + m
+    n2 = np.array([q.n2 for q in q0])[:, None] + m
+    alpha = np.array([radial_alpha(q, cfg) for q in q0])
+    return (alpha, *_ln_amplitude(n1, n2, label))
+
+
+def _quiet_blocks(ln_w: np.ndarray, ln_tol: float) -> int | None:
+    """Number of l blocks a series keeps, or None while the rule has not fired.
+
+    The one truncation rule of the coherent-state series: the l-sum
+    stops after the third consecutive quiet block, a block whose weight
+    is at most exp(ln_tol) of the weight accumulated so far (itself
+    included).  ln_w holds the logarithms of the block weights in l
+    order; blocks of zero weight before any weight count as quiet.
+    """
+    quiet = ln_w <= ln_tol + np.logaddexp.accumulate(ln_w)
+    hits = np.flatnonzero(quiet[2:] & quiet[1:-1] & quiet[:-2])
+    return int(hits[0]) + 3 if hits.size else None
 
 
 @dataclass(frozen=True)
 class BranchTerm:
-    """Inner m-sum of the coherent state at fixed angular number l."""
+    """Unnormalized amplitudes c_lm, m = 0..M, at fixed angular number l."""
 
     j: int
     l: int
     coeffs: np.ndarray  # index m
-    tail_bound: float
 
     def weight(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
-def cs_branch(
-    j: int,
-    l: int,
-    label: CSLabel,
-    cfg: FieldConfig,
-    ctl: SeriesControl = DEFAULT_CONTROL,
-) -> BranchTerm:
-    """Coefficients of the inner m-sum with a geometric tail bound.
-
-    Truncation: |c_m| eventually decays faster than any geometric ratio
-    (Gamma factors); the sum stops when the estimated amplitude tail
-    drops below ctl.rel_tol relative to the largest amplitude seen, so
-    pointwise state values inherit the requested relative accuracy.
-    """
-    coeffs = []
-    amp_scale = 0.0
-    prev = None
-    m = 0
-    while True:
-        c = cs_coefficient(j, l, m, label, cfg)
-        coeffs.append(c)
-        a = abs(c)
-        amp_scale = max(amp_scale, a)
-        if prev is not None and a < prev and prev > 0.0:
-            r = a / prev
-            tail = a * r / (1.0 - r) if r < 1 else np.inf
-            if m >= 2 and tail <= ctl.rel_tol * max(amp_scale, 1e-300):
-                return BranchTerm(j=j, l=l, coeffs=np.array(coeffs), tail_bound=tail)
-        if a == 0.0 and m >= 2:
-            # zero label: at most a single surviving amplitude
-            return BranchTerm(j=j, l=l, coeffs=np.array(coeffs), tail_bound=0.0)
-        if m + 1 >= ctl.max_terms:
-            raise TruncationError("coherent-state m-sum did not converge", amp_scale, a)
-        prev = a
-        m += 1
+def cs_branch(j: int, l: int, label: CSLabel, cfg: FieldConfig) -> BranchTerm:
+    """One row of the coherent-state table, unnormalized."""
+    _, ln_c, phase = _table(j, [l], label, cfg, _m_last(label))
+    return BranchTerm(j=j, l=l, coeffs=np.exp(ln_c[0] + 1j * phase[0]))
 
 
 def _branch_l_values(j: int, vartheta: int = -1):
@@ -165,51 +207,77 @@ def _branch_l_values(j: int, vartheta: int = -1):
     return itertools.count((1 + vartheta) // 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CSExpansion:
-    """Truncated coherent-state expansion on one branch.
+    """Truncated coherent-state series on one branch, in log space.
 
-    coeffs maps (l, m) to the series amplitude; norm_const is the
-    truncated sum of |amplitude|^2 (approximates N_j).
+    Row k holds angular number l[k] with Laguerre order alpha[k], column
+    m the radial number; c_lm = exp(ln_c + i phase).  ln_norm is the log
+    of the truncated sum of |c_lm|^2, which approximates ln N_j.
     """
 
     j: int
     label: CSLabel
-    coeffs: dict = field(repr=False)
-    norm_const: float
-    rel_tol: float
+    l: np.ndarray = field(repr=False)
+    alpha: np.ndarray = field(repr=False)
+    ln_c: np.ndarray = field(repr=False)
+    phase: np.ndarray = field(repr=False)
+    ln_norm: float
+
+    @property
+    def norm_const(self) -> float:
+        return exp_in_range(self.ln_norm, f"N_{self.j}")
 
 
-def cs_expansion(
-    j: int,
-    label: CSLabel,
-    cfg: FieldConfig,
-    ctl: SeriesControl = DEFAULT_CONTROL,
-) -> CSExpansion:
-    """Full (l, m) expansion, truncated when three consecutive l blocks
-    contribute less than ctl.rel_tol of the accumulated weight."""
-    coeffs: dict = {}
-    total = 0.0
-    small_blocks = 0
-    for count, l in enumerate(_branch_l_values(j)):
-        term = cs_branch(j, l, label, cfg, ctl)
-        w = term.weight()
-        for m, c in enumerate(term.coeffs):
-            if c != 0:
-                coeffs[(l, m)] = complex(c)
-        total += w
-        if total > 0 and w <= ctl.rel_tol * total:
-            small_blocks += 1
-            if small_blocks >= 3:
-                break
-        else:
-            small_blocks = 0
-        if count >= ctl.max_terms:
-            raise TruncationError("coherent-state l-sum did not converge", total, w)
-    return CSExpansion(j=j, label=label, coeffs=coeffs, norm_const=total, rel_tol=ctl.rel_tol)
+def cs_expansion(j: int, label: CSLabel, cfg: FieldConfig) -> CSExpansion:
+    """The (l, m) table of the branch-j series.
+
+    Rows are added in chunks until the quiet-block rule fires at weight
+    tolerance _EPS^2, i.e. at amplitude tolerance _EPS relative to
+    sqrt(N_j).  Raises DomainError for labels whose table would exceed
+    _MAX_CELLS amplitudes.
+    """
+    m_last = _m_last(label)
+    l_values = _branch_l_values(j)
+    ls: list[int] = []
+    parts = []
+    ln_w = np.empty(0)
+    while True:
+        if (len(ls) + _L_CHUNK) * (m_last + 1) > _MAX_CELLS:
+            raise DomainError(
+                f"label too large: the coherent-state table exceeds {_MAX_CELLS} amplitudes")
+        chunk = list(itertools.islice(l_values, _L_CHUNK))
+        part = _table(j, chunk, label, cfg, m_last)
+        ls += chunk
+        parts.append(part)
+        ln_w = np.concatenate((ln_w, np.logaddexp.reduce(2.0 * part[1], axis=1)))
+        keep = _quiet_blocks(ln_w, 2.0 * math.log(_EPS))
+        if keep is not None:
+            break
+    alpha, ln_c, phase = (np.concatenate(arrays)[:keep] for arrays in zip(*parts))
+    peak = float(np.max(ln_c))
+    ln_norm = -np.inf
+    if peak > -np.inf:
+        ln_norm = 2.0 * peak + math.log(np.sum(np.exp(2.0 * (ln_c - peak))))
+    return CSExpansion(j=j, label=label, l=np.array(ls[:keep]), alpha=alpha,
+                       ln_c=ln_c, phase=phase, ln_norm=ln_norm)
 
 
-_LN_DOUBLE_MAX = math.log(np.finfo(float).max)
+def _ln_normalization(j: int, u: float, v: float, mu: float) -> float:
+    """ln N_j = u + v + ln P_nu at squared label moduli (u, v)."""
+    if j == 0:
+        return u + v + ln_marcum_p(1.0 - mu, u, v)
+    if j == 1:
+        return u + v + ln_marcum_p(mu, v, u)
+    raise DomainError("branch j must be 0 or 1")
+
+
+def _ln_half_norm(j: int, label: CSLabel, mu: float) -> float:
+    """ln sqrt(N_j); DomainError where N_j = 0 and no state exists."""
+    ln_n = _ln_normalization(j, label.u, label.v, mu)
+    if ln_n == -np.inf:
+        raise DomainError("coherent state undefined: zero normalization")
+    return 0.5 * ln_n
 
 
 def cs_normalization(j: int, u: float, v: float, mu: float) -> float:
@@ -219,107 +287,39 @@ def cs_normalization(j: int, u: float, v: float, mu: float) -> float:
     in log space.  Raises DomainError where N_j exceeds the double
     range.
     """
-    if j == 0:
-        ln_p = ln_marcum_p(1.0 - mu, u, v)
-    elif j == 1:
-        ln_p = ln_marcum_p(mu, v, u)
-    else:
-        raise DomainError("branch j must be 0 or 1")
-    ln_n = u + v + ln_p
-    if ln_n > _LN_DOUBLE_MAX:
-        raise DomainError(f"N_{j} = exp({ln_n:.6g}) exceeds the double range")
-    return math.exp(ln_n)
+    return exp_in_range(_ln_normalization(j, u, v, mu), f"N_{j}")
 
 
 def cs_state(
     j: int,
     label: CSLabel,
-    theta: float,
-    rho: float,
+    theta,
+    rho,
     cfg: FieldConfig,
-    ctl: SeriesControl = DEFAULT_CONTROL,
     normalized: bool = True,
-) -> complex:
-    """Coherent-state value at a point (unit norm unless disabled).
+):
+    """Coherent-state value, elementwise over theta and rho.
 
-    The l-sum is truncated by the same three-quiet-blocks rule as
-    :func:`cs_expansion`; each radial m-sum reuses the coefficient
-    truncation of :func:`cs_branch`.
+    Unit norm unless disabled; the amplitudes are normalized in log
+    space, exp(ln|c| - ln N_j / 2), so the value is finite wherever the
+    normalized state is.  One Laguerre recurrence over m, vectorised
+    over the rows of the :func:`cs_expansion` table and the points,
+    accumulates sum_m c_lm I_m(rho) per row: memory is O(rows x points).
     """
-    if normalized:
-        norm = cs_normalization(j, label.u, label.v, cfg.mu)
-        if norm <= 0.0:
-            raise DomainError("coherent state undefined: zero normalization")
-    else:
-        norm = 1.0
-    pref = math.sqrt(cfg.gamma / (2.0 * math.pi))
-    total = 0.0 + 0.0j
-    running = 0.0
-    small_blocks = 0
-    for count, l in enumerate(_branch_l_values(j)):
-        term = cs_branch(j, l, label, cfg, ctl)
-        mmax = len(term.coeffs) - 1
-        if j == 0:
-            alpha = -l - cfg.mu
-        else:
-            alpha = l + cfg.mu
-        tab = laguerre_fn_table(alpha, mmax, np.asarray([rho]))[:, 0]
-        radial = np.dot(term.coeffs, tab)
-        phase = cmath.exp(1j * (l - cfg.l0) * theta)
-        if j == 1:
-            phase *= cmath.exp(-1j * math.pi * l)
-        contrib = pref * phase * radial
-        total += contrib
-        running += abs(contrib)
-        quiet = (abs(contrib) <= ctl.rel_tol * running) if running > 0 else (count >= 1)
-        if quiet:
-            small_blocks += 1
-            if small_blocks >= 3:
-                break
-        else:
-            small_blocks = 0
-        if count >= ctl.max_terms:
-            raise TruncationError("coherent-state point value did not converge",
-                                  abs(total), abs(contrib))
-    return total / math.sqrt(norm)
-
-
-def _q_complex(nu: float, a: complex, b: complex, ctl: SeriesControl) -> complex:
-    """Q_nu(sqrt(a), sqrt(b)) for complex a, b via the Bessel term sum.
-
-    Powers of a and b use the principal branch.  Used for overlaps,
-    where a = conj(z1) z1' and b = conj(z2) z2'.
-    """
-    if a == 0 or b == 0:
-        # termwise limits of the double power series
-        if b == 0:
-            if nu > 0:
-                return 0.0 + 0.0j
-            if nu == 0:
-                return 1.0 + 0.0j
-            raise DomainError("overlap series diverges")
-        total = 0.0 + 0.0j
-        for l in range(0, 10_000):
-            t = _cpow(b, nu + l) * math.exp(-ln_gamma(nu + l + 1.0).real)
-            total += t
-            if abs(t) <= ctl.rel_tol * max(abs(total), 1e-300) and l > 2:
-                return total
-        raise TruncationError("overlap series did not converge", abs(total), abs(t))
-    sa, sb = cmath.sqrt(a), cmath.sqrt(b)
-    ratio_log = cmath.log(sb) - cmath.log(sa)
-    zarg = 2.0 * sa * sb
-    total = 0.0 + 0.0j
-    prev = np.inf
-    decreasing = 0
-    for l in range(0, ctl.max_terms):
-        t = cmath.exp((nu + l) * ratio_log) * bessel_i(nu + l, zarg)
-        total += t
-        at = abs(t)
-        decreasing = decreasing + 1 if at <= prev else 0
-        if decreasing >= 2 and at <= ctl.rel_tol * max(abs(total), 1e-300):
-            return total
-        prev = at
-    raise TruncationError("overlap series did not converge", abs(total), at)
+    ex = cs_expansion(j, label, cfg)
+    ln_scale = _ln_half_norm(j, label, cfg.mu) if normalized else 0.0
+    theta, rho = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                     np.asarray(rho, dtype=float))
+    per_row = (slice(None),) + (None,) * rho.ndim
+    amp = np.exp(ex.ln_c - ln_scale + 1j * ex.phase)
+    radial = 0.0
+    for m, lag in enumerate(laguerre_fn_rows(ex.alpha[per_row], amp.shape[1] - 1, rho)):
+        radial = radial + amp[:, m][per_row] * lag
+    phase = np.exp(1j * np.multiply.outer(ex.l - cfg.l0, theta))
+    if j == 1:
+        phase = phase * np.exp(-1j * math.pi * ex.l)[per_row]
+    total = math.sqrt(cfg.gamma / (2.0 * math.pi)) * np.sum(phase * radial, axis=0)
+    return complex(total) if total.ndim == 0 else total
 
 
 def cs_overlap(
@@ -328,28 +328,25 @@ def cs_overlap(
     j_b: int,
     label_b: CSLabel,
     mu: float,
-    ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> complex:
-    """Overlap of two normalized coherent states.
+    """Overlap <Phi_a | Phi_b> of two normalized coherent states.
 
     Cross-branch overlaps vanish exactly (disjoint angular ranges).  On
-    one branch the overlap is R / sqrt(N N') with R the Q series
-    evaluated at the conjugated label products; it is conjugate
-    symmetric away from the principal-branch cut (label products on the
-    negative real axis).
+    one branch it is the contraction sum conj(c_a) c_b / sqrt(N_a N_b)
+    over the larger of the two tables, each term formed in log space;
+    by Cauchy-Schwarz it never exceeds one in modulus.  Conjugate
+    symmetric, in the phase convention of :func:`cs_state`.
     """
     if j_a != j_b:
         return 0.0 + 0.0j
-    a = complex(np.conj(label_a.z1) * label_b.z1)
-    b = complex(np.conj(label_a.z2) * label_b.z2)
-    if j_a == 0:
-        r = _q_complex(1.0 - mu, a, b, ctl)
-    else:
-        r = _q_complex(mu, b, a, ctl)
-    na = cs_normalization(j_a, label_a.u, label_a.v, mu)
-    nb = cs_normalization(j_b, label_b.u, label_b.v, mu)
-    # N alone stays in range where the product N N' would not
-    return r / (math.sqrt(na) * math.sqrt(nb))
+    cfg = FieldConfig(mu=mu)
+    ea, eb = cs_expansion(j_a, label_a, cfg), cs_expansion(j_b, label_b, cfg)
+    ls = max(ea.l, eb.l, key=len)
+    m_last = max(ea.ln_c.shape[1], eb.ln_c.shape[1]) - 1
+    _, ln_a, ph_a = _table(j_a, ls, label_a, cfg, m_last)
+    _, ln_b, ph_b = _table(j_a, ls, label_b, cfg, m_last)
+    ln_scale = _ln_half_norm(j_a, label_a, mu) + _ln_half_norm(j_a, label_b, mu)
+    return complex(np.sum(np.exp(ln_a + ln_b - ln_scale + 1j * (ph_b - ph_a))))
 
 
 def mm_superpose(
@@ -357,7 +354,6 @@ def mm_superpose(
     theta: float,
     rho: float,
     cfg: FieldConfig,
-    ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> complex:
     """Zero-flux coherent state: both branches superposed, unnormalized.
 
@@ -377,7 +373,7 @@ def mm_superpose(
     for j in (0, 1):
         # sqrt(N_j) times the normalized state = the bare branch series;
         # assembling it unnormalized avoids the 0/0 at zero labels
-        total += cs_state(j, label, theta, rho, cfg, ctl, normalized=False)
+        total += cs_state(j, label, theta, rho, cfg, normalized=False)
     return total
 
 

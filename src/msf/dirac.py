@@ -38,10 +38,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .specfun import DEFAULT_CONTROL, DomainError, SeriesControl, laguerre_fn_table
+from .specfun import DomainError, laguerre_fn_table
 from .landau import FieldConfig
 from .radial import RadialGrid, make_radial_grid
-from .cs import CSLabel, _amplitude, _branch_l_values
+from .cs import CSLabel, _amplitudes, _branch_l_values, _quiet_blocks
 from .completeness import _wick_radial
 
 __all__ = [
@@ -445,10 +445,26 @@ class RelCS:
     grid: RadialGrid
 
 
+# the relativistic series runs over at most this many l blocks of m = 0.._REL_M_MAX
+_REL_L_BLOCKS = 14
+_REL_M_MAX = 14
+# quiet-block tolerance on the block weights sum_m |c|^2 2M(E+M)
+_REL_LN_TOL = math.log(1e-14)
+
+
+def _rel_grid(j: int, dc: DiracConfig, charge: int):
+    """States of the fixed (l, m) grid: rows of quantum numbers, their
+    (n1, n2) and energies, and the weights 2M(E+M) of the overlap form."""
+    rows = [[resolve_rel_qnums(j, l, m, charge, dc) for m in range(_REL_M_MAX + 1)]
+            for l in itertools.islice(_branch_l_values(j, dc.vartheta), _REL_L_BLOCKS)]
+    n1 = np.array([[q.n1 for q in row] for row in rows])
+    n2 = np.array([[q.n2 for q in row] for row in rows])
+    energy = np.array([[e_energy(q, dc) for q in row] for row in rows])
+    return rows, n1, n2, energy, 2.0 * dc.mass * (energy + dc.mass)
+
+
 def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
-           grid: RadialGrid | None = None,
-           ctl: SeriesControl = DEFAULT_CONTROL,
-           l_blocks: int = 14, m_max: int = 14) -> RelCS:
+           grid: RadialGrid | None = None) -> RelCS:
     """Relativistic coherent state: the (l, m) series of eigenspinors.
 
     Per-state weights follow the convention that fixes the overlap form
@@ -457,47 +473,35 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
         sum c_{lm} sqrt(2 M (E_lm + M)) psihat_{lm} / sqrt(Mcal),
         Mcal = sum |c_{lm}|^2 2 M (E_lm + M),
 
-    with psihat the unit-norm spinors.  Requires M > 0 (the weight
-    degenerates in the massless limit).
+    with psihat the unit-norm spinors.  The l blocks of the fixed grid
+    stop early by the quiet-block rule of the planar series, applied to
+    the weighted blocks.  Requires M > 0 (the weight degenerates in the
+    massless limit).
     """
     if dc.mass <= 0.0:
         raise DomainError("relativistic coherent states require M > 0")
     if grid is None:
         grid = make_radial_grid(rho_max=60.0)
+    rows, n1, n2, energy, weight = _rel_grid(j, dc, charge)
+    c = _amplitudes(n1, n2, label)
+    w = np.abs(c) ** 2 * weight
+    with np.errstate(divide="ignore"):
+        keep = _quiet_blocks(np.log(w.sum(axis=1)), _REL_LN_TOL) or _REL_L_BLOCKS
     states: dict = {}
-    total = 0.0
-    small = 0
-    for count, l in enumerate(_branch_l_values(j, dc.vartheta)):
-        block = 0.0
-        for m in range(m_max + 1):
-            q = resolve_rel_qnums(j, l, m, charge, dc)
-            c = _amplitude(q.n1, q.n2, label)
-            if c == 0:
-                continue
-            e = e_energy(q, dc)
-            w = abs(c) ** 2 * 2.0 * dc.mass * (e + dc.mass)
-            block += w
-            states[(l, m)] = (complex(c), e)
-        total += block
-        if total > 0 and block <= ctl.rel_tol * total:
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-        if count + 1 >= l_blocks:
-            break
     # assemble the grid representation, one Spinor2 per angular sector
     acc: dict[int, Spinor2] = {}
-    for (l, m), (c, e) in states.items():
-        q = resolve_rel_qnums(j, l, m, charge, dc)
-        psi, _ = dirac_spinor(q, dc, charge, grid)
-        wgt = c * math.sqrt(2.0 * dc.mass * (e + dc.mass))
-        if psi.l_up in acc:
-            acc[psi.l_up] = acc[psi.l_up].add(psi.scale(wgt))
-        else:
-            acc[psi.l_up] = psi.scale(wgt)
-    norm_const = total
+    for k in range(keep):
+        for m, q in enumerate(rows[k]):
+            if c[k, m] == 0:
+                continue
+            states[(q.l, q.m)] = (complex(c[k, m]), float(energy[k, m]))
+            psi, _ = dirac_spinor(q, dc, charge, grid)
+            wgt = c[k, m] * math.sqrt(weight[k, m])
+            if psi.l_up in acc:
+                acc[psi.l_up] = acc[psi.l_up].add(psi.scale(wgt))
+            else:
+                acc[psi.l_up] = psi.scale(wgt)
+    norm_const = float(w[:keep].sum())
     scale = 1.0 / math.sqrt(norm_const)
     spinors = {lu: sp.scale(scale) for lu, sp in acc.items()}
     return RelCS(j=j, charge=charge, label=label, states=states,
@@ -517,21 +521,13 @@ def rel_cs_inner(a: RelCS, b: RelCS, dc: DiracConfig) -> complex:
 
 
 def rel_cs_overlap_closed(j: int, label_a: CSLabel, label_b: CSLabel,
-                          dc: DiracConfig, charge: int,
-                          l_blocks: int = 14, m_max: int = 14) -> complex:
-    """Overlap via the scalar route: 2M sum conj(c) c' (E + M) / sqrt(Mcal Mcal')."""
-    num = 0.0 + 0.0j
-    na = nb = 0.0
-    for l in itertools.islice(_branch_l_values(j, dc.vartheta), l_blocks):
-        for m in range(m_max + 1):
-            q = resolve_rel_qnums(j, l, m, charge, dc)
-            ca = _amplitude(q.n1, q.n2, label_a)
-            cb = _amplitude(q.n1, q.n2, label_b)
-            e = e_energy(q, dc)
-            w = 2.0 * dc.mass * (e + dc.mass)
-            num += np.conj(ca) * cb * w
-            na += abs(ca) ** 2 * w
-            nb += abs(cb) ** 2 * w
+                          dc: DiracConfig, charge: int) -> complex:
+    """Overlap via the scalar route over the whole (l, m) grid:
+    2M sum conj(c) c' (E + M) / sqrt(Mcal Mcal')."""
+    _, n1, n2, _, weight = _rel_grid(j, dc, charge)
+    ca, cb = _amplitudes(n1, n2, label_a), _amplitudes(n1, n2, label_b)
+    num = np.sum(np.conj(ca) * cb * weight)
+    na, nb = np.sum(np.abs(ca) ** 2 * weight), np.sum(np.abs(cb) ** 2 * weight)
     return complex(num / math.sqrt(na * nb))
 
 

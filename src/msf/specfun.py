@@ -23,13 +23,12 @@ Everything here is a pure function of its inputs.  The conventions:
 
       Q_nu(u, v) = sum_{l>=0} (v/u)^{nu+l} I_{nu+l}(2 u v)
 
-  point by point; it is kept as the scalar reference of that series.
+  as exp(u^2 + v^2) P_nu(u^2, v^2), through the same Marcum kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -38,16 +37,16 @@ __all__ = [
     "DomainError",
     "TruncationError",
     "IrregularOriginError",
-    "SeriesControl",
     "ln_gamma",
     "laguerre_poly",
     "laguerre_fn",
+    "laguerre_fn_rows",
     "laguerre_fn_table",
     "bessel_i",
     "erf",
     "ln_marcum_p",
+    "exp_in_range",
     "q_sum",
-    "q_term",
 ]
 
 
@@ -70,27 +69,6 @@ class TruncationError(RuntimeError):
         super().__init__(f"{message} (partial={partial!r}, tail_bound={tail_bound!r})")
         self.partial = partial
         self.tail_bound = tail_bound
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation control for the infinite sums.
-
-    rel_tol is the target relative tail bound, max_terms a hard cap on
-    the number of summed terms.
-    """
-
-    rel_tol: float = 1e-14
-    max_terms: int = 10**6
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise DomainError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
-
-
-DEFAULT_CONTROL = SeriesControl()
 
 
 def ln_gamma(x):
@@ -134,44 +112,68 @@ def laguerre_poly(m: int, alpha: float, rho):
     return p if p.ndim else float(p)
 
 
-def _laguerre_fn_start(alpha: float, rho: np.ndarray) -> np.ndarray:
-    """m = 0 normalized Laguerre function, accumulated in log space."""
-    out = np.zeros_like(rho)
-    pos = rho > 0
-    lg = _sp.gammaln(alpha + 1.0)
-    out[pos] = np.exp(-rho[pos] / 2 + (alpha / 2) * np.log(rho[pos]) - lg / 2)
-    if np.any(~pos):
-        if alpha > 0:
-            out[~pos] = 0.0
-        elif alpha == 0:
-            out[~pos] = 1.0
+# below exp(-600) the start of the Laguerre recurrence runs scaled
+_LN_START_FLOOR = -600.0
+# scaled iterates are renormalized once they exceed this
+_SCALED_CEILING = 1e200
+
+
+def laguerre_fn_rows(alpha, m_max: int, rho):
+    """Yield I_{m+alpha,m}(rho) for m = 0..m_max, broadcast over alpha and rho.
+
+    The weighted three-term recurrence keeps the exp(-rho/2) rho^(alpha/2)
+    factor inside the iterate, so no intermediate overflows occur even
+    for large rho or large m.  Where that start factor alone would
+    underflow (rho beyond about 1200 at small alpha), the iterate runs
+    scaled by exp(-ln_scale) and is renormalized as it grows, so the
+    rows of order one further up are not lost.
+    """
+    scalar = np.ndim(alpha) == 0
+    alpha = float(alpha) if scalar else np.asarray(alpha, dtype=float)
+    sqrt = math.sqrt if scalar else np.sqrt
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    if not (alpha > -1.0 if scalar else np.all(alpha > -1.0)):
+        raise DomainError("alpha must exceed -1")
+    rho_min = rho.min()
+    if rho_min < 0:
+        raise DomainError("rho must be non-negative")
+    if rho_min == 0 and np.min(alpha) < 0:
+        raise IrregularOriginError("profile diverges at rho = 0 for order alpha < 0")
+    ln_start = -rho / 2 + _sp.xlogy(alpha / 2, rho) - _sp.gammaln(alpha + 1.0) / 2
+    ln_scale, scaled = 0.0, False
+    if ln_start.min() < _LN_START_FLOOR:  # -inf at rho = 0 is an exact zero
+        ln_scale = np.where(np.isfinite(ln_start) & (ln_start < _LN_START_FLOOR), ln_start, 0.0)
+        scaled = bool(np.any(ln_scale))
+    p_prev, p = None, np.exp(ln_start - ln_scale)
+    for m in range(m_max + 1):
+        yield p * np.exp(ln_scale) if scaled else p
+        if m == m_max:
+            return
+        if m == 0:
+            p_next = (1.0 + alpha - rho) * p / sqrt(1.0 + alpha)
         else:
-            raise IrregularOriginError(
-                "profile diverges at rho = 0 for order alpha < 0"
-            )
-    return out
+            a = 2 * m + alpha + 1 - rho
+            b = sqrt(m * (m + alpha))
+            c = sqrt((m + 1) * (m + 1 + alpha))
+            p_next = (a * p - b * p_prev) / c
+        p_prev, p = p, p_next
+        if scaled:
+            s = np.where(np.abs(p) > _SCALED_CEILING, np.abs(p), 1.0)
+            p, p_prev, ln_scale = p / s, p_prev / s, ln_scale + np.log(s)
 
 
 def laguerre_fn_table(alpha: float, m_max: int, rho) -> np.ndarray:
     """Normalized Laguerre functions I_{m+alpha,m}(rho) for m = 0..m_max.
 
-    Returns an array of shape (m_max+1, *rho.shape).  The weighted
-    three-term recurrence keeps the exp(-rho/2) rho^(alpha/2) factor
-    inside the iterate, so no intermediate overflows occur even for
-    large rho or large m.
+    Returns an array of shape (m_max+1, *rho.shape), the rows of
+    :func:`laguerre_fn_rows` stacked.
     """
-    if not alpha > -1.0:
-        raise DomainError("alpha must exceed -1")
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    tab = np.zeros((m_max + 1,) + rho.shape)
-    tab[0] = _laguerre_fn_start(alpha, rho)
-    if m_max >= 1:
-        tab[1] = (1.0 + alpha - rho) * tab[0] / math.sqrt(1.0 + alpha)
-    for m in range(1, m_max):
-        a = 2 * m + alpha + 1 - rho
-        b = math.sqrt(m * (m + alpha))
-        c = math.sqrt((m + 1) * (m + 1 + alpha))
-        tab[m + 1] = (a * tab[m] - b * tab[m - 1]) / c
+    rows = laguerre_fn_rows(alpha, m_max, rho)
+    first = next(rows)
+    tab = np.empty((m_max + 1,) + first.shape)
+    tab[0] = first
+    for m, row in enumerate(rows, 1):
+        tab[m] = row
     return tab
 
 
@@ -202,6 +204,8 @@ def bessel_i(nu: float, z, scaled: bool = False):
     stays finite where the plain value would overflow.
     """
     nu = float(nu)
+    if abs(nu) < np.finfo(float).tiny:
+        nu = 0.0  # scipy's iv returns nan at subnormal orders with complex z
     fn = _sp.ive if scaled else _sp.iv
     if np.iscomplexobj(z) or isinstance(z, complex):
         out = fn(nu, np.asarray(z, dtype=complex))
@@ -214,38 +218,6 @@ def erf(x):
     """Error function, elementwise."""
     out = _sp.erf(np.asarray(x, dtype=float))
     return float(out) if np.ndim(x) == 0 else out
-
-
-def _q_inner_sum(p0: float, ln_a: float, ln_b: float, rel_tol: float) -> float:
-    """sum_m exp((p0+m) ln_b + m ln_a - lgamma(m+1) - lgamma(p0+m+1)).
-
-    All terms are positive; summed with a running maximum for scaling.
-    p0 > -1.  ln_a/ln_b may be -inf (zero base), in which case only the
-    admissible terms contribute.
-    """
-    if ln_b == -np.inf:
-        # only the m = 0, p0 = 0 term can survive (0^0 = 1 convention)
-        return 1.0 if p0 == 0.0 else 0.0
-    if ln_a == -np.inf:
-        return math.exp(p0 * ln_b - _sp.gammaln(p0 + 1.0))
-    block = 64
-    m0 = 0
-    total = 0.0
-    prev_max = -np.inf
-    while True:
-        m = np.arange(m0, m0 + block, dtype=float)
-        ln_t = (p0 + m) * ln_b + m * ln_a - _sp.gammaln(m + 1.0) - _sp.gammaln(p0 + m + 1.0)
-        t = np.exp(ln_t)
-        total += float(t.sum())
-        cur_max = float(ln_t.max())
-        # terms decay super-geometrically once m >> sqrt(a b); stop when the
-        # last block is negligible and decreasing
-        if t[-1] <= rel_tol * max(total, 1e-300) and cur_max <= prev_max:
-            return total
-        prev_max = cur_max
-        m0 += block
-        if m0 > 100_000:
-            raise TruncationError("inner Bessel-series sum did not converge", total, float(t[-1]))
 
 
 # below this chndtr loses relative accuracy, and near 1e-300 it underflows to 0
@@ -345,62 +317,25 @@ def ln_marcum_p(nu: float, u, v):
     return float(out[0]) if scalar else out
 
 
-def q_term(nu: float, l: int, u: float, v: float, rel_tol: float = 1e-16) -> float:
-    """Single term (v/u)^(nu+l) I_{nu+l}(2uv) of the Q series, u, v >= 0.
-
-    Evaluated through its power series in (u^2, v^2) so the u -> 0 limit
-    is finite (the growing ratio and the vanishing Bessel factor are
-    combined analytically).
-    """
-    p0 = nu + l
-    ln_a = 2.0 * math.log(u) if u > 0 else -np.inf
-    ln_b = 2.0 * math.log(v) if v > 0 else -np.inf
-    return _q_inner_sum(p0, ln_a, ln_b, rel_tol)
+_LN_DOUBLE_MAX = math.log(np.finfo(float).max)
 
 
-def q_sum(nu: float, u: float, v: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Q_nu(u, v) = sum_{l>=0} (v/u)^(nu+l) I_{nu+l}(2uv) for u, v >= 0.
+def exp_in_range(ln_x: float, what: str) -> float:
+    """exp(ln_x), or DomainError where it exceeds the double range."""
+    if ln_x > _LN_DOUBLE_MAX:
+        raise DomainError(f"{what} = exp({ln_x:.6g}) exceeds the double range")
+    return math.exp(ln_x)
 
-    Terms are evaluated in log space through the double power series, so
-    the sum is stable for u -> 0 and for large nu + l.  Edge values
-    follow the term-wise limits: every term vanishes when v = 0 and
-    nu > 0; Q_0(u, 0) = Q_0(0, 0) = 1.
 
-    Raises TruncationError if the tail bound cannot be pushed below
-    ctl.rel_tol within ctl.max_terms terms.
+def q_sum(nu: float, u: float, v: float) -> float:
+    """Q_nu(u, v) = sum_{l>=0} (v/u)^(nu+l) I_{nu+l}(2uv) for u, v >= 0, nu >= 0.
+
+    Evaluated as exp(u^2 + v^2 + ln P_nu(u^2, v^2)) through
+    :func:`ln_marcum_p`; edge values follow the term-wise limits, so
+    Q_nu(u, 0) = 0 for nu > 0 and Q_0(u, 0) = 1.  Raises DomainError
+    where Q exceeds the double range.
     """
     if u < 0 or v < 0:
         raise DomainError("q_sum requires u, v >= 0")
-    if not nu > -1.0:
-        raise DomainError("q_sum requires nu > -1")
-    if v == 0.0:
-        if nu > 0:
-            return 0.0
-        if nu == 0:
-            return 1.0
-        raise DomainError("q_sum diverges for v = 0 and nu < 0")
-    total = 0.0
-    prev = np.inf
-    decreasing = 0
-    terms_used = 0
-    l = 0
-    while True:
-        t = q_term(nu, l, u, v, rel_tol=min(ctl.rel_tol, 1e-16))
-        total += t
-        terms_used += 1
-        if t <= prev:
-            decreasing += 1
-        else:
-            decreasing = 0
-        if decreasing >= 2 and t > 0.0 and prev > 0.0:
-            r = t / prev
-            if r < 1.0:
-                tail = t * r / (1.0 - r)
-                if tail <= ctl.rel_tol * max(total, 1e-300):
-                    return total
-        if t == 0.0 and l > 2:
-            return total
-        if terms_used >= ctl.max_terms:
-            raise TruncationError("q_sum did not converge", total, t)
-        prev = t
-        l += 1
+    a, b = u * u, v * v
+    return exp_in_range(a + b + ln_marcum_p(nu, a, b), f"Q_{nu}")

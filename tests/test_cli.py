@@ -1,6 +1,7 @@
 """End-to-end CLI contract: exit codes, formats, determinism, config."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -89,6 +90,17 @@ def test_tabulate_kernel(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "rhop,re,im"
     assert len(lines) == 122
+
+
+def test_tabulate_cs_density_large_label():
+    # |z| = 20: the linear-space series overflowed here
+    res = run_cli(["tabulate", "cs-density", "--j", "1", "--z1", "10+10j", "--z2", "(-10+10j)",
+                   "--theta", "0.3", "--rhop", "0:6:3", "--format", "csv"])
+    assert res.returncode == 0
+    rows = [ln.split(",") for ln in res.stdout.strip().split("\n")]
+    assert rows[0] == ["rho", "re", "im", "abs2"]
+    values = [float(c) for row in rows[1:] for c in row]
+    assert len(values) == 12 and all(math.isfinite(x) for x in values)
 
 
 def test_tabulate_json_schema(tmp_path):

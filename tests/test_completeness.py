@@ -73,6 +73,18 @@ def test_weight_vanishing_edge():
     assert weight_fn(WeightSpec(0, 0.3), 2.0, 0.0) == 0.0
 
 
+def test_weight_fn_elementwise_over_arrays():
+    u, v = np.meshgrid(np.linspace(0.0, 9.0, 4), [0.0, 0.7, 250.0], indexing="ij")
+    for j in (0, 1):
+        spec = WeightSpec(j, 0.35)
+        grid = weight_fn(spec, u, v)
+        assert grid.shape == u.shape
+        for w, a, b in zip(grid.ravel(), u.ravel(), v.ravel()):
+            assert w == weight_fn(spec, float(a), float(b))
+    with pytest.raises(DomainError):
+        weight_fn(WeightSpec(0, 0.35), np.array([1.0, -1.0]), 1.0)
+
+
 @pytest.mark.parametrize("j", (0, 1))
 def test_weight_half_flux_far_out(j):
     # the Bessel series overflowed to nan here; the true value is erf(40) / (2 pi^2)

@@ -11,10 +11,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import special as sp
 
 from msf.landau import FieldConfig, make_quadrature, resolve_qnums, stationary_state
-from msf.specfun import DomainError, SeriesControl, laguerre_fn_table
+from msf.specfun import DomainError, laguerre_fn_table, ln_marcum_p
 from msf.cs import (
     CSLabel,
     cs_branch,
@@ -26,8 +27,6 @@ from msf.cs import (
     mm_superpose,
     mm_weight_sum,
 )
-
-CTL = SeriesControl()
 
 
 def test_label_validation():
@@ -47,27 +46,29 @@ def test_coefficient_formula():
 
 def test_zero_label_single_term():
     cfg = FieldConfig(mu=0.0)
-    term = cs_branch(1, 0, CSLabel(0.0, 0.0), cfg, CTL)
+    term = cs_branch(1, 0, CSLabel(0.0, 0.0), cfg)
     assert term.coeffs[0] == 1.0
     assert np.all(term.coeffs[1:] == 0.0)
 
 
 def test_branch_weight_matches_q_term():
     # sum_m |c_m|^2 at fixed l equals one term of the Q series
-    from msf.specfun import q_term
+    from test_specfun import q_double_series_oracle
 
     cfg = FieldConfig(mu=0.5)
     lab = CSLabel(1.0, 1.0)  # |z1| = |z2| = 1
-    term = cs_branch(0, -1, lab, cfg, CTL)
-    expect = q_term(1.0 - cfg.mu, 0, math.sqrt(lab.u), math.sqrt(lab.v))
+    term = cs_branch(0, -1, lab, cfg)
+    expect = q_double_series_oracle(1.0 - cfg.mu, math.sqrt(lab.u), math.sqrt(lab.v), lmax=1)
     assert term.weight() == pytest.approx(expect, rel=1e-12)
 
 
 def test_expansion_weight_equals_normalization():
     cfg = FieldConfig(mu=0.3)
     lab = CSLabel(0.7 + 0.2j, -0.4j)
-    for j in (0, 1):
-        exp_ = cs_expansion(j, lab, cfg, CTL)
+    # u = 200, v = 1: branch 0 holds only the far tail of the weight
+    lopsided = CSLabel(cmath.rect(math.sqrt(200.0), 0.7), cmath.rect(1.0, -2.1))
+    for j, lab in ((0, lab), (1, lab), (0, lopsided)):
+        exp_ = cs_expansion(j, lab, cfg)
         n = cs_normalization(j, lab.u, lab.v, cfg.mu)
         assert exp_.norm_const == pytest.approx(n, rel=1e-12)
 
@@ -124,7 +125,7 @@ def test_cs_state_unit_norm_by_quadrature():
         total = 0.0
         lgen = range(-1, -30, -1) if j == 0 else range(0, 29)
         for l in lgen:
-            term = cs_branch(j, l, lab, cfg, CTL)
+            term = cs_branch(j, l, lab, cfg)
             alpha = (-l - cfg.mu) if j == 0 else (l + cfg.mu)
             quad = make_quadrature(alpha, 48)
             tab = laguerre_fn_table(alpha, len(term.coeffs) - 1, quad.nodes)
@@ -146,6 +147,55 @@ def test_overlap_diagonal_and_conjugate_symmetry():
     assert oab == pytest.approx(np.conj(oba), rel=1e-12)
 
 
+def q_bessel_series_oracle(nu, a, b):
+    """Q_nu(sqrt a, sqrt b) = sum_l (b/a)^((nu+l)/2) I_{nu+l}(2 sqrt(ab)), an mpmath number.
+
+    Principal square roots; the orders run down from far past the
+    Poisson bulk by the stable backward recurrence
+    I_{p-1}(x) = I_{p+1}(x) + (2p/x) I_p(x), seeded by mpmath's besseli.
+    """
+    import mpmath as mp
+
+    x, y = mp.sqrt(mp.mpc(a)), mp.sqrt(mp.mpc(b))
+    arg, ratio = 2 * x * y, y / x
+    top = int(abs(a) + abs(b) + 12 * math.sqrt(abs(a) + abs(b)) + 60)
+    i_hi, i_cur = mp.besseli(nu + top + 1, arg), mp.besseli(nu + top, arg)
+    total = mp.mpc(0)
+    for l in range(top, -1, -1):
+        total += mp.power(ratio, nu + l) * i_cur
+        i_hi, i_cur = i_cur, i_hi + 2 * (nu + l) / arg * i_cur
+    return total
+
+
+def overlap_modulus_oracle(j, la, lb, mu):
+    """|<Phi_a|Phi_b>| from the Q series at the conjugated label products,
+    in 40-digit arithmetic, whose exponent range holds N = exp(900)."""
+    import mpmath as mp
+
+    def q(za, zb):
+        a, b = np.conj(za.z1) * zb.z1, np.conj(za.z2) * zb.z2
+        return q_bessel_series_oracle(1.0 - mu, a, b) if j == 0 else q_bessel_series_oracle(mu, b, a)
+
+    with mp.workdps(40):
+        return float(abs(q(la, lb)) / mp.sqrt(abs(q(la, la)) * abs(q(lb, lb))))
+
+
+@pytest.mark.parametrize("modulus", (0.8, 3.0, 10.0, 20.0, 30.0))
+def test_overlap_modulus_against_mpmath(modulus):
+    # N reaches exp(900) at |z| = 30, far past the double range
+    rng = np.random.default_rng(int(modulus * 10))
+    mu = 0.3
+    for j in (0, 1):
+        split = rng.uniform(0.3, 1.2)
+        a = CSLabel(cmath.rect(modulus * math.cos(split), rng.uniform(-3, 3)),
+                    cmath.rect(modulus * math.sin(split), rng.uniform(-3, 3)))
+        b = CSLabel(a.z1 + complex(*rng.normal(0, 0.4, 2)), a.z2 + complex(*rng.normal(0, 0.4, 2)))
+        ov = cs_overlap(j, a, j, b, mu)
+        assert abs(ov) == pytest.approx(overlap_modulus_oracle(j, a, b, mu), rel=1e-10, abs=1e-13)
+        assert abs(ov) <= 1.0 + 1e-12
+        assert abs(cs_overlap(j, a, j, a, mu) - 1.0) < 1e-12
+
+
 def test_overlap_cross_branch_zero():
     a = CSLabel(0.7, 0.4j)
     b = CSLabel(0.1 - 0.9j, 1.2)
@@ -159,9 +209,13 @@ def test_overlap_closed_form_vs_coefficient_contraction():
     b = CSLabel(-0.3 + 1.1j, 0.5 - 0.2j)
     for j in (0, 1):
         closed = cs_overlap(j, a, j, b, mu)
-        ea, eb = cs_expansion(j, a, cfg, CTL), cs_expansion(j, b, cfg, CTL)
-        contraction = sum(np.conj(ca) * eb.coeffs.get(k, 0.0)
-                          for k, ca in ea.coeffs.items())
+        ea, eb = cs_expansion(j, a, cfg), cs_expansion(j, b, cfg)
+        coeffs = [{(l, m): cmath.exp(ln_c + 1j * ph)
+                   for l, row, phases in zip(e.l, e.ln_c, e.phase)
+                   for m, (ln_c, ph) in enumerate(zip(row, phases))}
+                  for e in (ea, eb)]
+        contraction = sum(np.conj(ca) * coeffs[1].get(k, 0.0)
+                          for k, ca in coeffs[0].items())
         contraction /= math.sqrt(ea.norm_const * eb.norm_const)
         assert abs(abs(closed) - abs(contraction)) < 1e-10
 
@@ -174,7 +228,7 @@ def test_reproducing_coefficients_by_quadrature():
     lab = CSLabel(0.7 + 0.2j, -0.4j)
     n0 = cs_normalization(0, lab.u, lab.v, mu)
     for (l, m) in [(-1, 0), (-1, 2), (-2, 1), (-3, 0), (-2, 3)]:
-        term = cs_branch(0, l, lab, cfg, CTL)
+        term = cs_branch(0, l, lab, cfg)
         alpha = -l - mu
         quad = make_quadrature(alpha, 48)
         tab = laguerre_fn_table(alpha, len(term.coeffs) - 1, quad.nodes)
@@ -244,6 +298,41 @@ def test_mm_superpose_pointwise_against_both_oracles(rng):
         closed = mm_closed_form_oracle(lab, theta, rho, cfg)
         assert abs(val - lattice) / abs(closed) < 1e-10
         assert abs(val - closed) / abs(closed) < 1e-10
+
+
+@given(modulus=st.floats(0.0, 30.0), split=st.floats(0.0, math.pi / 2),
+       ph1=st.floats(-math.pi, math.pi), ph2=st.floats(-math.pi, math.pi),
+       dw=st.complex_numbers(max_magnitude=2.0, allow_nan=False))
+@settings(max_examples=25, deadline=None)
+@example(modulus=30.0, split=math.pi / 4, ph1=0.4, ph2=math.pi - 0.4, dw=0.3 + 0j)  # rho = 1777
+@example(modulus=20.0, split=1.1, ph1=-2.0, ph2=0.5, dw=-1.0 + 0.5j)
+def test_normalized_branches_sum_to_mm_state(modulus, split, ph1, ph2, dw):
+    # at mu = 0, sqrt(N_0 e^-(u+v)) Phi_0 + sqrt(N_1 e^-(u+v)) Phi_1 is the
+    # normalized uniform-field state, evaluated near its centre z2 - conj(z1)
+    cfg = FieldConfig(mu=0.0)
+    lab = CSLabel(cmath.rect(modulus * math.cos(split), ph1),
+                  cmath.rect(modulus * math.sin(split), ph2))
+    w = lab.z2 - np.conj(lab.z1) + dw
+    rho, theta = abs(w) ** 2, cmath.phase(w)
+    got = 0.0
+    for j, ln_p in enumerate((ln_marcum_p(1.0, lab.u, lab.v), ln_marcum_p(0.0, lab.v, lab.u))):
+        if ln_p > -math.inf:  # N_0 = 0 at z2 = 0: no branch-0 state, and no term
+            got += math.exp(0.5 * ln_p) * cs_state(j, lab, theta, rho, cfg)
+    scale = math.sqrt(cfg.gamma / (2.0 * math.pi))
+    closed = scale * cmath.exp(-rho / 2.0 + lab.z1 * lab.z2 - lab.z1 * w
+                               + lab.z2 * np.conj(w) - (lab.u + lab.v) / 2.0)
+    assert abs(got - closed) <= 1e-10 * scale
+
+
+def test_cs_state_over_rho_array_matches_pointwise():
+    cfg = FieldConfig(mu=0.4, l0=1)
+    lab = CSLabel(1.3 - 0.4j, 0.2 + 0.9j)
+    rho = np.array([0.0, 0.7, 3.1, 12.0])
+    for j in (0, 1):
+        grid = cs_state(j, lab, 0.8, rho, cfg)
+        assert grid.shape == rho.shape
+        for r, val in zip(rho, grid):
+            assert val == pytest.approx(cs_state(j, lab, 0.8, float(r), cfg), rel=1e-13, abs=1e-16)
 
 
 def test_mm_superpose_norm_is_exponential():
