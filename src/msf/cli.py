@@ -491,11 +491,8 @@ def tabulate(cfg: RunConfig, target: str, args) -> tuple[list[str], list[list]]:
         p = KernelParams(j=0 if args.l < 0 else 1, l=args.l, mu=fc.mu,
                          delta_t=-1j * args.tau, cfg=fc)
         header = ["rhop", "re", "im"]
-        rows = []
-        for rp in rhop:
-            val = propagator_closed(p, 0.0, args.rho, float(rp))
-            rows.append([rp, val.real, val.imag])
-        return header, rows
+        vals = propagator_closed(p, 0.0, args.rho, rhop)
+        return header, [[rp, val.real, val.imag] for rp, val in zip(rhop, vals)]
     if target == "state":
         rho = _parse_grid(args.rhop)
         q = resolve_qnums(0 if args.l < 0 else 1, args.l, args.m, fc)

@@ -273,24 +273,23 @@ def _nu_index(p: KernelParams) -> float:
     return -(p.l + p.mu) if p.j == 0 else (p.l + p.mu)
 
 
-def _wick_radial(nu: float, phi: float, rho: float, rho_p: float) -> float:
+def _wick_radial(nu: float, phi: float, rho, rho_p):
     """exp[-(rho + rho') coth(phi) / 2] I_nu(sqrt(rho rho') / sinh phi) / sinh phi.
 
     The radial factor of the Hille-Hardy kernels on the Wick axis, phi > 0
     (gamma tau / 2 for the propagator, gamma tau for the proper-time
-    kernel), assembled in log space with the scaled Bessel function so
-    small phi does not overflow.
+    kernel), elementwise over rho and rho'.  The growth of I_nu is moved
+    into the exponent through the scaled Bessel function; that exponent
+    never exceeds 0 (sqrt(rho rho') <= (rho + rho') / 2), so small phi
+    does not overflow.
     """
-    sh = math.sinh(phi)
-    zarg = math.sqrt(rho * rho_p) / sh
-    ln_mag = -0.5 * (rho + rho_p) * math.cosh(phi) / sh + zarg
-    scaled = bessel_i(nu, zarg, scaled=True)
-    if scaled <= 0.0:
-        return 0.0
-    return math.exp(ln_mag + math.log(scaled)) / sh
+    sh = np.sinh(phi)
+    zarg = np.sqrt(rho * rho_p) / sh
+    ln_mag = -0.5 * (rho + rho_p) * np.cosh(phi) / sh + zarg
+    return np.exp(ln_mag) * bessel_i(nu, zarg, scaled=True) / sh
 
 
-def propagator_closed(p: KernelParams, dtheta: float, rho: float, rho_p: float) -> complex:
+def propagator_closed(p: KernelParams, dtheta: float, rho, rho_p):
     """Closed form of the fixed-l kernel (Hille-Hardy type).
 
     S_l = (gamma / 4 pi) exp[i (l - l0) dtheta - i (gamma/2)(l + mu) dt]
@@ -299,8 +298,11 @@ def propagator_closed(p: KernelParams, dtheta: float, rho: float, rho_p: float) 
 
     nu = -(l + mu) on branch 0 and +(l + mu) on branch 1.  Wick-rotated
     times are evaluated through real hyperbolic factors with the scaled
-    Bessel function, so small tau does not overflow.
+    Bessel function, so small tau does not overflow.  Elementwise over
+    rho and rho'; scalar radii give a complex.
     """
+    if np.any(np.less(rho, 0.0)) or np.any(np.less(rho_p, 0.0)):
+        raise DomainError("rho must be non-negative")
     g = p.cfg.gamma
     dt = complex(p.delta_t)
     nu = _nu_index(p)
@@ -308,15 +310,17 @@ def propagator_closed(p: KernelParams, dtheta: float, rho: float, rho_p: float) 
     if dt.real == 0.0 and dt.imag < 0.0:
         # Wick axis: everything real apart from the carried phase
         radial = _wick_radial(nu, g * -dt.imag / 2.0, rho, rho_p)
-        return (g / (4.0 * math.pi)) * phase * 1j * radial
-    phi_t = g * dt / 2.0
-    s = cmath.sin(phi_t)
-    if abs(s) < 1e-12:
-        raise DomainError("kernel singular: sin(gamma dt / 2) vanishes")
-    c = cmath.cos(phi_t)
-    zarg = cmath.sqrt(rho * rho_p) / (1j * s)
-    val = cmath.exp(0.5j * (rho + rho_p) * c / s) * bessel_i(nu, zarg) / s
-    return (g / (4.0 * math.pi)) * phase * val
+        out = (g / (4.0 * math.pi)) * phase * 1j * radial
+    else:
+        phi_t = g * dt / 2.0
+        s = cmath.sin(phi_t)
+        if abs(s) < 1e-12:
+            raise DomainError("kernel singular: sin(gamma dt / 2) vanishes")
+        c = cmath.cos(phi_t)
+        zarg = np.sqrt(rho * rho_p) / (1j * s)
+        val = np.exp(0.5j * (rho + rho_p) * c / s) * bessel_i(nu, zarg) / s
+        out = (g / (4.0 * math.pi)) * phase * val
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 # relative tail bound and term cap of the propagator mode sum
@@ -374,7 +378,7 @@ def radial_delta_smear(p: KernelParams, rho: float, width: float = 0.35) -> floa
     grid = make_radial_grid(rho_max=rho + 14.0 * width + 6.0, tail_step=0.5)
     rp = grid.nodes
     gvals = np.exp(-((rp - rho) ** 2) / (2.0 * width**2))
-    kvals = np.array([propagator_closed(p, 0.0, rho, x) for x in rp])
+    kvals = propagator_closed(p, 0.0, rho, rp)
     smeared = grid.integrate(kvals * gvals)
     target = 1j * p.cfg.gamma / (2.0 * math.pi)  # times g(rho) = 1
     return float(abs(smeared - target) / abs(target))

@@ -22,7 +22,12 @@ Spinor eigenstates of H are built by the operator string
     psi = C { sigma3 [ +- Pi0 - sigma.P ] + M } u,     u = phi_sigma v_sigma,
 
 with sigma = +1 for particles (+) and -1 for antiparticles (-), and C
-fixed by unit norm under the spinor inner product.
+fixed by unit norm under the spinor inner product.  sigma.P moves the
+seed into the other slot, so the string collapses to (E + M) u in the
+seed slot plus sigma P_sigma u in the other (P_{+1} = P_+, P_{-1} = P_-).
+The states sharing (j, l, sigma) are built as one block, a column per
+m: a spinor is one column, a relativistic coherent state one block per
+l contracted with its amplitudes.
 
 sigma.P acts by an exact angular shift plus the first-order radial
 ladder operator, applied through numerical differentiation on a
@@ -38,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .specfun import DomainError, laguerre_fn_table
+from .specfun import DomainError, TruncationError, laguerre_fn_table
 from .landau import FieldConfig
 from .radial import RadialGrid, make_radial_grid
 from .cs import CSLabel, _amplitudes, _branch_l_values, _quiet_blocks
@@ -141,15 +146,6 @@ def e_energy(q: RelQuantumNumbers, dc: DiracConfig) -> float:
     return math.sqrt(dc.mass**2 + e_perp_sq(q, dc))
 
 
-def _rel_alpha(q: RelQuantumNumbers) -> float:
-    return (q.n2 - q.n1) if q.j == 0 else (q.n1 - q.n2)
-
-
-def _rel_radial(q: RelQuantumNumbers, rho: np.ndarray) -> np.ndarray:
-    alpha = _rel_alpha(q)
-    return laguerre_fn_table(alpha, q.m, rho)[q.m]
-
-
 def rel_basis_fn(q: RelQuantumNumbers, dc: DiracConfig, theta, rho):
     """Scalar component function, including sqrt(gamma/2 pi) and phases.
 
@@ -157,12 +153,8 @@ def rel_basis_fn(q: RelQuantumNumbers, dc: DiracConfig, theta, rho):
     vartheta (order alpha in (-1, 0)); these are square integrable but
     unbounded as rho -> 0.
     """
-    cfg = dc.field
-    norm = math.sqrt(cfg.gamma / (2.0 * math.pi))
-    phase = np.exp(1j * (q.l_sigma - cfg.l0) * np.asarray(theta, dtype=float))
-    if q.j == 1:
-        phase = phase * np.exp(-1j * math.pi * q.l_sigma)
-    out = norm * phase * _rel_radial(q, np.asarray(rho, dtype=float))
+    phase = np.exp(1j * (q.l_sigma - dc.field.l0) * np.asarray(theta, dtype=float))
+    out = phase * _profiles(q.sigma, q.l_sigma, q.m, dc, np.asarray(rho, dtype=float))[q.m]
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -191,13 +183,28 @@ class Spinor2:
     def scale(self, c: complex) -> "Spinor2":
         return replace(self, up=c * self.up, dn=c * self.dn)
 
-    def add(self, other: "Spinor2") -> "Spinor2":
-        if other.grid is not self.grid or other.l_up != self.l_up:
-            raise DomainError("spinor addition requires a shared grid and angular index")
-        return replace(self, up=self.up + other.up, dn=self.dn + other.dn)
-
     def sigma3(self) -> "Spinor2":
         return replace(self, dn=-self.dn)
+
+
+def _inner(l_up: int, a, b, dc: DiracConfig, grid: RadialGrid, origin_tail: bool):
+    """:func:`d_inner` of (up, dn) slot pairs, elementwise over trailing columns."""
+    r1, r2 = grid.nodes[:2]
+    delta = grid.rho_min
+    total = 0.0
+    for av, bv, sigma, L in ((a[0], b[0], 1, l_up), (a[1], b[1], -1, l_up + 1)):
+        w = np.conj(av) * bv
+        total = total + grid.weights @ w
+        if origin_tail:
+            alpha, _ = _component_family(sigma, L, dc)
+            # two-term fit w = rho^alpha (c0 + c1 rho) through the first
+            # two nodes, integrated over (0, rho_min)
+            h1, h2 = w[0] * r1 ** (-alpha), w[1] * r2 ** (-alpha)
+            c1 = (h2 - h1) / (r2 - r1)
+            c0 = h1 - c1 * r1
+            total = total + delta ** (alpha + 1.0) * (c0 / (alpha + 1.0)
+                                                      + c1 * delta / (alpha + 2.0))
+    return 2.0 * math.pi / dc.field.gamma * total
 
 
 def d_inner(a: Spinor2, b: Spinor2, dc: DiracConfig, origin_tail: bool = True) -> complex:
@@ -213,26 +220,9 @@ def d_inner(a: Spinor2, b: Spinor2, dc: DiracConfig, origin_tail: bool = True) -
     """
     if a.grid is not b.grid:
         raise DomainError("spinors must share one grid")
-    total = 0.0 + 0.0j
-    if a.l_up == b.l_up:
-        delta = a.grid.rho_min
-        r1, r2 = float(a.grid.nodes[0]), float(a.grid.nodes[1])
-        for av, bv, sigma, L in ((a.up, b.up, 1, a.l_up), (a.dn, b.dn, -1, a.l_dn)):
-            total += a.grid.integrate(np.conj(av) * bv)
-            if not origin_tail:
-                continue
-            w1 = complex(np.conj(av[0]) * bv[0])
-            w2 = complex(np.conj(av[1]) * bv[1])
-            if w1 != 0.0 or w2 != 0.0:
-                alpha, _, _, _ = _component_family(sigma, L, dc)
-                # two-term fit w = rho^alpha (c0 + c1 rho) through the
-                # first two nodes, integrated over (0, rho_min)
-                h1, h2 = w1 * r1 ** (-alpha), w2 * r2 ** (-alpha)
-                c1 = (h2 - h1) / (r2 - r1)
-                c0 = h1 - c1 * r1
-                total += delta ** (alpha + 1.0) * (c0 / (alpha + 1.0)
-                                                   + c1 * delta / (alpha + 2.0))
-    return complex(2.0 * math.pi / dc.field.gamma * total)
+    if a.l_up != b.l_up:
+        return 0.0 + 0.0j
+    return complex(_inner(a.l_up, (a.up, a.dn), (b.up, b.dn), dc, a.grid, origin_tail))
 
 
 def d_norm(a: Spinor2, dc: DiracConfig, origin_tail: bool = True) -> float:
@@ -241,11 +231,7 @@ def d_norm(a: Spinor2, dc: DiracConfig, origin_tail: bool = True) -> float:
 
 def basis_spinor_component(q: RelQuantumNumbers, dc: DiracConfig, grid: RadialGrid) -> Spinor2:
     """u = phi_sigma v_sigma: the scalar profile in the sigma slot."""
-    cfg = dc.field
-    norm = math.sqrt(cfg.gamma / (2.0 * math.pi))
-    prof = norm * _rel_radial(q, grid.nodes).astype(complex)
-    if q.j == 1:
-        prof = prof * cmath.exp(-1j * math.pi * q.l_sigma)
+    prof = _profiles(q.sigma, q.l_sigma, q.m, dc, grid.nodes)[q.m]
     zero = np.zeros_like(prof)
     if q.sigma == 1:
         return Spinor2(grid=grid, l_up=q.l_sigma, up=prof, dn=zero)
@@ -263,11 +249,13 @@ def _ladder(vals: np.ndarray, sigma: int, L: int, raising: bool,
     differentiated numerically:
 
         P_+- [rho^(a/2) h] = -i sqrt(2 gamma) { rho^((a+1)/2) (h' -+ h/2)
-                             + ((a -+ (L + mu))/2) rho^((a-1)/2) h }.
+                             + ((a -+ (L + mu))/2) rho^((a-1)/2) h },
+
+    on one profile per trailing column of ``vals``.
     """
     mu = dc.field.mu
-    alpha, _, _, _ = _component_family(sigma, L, dc)
-    rho = grid.nodes
+    alpha, _ = _component_family(sigma, L, dc)
+    rho = np.expand_dims(grid.nodes, tuple(range(1, np.ndim(vals))))
     with np.errstate(divide="ignore", invalid="ignore"):
         h = vals * rho ** (-alpha / 2.0)
     dh = grid.derivative(h)
@@ -291,57 +279,53 @@ def apply_sigma_p(s: Spinor2, dc: DiracConfig) -> Spinor2:
     return Spinor2(grid=s.grid, l_up=s.l_up, up=new_up, dn=new_dn)
 
 
-def _component_family(sigma: int, L: int, dc: DiracConfig):
+def _component_family(sigma: int, L: int, dc: DiracConfig) -> tuple[float, int]:
     """Scalar eigenfamily for a spin slot with angular index L.
 
-    Returns (alpha, j, l, n1_of_m) describing the orthonormal radial
-    family I_{...}(rho) at that angular index under the vartheta
-    boundary condition.
+    Returns (alpha, j): the order of the orthonormal radial family
+    I_{m+alpha,m}(rho) at that angular index under the vartheta boundary
+    condition, and its branch.  On branch 1 the first index is
+    n1 = m + alpha, on branch 0 it is n1 = m.
     """
     l = L + (1 + sigma) // 2
-    mu = dc.field.mu
     j0_ok = _l_range_ok(0, l, dc.vartheta)
     j1_ok = _l_range_ok(1, l, dc.vartheta)
-    if j0_ok and not j1_ok:
-        j = 0
-    elif j1_ok and not j0_ok:
-        j = 1
-    else:
+    if j0_ok == j1_ok:
         raise DomainError(f"angular index l = {l} not in either branch range")
-    if j == 0:
-        alpha = -(L + mu)
-
-        def n1_of_m(m):
-            return float(m)
-    else:
-        alpha = L + mu
-
-        def n1_of_m(m):
-            return m + L + mu
+    j = 1 if j1_ok else 0
+    alpha = (L + dc.field.mu) if j == 1 else -(L + dc.field.mu)
     if not alpha > -1.0:
         raise DomainError("profile family outside the Laguerre domain")
-    return alpha, j, l, n1_of_m
+    return alpha, j
+
+
+def _profiles(sigma: int, L: int, m_max: int, dc: DiracConfig, rho) -> np.ndarray:
+    """Radial profiles of a spin slot's eigenfamily, rows m = 0..m_max.
+
+    sqrt(gamma / 2 pi) I(rho), times the branch phase exp(-i pi L) on
+    branch 1: the one profile behind the scalar component functions, the
+    eigenspinor seeds and the spectral expansion of Pi0.
+    """
+    alpha, j = _component_family(sigma, L, dc)
+    tab = math.sqrt(dc.field.gamma / (2.0 * math.pi)) * laguerre_fn_table(alpha, m_max, rho)
+    return tab * (cmath.exp(-1j * math.pi * L) if j == 1 else 1.0 + 0.0j)
 
 
 def _expand_component(vals: np.ndarray, sigma: int, L: int, dc: DiracConfig,
-                      grid: RadialGrid, m_max: int) -> tuple[np.ndarray, float, object]:
+                      grid: RadialGrid, m_max: int):
     """Project a radial profile on the scalar eigenfamily of its slot.
 
-    Returns (coefficients, residual norm, n1_of_m).  Profiles are
-    expanded against sqrt(gamma/2 pi)-normalized functions so that
-    coefficients are the spinor-product amplitudes.
+    Returns (coefficients, residual norm, profile table, n1 per row).
+    Profiles are expanded against sqrt(gamma/2 pi)-normalized functions
+    so that coefficients are the spinor-product amplitudes.
     """
-    alpha, j, l, n1_of_m = _component_family(sigma, L, dc)
-    norm = math.sqrt(dc.field.gamma / (2.0 * math.pi))
-    tab = norm * laguerre_fn_table(alpha, m_max, grid.nodes)
-    if j == 1:
-        tab = tab.astype(complex) * cmath.exp(-1j * math.pi * L)
+    alpha, j = _component_family(sigma, L, dc)
+    tab = _profiles(sigma, L, m_max, dc, grid.nodes)
     scale = 2.0 * math.pi / dc.field.gamma
-    coeffs = np.array([scale * grid.integrate(np.conj(tab[m]) * vals)
-                       for m in range(m_max + 1)])
+    coeffs = scale * (np.conj(tab) @ (grid.weights * vals))
     recon = coeffs @ tab
     resid = math.sqrt(abs(scale * grid.integrate(np.abs(vals - recon) ** 2)))
-    return coeffs, resid, (tab, n1_of_m)
+    return coeffs, resid, tab, np.arange(m_max + 1) + (alpha if j == 1 else 0.0)
 
 
 def apply_pi0(s: Spinor2, dc: DiracConfig, m_max: int = 48,
@@ -354,24 +338,19 @@ def apply_pi0(s: Spinor2, dc: DiracConfig, m_max: int = 48,
     capture the profile.
     """
     out = {}
-    norms = {}
     for slot, vals, L in (("up", s.up, s.l_up), ("dn", s.dn, s.l_dn)):
         sigma = 1 if slot == "up" else -1
         nrm = math.sqrt(abs(2.0 * math.pi / dc.field.gamma
                             * s.grid.integrate(np.abs(vals) ** 2)))
-        norms[slot] = nrm
         if nrm == 0.0:
             out[slot] = np.zeros_like(vals)
             continue
-        coeffs, resid, (tab, n1_of_m) = _expand_component(vals, sigma, L, dc, s.grid, m_max)
+        coeffs, resid, tab, n1 = _expand_component(vals, sigma, L, dc, s.grid, m_max)
         if resid > resid_tol * nrm:
             raise DomainError(
                 f"profile not in the spectral family (residual {resid:.3e} vs norm {nrm:.3e})"
             )
-        energies = np.array([
-            math.sqrt(dc.mass**2 + 2.0 * dc.field.gamma * (n1_of_m(m) + (1 + sigma) / 2.0))
-            for m in range(coeffs.size)
-        ])
+        energies = np.sqrt(dc.mass**2 + 2.0 * dc.field.gamma * (n1 + (1 + sigma) / 2.0))
         out[slot] = (coeffs * energies) @ tab
     return Spinor2(grid=s.grid, l_up=s.l_up, up=out["up"], dn=out["dn"])
 
@@ -384,14 +363,33 @@ def hamiltonian_apply(s: Spinor2, dc: DiracConfig) -> Spinor2:
                    dn=hp.dn - dc.mass * s.dn)
 
 
-def _fix_phase(s: Spinor2, dc: DiracConfig) -> Spinor2:
-    """Deterministic overall phase: first nonvanishing component real
-    and positive at the smallest grid node."""
-    for comp in (s.up, s.dn):
-        ref = complex(comp[0])
-        if abs(ref) > 0:
-            return s.scale(abs(ref) / ref)
-    return s
+def _eigenspinors(j: int, l: int, ms, dc: DiracConfig, charge: int, grid: RadialGrid):
+    """(l_up, up, dn, energies) of the eigenspinors (j, l, m, sigma = charge),
+    up and dn with one column per m in ``ms``: the collapsed operator
+    string with one ladder action for the block, unit norm, and the first
+    nonvanishing component real and positive at the smallest node.
+    """
+    qs = [resolve_rel_qnums(j, l, m, charge, dc) for m in ms]
+    l_s = qs[0].l_sigma
+    energies = np.array([e_energy(q, dc) for q in qs])
+    prof = _profiles(charge, l_s, max(ms), dc, grid.nodes)[list(ms)].T
+    seed = (energies + dc.mass) * prof
+    other = charge * _ladder(prof, charge, l_s, charge == 1, dc, grid)
+    # (up, dn) slot order: the seed occupies the upper slot for charge +1
+    l_up = l_s if charge == 1 else l_s - 1
+    up, dn = (seed, other) if charge == 1 else (other, seed)
+    zero = np.zeros_like(prof)
+    bare = (prof, zero) if charge == 1 else (zero, prof)
+    nrm = np.sqrt(np.maximum(_inner(l_up, (up, dn), (up, dn), dc, grid, True).real, 0.0))
+    seed_nrm = np.sqrt(np.maximum(_inner(l_up, bare, bare, dc, grid, True).real, 0.0))
+    if np.any(nrm <= 1e-10 * np.maximum(seed_nrm * np.maximum(energies, max(dc.mass, 1.0)),
+                                         1e-30)):
+        raise SpectralBoundaryError(
+            "operator string annihilated the seed state (zero-norm spinor)"
+        )
+    ref = np.where(up[0] != 0, up[0], dn[0])
+    scale = np.exp(-1j * np.angle(ref)) / nrm
+    return l_up, up * scale, dn * scale, energies
 
 
 def dirac_spinor(q: RelQuantumNumbers, dc: DiracConfig, charge: int,
@@ -402,28 +400,12 @@ def dirac_spinor(q: RelQuantumNumbers, dc: DiracConfig, charge: int,
     scalar, charge = -1 the negative-energy state from sigma = -1; the
     Hamiltonian eigenvalue is charge * E.  Raises SpectralBoundaryError
     when the operator string annihilates the seed (massless zero mode).
+    One column of the block :func:`rel_cs` builds.
     """
-    if charge not in (-1, 1):
-        raise DomainError("charge must be +1 or -1")
     if q.sigma != charge:
-        raise DomainError("seed spin label must match the charge branch")
-    u = basis_spinor_component(q, dc, grid)
-    au = apply_sigma_p(u, dc)
-    energy = e_energy(q, dc)
-    # sigma3 [charge*E - sigma.P] u + M u
-    combo = Spinor2(grid=grid, l_up=u.l_up,
-                    up=(charge * energy * u.up - au.up),
-                    dn=-(charge * energy * u.dn - au.dn))
-    psi = Spinor2(grid=grid, l_up=u.l_up,
-                  up=combo.up + dc.mass * u.up,
-                  dn=combo.dn + dc.mass * u.dn)
-    nrm = d_norm(psi, dc)
-    seed_nrm = d_norm(u, dc)
-    if nrm <= 1e-10 * max(seed_nrm * max(energy, dc.mass, 1.0), 1e-30):
-        raise SpectralBoundaryError(
-            "operator string annihilated the seed state (zero-norm spinor)"
-        )
-    return _fix_phase(psi.scale(1.0 / nrm), dc), energy
+        raise DomainError("seed spin label must match the charge branch (+1 or -1)")
+    l_up, up, dn, energies = _eigenspinors(q.j, q.l, [q.m], dc, charge, grid)
+    return Spinor2(grid=grid, l_up=l_up, up=up[:, 0], dn=dn[:, 0]), float(energies[0])
 
 
 @dataclass(frozen=True)
@@ -432,8 +414,8 @@ class RelCS:
 
     states maps (l, m) to (coefficient, energy); norm_const is the
     numerically accumulated normalization (diagonal of the overlap
-    form), and spinor holds the assembled grid representation, unit
-    norm under the spinor product.
+    form), and spinors maps l_up to the assembled grid representation of
+    that angular sector, jointly of unit norm under the spinor product.
     """
 
     j: int
@@ -450,17 +432,34 @@ _REL_L_BLOCKS = 14
 _REL_M_MAX = 14
 # quiet-block tolerance on the block weights sum_m |c|^2 2M(E+M)
 _REL_LN_TOL = math.log(1e-14)
+# largest share of Mcal the outer edge of the (l, m) grid may hold
+_REL_EDGE_SHARE = 1e-12
 
 
-def _rel_grid(j: int, dc: DiracConfig, charge: int):
-    """States of the fixed (l, m) grid: rows of quantum numbers, their
-    (n1, n2) and energies, and the weights 2M(E+M) of the overlap form."""
-    rows = [[resolve_rel_qnums(j, l, m, charge, dc) for m in range(_REL_M_MAX + 1)]
-            for l in itertools.islice(_branch_l_values(j, dc.vartheta), _REL_L_BLOCKS)]
-    n1 = np.array([[q.n1 for q in row] for row in rows])
-    n2 = np.array([[q.n2 for q in row] for row in rows])
-    energy = np.array([[e_energy(q, dc) for q in row] for row in rows])
-    return rows, n1, n2, energy, 2.0 * dc.mass * (energy + dc.mass)
+def _rel_series(j: int, label: CSLabel, dc: DiracConfig, charge: int):
+    """(ls, c, weight, w) of one label on the fixed (l, m) grid: the l of
+    each row, amplitudes c_lm, overlap weights 2M(E + M) and
+    w = |c|^2 2M(E + M), m = 0.._REL_M_MAX along the rows.
+
+    w decays geometrically past its peak, so the share of Mcal beyond the
+    grid is of the order of the share on its outer edge (the last l block
+    plus the m = _REL_M_MAX column).  TruncationError when that edge holds
+    more than _REL_EDGE_SHARE = 1e-12 of Mcal, an omitted norm of about
+    1e-6; below it the states are accurate to that level.
+    """
+    ls = list(itertools.islice(_branch_l_values(j, dc.vartheta), _REL_L_BLOCKS))
+    qs = [[resolve_rel_qnums(j, l, m, charge, dc) for m in range(_REL_M_MAX + 1)] for l in ls]
+    n1 = np.array([[q.n1 for q in row] for row in qs])
+    n2 = np.array([[q.n2 for q in row] for row in qs])
+    energy = np.array([[e_energy(q, dc) for q in row] for row in qs])
+    weight = 2.0 * dc.mass * (energy + dc.mass)
+    c = _amplitudes(n1, n2, label)
+    w = np.abs(c) ** 2 * weight
+    total, edge = w.sum(), w[-1].sum() + w[:-1, -1].sum()
+    if edge > _REL_EDGE_SHARE * total:
+        raise TruncationError("relativistic series truncated inside its weight",
+                              float(total), float(edge))
+    return ls, c, weight, w
 
 
 def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
@@ -475,35 +474,29 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
 
     with psihat the unit-norm spinors.  The l blocks of the fixed grid
     stop early by the quiet-block rule of the planar series, applied to
-    the weighted blocks.  Requires M > 0 (the weight degenerates in the
-    massless limit).
+    the weighted blocks; each kept block is built as one batch of
+    eigenspinors and summed by one matrix product.  Requires M > 0 (the
+    weight degenerates in the massless limit); raises TruncationError
+    for labels whose series outgrows the grid.
     """
     if dc.mass <= 0.0:
         raise DomainError("relativistic coherent states require M > 0")
     if grid is None:
         grid = make_radial_grid(rho_max=60.0)
-    rows, n1, n2, energy, weight = _rel_grid(j, dc, charge)
-    c = _amplitudes(n1, n2, label)
-    w = np.abs(c) ** 2 * weight
+    ls, c, weight, w = _rel_series(j, label, dc, charge)
     with np.errstate(divide="ignore"):
         keep = _quiet_blocks(np.log(w.sum(axis=1)), _REL_LN_TOL) or _REL_L_BLOCKS
-    states: dict = {}
-    # assemble the grid representation, one Spinor2 per angular sector
-    acc: dict[int, Spinor2] = {}
-    for k in range(keep):
-        for m, q in enumerate(rows[k]):
-            if c[k, m] == 0:
-                continue
-            states[(q.l, q.m)] = (complex(c[k, m]), float(energy[k, m]))
-            psi, _ = dirac_spinor(q, dc, charge, grid)
-            wgt = c[k, m] * math.sqrt(weight[k, m])
-            if psi.l_up in acc:
-                acc[psi.l_up] = acc[psi.l_up].add(psi.scale(wgt))
-            else:
-                acc[psi.l_up] = psi.scale(wgt)
     norm_const = float(w[:keep].sum())
-    scale = 1.0 / math.sqrt(norm_const)
-    spinors = {lu: sp.scale(scale) for lu, sp in acc.items()}
+    states: dict = {}
+    spinors: dict = {}
+    for l, c_row, weight_row in zip(ls[:keep], c, weight):
+        ms = np.flatnonzero(c_row)
+        if ms.size == 0:
+            continue
+        l_up, up, dn, energies = _eigenspinors(j, l, ms, dc, charge, grid)
+        states.update({(l, int(m)): (complex(c_row[m]), float(e)) for m, e in zip(ms, energies)})
+        coef = c_row[ms] * np.sqrt(weight_row[ms]) / math.sqrt(norm_const)
+        spinors[l_up] = Spinor2(grid=grid, l_up=l_up, up=up @ coef, dn=dn @ coef)
     return RelCS(j=j, charge=charge, label=label, states=states,
                  norm_const=norm_const, spinors=spinors, grid=grid)
 
@@ -523,12 +516,11 @@ def rel_cs_inner(a: RelCS, b: RelCS, dc: DiracConfig) -> complex:
 def rel_cs_overlap_closed(j: int, label_a: CSLabel, label_b: CSLabel,
                           dc: DiracConfig, charge: int) -> complex:
     """Overlap via the scalar route over the whole (l, m) grid:
-    2M sum conj(c) c' (E + M) / sqrt(Mcal Mcal')."""
-    _, n1, n2, _, weight = _rel_grid(j, dc, charge)
-    ca, cb = _amplitudes(n1, n2, label_a), _amplitudes(n1, n2, label_b)
-    num = np.sum(np.conj(ca) * cb * weight)
-    na, nb = np.sum(np.abs(ca) ** 2 * weight), np.sum(np.abs(cb) ** 2 * weight)
-    return complex(num / math.sqrt(na * nb))
+    2M sum conj(c) c' (E + M) / sqrt(Mcal Mcal'); raises TruncationError
+    like :func:`rel_cs`."""
+    _, ca, weight, wa = _rel_series(j, label_a, dc, charge)
+    _, cb, _, wb = _rel_series(j, label_b, dc, charge)
+    return complex(np.sum(np.conj(ca) * cb * weight) / math.sqrt(wa.sum() * wb.sum()))
 
 
 @dataclass(frozen=True)

@@ -18,23 +18,15 @@ import numpy as np
 __all__ = ["RadialGrid", "make_radial_grid"]
 
 
-def _barycentric_weights(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    w = np.ones(n)
-    for i in range(n):
-        w[i] = 1.0 / np.prod(x[i] - np.delete(x, i))
-    return w
-
-
 def _diff_matrix(x: np.ndarray) -> np.ndarray:
-    w = _barycentric_weights(x)
-    n = x.size
-    d = np.zeros((n, n))
-    for i in range(n):
-        for jj in range(n):
-            if i != jj:
-                d[i, jj] = (w[jj] / w[i]) / (x[i] - x[jj])
-        d[i, i] = -np.sum(d[i, :])
+    """Barycentric differentiation matrix of the interpolant through x,
+    from one table of outer differences x_i - x_j."""
+    dx = x[:, None] - x[None, :]
+    np.fill_diagonal(dx, 1.0)
+    w = 1.0 / np.prod(dx, axis=1)
+    d = (w[None, :] / w[:, None]) / dx
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -np.sum(d, axis=1))
     return d
 
 
@@ -51,13 +43,9 @@ def _lsq_cheb_diff(x: np.ndarray, degree: int) -> np.ndarray:
 
     edge = float(x[-1])
     t = 2.0 * x / edge - 1.0
-    a = C.chebvander(t, degree)
-    da = np.zeros_like(a)
-    for k in range(1, degree + 1):
-        coef = np.zeros(k + 1)
-        coef[k] = 1.0
-        da[:, k] = C.chebval(t, C.chebder(coef)) * (2.0 / edge)
-    return da @ np.linalg.pinv(a)
+    # column k holds T_k'(t): the derivatives of all basis columns at once
+    da = C.chebval(t, C.chebder(np.eye(degree + 1))).T * (2.0 / edge)
+    return da @ np.linalg.pinv(C.chebvander(t, degree))
 
 
 @dataclass(frozen=True)

@@ -257,6 +257,27 @@ def test_closed_phase_factor():
     assert b / a == pytest.approx(np.exp(1j * (-1 - 2) * 0.7), rel=1e-12)
 
 
+@pytest.mark.parametrize("l", [-2, -1, 0, 1, 2])
+@pytest.mark.parametrize("dt", [-0.05j, -0.7j, 0.4 - 0.3j])
+def test_closed_array_equals_pointwise(l, dt):
+    # one call over a whole rho' array, on and off the Wick axis
+    cfg = FieldConfig(gamma=1.0, l0=0, mu=0.3)
+    p = KernelParams(j=0 if l < 0 else 1, l=l, mu=0.3, delta_t=dt, cfg=cfg)
+    rho_p = np.linspace(0.0, 12.0, 49)
+    arr = propagator_closed(p, 0.4, 1.5, rho_p)
+    pts = np.array([propagator_closed(p, 0.4, 1.5, float(x)) for x in rho_p])
+    assert arr.shape == rho_p.shape
+    assert all(isinstance(v, complex) for v in pts)
+    assert np.all(np.abs(arr - pts) <= 1e-13 * np.abs(pts))
+
+
+def test_closed_rejects_negative_radius():
+    cfg = FieldConfig(gamma=1.0, mu=0.3)
+    p = KernelParams(j=0, l=-1, mu=0.3, delta_t=-0.2j, cfg=cfg)
+    with pytest.raises(DomainError):
+        propagator_closed(p, 0.0, 1.0, np.array([0.5, -0.1]))
+
+
 def test_closed_rejects_real_axis_singularity():
     cfg = FieldConfig(gamma=1.0, mu=0.3)
     p = KernelParams(j=0, l=-1, mu=0.3, delta_t=2.0 * math.pi, cfg=cfg)

@@ -11,7 +11,7 @@ from scipy import special as sp
 
 from msf.landau import FieldConfig
 from msf.radial import make_radial_grid
-from msf.specfun import DomainError, laguerre_fn_table
+from msf.specfun import DomainError, TruncationError, laguerre_fn_table
 from msf.cs import CSLabel
 from msf.dirac import (
     DiracConfig,
@@ -361,6 +361,37 @@ def test_rel_cs_requires_mass():
     dc = make_dc(mu=0.5, mass=0.0)
     with pytest.raises(DomainError):
         rel_cs(1, CSLabel(0.5, 0.5), dc, 1, grid=GRID)
+
+
+@pytest.mark.parametrize("j,vt", [(1, 1), (0, -1)])
+@pytest.mark.parametrize("charge", [1, -1])
+def test_rel_cs_assembles_the_eigenspinor_series(j, vt, charge):
+    # each angular sector is sum c sqrt(2M(E+M)) psihat / sqrt(Mcal) over
+    # the one-state spinors
+    dc = make_dc(mu=0.5, vartheta=vt)
+    state = rel_cs(j, CSLabel(0.6 + 0.3j, -0.2 + 0.5j), dc, charge, grid=GRID)
+    sums = {}
+    for (l, m), (c, e) in state.states.items():
+        psi, _ = dirac_spinor(resolve_rel_qnums(j, l, m, charge, dc), dc, charge, GRID)
+        wgt = c * math.sqrt(2.0 * dc.mass * (e + dc.mass) / state.norm_const)
+        up, dn = sums.get(psi.l_up, (0.0, 0.0))
+        sums[psi.l_up] = (up + wgt * psi.up, dn + wgt * psi.dn)
+    assert sums.keys() == state.spinors.keys()
+    for lu, (up, dn) in sums.items():
+        got = state.spinors[lu]
+        scale = max(np.max(np.abs(up)), np.max(np.abs(dn)))
+        assert np.max(np.abs(got.up - up)) <= 1e-12 * scale
+        assert np.max(np.abs(got.dn - dn)) <= 1e-12 * scale
+
+
+def test_rel_cs_rejects_labels_past_its_grid():
+    # |z1| = |z2| = 2 leaves about 1e-5 of Mcal on the edge of the grid
+    dc = make_dc(mu=0.5)
+    big = CSLabel(cmath.rect(2.0, 0.3), cmath.rect(2.0, -1.1))
+    with pytest.raises(TruncationError):
+        rel_cs(1, big, dc, 1, grid=GRID)
+    with pytest.raises(TruncationError):
+        rel_cs_overlap_closed(1, big, CSLabel(0.5, 0.3j), dc, 1)
 
 
 # ---------------------------------------------------------------------------
