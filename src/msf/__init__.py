@@ -16,7 +16,6 @@ from .specfun import (
     bessel_i,
     erf,
     laguerre_fn,
-    laguerre_poly,
     ln_gamma,
     ln_marcum_p,
     q_sum,

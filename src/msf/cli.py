@@ -413,8 +413,8 @@ def suite_kernel_rel(cfg: RunConfig, rep: VerificationReport):
     gvals = np.exp(-((grid.nodes - rho0) ** 2) / (2.0 * width**2))
     errs = []
     for tau in np.geomspace(0.2, 0.02, 6):
-        kvals = np.array([_dr.green_kernel_rel(1, 2, dc, -1j * float(tau), 0.0, 0.0,
-                                               rho0, x)[0, 0] for x in grid.nodes])
+        kvals = _dr.green_kernel_rel(1, 2, dc, -1j * float(tau), 0.0, 0.0,
+                                     rho0, grid.nodes)[:, 0, 0]
         sm = grid.integrate(kvals * gvals)
         l_s = 1
         pref = -(g * math.exp(-dc.mass**2 * tau) * math.exp(-(l_s + 1 + mu) * g * tau)

@@ -13,11 +13,13 @@ carried in log space as c = exp(ln|c| + i arg c) with
     arg c = n1 Arg z1 + n2 Arg z2.
 
 Every series of the module runs over one table of these logarithms,
-built by :func:`cs_expansion`: rows are angular numbers l, columns the
+grown by :func:`_grown_table`: rows are angular numbers l, columns the
 radial numbers m = 0..M.  Along a row |c_{m+1} / c_m| <= |z1 z2| / (m+1),
 so M is where that bound has taken the row below 1e-16 of its largest
 amplitude; the rows stop by the quiet-block rule of
-:func:`_quiet_blocks`.
+:func:`_quiet_blocks`.  The relativistic series of :mod:`msf.dirac`
+reads the same table: Dirac row (j, l, sigma) has the (n1, n2) of
+planar row l_s = l - (1 + sigma)/2.
 
 The normalization constants are the Bessel series
 Q_nu(a, b) = sum_l (b/a)^(nu+l) I_{nu+l}(2ab),
@@ -57,7 +59,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .specfun import DomainError, exp_in_range, laguerre_fn_rows, ln_marcum_p
-from .landau import FieldConfig, radial_alpha, resolve_qnums
+from .landau import FieldConfig, resolve_qnums
 
 __all__ = [
     "CSLabel",
@@ -120,26 +122,22 @@ def _ln_amplitude(n1, n2, label: CSLabel) -> tuple[np.ndarray, np.ndarray]:
     return ln_c, n1 * cmath.phase(label.z1) + n2 * cmath.phase(label.z2)
 
 
-def _amplitudes(n1, n2, label: CSLabel) -> np.ndarray:
-    """The complex amplitudes c, elementwise, from the log-space primitive."""
-    ln_c, phase = _ln_amplitude(n1, n2, label)
-    return np.exp(ln_c + 1j * phase)
-
-
 def cs_coefficient(j: int, l: int, m: int, label: CSLabel, cfg: FieldConfig) -> complex:
     """Series amplitude z1^n1 z2^n2 / sqrt(Gamma(1+n1) Gamma(1+n2))."""
     q = resolve_qnums(j, l, m, cfg)
-    return complex(_amplitudes(q.n1, q.n2, label))
+    ln_c, phase = _ln_amplitude(q.n1, q.n2, label)
+    return complex(np.exp(ln_c + 1j * phase))
 
 
 def _m_last(label: CSLabel) -> int:
     """Last radial number M of every row of the table.
 
     Along a row |c_{m+1} / c_m| = sqrt(uv / ((n1+1)(n2+1))) <= s / (m+1)
-    with s = |z1 z2|, since n1, n2 >= m on both branches.  Past
-    m = ceil(s) the row therefore falls by at least prod s / (i+1); M is
-    where that bound first drops below _EPS, and the rest of the row is
-    a geometric tail of ratio below one.
+    with s = |z1 z2| where n1, n2 >= m.  Past m = ceil(s) the row
+    therefore falls by at least prod s / (i+1); M is where that bound
+    first drops below _EPS, and the rest of the row is a geometric tail
+    of ratio below one.  The irregular Dirac row (order in (-1, 0)) steps
+    up to sqrt(1 + 1/m) past that bound, so it ends below sqrt(M) _EPS.
     """
     s = abs(label.z1 * label.z2)
     m0 = math.ceil(s)
@@ -152,15 +150,52 @@ def _m_last(label: CSLabel) -> int:
 def _table(j: int, ls, label: CSLabel, cfg: FieldConfig, m_last: int):
     """Laguerre order per row and (ln|c|, arg c) over rows ls, m = 0..m_last.
 
-    n1 and n2 both grow by one with m, so each row is its m = 0 state
-    shifted along the diagonal.
+    Row l has order alpha = -(l + mu) on branch 0 and l + mu on branch 1,
+    and (n1, n2) = (m, m + alpha) or (m + alpha, m) along the diagonal.
     """
-    q0 = [resolve_qnums(j, l, 0, cfg) for l in ls]
+    alpha = (np.asarray(ls, dtype=float) + cfg.mu) * (1.0 if j == 1 else -1.0)
+    if not np.all(alpha > -1.0):
+        raise DomainError("radial profile outside the Laguerre domain")
     m = np.arange(m_last + 1.0)
-    n1 = np.array([q.n1 for q in q0])[:, None] + m
-    n2 = np.array([q.n2 for q in q0])[:, None] + m
-    alpha = np.array([radial_alpha(q, cfg) for q in q0])
+    n1, n2 = (alpha[:, None] + m, m) if j == 1 else (m, alpha[:, None] + m)
     return (alpha, *_ln_amplitude(n1, n2, label))
+
+
+def _grown_table(j: int, rows, label: CSLabel, cfg: FieldConfig):
+    """(l, alpha, ln|c|, arg c) of the table over the row sequence ``rows``.
+
+    Rows are added _L_CHUNK at a time until the quiet-block rule fires at
+    weight tolerance _EPS^2, i.e. at amplitude tolerance _EPS relative to
+    the square root of the summed weight.  Raises DomainError for labels
+    whose table would exceed _MAX_CELLS amplitudes.
+    """
+    m_last = _m_last(label)
+    ls: list[int] = []
+    parts = []
+    ln_w = np.empty(0)
+    while True:
+        if (len(ls) + _L_CHUNK) * (m_last + 1) > _MAX_CELLS:
+            raise DomainError(
+                f"label too large: the coherent-state table exceeds {_MAX_CELLS} amplitudes")
+        chunk = list(itertools.islice(rows, _L_CHUNK))
+        part = _table(j, chunk, label, cfg, m_last)
+        ls += chunk
+        parts.append(part)
+        ln_w = np.concatenate((ln_w, np.logaddexp.reduce(2.0 * part[1], axis=1)))
+        keep = _quiet_blocks(ln_w, 2.0 * math.log(_EPS))
+        if keep is not None:
+            break
+    return (np.array(ls[:keep]),
+            *(np.concatenate(arrays)[:keep] for arrays in zip(*parts)))
+
+
+def _on_larger_table(j: int, rows_a, label_a: CSLabel, rows_b, label_b: CSLabel,
+                     cfg: FieldConfig):
+    """(alpha, ln|c|, arg c) of both labels over the larger of their tables,
+    whose rows are prefixes of one branch sequence."""
+    ls = max(rows_a, rows_b, key=len)
+    m_last = max(_m_last(label_a), _m_last(label_b))
+    return _table(j, ls, label_a, cfg, m_last), _table(j, ls, label_b, cfg, m_last)
 
 
 def _quiet_blocks(ln_w: np.ndarray, ln_tol: float) -> int | None:
@@ -191,6 +226,7 @@ class BranchTerm:
 
 def cs_branch(j: int, l: int, label: CSLabel, cfg: FieldConfig) -> BranchTerm:
     """One row of the coherent-state table, unnormalized."""
+    resolve_qnums(j, l, 0, cfg)
     _, ln_c, phase = _table(j, [l], label, cfg, _m_last(label))
     return BranchTerm(j=j, l=l, coeffs=np.exp(ln_c[0] + 1j * phase[0]))
 
@@ -202,6 +238,8 @@ def _branch_l_values(j: int, vartheta: int = -1):
     (1 + vartheta)/2: vartheta = -1 gives the planar ranges l < 0 and
     l >= 0, and the Dirac extensions vartheta = +-1 their own ranges.
     """
+    if j not in (0, 1):
+        raise DomainError("branch j must be 0 or 1")
     if j == 0:
         return itertools.count(-(1 - vartheta) // 2, -1)
     return itertools.count((1 + vartheta) // 2)
@@ -230,36 +268,14 @@ class CSExpansion:
 
 
 def cs_expansion(j: int, label: CSLabel, cfg: FieldConfig) -> CSExpansion:
-    """The (l, m) table of the branch-j series.
-
-    Rows are added in chunks until the quiet-block rule fires at weight
-    tolerance _EPS^2, i.e. at amplitude tolerance _EPS relative to
-    sqrt(N_j).  Raises DomainError for labels whose table would exceed
-    _MAX_CELLS amplitudes.
-    """
-    m_last = _m_last(label)
-    l_values = _branch_l_values(j)
-    ls: list[int] = []
-    parts = []
-    ln_w = np.empty(0)
-    while True:
-        if (len(ls) + _L_CHUNK) * (m_last + 1) > _MAX_CELLS:
-            raise DomainError(
-                f"label too large: the coherent-state table exceeds {_MAX_CELLS} amplitudes")
-        chunk = list(itertools.islice(l_values, _L_CHUNK))
-        part = _table(j, chunk, label, cfg, m_last)
-        ls += chunk
-        parts.append(part)
-        ln_w = np.concatenate((ln_w, np.logaddexp.reduce(2.0 * part[1], axis=1)))
-        keep = _quiet_blocks(ln_w, 2.0 * math.log(_EPS))
-        if keep is not None:
-            break
-    alpha, ln_c, phase = (np.concatenate(arrays)[:keep] for arrays in zip(*parts))
+    """The (l, m) table of the branch-j series, grown by :func:`_grown_table`
+    to amplitude tolerance _EPS relative to sqrt(N_j)."""
+    l, alpha, ln_c, phase = _grown_table(j, _branch_l_values(j), label, cfg)
     peak = float(np.max(ln_c))
     ln_norm = -np.inf
     if peak > -np.inf:
         ln_norm = 2.0 * peak + math.log(np.sum(np.exp(2.0 * (ln_c - peak))))
-    return CSExpansion(j=j, label=label, l=np.array(ls[:keep]), alpha=alpha,
+    return CSExpansion(j=j, label=label, l=l, alpha=alpha,
                        ln_c=ln_c, phase=phase, ln_norm=ln_norm)
 
 
@@ -341,10 +357,7 @@ def cs_overlap(
         return 0.0 + 0.0j
     cfg = FieldConfig(mu=mu)
     ea, eb = cs_expansion(j_a, label_a, cfg), cs_expansion(j_b, label_b, cfg)
-    ls = max(ea.l, eb.l, key=len)
-    m_last = max(ea.ln_c.shape[1], eb.ln_c.shape[1]) - 1
-    _, ln_a, ph_a = _table(j_a, ls, label_a, cfg, m_last)
-    _, ln_b, ph_b = _table(j_a, ls, label_b, cfg, m_last)
+    (_, ln_a, ph_a), (_, ln_b, ph_b) = _on_larger_table(j_a, ea.l, label_a, eb.l, label_b, cfg)
     ln_scale = _ln_half_norm(j_a, label_a, mu) + _ln_half_norm(j_a, label_b, mu)
     return complex(np.sum(np.exp(ln_a + ln_b - ln_scale + 1j * (ph_b - ph_a))))
 

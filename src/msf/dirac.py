@@ -37,16 +37,15 @@ composite grid (see :mod:`msf.radial`).
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .specfun import DomainError, TruncationError, laguerre_fn_table
+from .specfun import DomainError, TruncationError, exp_in_range, laguerre_fn_table
 from .landau import FieldConfig
 from .radial import RadialGrid, make_radial_grid
-from .cs import CSLabel, _amplitudes, _branch_l_values, _quiet_blocks
+from .cs import CSLabel, _branch_l_values, _grown_table, _on_larger_table, _quiet_blocks
 from .completeness import _wick_radial
 
 __all__ = [
@@ -146,6 +145,11 @@ def e_energy(q: RelQuantumNumbers, dc: DiracConfig) -> float:
     return math.sqrt(dc.mass**2 + e_perp_sq(q, dc))
 
 
+def _energy(n1, sigma: int, dc: DiracConfig):
+    """sqrt(M^2 + 2 gamma [n1 + (1 + sigma)/2]), elementwise over n1."""
+    return np.sqrt(dc.mass**2 + 2.0 * dc.field.gamma * (n1 + (1 + sigma) / 2.0))
+
+
 def rel_basis_fn(q: RelQuantumNumbers, dc: DiracConfig, theta, rho):
     """Scalar component function, including sqrt(gamma/2 pi) and phases.
 
@@ -197,13 +201,12 @@ def _inner(l_up: int, a, b, dc: DiracConfig, grid: RadialGrid, origin_tail: bool
         total = total + grid.weights @ w
         if origin_tail:
             alpha, _ = _component_family(sigma, L, dc)
-            # two-term fit w = rho^alpha (c0 + c1 rho) through the first
-            # two nodes, integrated over (0, rho_min)
-            h1, h2 = w[0] * r1 ** (-alpha), w[1] * r2 ** (-alpha)
+            # two-term fit w = (rho / rho_min)^alpha (c0 + c1 rho) through the
+            # first two nodes, integrated over (0, rho_min); the ratios stay finite
+            h1, h2 = w[0] * (delta / r1) ** alpha, w[1] * (delta / r2) ** alpha
             c1 = (h2 - h1) / (r2 - r1)
             c0 = h1 - c1 * r1
-            total = total + delta ** (alpha + 1.0) * (c0 / (alpha + 1.0)
-                                                      + c1 * delta / (alpha + 2.0))
+            total = total + delta * (c0 / (alpha + 1.0) + c1 * delta / (alpha + 2.0))
     return 2.0 * math.pi / dc.field.gamma * total
 
 
@@ -251,13 +254,16 @@ def _ladder(vals: np.ndarray, sigma: int, L: int, raising: bool,
         P_+- [rho^(a/2) h] = -i sqrt(2 gamma) { rho^((a+1)/2) (h' -+ h/2)
                              + ((a -+ (L + mu))/2) rho^((a-1)/2) h },
 
-    on one profile per trailing column of ``vals``.
+    on one profile per trailing column of ``vals``.  h is zero where the
+    profile is; a profile beyond the double range of h raises DomainError.
     """
     mu = dc.field.mu
     alpha, _ = _component_family(sigma, L, dc)
     rho = np.expand_dims(grid.nodes, tuple(range(1, np.ndim(vals))))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = vals * rho ** (-alpha / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.where(vals == 0.0, 0.0, vals * rho ** (-alpha / 2.0))
+    if not np.all(np.isfinite(h)):
+        raise DomainError("profile beyond the range of its origin power law")
     dh = grid.derivative(h)
     sgn = -1.0 if raising else 1.0
     coeff = 0.5 * (alpha + sgn * (L + mu))
@@ -350,7 +356,7 @@ def apply_pi0(s: Spinor2, dc: DiracConfig, m_max: int = 48,
             raise DomainError(
                 f"profile not in the spectral family (residual {resid:.3e} vs norm {nrm:.3e})"
             )
-        energies = np.sqrt(dc.mass**2 + 2.0 * dc.field.gamma * (n1 + (1 + sigma) / 2.0))
+        energies = _energy(n1, sigma, dc)
         out[slot] = (coeffs * energies) @ tab
     return Spinor2(grid=s.grid, l_up=s.l_up, up=out["up"], dn=out["dn"])
 
@@ -364,14 +370,15 @@ def hamiltonian_apply(s: Spinor2, dc: DiracConfig) -> Spinor2:
 
 
 def _eigenspinors(j: int, l: int, ms, dc: DiracConfig, charge: int, grid: RadialGrid):
-    """(l_up, up, dn, energies) of the eigenspinors (j, l, m, sigma = charge),
-    up and dn with one column per m in ``ms``: the collapsed operator
-    string with one ladder action for the block, unit norm, and the first
-    nonvanishing component real and positive at the smallest node.
+    """(l_up, up, dn, energies, seed_nrm) of the eigenspinors
+    (j, l, m, sigma = charge), up and dn with one column per m in ``ms``:
+    the collapsed operator string with one ladder action for the block,
+    unit norm, and the first nonvanishing component real and positive at
+    the smallest node.  seed_nrm are the grid norms of the unit-norm seeds.
     """
-    qs = [resolve_rel_qnums(j, l, m, charge, dc) for m in ms]
-    l_s = qs[0].l_sigma
-    energies = np.array([e_energy(q, dc) for q in qs])
+    q0 = resolve_rel_qnums(j, l, 0, charge, dc)
+    l_s = q0.l_sigma
+    energies = _energy(q0.n1 + np.asarray(ms), charge, dc)  # n1 grows by one with m
     prof = _profiles(charge, l_s, max(ms), dc, grid.nodes)[list(ms)].T
     seed = (energies + dc.mass) * prof
     other = charge * _ladder(prof, charge, l_s, charge == 1, dc, grid)
@@ -389,7 +396,7 @@ def _eigenspinors(j: int, l: int, ms, dc: DiracConfig, charge: int, grid: Radial
         )
     ref = np.where(up[0] != 0, up[0], dn[0])
     scale = np.exp(-1j * np.angle(ref)) / nrm
-    return l_up, up * scale, dn * scale, energies
+    return l_up, up * scale, dn * scale, energies, seed_nrm
 
 
 def dirac_spinor(q: RelQuantumNumbers, dc: DiracConfig, charge: int,
@@ -404,7 +411,7 @@ def dirac_spinor(q: RelQuantumNumbers, dc: DiracConfig, charge: int,
     """
     if q.sigma != charge:
         raise DomainError("seed spin label must match the charge branch (+1 or -1)")
-    l_up, up, dn, energies = _eigenspinors(q.j, q.l, [q.m], dc, charge, grid)
+    l_up, up, dn, energies, _ = _eigenspinors(q.j, q.l, [q.m], dc, charge, grid)
     return Spinor2(grid=grid, l_up=l_up, up=up[:, 0], dn=dn[:, 0]), float(energies[0])
 
 
@@ -427,39 +434,30 @@ class RelCS:
     grid: RadialGrid
 
 
-# the relativistic series runs over at most this many l blocks of m = 0.._REL_M_MAX
-_REL_L_BLOCKS = 14
-_REL_M_MAX = 14
 # quiet-block tolerance on the block weights sum_m |c|^2 2M(E+M)
 _REL_LN_TOL = math.log(1e-14)
-# largest share of Mcal the outer edge of the (l, m) grid may hold
-_REL_EDGE_SHARE = 1e-12
+# largest share of Mcal the radial grid may miss, sum w |1 - seed_nrm^2| / Mcal
+_REL_GRID_SHARE = 1e-9
 
 
-def _rel_series(j: int, label: CSLabel, dc: DiracConfig, charge: int):
-    """(ls, c, weight, w) of one label on the fixed (l, m) grid: the l of
-    each row, amplitudes c_lm, overlap weights 2M(E + M) and
-    w = |c|^2 2M(E + M), m = 0.._REL_M_MAX along the rows.
+def _rel_table(j: int, label: CSLabel, dc: DiracConfig, charge: int):
+    """(l_s, alpha, ln|c|, arg c) of the planar table grown over the
+    spin-shifted rows l_s = l - (1 + charge)/2 of the branch-j range."""
+    if dc.mass <= 0.0:
+        raise DomainError("relativistic coherent states require M > 0")
+    shift = (1 + charge) // 2
+    table = _grown_table(j, (l - shift for l in _branch_l_values(j, dc.vartheta)),
+                         label, dc.field)
+    if np.all(table[2] == -np.inf):
+        raise DomainError("relativistic coherent state undefined: zero normalization")
+    return table
 
-    w decays geometrically past its peak, so the share of Mcal beyond the
-    grid is of the order of the share on its outer edge (the last l block
-    plus the m = _REL_M_MAX column).  TruncationError when that edge holds
-    more than _REL_EDGE_SHARE = 1e-12 of Mcal, an omitted norm of about
-    1e-6; below it the states are accurate to that level.
-    """
-    ls = list(itertools.islice(_branch_l_values(j, dc.vartheta), _REL_L_BLOCKS))
-    qs = [[resolve_rel_qnums(j, l, m, charge, dc) for m in range(_REL_M_MAX + 1)] for l in ls]
-    n1 = np.array([[q.n1 for q in row] for row in qs])
-    n2 = np.array([[q.n2 for q in row] for row in qs])
-    energy = np.array([[e_energy(q, dc) for q in row] for row in qs])
-    weight = 2.0 * dc.mass * (energy + dc.mass)
-    c = _amplitudes(n1, n2, label)
-    w = np.abs(c) ** 2 * weight
-    total, edge = w.sum(), w[-1].sum() + w[:-1, -1].sum()
-    if edge > _REL_EDGE_SHARE * total:
-        raise TruncationError("relativistic series truncated inside its weight",
-                              float(total), float(edge))
-    return ls, c, weight, w
+
+def _rel_ln_weight(j: int, alpha: np.ndarray, cols: int, dc: DiracConfig, charge: int):
+    """ln 2M(E + M) over rows of order alpha and m = 0..cols-1, with
+    n1 = m on branch 0 and m + alpha on branch 1."""
+    n1 = np.arange(cols) + np.where(j == 1, alpha, 0.0)[:, None]
+    return np.log(2.0 * dc.mass * (_energy(n1, charge, dc) + dc.mass))
 
 
 def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
@@ -472,31 +470,37 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
         sum c_{lm} sqrt(2 M (E_lm + M)) psihat_{lm} / sqrt(Mcal),
         Mcal = sum |c_{lm}|^2 2 M (E_lm + M),
 
-    with psihat the unit-norm spinors.  The l blocks of the fixed grid
-    stop early by the quiet-block rule of the planar series, applied to
-    the weighted blocks; each kept block is built as one batch of
+    with psihat the unit-norm spinors.  The l blocks of the grown planar
+    table stop earlier by the quiet-block rule applied to the weighted
+    blocks at 1e-14; each kept block is built as one batch of
     eigenspinors and summed by one matrix product.  Requires M > 0 (the
     weight degenerates in the massless limit); raises TruncationError
-    for labels whose series outgrows the grid.
+    when the radial grid misses more than _REL_GRID_SHARE of Mcal.
     """
-    if dc.mass <= 0.0:
-        raise DomainError("relativistic coherent states require M > 0")
+    l_s, alpha, ln_c, phase = _rel_table(j, label, dc, charge)
     if grid is None:
         grid = make_radial_grid(rho_max=60.0)
-    ls, c, weight, w = _rel_series(j, label, dc, charge)
-    with np.errstate(divide="ignore"):
-        keep = _quiet_blocks(np.log(w.sum(axis=1)), _REL_LN_TOL) or _REL_L_BLOCKS
-    norm_const = float(w[:keep].sum())
+    ln_w = 2.0 * ln_c + _rel_ln_weight(j, alpha, ln_c.shape[1], dc, charge)
+    keep = _quiet_blocks(np.logaddexp.reduce(ln_w, axis=1), _REL_LN_TOL)
+    ln_mcal = np.logaddexp.reduce(ln_w[:keep], axis=None)
+    norm_const = exp_in_range(ln_mcal, "Mcal")
     states: dict = {}
     spinors: dict = {}
-    for l, c_row, weight_row in zip(ls[:keep], c, weight):
-        ms = np.flatnonzero(c_row)
+    missed = 0.0
+    for l, ln_row, ph_row, ln_w_row in zip(l_s[:keep] + (1 + charge) // 2, ln_c, phase, ln_w):
+        ms = np.flatnonzero(ln_row > -np.inf)
         if ms.size == 0:
             continue
-        l_up, up, dn, energies = _eigenspinors(j, l, ms, dc, charge, grid)
-        states.update({(l, int(m)): (complex(c_row[m]), float(e)) for m, e in zip(ms, energies)})
-        coef = c_row[ms] * np.sqrt(weight_row[ms]) / math.sqrt(norm_const)
+        l_up, up, dn, energies, seed_nrm = _eigenspinors(j, l, ms, dc, charge, grid)
+        c = np.exp(ln_row[ms] + 1j * ph_row[ms])
+        states.update({(int(l), int(m)): (cm, e) for m, cm, e in zip(ms, c.tolist(), energies)})
+        share = np.exp(ln_w_row[ms] - ln_mcal)
+        missed += float(share @ np.abs(1.0 - seed_nrm**2))
+        coef = np.sqrt(share) * np.exp(1j * ph_row[ms])
         spinors[l_up] = Spinor2(grid=grid, l_up=l_up, up=up @ coef, dn=dn @ coef)
+    if not missed <= _REL_GRID_SHARE:
+        raise TruncationError("radial grid too short for the relativistic coherent state",
+                              norm_const, missed)
     return RelCS(j=j, charge=charge, label=label, states=states,
                  norm_const=norm_const, spinors=spinors, grid=grid)
 
@@ -515,12 +519,17 @@ def rel_cs_inner(a: RelCS, b: RelCS, dc: DiracConfig) -> complex:
 
 def rel_cs_overlap_closed(j: int, label_a: CSLabel, label_b: CSLabel,
                           dc: DiracConfig, charge: int) -> complex:
-    """Overlap via the scalar route over the whole (l, m) grid:
-    2M sum conj(c) c' (E + M) / sqrt(Mcal Mcal'); raises TruncationError
-    like :func:`rel_cs`."""
-    _, ca, weight, wa = _rel_series(j, label_a, dc, charge)
-    _, cb, _, wb = _rel_series(j, label_b, dc, charge)
-    return complex(np.sum(np.conj(ca) * cb * weight) / math.sqrt(wa.sum() * wb.sum()))
+    """Overlap via the scalar route, with no grid: 2M sum conj(c) c' (E + M)
+    / sqrt(Mcal Mcal'), in log space over the larger of the two tables, on
+    which both Mcal are summed too (so the modulus never exceeds one)."""
+    rows_a = _rel_table(j, label_a, dc, charge)[0]
+    rows_b = _rel_table(j, label_b, dc, charge)[0]
+    (alpha, ln_a, ph_a), (_, ln_b, ph_b) = _on_larger_table(
+        j, rows_a, label_a, rows_b, label_b, dc.field)
+    ln_weight = _rel_ln_weight(j, alpha, ln_a.shape[1], dc, charge)
+    ln_mcal = [np.logaddexp.reduce(2.0 * ln + ln_weight, axis=None) for ln in (ln_a, ln_b)]
+    ln_terms = ln_a + ln_b + ln_weight - 0.5 * (ln_mcal[0] + ln_mcal[1])
+    return complex(np.sum(np.exp(ln_terms + 1j * (ph_b - ph_a))))
 
 
 @dataclass(frozen=True)
@@ -630,7 +639,7 @@ def _rel_bessel_index(sigma: int, l: int, mu: float, vartheta: int) -> float:
 
 
 def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
-                     dtheta: float, dt: float, rho: float, rho_p: float) -> np.ndarray:
+                     dtheta: float, dt: float, rho, rho_p) -> np.ndarray:
     """Proper-time kernel block f_{sigma,l}(x, x', s), a 2x2 matrix.
 
     f = A B Xi_sigma with
@@ -645,7 +654,8 @@ def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
     (1+sigma)/2 - mu for vartheta = +1 and its negative for
     vartheta = -1 (the irregular channel).  Xi_sigma = (1 + sigma s3)/2.
     Wick-rotated s = -i tau is evaluated on a stable real path.  Raises
-    near the singular real points s_k = k pi / gamma.
+    near the singular real points s_k = k pi / gamma.  Elementwise over
+    rho and rho', with the 2x2 block in the last two axes.
     """
     from .specfun import bessel_i
 
@@ -656,11 +666,6 @@ def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
     sc = complex(s)
     l_s = l - (1 + sigma) // 2
     nu = _rel_bessel_index(sigma, l, mu, dc.vartheta)
-    proj = np.zeros((2, 2), dtype=complex)
-    if sigma == 1:
-        proj[0, 0] = 1.0
-    else:
-        proj[1, 1] = 1.0
     phase = cmath.exp(1j * (l_s - dc.field.l0) * dtheta
                       - 1j * dc.mass**2 * sc
                       - 1j * (l_s + sigma + mu) * g * sc)
@@ -669,15 +674,18 @@ def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
         # i pi/4 phase, sqrt(-i tau) and 1/(-i sinh) combine to -1/(sqrt(tau) sinh)
         radial = _wick_radial(nu, g * tau, rho, rho_p)
         amp = -(g / (8.0 * math.pi**1.5 * math.sqrt(tau))) * radial
-        tpart = cmath.exp(-1j * dt * dt / (4.0 * sc))
-        return amp * phase * tpart * proj
-    sin_gs = cmath.sin(g * sc)
-    if abs(sin_gs) < 1e-12:
-        raise DomainError("kernel singular: sin(gamma s) vanishes")
-    zarg = cmath.exp(-0.5j * math.pi) * cmath.sqrt(rho * rho_p) / sin_gs
-    a = (g / (8.0 * math.pi**1.5 * cmath.sqrt(sc) * sin_gs)) * cmath.exp(
-        0.25j * math.pi
-        - 1j * dt * dt / (4.0 * sc)
-        + 0.5j * (rho + rho_p) * cmath.cos(g * sc) / sin_gs
-    )
-    return a * phase * bessel_i(nu, zarg) * proj
+        diag = amp * phase * cmath.exp(-1j * dt * dt / (4.0 * sc))
+    else:
+        sin_gs = cmath.sin(g * sc)
+        if abs(sin_gs) < 1e-12:
+            raise DomainError("kernel singular: sin(gamma s) vanishes")
+        zarg = cmath.exp(-0.5j * math.pi) * np.sqrt(rho * rho_p) / sin_gs
+        a = (g / (8.0 * math.pi**1.5 * cmath.sqrt(sc) * sin_gs)) * np.exp(
+            0.25j * math.pi
+            - 1j * dt * dt / (4.0 * sc)
+            + 0.5j * (rho + rho_p) * cmath.cos(g * sc) / sin_gs
+        )
+        diag = a * phase * bessel_i(nu, zarg)
+    out = np.zeros(np.shape(diag) + (2, 2), dtype=complex)  # diag Xi_sigma
+    out[..., (1 - sigma) // 2, (1 - sigma) // 2] = diag
+    return out

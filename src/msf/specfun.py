@@ -3,8 +3,6 @@
 Everything here is a pure function of its inputs.  The conventions:
 
 * ``ln_gamma`` is the principal branch of log-Gamma.
-* ``laguerre_poly`` evaluates associated Laguerre polynomials L_m^a with
-  real order a > -1 by the ascending three-term recurrence.
 * ``laguerre_fn`` evaluates the normalized Laguerre function
 
       I_{n,m}(rho) = sqrt(Gamma(1+m)/Gamma(1+n))
@@ -38,7 +36,6 @@ __all__ = [
     "TruncationError",
     "IrregularOriginError",
     "ln_gamma",
-    "laguerre_poly",
     "laguerre_fn",
     "laguerre_fn_rows",
     "laguerre_fn_table",
@@ -89,27 +86,6 @@ def ln_gamma(x):
             raise DomainError(f"ln_gamma pole at {xf}")
         return complex(_sp.loggamma(complex(xf)))
     return float(_sp.gammaln(xf))
-
-
-def laguerre_poly(m: int, alpha: float, rho):
-    """Associated Laguerre polynomial L_m^alpha(rho), ascending recurrence.
-
-    m >= 0 integer, alpha > -1 real; rho scalar or array, rho >= 0.
-    """
-    if m < 0 or m != int(m):
-        raise DomainError("Laguerre degree m must be a non-negative integer")
-    if not alpha > -1.0:
-        raise DomainError("Laguerre order alpha must exceed -1")
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise DomainError("rho must be non-negative")
-    p_prev = np.ones_like(rho)
-    if m == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = 1.0 + alpha - rho
-    for k in range(1, m):
-        p, p_prev = ((2 * k + alpha + 1 - rho) * p - (k + alpha) * p_prev) / (k + 1), p
-    return p if p.ndim else float(p)
 
 
 # below exp(-600) the start of the Laguerre recurrence runs scaled

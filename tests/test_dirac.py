@@ -311,6 +311,21 @@ def test_xi_flip_is_unitary_involution():
     assert np.allclose(back.up, psi.up) and np.allclose(back.dn, psi.dn)
 
 
+
+@pytest.mark.parametrize("charge", [1, -1])
+@pytest.mark.parametrize("l", [40, 60, 80])
+def test_spinor_finite_at_high_angular_number(l, charge):
+    # the origin-tail fit and the ladder's peeled power law overflowed here
+    dc = make_dc(mu=0.5)
+    grid = make_radial_grid(rho_max=160.0)
+    psi, e = dirac_spinor(resolve_rel_qnums(1, l, 0, charge, dc), dc, charge, grid)
+    assert np.all(np.isfinite(psi.up)) and np.all(np.isfinite(psi.dn))
+    assert d_norm(psi, dc) == pytest.approx(1.0, abs=1e-12)
+    hpsi = hamiltonian_apply(psi, dc)
+    diff = Spinor2(grid=grid, l_up=psi.l_up, up=hpsi.up - charge * e * psi.up,
+                   dn=hpsi.dn - charge * e * psi.dn)
+    assert d_norm(diff, dc, origin_tail=False) / e <= 1e-5
+
 # ---------------------------------------------------------------------------
 # relativistic coherent states
 # ---------------------------------------------------------------------------
@@ -384,14 +399,56 @@ def test_rel_cs_assembles_the_eigenspinor_series(j, vt, charge):
         assert np.max(np.abs(got.dn - dn)) <= 1e-12 * scale
 
 
-def test_rel_cs_rejects_labels_past_its_grid():
-    # |z1| = |z2| = 2 leaves about 1e-5 of Mcal on the edge of the grid
+REL_CASES = [(j, vt, charge) for (j, vt) in ((1, 1), (0, -1)) for charge in (1, -1)]
+
+
+@pytest.mark.parametrize("j,vt,charge", REL_CASES)
+def test_rel_cs_past_the_old_fixed_grid(j, vt, charge):
+    # |z1| = |z2| = 2 puts about 1e-5 of Mcal past 14 l blocks x 15 m
+    dc = make_dc(mu=0.5, vartheta=vt)
+    lab_a = CSLabel(cmath.rect(2.0, 0.3), cmath.rect(2.0, -1.1))
+    lab_b = CSLabel(cmath.rect(2.0, -0.7), cmath.rect(2.0, 2.0))
+    a = rel_cs(j, lab_a, dc, charge, grid=GRID)
+    b = rel_cs(j, lab_b, dc, charge, grid=GRID)
+    assert rel_cs_inner(a, a, dc).real == pytest.approx(1.0, abs=1e-7)
+    closed = rel_cs_overlap_closed(j, lab_a, lab_b, dc, charge)
+    assert abs(rel_cs_inner(a, b, dc) - closed) < 1e-7
+
+
+@pytest.mark.parametrize("vt", [1, -1])
+@pytest.mark.parametrize("j", [0, 1])
+@pytest.mark.parametrize("charge", [1, -1])
+def test_rel_cs_norm_const_matches_brute_force_sum(j, vt, charge):
+    # Mcal = sum |c|^2 2M(E + M) over an 80 x 80 (l, m) grid of the Dirac
+    # quantum numbers, irregular l = 0 rows included (mu = 0.15)
+    mu, mass = 0.15, 1.3
+    dc = make_dc(mu=mu, vartheta=vt, mass=mass)
+    lab = CSLabel(cmath.rect(1.5, 0.4), cmath.rect(1.2, -2.0))
+    first = (1 + vt) // 2 if j == 1 else -(1 - vt) // 2
+    l = first + (np.arange(80) if j == 1 else -np.arange(80))
+    l_s = (l - (1 + charge) // 2)[:, None]
+    m = np.arange(80.0)[None, :]
+    n1, n2 = np.broadcast_arrays(*((m + l_s + mu, m) if j == 1 else (m, m - l_s - mu)))
+    ln_c2 = (2 * n1 * math.log(abs(lab.z1)) + 2 * n2 * math.log(abs(lab.z2))
+             - sp.gammaln(1 + n1) - sp.gammaln(1 + n2))
+    energy = np.sqrt(mass ** 2 + 2.0 * (n1 + (1 + charge) / 2))
+    brute = np.sum(np.exp(ln_c2) * 2 * mass * (energy + mass))
+    state = rel_cs(j, lab, dc, charge, grid=GRID)
+    assert state.norm_const == pytest.approx(brute, rel=1e-12)
+
+
+def test_rel_cs_rejects_labels_past_its_radial_grid():
+    # at |z1| = |z2| = 3 a rho_max = 60 grid misses about 1e-3 of Mcal;
+    # the scalar overlap needs no grid and stays a valid overlap
     dc = make_dc(mu=0.5)
-    big = CSLabel(cmath.rect(2.0, 0.3), cmath.rect(2.0, -1.1))
+    grid = make_radial_grid(rho_max=60.0)
+    big = CSLabel(cmath.rect(3.0, 0.3), cmath.rect(3.0, -1.1))
+    other = CSLabel(cmath.rect(3.0, -0.7), cmath.rect(2.5, 2.0))
     with pytest.raises(TruncationError):
-        rel_cs(1, big, dc, 1, grid=GRID)
-    with pytest.raises(TruncationError):
-        rel_cs_overlap_closed(1, big, CSLabel(0.5, 0.3j), dc, 1)
+        rel_cs(1, big, dc, 1, grid=grid)
+    ov = rel_cs_overlap_closed(1, big, other, dc, 1)
+    assert np.isfinite(ov) and abs(ov) <= 1.0 + 1e-12
+    assert rel_cs_overlap_closed(1, big, big, dc, 1) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +584,19 @@ def test_kernel_delta_limit_smearing_monotone():
         errs.append(abs(smeared - pref) / abs(pref))
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 0.6 * errs[0]
+
+
+@pytest.mark.parametrize("s", [-0.35j, 0.3 - 0.2j, 0.7])
+@pytest.mark.parametrize("sig,l,vt", [(1, 0, 1), (-1, 0, 1), (1, 0, -1), (-1, 0, -1), (1, 2, 1)])
+def test_kernel_array_equals_pointwise(sig, l, vt, s):
+    dc = make_dc(mu=0.3, mass=0.8, vartheta=vt)
+    rho_p = np.linspace(0.05, 6.0, 9)
+    k = green_kernel_rel(sig, l, dc, s, 0.4, 0.2, 1.5, rho_p)
+    assert k.shape == (9, 2, 2)
+    for x, kx in zip(rho_p, k):
+        one = green_kernel_rel(sig, l, dc, s, 0.4, 0.2, 1.5, float(x))
+        assert one.shape == (2, 2)
+        np.testing.assert_allclose(kx, one, rtol=1e-13, atol=0.0)
 
 
 def test_kernel_singularity_rejected():

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate, special as sp
 
 from msf.specfun import (
@@ -18,7 +18,6 @@ from msf.specfun import (
     erf,
     laguerre_fn,
     laguerre_fn_table,
-    laguerre_poly,
     ln_gamma,
     ln_marcum_p,
     q_sum,
@@ -36,11 +35,6 @@ def gamma_integral_oracle(s: float) -> float:
                               epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-10
     return val
-
-
-def rodrigues_l2(alpha: float, x: float) -> float:
-    """Closed form of L_2^alpha from the Rodrigues expansion."""
-    return x * x / 2.0 - (alpha + 2.0) * x + (alpha + 1.0) * (alpha + 2.0) / 2.0
 
 
 def bessel_series_oracle(nu: float, z: complex, terms: int = 200) -> complex:
@@ -91,30 +85,21 @@ def test_ln_gamma_pole_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Laguerre polynomials and functions
+# Laguerre functions
 # ---------------------------------------------------------------------------
-
-
-def test_laguerre_poly_low_orders():
-    assert laguerre_poly(0, 0.3, 5.0) == 1.0
-    for alpha, x in [(0.5, 1.0), (-0.2, 3.0), (2.0, 0.0)]:
-        assert laguerre_poly(1, alpha, x) == pytest.approx(1.0 + alpha - x, rel=1e-15)
-
-
-def test_laguerre_poly_rodrigues_m2():
-    # frozen spot value: L_2^{1/2}(1) = -0.125 exactly
-    assert laguerre_poly(2, 0.5, 1.0) == pytest.approx(-0.125, abs=1e-15)
-    for alpha in (0.0, 0.5, 1.7, -0.4):
-        for x in (0.0, 0.3, 2.5, 11.0):
-            assert laguerre_poly(2, alpha, x) == pytest.approx(
-                rodrigues_l2(alpha, x), rel=1e-13, abs=1e-13)
 
 
 @given(m=st.integers(0, 25), alpha=st.floats(-0.9, 6.0), x=st.floats(0.0, 40.0))
 @settings(max_examples=80, deadline=None)
-def test_laguerre_poly_matches_scipy(m, alpha, x):
-    ours = laguerre_poly(m, alpha, x)
-    ref = sp.eval_genlaguerre(m, alpha, x)
+def test_laguerre_fn_matches_scipy(m, alpha, x):
+    # I_{m+alpha,m} = sqrt(m! / Gamma(m+alpha+1)) e^(-x/2) x^(alpha/2) L_m^alpha(x)
+    n = m + alpha
+    alpha = n - m  # the order laguerre_fn sees
+    assume(x > 0.0 or alpha >= 0.0)
+    ours = laguerre_fn(n, m, x)
+    ref = sp.eval_genlaguerre(m, alpha, x) * math.exp(
+        0.5 * (sp.gammaln(m + 1.0) - sp.gammaln(m + alpha + 1.0)) - x / 2.0
+        + sp.xlogy(alpha / 2.0, x))
     assert ours == pytest.approx(ref, rel=1e-9, abs=1e-9 * (1 + abs(ref)))
 
 
