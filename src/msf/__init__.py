@@ -22,14 +22,11 @@ from .specfun import (
 )
 from .landau import (
     FieldConfig,
-    GridFunction,
     QuantumNumbers,
     Quadrature,
     energy_nonrel,
-    inner_product_perp,
     make_quadrature,
     resolve_qnums,
-    state_on_grid,
     stationary_state,
 )
 from .cs import (

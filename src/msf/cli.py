@@ -21,6 +21,7 @@ never into the file).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -33,6 +34,9 @@ import numpy as np
 from .specfun import DomainError, ln_gamma
 from .landau import (
     FieldConfig,
+    _branch_l_values,
+    _branch_of,
+    _laguerre_order,
     energy_nonrel,
     gram_matrix,
     make_quadrature,
@@ -159,12 +163,11 @@ def suite_cs_normalization(cfg: RunConfig, rep: VerificationReport):
     worst = 0.0
     for j in (0, 1):
         total = 0.0
-        lgen = range(-1, -30, -1) if j == 0 else range(0, 29)
         from .specfun import laguerre_fn_table
 
-        for l in lgen:
+        for l in itertools.islice(_branch_l_values(j), 29):
             term = cs_branch(j, l, lab, fc)
-            alpha = (-l - fc.mu) if j == 0 else (l + fc.mu)
+            alpha = _laguerre_order(j, l, fc.mu)
             quad = make_quadrature(alpha, 48)
             tab = laguerre_fn_table(alpha, len(term.coeffs) - 1, quad.nodes)
             prof = term.coeffs @ tab
@@ -482,20 +485,20 @@ def tabulate(cfg: RunConfig, target: str, args) -> tuple[list[str], list[list]]:
         rows = []
         for l in range(-args.lmax, args.lmax + 1):
             for m in range(0, args.mmax + 1):
-                j = 0 if l < 0 else 1
+                j = _branch_of(l)
                 q = resolve_qnums(j, l, m, fc)
                 rows.append([j, l, m, q.n1, energy_nonrel(q, fc)])
         return header, rows
     if target == "kernel":
         rhop = _parse_grid(args.rhop)
-        p = KernelParams(j=0 if args.l < 0 else 1, l=args.l, mu=fc.mu,
+        p = KernelParams(j=_branch_of(args.l), l=args.l, mu=fc.mu,
                          delta_t=-1j * args.tau, cfg=fc)
         header = ["rhop", "re", "im"]
         vals = propagator_closed(p, 0.0, args.rho, rhop)
         return header, [[rp, val.real, val.imag] for rp, val in zip(rhop, vals)]
     if target == "state":
         rho = _parse_grid(args.rhop)
-        q = resolve_qnums(0 if args.l < 0 else 1, args.l, args.m, fc)
+        q = resolve_qnums(_branch_of(args.l), args.l, args.m, fc)
         header = ["rho", "re", "im"]
         vals = stationary_state(q, args.theta, rho, fc)
         return header, [[r, val.real, val.imag] for r, val in zip(rho, vals)]

@@ -35,7 +35,8 @@ from .specfun import (
     ln_gamma,
     ln_marcum_p,
 )
-from .landau import FieldConfig, make_quadrature, resolve_qnums
+from .landau import (FieldConfig, _check_branch, _laguerre_order, _radial_numbers,
+                     make_quadrature, resolve_qnums)
 
 __all__ = [
     "WeightSpec",
@@ -259,18 +260,9 @@ class KernelParams:
     cfg: FieldConfig
 
     def __post_init__(self):
-        if self.j not in (0, 1):
-            raise DomainError("branch j must be 0 or 1")
-        if self.j == 0 and self.l >= 0:
-            raise DomainError("branch j=0 requires l < 0")
-        if self.j == 1 and self.l < 0:
-            raise DomainError("branch j=1 requires l >= 0")
+        _check_branch(self.j, self.l)
         if complex(self.delta_t).imag > 1e-15:
             raise DomainError("delta_t must have non-positive imaginary part")
-
-
-def _nu_index(p: KernelParams) -> float:
-    return -(p.l + p.mu) if p.j == 0 else (p.l + p.mu)
 
 
 def _wick_radial(nu: float, phi: float, rho, rho_p):
@@ -305,7 +297,7 @@ def propagator_closed(p: KernelParams, dtheta: float, rho, rho_p):
         raise DomainError("rho must be non-negative")
     g = p.cfg.gamma
     dt = complex(p.delta_t)
-    nu = _nu_index(p)
+    nu = _laguerre_order(p.j, p.l, p.mu)
     phase = cmath.exp(1j * (p.l - p.cfg.l0) * dtheta - 1j * (g / 2.0) * (p.l + p.mu) * dt)
     if dt.real == 0.0 and dt.imag < 0.0:
         # Wick axis: everything real apart from the carried phase
@@ -340,7 +332,7 @@ def propagator_series(p: KernelParams, dtheta: float, rho: float, rho_p: float) 
         raise DomainError("mode sum requires Im(delta_t) < 0")
     g = p.cfg.gamma
     ratio = abs(cmath.exp(-1j * g * dt))  # < 1
-    alpha = abs(_nu_index(p))
+    alpha = _laguerre_order(p.j, p.l, p.mu)
     phase_l = cmath.exp(1j * (p.l - p.cfg.l0) * dtheta)
     # branch phases of phi(x) phi*(x') cancel; N^2 = gamma / 2 pi
     block = 48
@@ -349,7 +341,7 @@ def propagator_series(p: KernelParams, dtheta: float, rho: float, rho_p: float) 
     while True:
         tab = laguerre_fn_table(alpha, m_max, np.asarray([rho, rho_p]))
         prods = tab[:, 0] * tab[:, 1]
-        n1 = np.arange(m_max + 1) + (0.0 if p.j == 0 else alpha)
+        n1, _ = _radial_numbers(p.j, alpha, np.arange(m_max + 1.0))
         energies = g * (n1 + 0.5)
         weights = np.exp(-1j * energies * dt)
         total = 1j * (g / (2.0 * math.pi)) * phase_l * np.dot(weights, prods)

@@ -18,8 +18,9 @@ radial numbers m = 0..M.  Along a row |c_{m+1} / c_m| <= |z1 z2| / (m+1),
 so M is where that bound has taken the row below 1e-16 of its largest
 amplitude; the rows stop by the quiet-block rule of
 :func:`_quiet_blocks`.  The relativistic series of :mod:`msf.dirac`
-reads the same table: Dirac row (j, l, sigma) has the (n1, n2) of
-planar row l_s = l - (1 + sigma)/2.
+reads the same table through the branch map of :mod:`msf.landau`: Dirac
+row (j, l, sigma) has the (n1, n2) of planar row l_s = l - (1 + sigma)/2,
+on the branch whose vartheta range holds l.
 
 The normalization constants are the Bessel series
 Q_nu(a, b) = sum_l (b/a)^(nu+l) I_{nu+l}(2ab),
@@ -59,7 +60,8 @@ import numpy as np
 from scipy import special as _sp
 
 from .specfun import DomainError, exp_in_range, laguerre_fn_rows, ln_marcum_p
-from .landau import FieldConfig, resolve_qnums
+from .landau import (FieldConfig, _branch_l_values, _laguerre_order, _profile_factor,
+                     _radial_numbers, resolve_qnums)
 
 __all__ = [
     "CSLabel",
@@ -148,16 +150,12 @@ def _m_last(label: CSLabel) -> int:
 
 
 def _table(j: int, ls, label: CSLabel, cfg: FieldConfig, m_last: int):
-    """Laguerre order per row and (ln|c|, arg c) over rows ls, m = 0..m_last.
-
-    Row l has order alpha = -(l + mu) on branch 0 and l + mu on branch 1,
-    and (n1, n2) = (m, m + alpha) or (m + alpha, m) along the diagonal.
-    """
-    alpha = (np.asarray(ls, dtype=float) + cfg.mu) * (1.0 if j == 1 else -1.0)
+    """Laguerre order per row and (ln|c|, arg c) over rows ls, m = 0..m_last,
+    with the order and (n1, n2) of the branch map."""
+    alpha = _laguerre_order(j, np.asarray(ls, dtype=float), cfg.mu)
     if not np.all(alpha > -1.0):
         raise DomainError("radial profile outside the Laguerre domain")
-    m = np.arange(m_last + 1.0)
-    n1, n2 = (alpha[:, None] + m, m) if j == 1 else (m, alpha[:, None] + m)
+    n1, n2 = _radial_numbers(j, alpha[:, None], np.arange(m_last + 1.0))
     return (alpha, *_ln_amplitude(n1, n2, label))
 
 
@@ -229,20 +227,6 @@ def cs_branch(j: int, l: int, label: CSLabel, cfg: FieldConfig) -> BranchTerm:
     resolve_qnums(j, l, 0, cfg)
     _, ln_c, phase = _table(j, [l], label, cfg, _m_last(label))
     return BranchTerm(j=j, l=l, coeffs=np.exp(ln_c[0] + 1j * phase[0]))
-
-
-def _branch_l_values(j: int, vartheta: int = -1):
-    """Angular numbers of branch j, outward from the flux line.
-
-    Branch 0 counts down from -(1 - vartheta)/2 and branch 1 up from
-    (1 + vartheta)/2: vartheta = -1 gives the planar ranges l < 0 and
-    l >= 0, and the Dirac extensions vartheta = +-1 their own ranges.
-    """
-    if j not in (0, 1):
-        raise DomainError("branch j must be 0 or 1")
-    if j == 0:
-        return itertools.count(-(1 - vartheta) // 2, -1)
-    return itertools.count((1 + vartheta) // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,9 +316,7 @@ def cs_state(
     for m, lag in enumerate(laguerre_fn_rows(ex.alpha[per_row], amp.shape[1] - 1, rho)):
         radial = radial + amp[:, m][per_row] * lag
     phase = np.exp(1j * np.multiply.outer(ex.l - cfg.l0, theta))
-    if j == 1:
-        phase = phase * np.exp(-1j * math.pi * ex.l)[per_row]
-    total = math.sqrt(cfg.gamma / (2.0 * math.pi)) * np.sum(phase * radial, axis=0)
+    total = np.sum(phase * _profile_factor(j, ex.l, cfg)[per_row] * radial, axis=0)
     return complex(total) if total.ndim == 0 else total
 
 

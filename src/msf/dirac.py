@@ -13,7 +13,8 @@ Scalar building blocks (spin-shifted stationary functions):
     branch 1:  exp(i (l_s - l0) theta - i pi l_s) I_{n1,n2},
                n1 = m + l_s + mu, n2 = m,      l >= (1 + vartheta)/2
 
-with l_s = l - (1 + sigma)/2.  Transverse energy squared is
+with l_s = l - (1 + sigma)/2: the branch map of :mod:`msf.landau` at
+extension vartheta, read for planar row l_s.  Transverse energy squared is
 2 gamma [n1 + (1 + sigma)/2]; the positive operator Pi0 has eigenvalues
 E = sqrt(M^2 + E_perp^2) and is always applied spectrally.
 
@@ -42,10 +43,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .specfun import DomainError, TruncationError, exp_in_range, laguerre_fn_table
-from .landau import FieldConfig
+from .specfun import DomainError, TruncationError, exp_in_range
+from .landau import (FieldConfig, _branch_l_values, _branch_of, _check_branch,
+                     _laguerre_order, _profiles as _row_profiles, _radial_numbers)
 from .radial import RadialGrid, make_radial_grid
-from .cs import CSLabel, _branch_l_values, _grown_table, _on_larger_table, _quiet_blocks
+from .cs import CSLabel, _grown_table, _on_larger_table, _quiet_blocks
 from .completeness import _wick_radial
 
 __all__ = [
@@ -103,34 +105,18 @@ class RelQuantumNumbers:
     n2: float
 
 
-def _l_range_ok(j: int, l: int, vartheta: int) -> bool:
-    if j == 0:
-        return l <= -(1 - vartheta) // 2
-    return l >= (1 + vartheta) // 2
-
-
 def resolve_rel_qnums(j: int, l: int, m: int, sigma: int, dc: DiracConfig) -> RelQuantumNumbers:
     """Validate (j, l, m, sigma) against the vartheta-dependent ranges."""
-    if j not in (0, 1):
-        raise DomainError("branch j must be 0 or 1")
     if sigma not in (-1, 1):
         raise DomainError("sigma must be +1 or -1")
     if m < 0 or m != int(m):
         raise DomainError("m must be a non-negative integer")
-    if not _l_range_ok(j, l, dc.vartheta):
-        raise DomainError(
-            f"l = {l} outside branch-{j} range for vartheta = {dc.vartheta}"
-        )
-    mu = dc.field.mu
+    _check_branch(j, l, dc.vartheta)
     l_s = l - (1 + sigma) // 2
-    if j == 0:
-        n1, n2 = float(m), m - l_s - mu
-    else:
-        n1, n2 = m + l_s + mu, float(m)
-    # Laguerre domain: order alpha = +-(n1 - n2) must exceed -1
-    alpha = (n2 - n1) if j == 0 else (n1 - n2)
+    alpha = _laguerre_order(j, l_s, dc.field.mu)
     if not alpha > -1.0:
         raise DomainError("radial profile outside the Laguerre domain")
+    n1, n2 = _radial_numbers(j, alpha, float(m))
     return RelQuantumNumbers(j=j, l=int(l), m=int(m), sigma=sigma, l_sigma=int(l_s),
                              n1=n1, n2=n2)
 
@@ -158,7 +144,7 @@ def rel_basis_fn(q: RelQuantumNumbers, dc: DiracConfig, theta, rho):
     unbounded as rho -> 0.
     """
     phase = np.exp(1j * (q.l_sigma - dc.field.l0) * np.asarray(theta, dtype=float))
-    out = phase * _profiles(q.sigma, q.l_sigma, q.m, dc, np.asarray(rho, dtype=float))[q.m]
+    out = phase * _profiles(q.sigma, q.l_sigma, q.m, dc, rho)[q.m]
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -290,31 +276,22 @@ def _component_family(sigma: int, L: int, dc: DiracConfig) -> tuple[float, int]:
 
     Returns (alpha, j): the order of the orthonormal radial family
     I_{m+alpha,m}(rho) at that angular index under the vartheta boundary
-    condition, and its branch.  On branch 1 the first index is
-    n1 = m + alpha, on branch 0 it is n1 = m.
+    condition, and its branch, the one whose range holds the Dirac row
+    l = L + (1 + sigma)/2.
     """
-    l = L + (1 + sigma) // 2
-    j0_ok = _l_range_ok(0, l, dc.vartheta)
-    j1_ok = _l_range_ok(1, l, dc.vartheta)
-    if j0_ok == j1_ok:
-        raise DomainError(f"angular index l = {l} not in either branch range")
-    j = 1 if j1_ok else 0
-    alpha = (L + dc.field.mu) if j == 1 else -(L + dc.field.mu)
+    j = _branch_of(L + (1 + sigma) // 2, dc.vartheta)
+    alpha = _laguerre_order(j, L, dc.field.mu)
     if not alpha > -1.0:
         raise DomainError("profile family outside the Laguerre domain")
     return alpha, j
 
 
 def _profiles(sigma: int, L: int, m_max: int, dc: DiracConfig, rho) -> np.ndarray:
-    """Radial profiles of a spin slot's eigenfamily, rows m = 0..m_max.
-
-    sqrt(gamma / 2 pi) I(rho), times the branch phase exp(-i pi L) on
-    branch 1: the one profile behind the scalar component functions, the
-    eigenspinor seeds and the spectral expansion of Pi0.
-    """
-    alpha, j = _component_family(sigma, L, dc)
-    tab = math.sqrt(dc.field.gamma / (2.0 * math.pi)) * laguerre_fn_table(alpha, m_max, rho)
-    return tab * (cmath.exp(-1j * math.pi * L) if j == 1 else 1.0 + 0.0j)
+    """Radial profiles of a spin slot's eigenfamily, rows m = 0..m_max: the
+    planar profiles of row L on the slot's branch, behind the scalar
+    component functions, the eigenspinor seeds and the spectral expansion
+    of Pi0."""
+    return _row_profiles(_component_family(sigma, L, dc)[1], L, m_max, rho, dc.field)
 
 
 def _expand_component(vals: np.ndarray, sigma: int, L: int, dc: DiracConfig,
@@ -326,12 +303,12 @@ def _expand_component(vals: np.ndarray, sigma: int, L: int, dc: DiracConfig,
     so that coefficients are the spinor-product amplitudes.
     """
     alpha, j = _component_family(sigma, L, dc)
-    tab = _profiles(sigma, L, m_max, dc, grid.nodes)
+    tab = _row_profiles(j, L, m_max, grid.nodes, dc.field)
     scale = 2.0 * math.pi / dc.field.gamma
     coeffs = scale * (np.conj(tab) @ (grid.weights * vals))
     recon = coeffs @ tab
     resid = math.sqrt(abs(scale * grid.integrate(np.abs(vals - recon) ** 2)))
-    return coeffs, resid, tab, np.arange(m_max + 1) + (alpha if j == 1 else 0.0)
+    return coeffs, resid, tab, _radial_numbers(j, alpha, np.arange(m_max + 1.0))[0]
 
 
 def apply_pi0(s: Spinor2, dc: DiracConfig, m_max: int = 48,
@@ -454,9 +431,8 @@ def _rel_table(j: int, label: CSLabel, dc: DiracConfig, charge: int):
 
 
 def _rel_ln_weight(j: int, alpha: np.ndarray, cols: int, dc: DiracConfig, charge: int):
-    """ln 2M(E + M) over rows of order alpha and m = 0..cols-1, with
-    n1 = m on branch 0 and m + alpha on branch 1."""
-    n1 = np.arange(cols) + np.where(j == 1, alpha, 0.0)[:, None]
+    """ln 2M(E + M) over rows of order alpha and m = 0..cols-1."""
+    n1, _ = _radial_numbers(j, alpha[:, None], np.arange(cols, dtype=float))
     return np.log(2.0 * dc.mass * (_energy(n1, charge, dc) + dc.mass))
 
 
@@ -475,7 +451,8 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
     blocks at 1e-14; each kept block is built as one batch of
     eigenspinors and summed by one matrix product.  Requires M > 0 (the
     weight degenerates in the massless limit); raises TruncationError
-    when the radial grid misses more than _REL_GRID_SHARE of Mcal.
+    as soon as the rows built so far miss more than _REL_GRID_SHARE of
+    Mcal on the radial grid.
     """
     l_s, alpha, ln_c, phase = _rel_table(j, label, dc, charge)
     if grid is None:
@@ -496,11 +473,11 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
         states.update({(int(l), int(m)): (cm, e) for m, cm, e in zip(ms, c.tolist(), energies)})
         share = np.exp(ln_w_row[ms] - ln_mcal)
         missed += float(share @ np.abs(1.0 - seed_nrm**2))
+        if not missed <= _REL_GRID_SHARE:
+            raise TruncationError("radial grid too short for the relativistic coherent state",
+                                  norm_const, missed)
         coef = np.sqrt(share) * np.exp(1j * ph_row[ms])
         spinors[l_up] = Spinor2(grid=grid, l_up=l_up, up=up @ coef, dn=dn @ coef)
-    if not missed <= _REL_GRID_SHARE:
-        raise TruncationError("radial grid too short for the relativistic coherent state",
-                              norm_const, missed)
     return RelCS(j=j, charge=charge, label=label, states=states,
                  norm_const=norm_const, spinors=spinors, grid=grid)
 
@@ -630,12 +607,7 @@ def xi_flip(s: Spinor2) -> Spinor2:
 
 
 def _rel_bessel_index(sigma: int, l: int, mu: float, vartheta: int) -> float:
-    if l != 0:
-        l_s = l - (1 + sigma) // 2
-        return abs(l_s + mu)
-    if vartheta == 1:
-        return (1 + sigma) / 2.0 - mu
-    return mu - (1 + sigma) / 2.0
+    return _laguerre_order(_branch_of(l, vartheta), l - (1 + sigma) // 2, mu)
 
 
 def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,

@@ -19,30 +19,41 @@ are
 
 with N = sqrt(gamma / 2 pi) and the Laguerre functions of
 :mod:`msf.specfun`.
+
+The branch map behind every sector is defined here once, as private
+helpers the other modules read.  Under an extension label vartheta the
+two branches split the angular numbers at one edge,
+
+    branch 0:  l <= -(1 - vartheta)/2,    branch 1:  l >= (1 + vartheta)/2,
+
+so vartheta = -1 gives the planar ranges above and the Dirac extensions
+vartheta = +-1 their own (:mod:`msf.dirac` evaluates Dirac row
+(j, l, sigma) as planar row l_s = l - (1 + sigma)/2 on the branch whose
+range holds l).  A row has Laguerre order alpha = -(l + mu) on branch 0
+and l + mu on branch 1, radial numbers (n1, n2) = (m, m + alpha) or
+(m + alpha, m), and profiles sqrt(gamma / 2 pi) I_{m+alpha,m}(rho) times
+the branch phase exp(-i pi l) on branch 1.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import DomainError, laguerre_fn, laguerre_fn_table
+from .specfun import DomainError, laguerre_fn_table
 
 __all__ = [
     "FieldConfig",
     "QuantumNumbers",
     "Quadrature",
-    "GridFunction",
     "resolve_qnums",
     "stationary_state",
     "energy_nonrel",
     "make_quadrature",
-    "inner_product_perp",
-    "state_on_grid",
-    "radial_alpha",
 ]
 
 
@@ -79,22 +90,63 @@ class QuantumNumbers:
     n2: float
 
 
-def resolve_qnums(j: int, l: int, m: int, cfg: FieldConfig) -> QuantumNumbers:
-    """Validate (j, l, m) against the branch domains and derive (n1, n2)."""
+def _branch_of(l: int, vartheta: int = -1) -> int:
+    """Branch 0 when l <= -(1 - vartheta)/2, else branch 1."""
+    return 0 if l <= -(1 - vartheta) // 2 else 1
+
+
+def _branch_l_values(j: int, vartheta: int = -1):
+    """Angular numbers of branch j, outward from the edge of :func:`_branch_of`:
+    branch 0 counts down from -(1 - vartheta)/2, branch 1 up from
+    (1 + vartheta)/2."""
     if j not in (0, 1):
         raise DomainError("branch j must be 0 or 1")
+    edge = -(1 - vartheta) // 2
+    return itertools.count(edge, -1) if j == 0 else itertools.count(edge + 1)
+
+
+def _check_branch(j: int, l: int, vartheta: int = -1) -> None:
+    """DomainError unless j is a branch and l lies in its range."""
+    if j not in (0, 1):
+        raise DomainError("branch j must be 0 or 1")
+    if _branch_of(l, vartheta) != j:
+        raise DomainError(f"l = {l} outside the branch-{j} range for vartheta = {vartheta}")
+
+
+def _laguerre_order(j: int, l, mu: float):
+    """Laguerre order -(l + mu) on branch 0 and l + mu on branch 1,
+    elementwise over l; not validated."""
+    return l + mu if j == 1 else -(l + mu)
+
+
+def _radial_numbers(j: int, alpha, m):
+    """(n1, n2) = (m, m + alpha) on branch 0 and (m + alpha, m) on branch 1."""
+    return (m, m + alpha) if j == 0 else (m + alpha, m)
+
+
+def _profile_factor(j: int, l, cfg: FieldConfig):
+    """sqrt(gamma / 2 pi) times the branch phase exp(-i pi l) on branch 1,
+    elementwise over l."""
+    norm = math.sqrt(cfg.gamma / (2.0 * math.pi))
+    return norm * (np.exp(-1j * math.pi * np.asarray(l)) if j == 1
+                   else np.ones(np.shape(l), dtype=complex))
+
+
+def _profiles(j: int, l: int, m_max: int, rho, cfg: FieldConfig) -> np.ndarray:
+    """Radial profiles of row (j, l), m = 0..m_max, times :func:`_profile_factor`;
+    shape (m_max + 1, *np.shape(rho))."""
+    tab = laguerre_fn_table(_laguerre_order(j, l, cfg.mu), m_max, rho)
+    return tab.reshape(tab.shape[:1] + np.shape(rho)) * _profile_factor(j, l, cfg)
+
+
+def resolve_qnums(j: int, l: int, m: int, cfg: FieldConfig) -> QuantumNumbers:
+    """Validate (j, l, m) against the branch domains and derive (n1, n2)."""
     if m < 0 or m != int(m):
         raise DomainError("radial number m must be a non-negative integer")
     if l != int(l):
         raise DomainError("angular number l must be an integer")
-    if j == 0:
-        if l >= 0:
-            raise DomainError("branch j=0 requires l < 0")
-        n1, n2 = float(m), m - l - cfg.mu
-    else:
-        if l < 0:
-            raise DomainError("branch j=1 requires l >= 0")
-        n1, n2 = m + l + cfg.mu, float(m)
+    _check_branch(j, l)
+    n1, n2 = _radial_numbers(j, _laguerre_order(j, l, cfg.mu), float(m))
     return QuantumNumbers(j=j, l=int(l), m=int(m), n1=n1, n2=n2)
 
 
@@ -103,28 +155,10 @@ def energy_nonrel(q: QuantumNumbers, cfg: FieldConfig) -> float:
     return cfg.gamma * (q.n1 + 0.5)
 
 
-def radial_alpha(q: QuantumNumbers, cfg: FieldConfig) -> float:
-    """Order of the Laguerre function in the radial profile.
-
-    The profile behaves as rho^(alpha/2) near the origin; alpha equals
-    -l - mu on branch 0 and l + mu on branch 1.
-    """
-    return (q.n2 - q.n1) if q.j == 0 else (q.n1 - q.n2)
-
-
-def _radial_profile(q: QuantumNumbers, rho) -> np.ndarray:
-    if q.j == 0:
-        return laguerre_fn(q.n2, q.m, rho)
-    return laguerre_fn(q.n1, q.m, rho)
-
-
 def stationary_state(q: QuantumNumbers, theta, rho, cfg: FieldConfig):
     """Wave function phi^(j)_{n1,n2}(theta, rho), broadcast over inputs."""
-    norm = math.sqrt(cfg.gamma / (2.0 * math.pi))
     phase = np.exp(1j * (q.l - cfg.l0) * np.asarray(theta, dtype=float))
-    if q.j == 1:
-        phase = phase * np.exp(-1j * math.pi * q.l)
-    out = norm * phase * _radial_profile(q, rho)
+    out = phase * _profiles(q.j, q.l, q.m, rho, cfg)[q.m]
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -172,47 +206,6 @@ def make_quadrature(alpha: float, n_nodes: int) -> Quadrature:
     return Quadrature(alpha=float(alpha), nodes=x, weights=w, plain_weights=np.exp(lw))
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """A radial profile with a single angular index on a shared rule.
-
-    Represents  f(theta, rho) = exp(i (l_index - l0) theta) * values(rho)
-    sampled at quad.nodes.
-    """
-
-    l_index: int
-    values: np.ndarray
-    quad: Quadrature
-
-
-def state_on_grid(q: QuantumNumbers, cfg: FieldConfig, quad: Quadrature) -> GridFunction:
-    """Sample a stationary state on a quadrature rule.
-
-    The angular factor exp(i (l - l0) theta) is carried symbolically via
-    l_index; the constant branch phase and normalization live in values.
-    """
-    norm = math.sqrt(cfg.gamma / (2.0 * math.pi))
-    vals = norm * _radial_profile(q, quad.nodes).astype(complex)
-    if q.j == 1:
-        vals = vals * np.exp(-1j * math.pi * q.l)
-    return GridFunction(l_index=q.l, values=vals, quad=quad)
-
-
-def inner_product_perp(f: GridFunction, g: GridFunction, cfg: FieldConfig) -> complex:
-    """Plane inner product (f, g) = (1/gamma) int drho dtheta conj(f) g.
-
-    The angular integral is exact: it vanishes unless the two angular
-    indices coincide, in which case it contributes 2 pi.  The radial
-    integral uses the shared quadrature rule.
-    """
-    if f.quad is not g.quad:
-        raise DomainError("grid functions must share one quadrature rule")
-    if f.l_index != g.l_index:
-        return 0.0 + 0.0j
-    radial = f.quad.integrate(np.conj(f.values) * g.values)
-    return complex(2.0 * math.pi / cfg.gamma * radial)
-
-
 def gram_matrix(states: list[QuantumNumbers], cfg: FieldConfig, n_nodes: int = 64) -> np.ndarray:
     """Gram matrix of stationary states under the plane inner product.
 
@@ -227,7 +220,7 @@ def gram_matrix(states: list[QuantumNumbers], cfg: FieldConfig, n_nodes: int = 6
     for i, q in enumerate(states):
         blocks.setdefault((q.j, q.l), []).append(i)
     for (j, l), idx in blocks.items():
-        alpha = radial_alpha(states[idx[0]], cfg)
+        alpha = _laguerre_order(j, l, cfg.mu)
         m_max = max(states[i].m for i in idx)
         quad = make_quadrature(alpha, max(2 * (m_max + 1), 8))
         tab = laguerre_fn_table(alpha, m_max, quad.nodes)
@@ -235,38 +228,3 @@ def gram_matrix(states: list[QuantumNumbers], cfg: FieldConfig, n_nodes: int = 6
             for b in idx:
                 out[a, b] = quad.integrate(tab[states[a].m] * tab[states[b].m])
     return out
-
-
-def hamiltonian_radial_residual(q: QuantumNumbers, cfg: FieldConfig, grid) -> float:
-    """Relative residual of the radial eigenvalue problem on a grid.
-
-    Applies the transverse Hamiltonian through the first-order ladder
-    factorization
-
-        H = -gamma ( D^-_{L+1} D^+_L + 1/2 ),
-        D^+-_L = sqrt(rho) d/drho -+ (L + mu)/(2 sqrt(rho)) -+ sqrt(rho)/2
-
-    on a :class:`msf.radial.RadialGrid` and compares against
-    gamma (n1 + 1/2) in an L2 sense.  The rho^(alpha/2) origin factor is
-    peeled off analytically at each step, so only entire functions are
-    differentiated numerically.
-    """
-    rho = grid.nodes
-    g = _radial_profile(q, rho)
-    L = q.l
-    mu = cfg.mu
-    alpha = radial_alpha(q, cfg)
-    h = g * rho ** (-alpha / 2.0)
-    # D^+_L applied to rho^(a/2) h, written as rho^((a-1)/2) h2
-    dh = grid.derivative(h)
-    c1 = 0.5 * (alpha - (L + mu))
-    h2 = rho * (dh - 0.5 * h) + c1 * h
-    # D^-_{L+1} applied to rho^((a-1)/2) h2, exponent drops to (a-2)/2
-    dh2 = grid.derivative(h2)
-    c2 = 0.5 * ((alpha - 1.0) + (L + 1 + mu))
-    h3 = rho * (dh2 + 0.5 * h2) + c2 * h2
-    hval = -cfg.gamma * (rho ** ((alpha - 2.0) / 2.0) * h3 + 0.5 * g)
-    target = energy_nonrel(q, cfg) * g
-    num = math.sqrt(float(grid.integrate(np.abs(hval - target) ** 2)))
-    den = math.sqrt(float(grid.integrate(np.abs(target) ** 2)))
-    return num / den

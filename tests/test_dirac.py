@@ -106,6 +106,23 @@ def test_mu_zero_reduction_to_landau():
             stationary_state(lq, theta, rho, FieldConfig(mu=0.0)), rel=1e-13)
 
 
+@pytest.mark.parametrize("vt, rows", [
+    (1, [(0, 0, 0, -1), (1, 1, 1, 1), (1, 2, 0, -1), (0, -2, 2, 1)]),
+    (-1, [(1, 0, 0, 1), (1, 2, 0, -1), (0, -1, 1, -1), (0, -2, 2, 1)]),
+])
+def test_rel_basis_fn_scalar_matches_array(vt, rows):
+    # both spins on both branches; the first row is the irregular l = 0 channel
+    dc = make_dc(mu=0.4, vartheta=vt)
+    rho = np.array([1e-4, 0.5, 3.0, 12.0])
+    for (j, l, m, sig) in rows:
+        q = resolve_rel_qnums(j, l, m, sig, dc)
+        arr = rel_basis_fn(q, dc, 0.6, rho)
+        for k, r in enumerate(rho):
+            val = rel_basis_fn(q, dc, 0.6, float(r))
+            assert type(val) is complex
+            assert val == pytest.approx(arr[k], rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("vt", [1, -1])
 def test_scalar_components_orthonormal(vt):
     # 20 spin-shifted scalar functions, plane inner product: the angular
@@ -449,6 +466,33 @@ def test_rel_cs_rejects_labels_past_its_radial_grid():
     ov = rel_cs_overlap_closed(1, big, other, dc, 1)
     assert np.isfinite(ov) and abs(ov) <= 1.0 + 1e-12
     assert rel_cs_overlap_closed(1, big, big, dc, 1) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mu", [0.5, 0.15])
+def test_rel_cs_refuses_before_building_the_table(monkeypatch, mu):
+    # the grid share is tested as each row is built, so a label the grid
+    # cannot hold is refused after its first block of eigenspinors
+    import msf.dirac as dirac
+
+    blocks = []
+    build = dirac._eigenspinors
+
+    def counting(*args, **kwargs):
+        blocks.append(args[:2])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dirac, "_eigenspinors", counting)
+    grid = make_radial_grid(rho_max=60.0)
+    big = CSLabel(cmath.rect(3.0, 0.3), cmath.rect(3.0, -1.1))
+    for vt in (1, -1):
+        dc = make_dc(mu=mu, vartheta=vt)
+        for j in (0, 1):
+            for charge in (1, -1):
+                blocks.clear()
+                with pytest.raises(TruncationError) as err:
+                    rel_cs(j, big, dc, charge, grid=grid)
+                assert len(blocks) <= 1, (vt, j, charge, blocks)
+                assert err.value.tail_bound > 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,51 @@
-"""Stationary states: quantum-number bookkeeping, orthonormality,
-energies, quadrature moments, and the radial eigenvalue residual."""
+"""Stationary states: the branch map, quantum-number bookkeeping,
+orthonormality, energies, quadrature moments, and the radial eigenvalue
+residual."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy import special as sp
 
+from msf.dirac import (
+    DiracConfig,
+    Spinor2,
+    apply_sigma_p,
+    basis_spinor_component,
+    d_norm,
+    e_perp_sq,
+    resolve_rel_qnums,
+)
 from msf.landau import (
     FieldConfig,
-    GridFunction,
+    _branch_l_values,
+    _branch_of,
     energy_nonrel,
     gram_matrix,
-    hamiltonian_radial_residual,
-    inner_product_perp,
     make_quadrature,
     resolve_qnums,
-    state_on_grid,
     stationary_state,
 )
 from msf.radial import make_radial_grid
 from msf.specfun import DomainError
+
+
+# the first angular number of branches 0 and 1 under each extension label
+_EDGES = {-1: (-1, 0), 1: (0, 1)}
+
+
+@pytest.mark.parametrize("vartheta", [-1, 1])
+def test_branch_map_edges(vartheta):
+    rows = [list(itertools.islice(_branch_l_values(j, vartheta), 60)) for j in (0, 1)]
+    first0, first1 = _EDGES[vartheta]
+    assert rows[0] == list(range(first0, first0 - 60, -1))
+    assert rows[1] == list(range(first1, first1 + 60))
+    for l in range(-50, 51):
+        assert (l in rows[0]) + (l in rows[1]) == 1, l
+    for j in (0, 1):
+        assert all(_branch_of(l, vartheta) == j for l in rows[j])
 
 
 def test_resolve_qnums_branch_formulas():
@@ -84,27 +109,29 @@ def test_quadrature_trivial_moments():
         3.3233509704478425512, rel=1e-13)  # Gamma(3.5), frozen
 
 
-def test_inner_product_unit_norm_and_angular_delta():
+def test_stationary_state_unit_norm_on_quadrature():
+    # plane norm (1/gamma) int drho dtheta |phi|^2 = (2 pi / gamma) int drho |phi|^2
     cfg = FieldConfig(gamma=1.3, mu=0.5)
-    # weight exponent matched to the integrand family: exact Gauss rule
-    quad = make_quadrature(2 + cfg.mu, 60)
-    f = state_on_grid(resolve_qnums(1, 2, 1, cfg), cfg, quad)
-    assert inner_product_perp(f, f, cfg).real == pytest.approx(1.0, abs=1e-12)
-    g = state_on_grid(resolve_qnums(1, 3, 1, cfg), cfg, quad)
-    assert inner_product_perp(f, g, cfg) == 0.0
+    q = resolve_qnums(1, 2, 1, cfg)
+    # weight exponent matched to the integrand family: exact Gauss rule;
     # a generic (unmatched) rule still converges, just algebraically
-    quad0 = make_quadrature(0.0, 120)
-    f0 = state_on_grid(resolve_qnums(1, 2, 1, cfg), cfg, quad0)
-    assert inner_product_perp(f0, f0, cfg).real == pytest.approx(1.0, abs=1e-7)
+    for quad, tol in ((make_quadrature(2 + cfg.mu, 60), 1e-12),
+                      (make_quadrature(0.0, 120), 1e-7)):
+        dens = np.abs(stationary_state(q, 0.9, quad.nodes, cfg)) ** 2
+        norm = 2.0 * math.pi / cfg.gamma * quad.integrate(dens)
+        assert norm == pytest.approx(1.0, abs=tol)
 
 
-def test_inner_product_rejects_mismatched_grids():
-    cfg = FieldConfig(mu=0.5)
-    qa, qb = make_quadrature(0.0, 24), make_quadrature(0.0, 24)
-    f = state_on_grid(resolve_qnums(1, 0, 0, cfg), cfg, qa)
-    g = state_on_grid(resolve_qnums(1, 0, 0, cfg), cfg, qb)
-    with pytest.raises(DomainError):
-        inner_product_perp(f, g, cfg)
+def test_stationary_state_scalar_matches_array():
+    cfg = FieldConfig(gamma=1.3, mu=0.3)
+    rho = np.array([0.0, 0.4, 2.5, 9.0])
+    for (j, l, m) in [(0, -1, 0), (0, -3, 2), (1, 0, 1), (1, 2, 3)]:
+        q = resolve_qnums(j, l, m, cfg)
+        arr = stationary_state(q, 0.7, rho, cfg)
+        for k, r in enumerate(rho):
+            val = stationary_state(q, 0.7, float(r), cfg)
+            assert type(val) is complex
+            assert val == pytest.approx(arr[k], rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.25, 0.5, 0.9])
@@ -143,10 +170,18 @@ def test_landau_degeneracy_labeling_mu0():
 
 
 def test_radial_hamiltonian_eigen_residual():
+    # planar row (j, l) is the seed slot of Dirac row l + 1 (sigma = +1)
+    # under vartheta = +1, where (sigma.P)^2 u = E_perp^2 u = 2 gamma (n1 + 1) u
     grid = make_radial_grid(rho_max=60.0)
     for (j, l, m, mu) in [(1, 0, 0, 0.0), (1, 2, 1, 0.5), (0, -1, 2, 0.3),
                           (0, -3, 0, 0.9)]:
-        cfg = FieldConfig(mu=mu)
-        q = resolve_qnums(j, l, m, cfg)
-        res = hamiltonian_radial_residual(q, cfg, grid)
+        dc = DiracConfig(field=FieldConfig(mu=mu), vartheta=1)
+        q = resolve_rel_qnums(j, l + 1, m, 1, dc)
+        planar = resolve_qnums(j, l, m, dc.field)
+        assert (q.l_sigma, q.n1, q.n2) == (l, planar.n1, planar.n2)
+        u = basis_spinor_component(q, dc, grid)
+        ppu = apply_sigma_p(apply_sigma_p(u, dc), dc)
+        t = e_perp_sq(q, dc)
+        diff = Spinor2(grid=grid, l_up=u.l_up, up=ppu.up - t * u.up, dn=ppu.dn - t * u.dn)
+        res = d_norm(diff, dc, origin_tail=False) / (t * d_norm(u, dc, origin_tail=False))
         assert res < 1e-6, (j, l, m, mu, res)
