@@ -54,7 +54,6 @@ from .dirac import (
     DiracConfig,
     RelQuantumNumbers,
     Spinor2,
-    apply_pi0,
     apply_sigma_p,
     dirac_spinor,
     embed_3p1,

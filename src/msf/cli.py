@@ -274,8 +274,7 @@ def suite_dirac(cfg: RunConfig, rep: VerificationReport):
     mu = cfg.mu if cfg.mu_set else 0.4
     for vt in (1, -1):
         dc, grid = _dirac_setup(cfg, mu, vt)
-        base1 = 1 if vt == 1 else 0
-        base0 = 0 if vt == 1 else -1
+        base1, base0 = next(_branch_l_values(1, vt)), next(_branch_l_values(0, vt))
         combos = [(1, base1 + dl, m) for dl in range(3) for m in range(2)]
         combos += [(0, base0 - dl, m) for dl in range(2) for m in range(2)]
         spinors = []
@@ -295,9 +294,8 @@ def suite_dirac(cfg: RunConfig, rep: VerificationReport):
             u = _dr.basis_spinor_component(q, dc, grid)
             ppu = _dr.apply_sigma_p(_dr.apply_sigma_p(u, dc), dc)
             t = _dr.e_perp_sq(q, dc)
-            diff = _dr.Spinor2(grid=grid, l_up=u.l_up, up=ppu.up - t * u.up, dn=ppu.dn - t * u.dn)
             if t != 0:
-                worst_p = max(worst_p, _dr.d_norm(diff, dc, origin_tail=False)
+                worst_p = max(worst_p, _dr.d_norm(ppu - t * u, dc, origin_tail=False)
                               / (abs(t) * _dr.d_norm(u, dc)))
             else:
                 worst_p = max(worst_p, _dr.d_norm(ppu, dc, origin_tail=False)
@@ -305,11 +303,8 @@ def suite_dirac(cfg: RunConfig, rep: VerificationReport):
         rep.add("sigma-p-squared", f"vt={vt:+d} mu={mu}", worst_p, _tol(cfg, 1e-6))
         worst_h = 0.0
         for (psi, e, charge) in spinors[:10]:
-            hpsi = _dr.hamiltonian_apply(psi, dc)
-            diff = _dr.Spinor2(grid=grid, l_up=psi.l_up,
-                               up=hpsi.up - charge * e * psi.up,
-                               dn=hpsi.dn - charge * e * psi.dn)
-            worst_h = max(worst_h, _dr.d_norm(diff, dc, origin_tail=False) / e)
+            resid = _dr.hamiltonian_apply(psi, dc) - charge * e * psi
+            worst_h = max(worst_h, _dr.d_norm(resid, dc, origin_tail=False) / e)
         rep.add("hamiltonian-residual", f"vt={vt:+d} mu={mu}", worst_h, _tol(cfg, 1e-5))
 
 
@@ -334,20 +329,13 @@ def suite_rel_cs(cfg: RunConfig, rep: VerificationReport):
 def suite_embed(cfg: RunConfig, rep: VerificationReport):
     mu = cfg.mu if cfg.mu_set else 0.4
     dc, grid = _dirac_setup(cfg, mu, cfg.vartheta)
-    base1 = 1 if cfg.vartheta == 1 else 0
+    base1 = next(_branch_l_values(1, cfg.vartheta))
     worst_sz = worst_n = worst_h = 0.0
     for s in (1, -1):
         for p3 in (0.0,):
             psi = _dr.embed_3p1(1, base1, 0, 1, s, p3, dc, grid)
             worst_n = max(worst_n, abs(math.sqrt(_dr.d_inner4(psi, psi, dc).real) - 1.0))
-            sz = _dr.sz_apply(psi, p3, dc)
-            diff = _dr.Spinor4(
-                upper=_dr.Spinor2(grid=grid, l_up=psi.upper.l_up,
-                                  up=sz.upper.up - s * psi.upper.up,
-                                  dn=sz.upper.dn - s * psi.upper.dn),
-                lower=_dr.Spinor2(grid=grid, l_up=psi.lower.l_up,
-                                  up=sz.lower.up - s * psi.lower.up,
-                                  dn=sz.lower.dn - s * psi.lower.dn))
+            diff = _dr.sz_apply(psi, p3, dc) - s * psi
             worst_sz = max(worst_sz, math.sqrt(abs(_dr.d_inner4(diff, diff, dc).real)))
     for p3 in (0.0, 0.7, -1.3):
         mt = math.sqrt(dc.mass**2 + p3 * p3)
@@ -355,14 +343,7 @@ def suite_embed(cfg: RunConfig, rep: VerificationReport):
         q = _dr.resolve_rel_qnums(1, base1, 0, 1, dct)
         et = _dr.e_energy(q, dct)
         psi = _dr.embed_3p1(1, base1, 0, 1, 1, p3, dc, grid)
-        h = _dr.h3p1_apply(psi, p3, dc)
-        diff = _dr.Spinor4(
-            upper=_dr.Spinor2(grid=grid, l_up=psi.upper.l_up,
-                              up=h.upper.up - et * psi.upper.up,
-                              dn=h.upper.dn - et * psi.upper.dn),
-            lower=_dr.Spinor2(grid=grid, l_up=psi.lower.l_up,
-                              up=h.lower.up - et * psi.lower.up,
-                              dn=h.lower.dn - et * psi.lower.dn))
+        diff = _dr.h3p1_apply(psi, p3, dc) - et * psi
         worst_h = max(worst_h, math.sqrt(abs(_dr.d_inner4(diff, diff, dc).real)) / et)
     rep.add("embed-unit-norm", f"mu={mu}", worst_n, _tol(cfg, 1e-10))
     rep.add("embed-sz-eigen", f"mu={mu} p3=0", worst_sz, _tol(cfg, 1e-5))
@@ -373,8 +354,7 @@ def suite_embed(cfg: RunConfig, rep: VerificationReport):
         dcm = replace(dc, mass=mass)
         psi = _dr.embed_3p1(1, base1, 0, 1, 1, 0.0, dcm, grid)
         big = math.sqrt(abs(_dr.d_inner(psi.upper, psi.upper, dcm).real))
-        rest = _dr.Spinor2(grid=grid, l_up=psi.upper.l_up,
-                           up=np.zeros_like(psi.upper.up), dn=psi.upper.dn)
+        rest = 0.5 * (psi.upper - psi.upper.sigma3())  # (1 - sigma3)/2: the lower slot
         small = math.sqrt(abs(_dr.d_inner(rest, rest, dcm).real
                               + _dr.d_inner(psi.lower, psi.lower, dcm).real))
         ratios.append(small / big)
@@ -465,7 +445,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise DomainError(f"malformed grid spec {spec!r}, expected start:stop:step") from exc
     if step <= 0 or stop < start:
         raise DomainError(f"malformed grid spec {spec!r}")
-    n = int(round((stop - start) / step))
+    n = math.floor((stop - start) / step + 1e-9)  # the slack keeps exact multiples
     return start + step * np.arange(n + 1)
 
 

@@ -16,19 +16,24 @@ Scalar building blocks (spin-shifted stationary functions):
 with l_s = l - (1 + sigma)/2: the branch map of :mod:`msf.landau` at
 extension vartheta, read for planar row l_s.  Transverse energy squared is
 2 gamma [n1 + (1 + sigma)/2]; the positive operator Pi0 has eigenvalues
-E = sqrt(M^2 + E_perp^2) and is always applied spectrally.
+E = sqrt(M^2 + E_perp^2).
 
 Spinor eigenstates of H are built by the operator string
 
     psi = C { sigma3 [ +- Pi0 - sigma.P ] + M } u,     u = phi_sigma v_sigma,
 
 with sigma = +1 for particles (+) and -1 for antiparticles (-), and C
-fixed by unit norm under the spinor inner product.  sigma.P moves the
-seed into the other slot, so the string collapses to (E + M) u in the
-seed slot plus sigma P_sigma u in the other (P_{+1} = P_+, P_{-1} = P_-).
-The states sharing (j, l, sigma) are built as one block, a column per
-m: a spinor is one column, a relativistic coherent state one block per
-l contracted with its amplitudes.
+fixed by unit norm under the spinor inner product.  Pi0 acts on the
+seed as its eigenvalue E and sigma.P moves it into the other slot, so
+the string collapses to (E + M) u in the seed slot plus sigma P_sigma u
+in the other (P_{+1} = P_+, P_{-1} = P_-).
+
+:class:`Spinor2` holds one spinor or a block with one column per state
+and does its own arithmetic (+, -, * by a number or one per column, /);
+the inner product works column by column, and :class:`Spinor4` stacks
+two.  The states sharing (j, l, sigma) are built as one block, a column
+per m: a spinor is one column, a relativistic coherent state one block
+per l contracted with its amplitudes.
 
 sigma.P acts by an exact angular shift plus the first-order radial
 ladder operator, applied through numerical differentiation on a
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,7 +66,6 @@ __all__ = [
     "rel_basis_fn",
     "basis_spinor_component",
     "apply_sigma_p",
-    "apply_pi0",
     "dirac_spinor",
     "hamiltonian_apply",
     "d_inner",
@@ -128,7 +133,7 @@ def e_perp_sq(q: RelQuantumNumbers, dc: DiracConfig) -> float:
 
 def e_energy(q: RelQuantumNumbers, dc: DiracConfig) -> float:
     """sqrt(M^2 + E_perp^2), the eigenvalue of Pi0."""
-    return math.sqrt(dc.mass**2 + e_perp_sq(q, dc))
+    return float(_energy(q.n1, q.sigma, dc))
 
 
 def _energy(n1, sigma: int, dc: DiracConfig):
@@ -148,13 +153,40 @@ def rel_basis_fn(q: RelQuantumNumbers, dc: DiracConfig, theta, rho):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
-class Spinor2:
-    """Two-component spinor on a shared radial grid.
+class _SpinorArithmetic:
+    """Spinor arithmetic through ``_map`` (one array at a time) and ``_zip``
+    (matching arrays of two operands): + and - of spinors of one sector,
+    * by a number or by one number per column, from either side, and / by
+    a number."""
 
-    Component values are radial profiles; the angular factors
+    __array_ufunc__ = None  # ndarray * spinor reaches __rmul__
+
+    def __add__(self, other):
+        return self._zip(other, operator.add) if type(other) is type(self) else NotImplemented
+
+    def __sub__(self, other):
+        return self._zip(other, operator.sub) if type(other) is type(self) else NotImplemented
+
+    def __mul__(self, c):
+        if isinstance(c, _SpinorArithmetic):
+            return NotImplemented
+        return self._map(lambda x: c * x)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        return self._map(lambda x: x / c)
+
+
+@dataclass(frozen=True)
+class Spinor2(_SpinorArithmetic):
+    """Two-component spinor on a shared radial grid, or a block of them.
+
+    Component values are radial profiles of shape (nodes,), or (nodes, k)
+    for a block with one column per state; the angular factors
     exp(i (L - l0) theta) are carried through the indices (l_up, l_dn).
-    Consistent total angular momentum requires l_dn = l_up + 1.
+    Consistent total angular momentum requires l_dn = l_up + 1.  Sums and
+    differences need one grid and one l_up, else DomainError.
     """
 
     grid: RadialGrid
@@ -163,40 +195,27 @@ class Spinor2:
     dn: np.ndarray
 
     def __post_init__(self):
-        if self.up.shape != self.grid.nodes.shape or self.dn.shape != self.grid.nodes.shape:
-            raise DomainError("component shape must match the grid")
+        shape = self.up.shape
+        if self.dn.shape != shape or len(shape) not in (1, 2) or shape[0] != self.grid.nodes.size:
+            raise DomainError("components must share one shape, (nodes,) or (nodes, k)")
 
     @property
     def l_dn(self) -> int:
         return self.l_up + 1
 
-    def scale(self, c: complex) -> "Spinor2":
-        return replace(self, up=c * self.up, dn=c * self.dn)
+    def _map(self, f) -> "Spinor2":
+        return Spinor2(self.grid, self.l_up, f(self.up), f(self.dn))
+
+    def _zip(self, other: "Spinor2", f) -> "Spinor2":
+        if self.grid is not other.grid or self.l_up != other.l_up:
+            raise DomainError("spinors must share one grid and one angular sector")
+        return Spinor2(self.grid, self.l_up, f(self.up, other.up), f(self.dn, other.dn))
 
     def sigma3(self) -> "Spinor2":
-        return replace(self, dn=-self.dn)
+        return Spinor2(self.grid, self.l_up, self.up, -self.dn)
 
 
-def _inner(l_up: int, a, b, dc: DiracConfig, grid: RadialGrid, origin_tail: bool):
-    """:func:`d_inner` of (up, dn) slot pairs, elementwise over trailing columns."""
-    r1, r2 = grid.nodes[:2]
-    delta = grid.rho_min
-    total = 0.0
-    for av, bv, sigma, L in ((a[0], b[0], 1, l_up), (a[1], b[1], -1, l_up + 1)):
-        w = np.conj(av) * bv
-        total = total + grid.weights @ w
-        if origin_tail:
-            alpha, _ = _component_family(sigma, L, dc)
-            # two-term fit w = (rho / rho_min)^alpha (c0 + c1 rho) through the
-            # first two nodes, integrated over (0, rho_min); the ratios stay finite
-            h1, h2 = w[0] * (delta / r1) ** alpha, w[1] * (delta / r2) ** alpha
-            c1 = (h2 - h1) / (r2 - r1)
-            c0 = h1 - c1 * r1
-            total = total + delta * (c0 / (alpha + 1.0) + c1 * delta / (alpha + 2.0))
-    return 2.0 * math.pi / dc.field.gamma * total
-
-
-def d_inner(a: Spinor2, b: Spinor2, dc: DiracConfig, origin_tail: bool = True) -> complex:
+def d_inner(a: Spinor2, b: Spinor2, dc: DiracConfig, origin_tail: bool = True):
     """Spinor inner product (1/gamma) int drho dtheta a^dag b.
 
     The grid covers [rho_min, rho_max].  With ``origin_tail`` the
@@ -205,26 +224,50 @@ def d_inner(a: Spinor2, b: Spinor2, dc: DiracConfig, origin_tail: bool = True) -
     first nodes); without it, pairs involving the irregular vartheta
     profiles lose O(rho_min^(1-mu)) of orthogonality.  Residual fields
     produced by grid differentiation do not follow the family power law
-    and should be measured with ``origin_tail=False``.
+    and should be measured with ``origin_tail=False``.  A complex for two
+    spinors; for two blocks an array, column k of a against column k of b.
     """
     if a.grid is not b.grid:
         raise DomainError("spinors must share one grid")
     if a.l_up != b.l_up:
-        return 0.0 + 0.0j
-    return complex(_inner(a.l_up, (a.up, a.dn), (b.up, b.dn), dc, a.grid, origin_tail))
+        return 0j if a.up.ndim == 1 else np.zeros(a.up.shape[1], dtype=complex)
+    r1, r2 = a.grid.nodes[:2]
+    delta = a.grid.rho_min
+    total = 0.0
+    for av, bv, sigma, L in ((a.up, b.up, 1, a.l_up), (a.dn, b.dn, -1, a.l_dn)):
+        w = np.conj(av) * bv
+        total = total + a.grid.weights @ w
+        if origin_tail:
+            alpha, _ = _component_family(sigma, L, dc)
+            # two-term fit w = (rho / rho_min)^alpha (c0 + c1 rho) through the
+            # first two nodes, integrated over (0, rho_min); the ratios stay finite
+            h1, h2 = w[0] * (delta / r1) ** alpha, w[1] * (delta / r2) ** alpha
+            c1 = (h2 - h1) / (r2 - r1)
+            c0 = h1 - c1 * r1
+            total = total + delta * (c0 / (alpha + 1.0) + c1 * delta / (alpha + 2.0))
+    total = 2.0 * math.pi / dc.field.gamma * total
+    return complex(total) if np.ndim(total) == 0 else total
 
 
-def d_norm(a: Spinor2, dc: DiracConfig, origin_tail: bool = True) -> float:
-    return math.sqrt(max(d_inner(a, a, dc, origin_tail).real, 0.0))
+def d_norm(a: Spinor2, dc: DiracConfig, origin_tail: bool = True):
+    """sqrt(max(Re d_inner(a, a), 0)): a float, or one per column of a block."""
+    nrm = np.sqrt(np.maximum(np.real(d_inner(a, a, dc, origin_tail)), 0.0))
+    return float(nrm) if np.ndim(nrm) == 0 else nrm
+
+
+def _seed_block(seed: np.ndarray, other: np.ndarray, sigma: int, l_s: int,
+                grid: RadialGrid) -> Spinor2:
+    """``seed`` in spin slot sigma at angular index l_s and ``other`` in the
+    other slot: l_up = l_s for sigma = +1, l_s - 1 for sigma = -1."""
+    if sigma == 1:
+        return Spinor2(grid=grid, l_up=l_s, up=seed, dn=other)
+    return Spinor2(grid=grid, l_up=l_s - 1, up=other, dn=seed)
 
 
 def basis_spinor_component(q: RelQuantumNumbers, dc: DiracConfig, grid: RadialGrid) -> Spinor2:
     """u = phi_sigma v_sigma: the scalar profile in the sigma slot."""
     prof = _profiles(q.sigma, q.l_sigma, q.m, dc, grid.nodes)[q.m]
-    zero = np.zeros_like(prof)
-    if q.sigma == 1:
-        return Spinor2(grid=grid, l_up=q.l_sigma, up=prof, dn=zero)
-    return Spinor2(grid=grid, l_up=q.l_sigma - 1, up=zero, dn=prof)
+    return _seed_block(prof, np.zeros_like(prof), q.sigma, q.l_sigma, grid)
 
 
 def _ladder(vals: np.ndarray, sigma: int, L: int, raising: bool,
@@ -289,91 +332,40 @@ def _component_family(sigma: int, L: int, dc: DiracConfig) -> tuple[float, int]:
 def _profiles(sigma: int, L: int, m_max: int, dc: DiracConfig, rho) -> np.ndarray:
     """Radial profiles of a spin slot's eigenfamily, rows m = 0..m_max: the
     planar profiles of row L on the slot's branch, behind the scalar
-    component functions, the eigenspinor seeds and the spectral expansion
-    of Pi0."""
+    component functions and the eigenspinor seeds."""
     return _row_profiles(_component_family(sigma, L, dc)[1], L, m_max, rho, dc.field)
-
-
-def _expand_component(vals: np.ndarray, sigma: int, L: int, dc: DiracConfig,
-                      grid: RadialGrid, m_max: int):
-    """Project a radial profile on the scalar eigenfamily of its slot.
-
-    Returns (coefficients, residual norm, profile table, n1 per row).
-    Profiles are expanded against sqrt(gamma/2 pi)-normalized functions
-    so that coefficients are the spinor-product amplitudes.
-    """
-    alpha, j = _component_family(sigma, L, dc)
-    tab = _row_profiles(j, L, m_max, grid.nodes, dc.field)
-    scale = 2.0 * math.pi / dc.field.gamma
-    coeffs = scale * (np.conj(tab) @ (grid.weights * vals))
-    recon = coeffs @ tab
-    resid = math.sqrt(abs(scale * grid.integrate(np.abs(vals - recon) ** 2)))
-    return coeffs, resid, tab, _radial_numbers(j, alpha, np.arange(m_max + 1.0))[0]
-
-
-def apply_pi0(s: Spinor2, dc: DiracConfig, m_max: int = 48,
-              resid_tol: float = 1e-7) -> Spinor2:
-    """Spectral action of the positive operator Pi0 = sqrt(M^2 + (sigma.P)^2).
-
-    Each component is expanded in the scalar eigenfamily of its slot and
-    the coefficients are scaled by sqrt(M^2 + 2 gamma [n1 + (1+sigma)/2]).
-    Raises DomainError (with the residual) if the expansion does not
-    capture the profile.
-    """
-    out = {}
-    for slot, vals, L in (("up", s.up, s.l_up), ("dn", s.dn, s.l_dn)):
-        sigma = 1 if slot == "up" else -1
-        nrm = math.sqrt(abs(2.0 * math.pi / dc.field.gamma
-                            * s.grid.integrate(np.abs(vals) ** 2)))
-        if nrm == 0.0:
-            out[slot] = np.zeros_like(vals)
-            continue
-        coeffs, resid, tab, n1 = _expand_component(vals, sigma, L, dc, s.grid, m_max)
-        if resid > resid_tol * nrm:
-            raise DomainError(
-                f"profile not in the spectral family (residual {resid:.3e} vs norm {nrm:.3e})"
-            )
-        energies = _energy(n1, sigma, dc)
-        out[slot] = (coeffs * energies) @ tab
-    return Spinor2(grid=s.grid, l_up=s.l_up, up=out["up"], dn=out["dn"])
 
 
 def hamiltonian_apply(s: Spinor2, dc: DiracConfig) -> Spinor2:
     """H = sigma.P + M sigma3, applied on the grid."""
-    hp = apply_sigma_p(s, dc)
-    return Spinor2(grid=s.grid, l_up=s.l_up,
-                   up=hp.up + dc.mass * s.up,
-                   dn=hp.dn - dc.mass * s.dn)
+    return apply_sigma_p(s, dc) + dc.mass * s.sigma3()
 
 
 def _eigenspinors(j: int, l: int, ms, dc: DiracConfig, charge: int, grid: RadialGrid):
-    """(l_up, up, dn, energies, seed_nrm) of the eigenspinors
-    (j, l, m, sigma = charge), up and dn with one column per m in ``ms``:
-    the collapsed operator string with one ladder action for the block,
-    unit norm, and the first nonvanishing component real and positive at
-    the smallest node.  seed_nrm are the grid norms of the unit-norm seeds.
+    """(psi, energies, seed_nrm) of the eigenspinors (j, l, m, sigma = charge),
+    psi a block with one column per m in ``ms``: the collapsed operator
+    string with one ladder action for the block, unit norm, and the first
+    nonvanishing component real and positive at the smallest node.
+    seed_nrm are the grid norms of the unit-norm seeds.
     """
     q0 = resolve_rel_qnums(j, l, 0, charge, dc)
     l_s = q0.l_sigma
     energies = _energy(q0.n1 + np.asarray(ms), charge, dc)  # n1 grows by one with m
     prof = _profiles(charge, l_s, max(ms), dc, grid.nodes)[list(ms)].T
-    seed = (energies + dc.mass) * prof
-    other = charge * _ladder(prof, charge, l_s, charge == 1, dc, grid)
-    # (up, dn) slot order: the seed occupies the upper slot for charge +1
-    l_up = l_s if charge == 1 else l_s - 1
-    up, dn = (seed, other) if charge == 1 else (other, seed)
-    zero = np.zeros_like(prof)
-    bare = (prof, zero) if charge == 1 else (zero, prof)
-    nrm = np.sqrt(np.maximum(_inner(l_up, (up, dn), (up, dn), dc, grid, True).real, 0.0))
-    seed_nrm = np.sqrt(np.maximum(_inner(l_up, bare, bare, dc, grid, True).real, 0.0))
+    psi = _seed_block((energies + dc.mass) * prof,
+                      charge * _ladder(prof, charge, l_s, charge == 1, dc, grid),
+                      charge, l_s, grid)
+    # both blocks before either norm: a zero slot allocated between the two
+    # norms' temporaries made rel_cs take about 70% more page faults
+    bare = _seed_block(prof, np.zeros_like(prof), charge, l_s, grid)
+    nrm, seed_nrm = d_norm(psi, dc), d_norm(bare, dc)
     if np.any(nrm <= 1e-10 * np.maximum(seed_nrm * np.maximum(energies, max(dc.mass, 1.0)),
                                          1e-30)):
         raise SpectralBoundaryError(
             "operator string annihilated the seed state (zero-norm spinor)"
         )
-    ref = np.where(up[0] != 0, up[0], dn[0])
-    scale = np.exp(-1j * np.angle(ref)) / nrm
-    return l_up, up * scale, dn * scale, energies, seed_nrm
+    ref = np.where(psi.up[0] != 0, psi.up[0], psi.dn[0])
+    return np.exp(-1j * np.angle(ref)) / nrm * psi, energies, seed_nrm
 
 
 def dirac_spinor(q: RelQuantumNumbers, dc: DiracConfig, charge: int,
@@ -384,12 +376,12 @@ def dirac_spinor(q: RelQuantumNumbers, dc: DiracConfig, charge: int,
     scalar, charge = -1 the negative-energy state from sigma = -1; the
     Hamiltonian eigenvalue is charge * E.  Raises SpectralBoundaryError
     when the operator string annihilates the seed (massless zero mode).
-    One column of the block :func:`rel_cs` builds.
+    Column 0 of the one-column block :func:`_eigenspinors` builds.
     """
     if q.sigma != charge:
         raise DomainError("seed spin label must match the charge branch (+1 or -1)")
-    l_up, up, dn, energies, _ = _eigenspinors(q.j, q.l, [q.m], dc, charge, grid)
-    return Spinor2(grid=grid, l_up=l_up, up=up[:, 0], dn=dn[:, 0]), float(energies[0])
+    psi, energies, _ = _eigenspinors(q.j, q.l, [q.m], dc, charge, grid)
+    return psi._map(lambda x: x[:, 0]), float(energies[0])
 
 
 @dataclass(frozen=True)
@@ -468,7 +460,7 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
         ms = np.flatnonzero(ln_row > -np.inf)
         if ms.size == 0:
             continue
-        l_up, up, dn, energies, seed_nrm = _eigenspinors(j, l, ms, dc, charge, grid)
+        psi, energies, seed_nrm = _eigenspinors(j, l, ms, dc, charge, grid)
         c = np.exp(ln_row[ms] + 1j * ph_row[ms])
         states.update({(int(l), int(m)): (cm, e) for m, cm, e in zip(ms, c.tolist(), energies)})
         share = np.exp(ln_w_row[ms] - ln_mcal)
@@ -477,7 +469,7 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
             raise TruncationError("radial grid too short for the relativistic coherent state",
                                   norm_const, missed)
         coef = np.sqrt(share) * np.exp(1j * ph_row[ms])
-        spinors[l_up] = Spinor2(grid=grid, l_up=l_up, up=up @ coef, dn=dn @ coef)
+        spinors[psi.l_up] = psi._map(lambda x: x @ coef)
     return RelCS(j=j, charge=charge, label=label, states=states,
                  norm_const=norm_const, spinors=spinors, grid=grid)
 
@@ -510,14 +502,21 @@ def rel_cs_overlap_closed(j: int, label_a: CSLabel, label_b: CSLabel,
 
 
 @dataclass(frozen=True)
-class Spinor4:
-    """Four-component spinor: upper/lower Spinor2 blocks on one grid."""
+class Spinor4(_SpinorArithmetic):
+    """Four-component spinor: upper/lower Spinor2 blocks on one grid, with
+    the arithmetic of :class:`Spinor2` applied to both."""
 
     upper: Spinor2
     lower: Spinor2
 
-    def scale(self, c: complex) -> "Spinor4":
-        return Spinor4(upper=self.upper.scale(c), lower=self.lower.scale(c))
+    def _map(self, f) -> "Spinor4":
+        return Spinor4(self.upper._map(f), self.lower._map(f))
+
+    def _zip(self, other: "Spinor4", f) -> "Spinor4":
+        return Spinor4(self.upper._zip(other.upper, f), self.lower._zip(other.lower, f))
+
+    def sigma3(self) -> "Spinor4":
+        return Spinor4(self.upper.sigma3(), self.lower.sigma3())
 
 
 def d_inner4(a: Spinor4, b: Spinor4, dc: DiracConfig) -> complex:
@@ -550,11 +549,11 @@ def embed_3p1(j: int, l: int, m: int, charge: int, s: int, p3: float,
     psi_dn, _ = dirac_spinor(q_dn, dct, -charge, grid)
     f_up = p3 + s * m_tilde + dc.mass
     f_dn = p3 + s * m_tilde - dc.mass
-    four = Spinor4(upper=psi_up.scale(f_up), lower=psi_dn.sigma3().scale(f_dn))
+    four = Spinor4(upper=f_up * psi_up, lower=f_dn * psi_dn.sigma3())
     nrm = math.sqrt(max(d_inner4(four, four, dc).real, 0.0))
     if nrm == 0.0:
         raise SpectralBoundaryError("embedded spinor has zero norm")
-    return four.scale(1.0 / nrm)
+    return (1.0 / nrm) * four
 
 
 def h3p1_apply(psi: Spinor4, p3: float, dc: DiracConfig) -> Spinor4:
@@ -566,12 +565,8 @@ def h3p1_apply(psi: Spinor4, p3: float, dc: DiracConfig) -> Spinor4:
     """
     m_tilde = math.sqrt(dc.mass**2 + p3 * p3)
     dct = replace(dc, mass=m_tilde)
-    up = hamiltonian_apply(psi.upper, dct)
-    hp = apply_sigma_p(psi.lower, dct)
-    low = Spinor2(grid=psi.lower.grid, l_up=psi.lower.l_up,
-                  up=hp.up - m_tilde * psi.lower.up,
-                  dn=hp.dn + m_tilde * psi.lower.dn)
-    return Spinor4(upper=up, lower=low)
+    return Spinor4(upper=hamiltonian_apply(psi.upper, dct),
+                   lower=apply_sigma_p(psi.lower, dct) - m_tilde * psi.lower.sigma3())
 
 
 def sz_apply(psi: Spinor4, p3: float, dc: DiracConfig) -> Spinor4:
@@ -583,18 +578,7 @@ def sz_apply(psi: Spinor4, p3: float, dc: DiracConfig) -> Spinor4:
     convention and is not asserted.
     """
     m_tilde = math.sqrt(dc.mass**2 + p3 * p3)
-    sig = Spinor4(upper=psi.upper.sigma3(), lower=psi.lower.sigma3())
-    a = h3p1_apply(sig, p3, dc)
-    hb = h3p1_apply(psi, p3, dc)
-    b = Spinor4(upper=hb.upper.sigma3(), lower=hb.lower.sigma3())
-    return Spinor4(
-        upper=Spinor2(grid=psi.upper.grid, l_up=psi.upper.l_up,
-                      up=(a.upper.up + b.upper.up) / (2 * m_tilde),
-                      dn=(a.upper.dn + b.upper.dn) / (2 * m_tilde)),
-        lower=Spinor2(grid=psi.lower.grid, l_up=psi.lower.l_up,
-                      up=(a.lower.up + b.lower.up) / (2 * m_tilde),
-                      dn=(a.lower.dn + b.lower.dn) / (2 * m_tilde)),
-    )
+    return (h3p1_apply(psi.sigma3(), p3, dc) + h3p1_apply(psi, p3, dc).sigma3()) / (2 * m_tilde)
 
 
 def xi_flip(s: Spinor2) -> Spinor2:

@@ -139,6 +139,10 @@ def test_bad_config_file(tmp_path):
 def test_grid_parse():
     grid = _parse_grid("0:4:0.5")
     assert len(grid) == 9 and grid[0] == 0.0 and grid[-1] == 4.0
+    # a step that does not divide the span stops short of stop
+    assert list(_parse_grid("0:1:0.6")) == [0.0, 0.6]
+    # (0.3 - 0.1) / 0.1 rounds below 2: the exact multiple keeps its end point
+    assert len(_parse_grid("0.1:0.3:0.1")) == 3
 
 
 def test_verify_suite_api():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from msf.landau import FieldConfig
+from msf.landau import FieldConfig, _branch_l_values
 from msf.radial import make_radial_grid
 from msf.specfun import DomainError, TruncationError, laguerre_fn_table
 from msf.cs import CSLabel
@@ -17,8 +17,6 @@ from msf.dirac import (
     DiracConfig,
     SpectralBoundaryError,
     Spinor2,
-    Spinor4,
-    apply_pi0,
     apply_sigma_p,
     basis_spinor_component,
     d_inner,
@@ -39,7 +37,7 @@ from msf.dirac import (
     sz_apply,
     xi_flip,
 )
-from msf.dirac import _rel_bessel_index
+from msf.dirac import _eigenspinors, _rel_bessel_index
 
 
 GRID = make_radial_grid(rho_max=70.0)
@@ -129,8 +127,7 @@ def test_scalar_components_orthonormal(vt):
     # factor gives exact deltas, the radial integrals are quadratures
     # with the origin-tail correction
     dc = make_dc(mu=0.4, vartheta=vt)
-    base1 = 1 if vt == 1 else 0
-    base0 = 0 if vt == 1 else -1
+    base1, base0 = next(_branch_l_values(1, vt)), next(_branch_l_values(0, vt))
     qs = []
     for sig in (1, -1):
         qs += [resolve_rel_qnums(1, base1 + dl, m, sig, dc)
@@ -175,18 +172,15 @@ def test_irregular_profile_square_integrable():
 @pytest.mark.parametrize("vt", [1, -1])
 def test_sigma_p_squared_eigenvalue(vt):
     dc = make_dc(mu=0.4, vartheta=vt)
-    base1 = 1 if vt == 1 else 0
-    base0 = 0 if vt == 1 else -1
+    base1, base0 = next(_branch_l_values(1, vt)), next(_branch_l_values(0, vt))
     for (j, l, m, sig) in [(1, base1, 0, 1), (1, base1 + 1, 1, -1),
                            (0, base0, 0, -1), (0, base0 - 1, 2, 1)]:
         q = resolve_rel_qnums(j, l, m, sig, dc)
         u = basis_spinor_component(q, dc, GRID)
         ppu = apply_sigma_p(apply_sigma_p(u, dc), dc)
         t = e_perp_sq(q, dc)
-        diff = Spinor2(grid=GRID, l_up=u.l_up, up=ppu.up - t * u.up,
-                       dn=ppu.dn - t * u.dn)
         if t != 0.0:
-            rel = d_norm(diff, dc, origin_tail=False) / (t * d_norm(u, dc))
+            rel = d_norm(ppu - t * u, dc, origin_tail=False) / (t * d_norm(u, dc))
             assert rel < 1e-6, (j, l, m, sig, rel)
         else:
             # zero mode: sigma.P annihilates the state
@@ -217,32 +211,6 @@ def test_sigma_p_hermitian():
     assert abs(lhs - rhs) / abs(lhs) < 1e-6
 
 
-def test_pi0_spectral_action():
-    dc = make_dc(mu=0.4)
-    q = resolve_rel_qnums(1, 1, 0, 1, dc)
-    u = basis_spinor_component(q, dc, GRID)
-    pu = apply_pi0(u, dc)
-    e = e_energy(q, dc)
-    diff = Spinor2(grid=GRID, l_up=u.l_up, up=pu.up - e * u.up, dn=pu.dn - e * u.dn)
-    assert d_norm(diff, dc) / e < 1e-8
-    # massless limit
-    dc0 = make_dc(mu=0.4, mass=0.0)
-    pu0 = apply_pi0(u, dc0)
-    e0 = math.sqrt(e_perp_sq(q, dc0))
-    diff0 = Spinor2(grid=GRID, l_up=u.l_up, up=pu0.up - e0 * u.up, dn=pu0.dn - e0 * u.dn)
-    assert d_norm(diff0, dc0) / e0 < 1e-8
-
-
-def test_pi0_rejects_out_of_family_profile():
-    dc = make_dc(mu=0.4)
-    rho = GRID.nodes
-    # a profile concentrated away from the family span (wrong origin power)
-    vals = np.exp(-((rho - 3.0) ** 2)) * rho ** 0.1
-    s = Spinor2(grid=GRID, l_up=1, up=vals.astype(complex), dn=np.zeros_like(vals, dtype=complex))
-    with pytest.raises(DomainError):
-        apply_pi0(s, dc, m_max=6, resid_tol=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # eigenspinors
 # ---------------------------------------------------------------------------
@@ -251,8 +219,7 @@ def test_pi0_rejects_out_of_family_profile():
 @pytest.mark.parametrize("vt", [1, -1])
 def test_spinor_orthonormality_20_states(vt):
     dc = make_dc(mu=0.4, vartheta=vt)
-    base1 = 1 if vt == 1 else 0
-    base0 = 0 if vt == 1 else -1
+    base1, base0 = next(_branch_l_values(1, vt)), next(_branch_l_values(0, vt))
     combos = [(1, base1 + dl, m) for dl in range(3) for m in range(2)]
     combos += [(0, base0 - dl, m) for dl in range(2) for m in range(2)]
     spinors = []
@@ -271,18 +238,14 @@ def test_spinor_orthonormality_20_states(vt):
 @pytest.mark.parametrize("vt", [1, -1])
 def test_hamiltonian_eigen_residual(vt):
     dc = make_dc(mu=0.4, vartheta=vt)
-    base1 = 1 if vt == 1 else 0
-    base0 = 0 if vt == 1 else -1
+    base1, base0 = next(_branch_l_values(1, vt)), next(_branch_l_values(0, vt))
     for (j, l, m) in [(1, base1, 0), (0, base0, 1), (1, base1 + 2, 1)]:
         for charge in (1, -1):
             q = resolve_rel_qnums(j, l, m, charge, dc)
             psi, e = dirac_spinor(q, dc, charge, GRID)
             assert d_norm(psi, dc) == pytest.approx(1.0, abs=1e-12)
-            hpsi = hamiltonian_apply(psi, dc)
-            diff = Spinor2(grid=GRID, l_up=psi.l_up,
-                           up=hpsi.up - charge * e * psi.up,
-                           dn=hpsi.dn - charge * e * psi.dn)
-            assert d_norm(diff, dc, origin_tail=False) / e < 1e-5
+            resid = hamiltonian_apply(psi, dc) - charge * e * psi
+            assert d_norm(resid, dc, origin_tail=False) / e < 1e-5
 
 
 def test_angular_momentum_bookkeeping():
@@ -293,6 +256,52 @@ def test_angular_momentum_bookkeeping():
     psi, _ = dirac_spinor(q, dc, 1, GRID)
     assert psi.l_up == q.l_sigma == 1
     assert psi.l_dn == q.l      == 2
+
+
+@pytest.mark.parametrize("j,l,charge,vt", [(1, 2, 1, 1), (0, 0, -1, 1), (1, 0, 1, -1)])
+def test_block_inner_matches_columns(j, l, charge, vt):
+    # a block's inner product and norm are the values of its columns, taken
+    # as dirac_spinor takes column 0; irregular l = 0 channels included
+    dc = make_dc(mu=0.4, vartheta=vt)
+    block, _, _ = _eigenspinors(j, l, [0, 1, 3], dc, charge, GRID)
+    cols = [replace(block, up=block.up[:, k], dn=block.dn[:, k]) for k in range(3)]
+    c = np.array([1.0, 1j, -0.6 + 0.8j])
+    for tail in (True, False):
+        got = d_inner(block, block, dc, tail)
+        assert got.shape == (3,)
+        assert np.max(np.abs(got - [d_inner(col, col, dc, tail) for col in cols])) <= 1e-15
+        assert np.max(np.abs(d_norm(block, dc, tail)
+                             - [d_norm(col, dc, tail) for col in cols])) <= 1e-15
+        cross = d_inner(c * block, block, dc, tail)
+        assert np.max(np.abs(cross - [np.conj(ck) * d_inner(col, col, dc, tail)
+                                      for ck, col in zip(c, cols)])) <= 1e-15
+    assert type(d_inner(cols[0], cols[1], dc)) is complex
+    assert type(d_norm(cols[0], dc)) is float
+
+
+def test_spinor_sums_need_one_grid_and_sector():
+    dc = make_dc(mu=0.4)
+    q = resolve_rel_qnums(1, 1, 0, 1, dc)
+    a = basis_spinor_component(q, dc, GRID)
+    with pytest.raises(DomainError):
+        a + basis_spinor_component(q, dc, make_radial_grid(rho_max=70.0))
+    with pytest.raises(DomainError):
+        a - basis_spinor_component(resolve_rel_qnums(1, 2, 0, 1, dc), dc, GRID)
+    with pytest.raises(DomainError):
+        Spinor2(grid=GRID, l_up=0, up=a.up, dn=a.up[:-1])
+
+
+def test_array_times_block_scales_each_column():
+    dc = make_dc(mu=0.4)
+    block, _, _ = _eigenspinors(1, 2, [0, 1, 2], dc, 1, GRID)
+    c = np.array([2.0, -1j, 0.25 + 0.5j])
+    for out in (c * block, block * c):
+        assert isinstance(out, Spinor2) and out.l_up == block.l_up
+        for k in range(3):
+            assert np.array_equal(out.up[:, k], c[k] * block.up[:, k])
+            assert np.array_equal(out.dn[:, k], c[k] * block.dn[:, k])
+    half = block / 2.0
+    assert np.array_equal(half.up, block.up / 2.0) and np.array_equal(half.dn, block.dn / 2.0)
 
 
 def test_charge_branches_orthogonal():
@@ -338,10 +347,8 @@ def test_spinor_finite_at_high_angular_number(l, charge):
     psi, e = dirac_spinor(resolve_rel_qnums(1, l, 0, charge, dc), dc, charge, grid)
     assert np.all(np.isfinite(psi.up)) and np.all(np.isfinite(psi.dn))
     assert d_norm(psi, dc) == pytest.approx(1.0, abs=1e-12)
-    hpsi = hamiltonian_apply(psi, dc)
-    diff = Spinor2(grid=grid, l_up=psi.l_up, up=hpsi.up - charge * e * psi.up,
-                   dn=hpsi.dn - charge * e * psi.dn)
-    assert d_norm(diff, dc, origin_tail=False) / e <= 1e-5
+    resid = hamiltonian_apply(psi, dc) - charge * e * psi
+    assert d_norm(resid, dc, origin_tail=False) / e <= 1e-5
 
 # ---------------------------------------------------------------------------
 # relativistic coherent states
@@ -405,15 +412,14 @@ def test_rel_cs_assembles_the_eigenspinor_series(j, vt, charge):
     sums = {}
     for (l, m), (c, e) in state.states.items():
         psi, _ = dirac_spinor(resolve_rel_qnums(j, l, m, charge, dc), dc, charge, GRID)
-        wgt = c * math.sqrt(2.0 * dc.mass * (e + dc.mass) / state.norm_const)
-        up, dn = sums.get(psi.l_up, (0.0, 0.0))
-        sums[psi.l_up] = (up + wgt * psi.up, dn + wgt * psi.dn)
+        term = c * math.sqrt(2.0 * dc.mass * (e + dc.mass) / state.norm_const) * psi
+        sums[psi.l_up] = sums[psi.l_up] + term if psi.l_up in sums else term
     assert sums.keys() == state.spinors.keys()
-    for lu, (up, dn) in sums.items():
-        got = state.spinors[lu]
-        scale = max(np.max(np.abs(up)), np.max(np.abs(dn)))
-        assert np.max(np.abs(got.up - up)) <= 1e-12 * scale
-        assert np.max(np.abs(got.dn - dn)) <= 1e-12 * scale
+    for lu, want in sums.items():
+        diff = state.spinors[lu] - want
+        scale = max(np.max(np.abs(want.up)), np.max(np.abs(want.dn)))
+        assert np.max(np.abs(diff.up)) <= 1e-12 * scale
+        assert np.max(np.abs(diff.dn)) <= 1e-12 * scale
 
 
 REL_CASES = [(j, vt, charge) for (j, vt) in ((1, 1), (0, -1)) for charge in (1, -1)]
@@ -517,14 +523,7 @@ def test_embed_energy_eigenstate_all_p3():
         et = e_energy(q, dct)
         for s in (1, -1):
             psi = embed_3p1(1, 1, 0, 1, s, p3, dc, GRID)
-            h = h3p1_apply(psi, p3, dc)
-            diff = Spinor4(
-                upper=Spinor2(grid=GRID, l_up=psi.upper.l_up,
-                              up=h.upper.up - et * psi.upper.up,
-                              dn=h.upper.dn - et * psi.upper.dn),
-                lower=Spinor2(grid=GRID, l_up=psi.lower.l_up,
-                              up=h.lower.up - et * psi.lower.up,
-                              dn=h.lower.dn - et * psi.lower.dn))
+            diff = h3p1_apply(psi, p3, dc) - et * psi
             assert math.sqrt(abs(d_inner4(diff, diff, dc).real)) / et < 1e-9
 
 
@@ -532,14 +531,7 @@ def test_embed_spin_eigenvalue_at_zero_longitudinal_momentum():
     dc = make_dc(mu=0.4)
     for s in (1, -1):
         psi = embed_3p1(1, 1, 0, 1, s, 0.0, dc, GRID)
-        sz = sz_apply(psi, 0.0, dc)
-        diff = Spinor4(
-            upper=Spinor2(grid=GRID, l_up=psi.upper.l_up,
-                          up=sz.upper.up - s * psi.upper.up,
-                          dn=sz.upper.dn - s * psi.upper.dn),
-            lower=Spinor2(grid=GRID, l_up=psi.lower.l_up,
-                          up=sz.lower.up - s * psi.lower.up,
-                          dn=sz.lower.dn - s * psi.lower.dn))
+        diff = sz_apply(psi, 0.0, dc) - s * psi
         assert math.sqrt(abs(d_inner4(diff, diff, dc).real)) < 1e-5
 
 
@@ -550,8 +542,7 @@ def test_embed_nonrelativistic_suppression():
         dcm = replace(dc, mass=mass)
         psi = embed_3p1(1, 1, 0, 1, 1, 0.0, dcm, GRID)
         big = math.sqrt(abs(d_inner(psi.upper, psi.upper, dcm).real))
-        rest = Spinor2(grid=GRID, l_up=psi.upper.l_up,
-                       up=np.zeros_like(psi.upper.up), dn=psi.upper.dn)
+        rest = 0.5 * (psi.upper - psi.upper.sigma3())  # (1 - sigma3)/2: the lower slot
         small = math.sqrt(abs(d_inner(rest, rest, dcm).real
                               + d_inner(psi.lower, psi.lower, dcm).real))
         ratios.append(small / big)
