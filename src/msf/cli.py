@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .specfun import DomainError, ln_gamma
+from .specfun import DomainError, laguerre_fn_table, ln_gamma
 from .landau import (
     FieldConfig,
     _branch_l_values,
@@ -163,8 +163,6 @@ def suite_cs_normalization(cfg: RunConfig, rep: VerificationReport):
     worst = 0.0
     for j in (0, 1):
         total = 0.0
-        from .specfun import laguerre_fn_table
-
         for l in itertools.islice(_branch_l_values(j), 29):
             term = cs_branch(j, l, lab, fc)
             alpha = _laguerre_order(j, l, fc.mu)
@@ -364,9 +362,6 @@ def suite_embed(cfg: RunConfig, rep: VerificationReport):
 
 
 def suite_kernel_rel(cfg: RunConfig, rep: VerificationReport):
-    from .specfun import laguerre_fn_table
-    from .dirac import _rel_bessel_index
-
     mu = cfg.mu if cfg.mu_set else 0.3
     fc = cfg.field_config(mu)
     dc = _dr.DiracConfig(field=fc, mass=cfg.mass, vartheta=cfg.vartheta)
@@ -378,7 +373,7 @@ def suite_kernel_rel(cfg: RunConfig, rep: VerificationReport):
     for (sig, l, vt) in [(1, 2, 1), (-1, -1, 1), (1, 0, -1), (-1, 0, 1)]:
         dcv = _dr.DiracConfig(field=fc, mass=cfg.mass, vartheta=vt)
         tau, rho, rho_p = 0.35, 1.0, 2.0
-        nu = _rel_bessel_index(sig, l, mu, vt)
+        nu = _dr._rel_bessel_index(sig, l, mu, vt)
         kv = _dr.green_kernel_rel(sig, l, dcv, -1j * tau, 0.0, 0.0, rho, rho_p)
         diag = kv[0, 0] if sig == 1 else kv[1, 1]
         l_s = l - (1 + sig) // 2

@@ -227,20 +227,16 @@ def unity_reconstruction(
     ln_w = ln_marcum_p(nu, x, y) + x + y
     ln_n = _ln_q_grid_series(nu, x, y)
     ratio = np.exp(ln_w - ln_n)
-    n = len(basis_pairs)
-    out = np.zeros((n, n))
-    wu = qu.weights[:, None]
-    wv = qv.weights[None, :]
-    for a, qa in enumerate(qnums):
-        for b, qb in enumerate(qnums):
-            if qa != qb:
-                continue  # angular Kronecker deltas
-            poly = U ** (qa.n1 - frac_u) * V ** (qa.n2 - frac_v)
-            integral = float(np.sum(wu * wv * ratio * poly))
-            out[a, b] = integral * math.exp(
-                -(ln_gamma(1.0 + qa.n1).real + ln_gamma(1.0 + qa.n2).real)
-            )
-    return out
+    n1 = np.array([q.n1 for q in qnums])
+    n2 = np.array([q.n2 for q in qnums])
+    pu = qu.weights * qu.nodes ** (n1[:, None] - frac_u)
+    pv = qv.weights * qv.nodes ** (n2[:, None] - frac_v)
+    diag = np.einsum("ku,uv,kv->k", pu, ratio, pv) * np.exp(
+        -(_sp.gammaln(1.0 + n1) + _sp.gammaln(1.0 + n2)))
+    # angular Kronecker deltas: only equal quantum numbers pair up
+    lm = np.array(basis_pairs).reshape(-1, 2)
+    same = (lm[:, None, :] == lm[None, :, :]).all(axis=-1)
+    return np.where(same, diag[:, None], 0.0)
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,6 @@ from .landau import (FieldConfig, _branch_l_values, _laguerre_order, _profile_fa
 __all__ = [
     "CSLabel",
     "CSExpansion",
-    "cs_coefficient",
     "cs_branch",
     "cs_expansion",
     "cs_state",
@@ -122,13 +121,6 @@ def _ln_amplitude(n1, n2, label: CSLabel) -> tuple[np.ndarray, np.ndarray]:
     ln_c = (_ln_power(n1, abs(label.z1)) + _ln_power(n2, abs(label.z2))
             - 0.5 * (_sp.gammaln(1.0 + n1) + _sp.gammaln(1.0 + n2)))
     return ln_c, n1 * cmath.phase(label.z1) + n2 * cmath.phase(label.z2)
-
-
-def cs_coefficient(j: int, l: int, m: int, label: CSLabel, cfg: FieldConfig) -> complex:
-    """Series amplitude z1^n1 z2^n2 / sqrt(Gamma(1+n1) Gamma(1+n2))."""
-    q = resolve_qnums(j, l, m, cfg)
-    ln_c, phase = _ln_amplitude(q.n1, q.n2, label)
-    return complex(np.exp(ln_c + 1j * phase))
 
 
 def _m_last(label: CSLabel) -> int:

@@ -75,13 +75,13 @@ __all__ = [
     "h3p1_apply",
     "sz_apply",
     "d_inner4",
-    "xi_flip",
     "green_kernel_rel",
 ]
 
 
-class SpectralBoundaryError(RuntimeError):
-    """Spinor construction collapsed to zero norm (spectral boundary)."""
+class SpectralBoundaryError(DomainError):
+    """Spinor construction collapsed to zero norm (spectral boundary): an
+    input the builder cannot serve, such as a massless zero mode."""
 
 
 @dataclass(frozen=True)
@@ -579,15 +579,6 @@ def sz_apply(psi: Spinor4, p3: float, dc: DiracConfig) -> Spinor4:
     """
     m_tilde = math.sqrt(dc.mass**2 + p3 * p3)
     return (h3p1_apply(psi.sigma3(), p3, dc) + h3p1_apply(psi, p3, dc).sigma3()) / (2 * m_tilde)
-
-
-def xi_flip(s: Spinor2) -> Spinor2:
-    """Map to the opposite polarization sector: psi -> sigma2 psi.
-
-    Relates the two inequivalent planar representations; exposed as a
-    transformation on outputs only.
-    """
-    return Spinor2(grid=s.grid, l_up=s.l_up, up=-1j * s.dn, dn=1j * s.up)
 
 
 def _rel_bessel_index(sigma: int, l: int, mu: float, vartheta: int) -> float:

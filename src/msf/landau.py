@@ -37,6 +37,7 @@ the branch phase exp(-i pi l) on branch 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -162,6 +163,10 @@ def stationary_state(q: QuantumNumbers, theta, rho, cfg: FieldConfig):
     return complex(out) if np.ndim(out) == 0 else out
 
 
+# rules kept by make_quadrature; verify --suite all uses 148 distinct ones
+_QUADRATURE_CACHE_SIZE = 256
+
+
 @dataclass(frozen=True)
 class Quadrature:
     """Generalized Gauss-Laguerre rule for integrals over rho in (0, inf).
@@ -170,7 +175,8 @@ class Quadrature:
     polynomial f up to degree 2n-1.  ``plain_weights`` absorb the weight
     function so that sum(plain_weights * g(nodes)) approximates the
     plain integral of g; they are exact whenever g has the form
-    poly * rho^alpha * exp(-rho).
+    poly * rho^alpha * exp(-rho).  The arrays are read-only, because
+    :func:`make_quadrature` hands one cached rule to every caller.
     """
 
     alpha: float
@@ -180,19 +186,20 @@ class Quadrature:
 
     def integrate(self, values: np.ndarray):
         """Plain integral over (0, inf) of a sampled integrand."""
-        vals = np.asarray(values)
-        mask = vals != 0
-        if not mask.all():
-            return np.sum(self.plain_weights[mask] * vals[mask])
-        return np.sum(self.plain_weights * vals)
+        return np.sum(self.plain_weights * np.asarray(values))
 
     def integrate_weighted(self, values: np.ndarray):
         """Integral against the rho^alpha exp(-rho) weight."""
         return np.sum(self.weights * np.asarray(values))
 
 
+@functools.lru_cache(maxsize=_QUADRATURE_CACHE_SIZE)
 def make_quadrature(alpha: float, n_nodes: int) -> Quadrature:
-    """Gauss rule with weight rho^alpha exp(-rho), alpha > -1, n >= 2."""
+    """Gauss rule with weight rho^alpha exp(-rho), alpha > -1, n >= 2.
+
+    Built once per (alpha, n_nodes) and cached; repeated calls return
+    the same read-only rule.
+    """
     if not alpha > -1.0:
         raise DomainError("quadrature weight exponent must exceed -1")
     if not 2 <= n_nodes <= 250:
@@ -203,28 +210,28 @@ def make_quadrature(alpha: float, n_nodes: int) -> Quadrature:
     # plain weights w * exp(x) * x^(-alpha), assembled in log space since
     # w underflows at the largest nodes while the product stays moderate
     lw = np.log(w) + x - alpha * np.log(x)
-    return Quadrature(alpha=float(alpha), nodes=x, weights=w, plain_weights=np.exp(lw))
+    arrays = (x, w, np.exp(lw))
+    for a in arrays:
+        a.setflags(write=False)
+    return Quadrature(float(alpha), *arrays)
 
 
-def gram_matrix(states: list[QuantumNumbers], cfg: FieldConfig, n_nodes: int = 64) -> np.ndarray:
+def gram_matrix(states: list[QuantumNumbers], cfg: FieldConfig) -> np.ndarray:
     """Gram matrix of stationary states under the plane inner product.
 
     States with different l are orthogonal exactly (angular integral);
     same-l blocks share one Laguerre order alpha, so a weight-matched
-    Gauss rule integrates the profile products exactly.  Quadrature
-    rules are built per l block.
+    Gauss rule integrates the profile products exactly.  Each block is
+    one weighted product of its Laguerre rows on that block's cached rule.
     """
-    n = len(states)
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros((len(states), len(states)), dtype=complex)
     blocks: dict[tuple[int, int], list[int]] = {}
     for i, q in enumerate(states):
         blocks.setdefault((q.j, q.l), []).append(i)
     for (j, l), idx in blocks.items():
         alpha = _laguerre_order(j, l, cfg.mu)
-        m_max = max(states[i].m for i in idx)
-        quad = make_quadrature(alpha, max(2 * (m_max + 1), 8))
-        tab = laguerre_fn_table(alpha, m_max, quad.nodes)
-        for a in idx:
-            for b in idx:
-                out[a, b] = quad.integrate(tab[states[a].m] * tab[states[b].m])
+        ms = [states[i].m for i in idx]
+        quad = make_quadrature(alpha, max(2 * (max(ms) + 1), 8))
+        rows = laguerre_fn_table(alpha, max(ms), quad.nodes)[ms]
+        out[np.ix_(idx, idx)] = (rows * quad.plain_weights) @ rows.T
     return out

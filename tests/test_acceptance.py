@@ -127,6 +127,13 @@ def test_c02_sum_rule_deviation_quantified():
                   worst, 1e-10)
 
 
+def test_cs_state_unit_norm_by_quadrature(records):
+    # 29 rows per branch, each on a 48-node rule of its Laguerre order
+    errs = own_errors(records, "cs-unit-norm", ["mu=0.5 z=(0.7+0.2i,-0.4i)"], 1e-9)
+    assert report("C02c", "coherent state unit norm by Gauss-Laguerre quadrature",
+                  errs[0], 1e-9)
+
+
 def test_c03_weight_closed_form(records):
     errs = own_errors(records, "half-flux-closed-form", ["mu=0.5 u,v in [0,9]"], 1e-12)
     assert report("C03", "half-flux weight: series vs erf closed form", errs[0], 1e-12)

@@ -196,6 +196,18 @@ def test_unity_reconstruction_offdiagonal_zero():
     assert np.max(np.abs(off)) == 0.0
 
 
+def test_unity_reconstruction_duplicate_pair_gets_diagonal_value():
+    # equal quantum numbers pair up wherever they sit, as the angular
+    # deltas say: the repeated (l, m) carries its diagonal value off the
+    # diagonal, and every other off-diagonal entry is zero
+    pairs = [(-1, 0), (-2, 1), (-1, 0)]
+    g = unity_reconstruction(pairs, mu=0.25, j=0, n_nodes=60)
+    assert g[0, 2] == g[0, 0] and g[2, 0] == g[2, 2]
+    assert g[0, 0] == pytest.approx(g[2, 2], rel=1e-14)
+    assert g[0, 0] == pytest.approx(1.0, abs=1e-8)
+    assert np.all(g[[0, 1, 1, 2], [1, 0, 2, 1]] == 0.0)
+
+
 def test_unity_reconstruction_zero_flux_limit():
     # at mu = 0 the weights sum to the flat measure and the diagonal is 1
     pairs = [(l, m) for l in range(0, 3) for m in range(0, 3)]

@@ -19,7 +19,6 @@ from msf.specfun import DomainError, laguerre_fn_table, ln_marcum_p
 from msf.cs import (
     CSLabel,
     cs_branch,
-    cs_coefficient,
     cs_expansion,
     cs_normalization,
     cs_overlap,
@@ -41,7 +40,10 @@ def test_coefficient_formula():
     manual = (cmath.exp(q.n1 * cmath.log(lab.z1))
               * cmath.exp(q.n2 * cmath.log(lab.z2))
               * math.exp(-0.5 * (sp.gammaln(1 + q.n1) + sp.gammaln(1 + q.n2))))
-    assert cs_coefficient(0, -1, 1, lab, cfg) == pytest.approx(manual, rel=1e-14)
+    table = cs_expansion(0, lab, cfg)
+    row = list(table.l).index(-1)
+    coeff = np.exp(table.ln_c[row, 1] + 1j * table.phase[row, 1])
+    assert coeff == pytest.approx(manual, rel=1e-14)
 
 
 def test_zero_label_single_term():
@@ -116,23 +118,6 @@ def test_normalization_far_out():
     # beyond the double range: a typed error, not inf
     with pytest.raises(DomainError):
         cs_normalization(0, 400.0, 400.0, 0.5)
-
-
-def test_cs_state_unit_norm_by_quadrature():
-    cfg = FieldConfig(mu=0.5)
-    lab = CSLabel(0.7 + 0.2j, -0.4j)
-    for j in (0, 1):
-        total = 0.0
-        lgen = range(-1, -30, -1) if j == 0 else range(0, 29)
-        for l in lgen:
-            term = cs_branch(j, l, lab, cfg)
-            alpha = (-l - cfg.mu) if j == 0 else (l + cfg.mu)
-            quad = make_quadrature(alpha, 48)
-            tab = laguerre_fn_table(alpha, len(term.coeffs) - 1, quad.nodes)
-            prof = term.coeffs @ tab
-            total += float(quad.integrate(np.abs(prof) ** 2).real)
-        n = cs_normalization(j, lab.u, lab.v, cfg.mu)
-        assert total / n == pytest.approx(1.0, abs=1e-9)
 
 
 def test_overlap_diagonal_and_conjugate_symmetry():

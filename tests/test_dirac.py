@@ -35,7 +35,6 @@ from msf.dirac import (
     rel_cs_overlap_closed,
     resolve_rel_qnums,
     sz_apply,
-    xi_flip,
 )
 from msf.dirac import _eigenspinors, _rel_bessel_index
 
@@ -323,18 +322,10 @@ def test_energy_consistency():
 def test_massless_zero_mode_boundary_case():
     dc = make_dc(mu=0.4, mass=0.0, vartheta=1)
     q = resolve_rel_qnums(0, 0, 0, -1, dc)  # E_perp = 0, M = 0
-    with pytest.raises(SpectralBoundaryError):
+    with pytest.raises(SpectralBoundaryError) as info:
         dirac_spinor(q, dc, -1, GRID)
-
-
-def test_xi_flip_is_unitary_involution():
-    dc = make_dc(mu=0.4)
-    q = resolve_rel_qnums(1, 1, 0, 1, dc)
-    psi, _ = dirac_spinor(q, dc, 1, GRID)
-    flipped = xi_flip(psi)
-    assert d_norm(flipped, dc) == pytest.approx(1.0, abs=1e-12)
-    back = xi_flip(flipped)
-    assert np.allclose(back.up, psi.up) and np.allclose(back.dn, psi.dn)
+    # a massless zero mode is an input the builder cannot serve
+    assert isinstance(info.value, DomainError)
 
 
 

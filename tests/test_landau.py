@@ -21,6 +21,7 @@ from msf.landau import (
     FieldConfig,
     _branch_l_values,
     _branch_of,
+    _laguerre_order,
     energy_nonrel,
     gram_matrix,
     make_quadrature,
@@ -28,7 +29,7 @@ from msf.landau import (
     stationary_state,
 )
 from msf.radial import make_radial_grid
-from msf.specfun import DomainError
+from msf.specfun import DomainError, laguerre_fn_table
 
 
 # the first angular number of branches 0 and 1 under each extension label
@@ -106,6 +107,34 @@ def test_quadrature_trivial_moments():
     quad = make_quadrature(0.5, 16)
     assert quad.integrate_weighted(quad.nodes ** 2) == pytest.approx(
         3.3233509704478425512, rel=1e-13)  # Gamma(3.5), frozen
+
+
+def test_quadrature_is_cached_and_read_only():
+    quad = make_quadrature(0.3, 24)
+    assert make_quadrature(0.3, 24) is quad
+    for arr in (quad.nodes, quad.weights, quad.plain_weights):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_gram_matrix_blocks_equal_pairwise_quadrature():
+    # shuffled m order, gaps in m, a repeated state and several l blocks
+    cfg = FieldConfig(mu=0.3)
+    states = [resolve_qnums(j, l, m, cfg) for (j, l, m) in
+              [(1, 2, 5), (0, -1, 0), (1, 2, 0), (0, -3, 2), (1, 2, 5),
+               (0, -1, 4), (1, 0, 1), (1, 2, 3), (0, -1, 2)]]
+    g = gram_matrix(states, cfg)
+    ref = np.zeros_like(g)
+    for a, qa in enumerate(states):
+        block = [q.m for q in states if (q.j, q.l) == (qa.j, qa.l)]
+        alpha = _laguerre_order(qa.j, qa.l, cfg.mu)
+        quad = make_quadrature(alpha, max(2 * (max(block) + 1), 8))
+        tab = laguerre_fn_table(alpha, max(block), quad.nodes)
+        for b, qb in enumerate(states):
+            if (qb.j, qb.l) == (qa.j, qa.l):
+                ref[a, b] = quad.integrate(tab[qa.m] * tab[qb.m])
+    assert np.max(np.abs(g - ref)) <= 1e-15
+    assert g[0, 4] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_stationary_state_unit_norm_on_quadrature():
