@@ -148,17 +148,14 @@ def suite_orthonormality(cfg: RunConfig, rep: VerificationReport):
 def suite_cs_normalization(cfg: RunConfig, rep: VerificationReport):
     tol = _tol(cfg, 1e-10)
     grid = np.linspace(0.0, 9.0, 10)
+    u, v = np.meshgrid(grid, grid, indexing="ij")
+    target = np.exp(u + v)
     for mu in cfg.mu_values((0.0, 0.25, 0.5, 0.75)):
-        worst = 0.0
-        for u in grid:
-            for v in grid:
-                n0 = cs_normalization(0, float(u), float(v), mu)
-                n1 = cs_normalization(1, float(u), float(v), mu)
-                target = math.exp(u + v)
-                worst = max(worst, abs(n0 + n1 - target) / target)
+        total = cs_normalization(0, u, v, mu) + cs_normalization(1, u, v, mu)
+        worst = np.max(np.abs(total - target) / target)
         rep.add("exp-sum-rule", f"mu={mu} u,v in [0,9]", worst, tol)
     # unit norm of the assembled state against the series normalization
-    fc = cfg.field_config(0.5 if not cfg.mu_set else cfg.mu)
+    fc = cfg.field_config(*cfg.mu_values((0.5,)))
     lab = CSLabel(0.7 + 0.2j, -0.4j)
     worst = 0.0
     for j in (0, 1):
@@ -177,29 +174,18 @@ def suite_cs_normalization(cfg: RunConfig, rep: VerificationReport):
 
 def suite_weights(cfg: RunConfig, rep: VerificationReport):
     grid = np.linspace(0.0, 9.0, 10)
-    worst = 0.0
-    for u in grid:
-        for v in grid:
-            for j in (0, 1):
-                a = weight_fn(WeightSpec(j=j, mu=0.5), float(u), float(v))
-                b = weight_half_closed(j, float(u), float(v))
-                worst = max(worst, abs(a - b))
+    u, v = np.meshgrid(grid, grid, indexing="ij")
+    worst = max(np.max(np.abs(weight_fn(WeightSpec(j=j, mu=0.5), u, v)
+                              - weight_half_closed(j, u, v))) for j in (0, 1))
     rep.add("half-flux-closed-form", "mu=0.5 u,v in [0,9]", worst, _tol(cfg, 1e-12))
-    worst = 0.0
-    for u in grid:
-        for v in grid:
-            worst = max(worst, abs(mm_weight_sum(float(u), float(v)) - 1.0 / math.pi**2))
+    worst = np.max(np.abs(mm_weight_sum(u, v) - 1.0 / math.pi**2))
     rep.add("zero-flux-constant", "u,v in [0,9]", worst, _tol(cfg, 1e-10))
     # positivity on a sampled grid, all mu
-    bad = 0.0
-    for mu in cfg.mu_values((0.1, 0.25, 0.5, 0.75, 0.9)):
-        for u in np.linspace(0.25, 8.0, 6):
-            for v in np.linspace(0.25, 8.0, 6):
-                for j in (0, 1):
-                    w = weight_fn(WeightSpec(j=j, mu=mu), float(u), float(v))
-                    if w <= 0:
-                        bad = max(bad, -w + 1.0)
-    rep.add("weight-positivity", "sampled grid", bad, 0.5)
+    grid = np.linspace(0.25, 8.0, 6)
+    u, v = np.meshgrid(grid, grid, indexing="ij")
+    w_min = min(np.min(weight_fn(WeightSpec(j=j, mu=mu), u, v))
+                for mu in cfg.mu_values((0.1, 0.25, 0.5, 0.75, 0.9)) for j in (0, 1))
+    rep.add("weight-positivity", "sampled grid", 1.0 - w_min if w_min <= 0 else 0.0, 0.5)
 
 
 def suite_moments(cfg: RunConfig, rep: VerificationReport):
@@ -229,7 +215,7 @@ def suite_g_matrix(cfg: RunConfig, rep: VerificationReport):
 
 def suite_unity(cfg: RunConfig, rep: VerificationReport):
     tol = _tol(cfg, 1e-6)
-    mu = cfg.mu if cfg.mu_set else 0.5
+    (mu,) = cfg.mu_values((0.5,))
     for j in (0, 1):
         if j == 0:
             pairs = [(l, m) for l in range(-4, 0) for m in range(0, 5)]
@@ -242,7 +228,7 @@ def suite_unity(cfg: RunConfig, rep: VerificationReport):
 
 def suite_propagator(cfg: RunConfig, rep: VerificationReport):
     tol = _tol(cfg, 1e-8)
-    fc = cfg.field_config(0.3 if not cfg.mu_set else cfg.mu)
+    fc = cfg.field_config(*cfg.mu_values((0.3,)))
     worst = 0.0
     for tau in (0.05, 0.1, 0.2, 0.5, 1.0):
         for (j, l) in ((0, -1), (1, 2)):
@@ -269,7 +255,7 @@ def _dirac_setup(cfg: RunConfig, mu: float, vt: int):
 
 
 def suite_dirac(cfg: RunConfig, rep: VerificationReport):
-    mu = cfg.mu if cfg.mu_set else 0.4
+    (mu,) = cfg.mu_values((0.4,))
     for vt in (1, -1):
         dc, grid = _dirac_setup(cfg, mu, vt)
         base1, base0 = next(_branch_l_values(1, vt)), next(_branch_l_values(0, vt))
@@ -307,7 +293,7 @@ def suite_dirac(cfg: RunConfig, rep: VerificationReport):
 
 
 def suite_rel_cs(cfg: RunConfig, rep: VerificationReport):
-    mu = cfg.mu if cfg.mu_set else 0.5
+    (mu,) = cfg.mu_values((0.5,))
     lab_a = CSLabel(0.6 + 0.3j, -0.2 + 0.5j)
     lab_b = CSLabel(0.3 - 0.4j, 0.7j)
     worst_n = worst_o = 0.0
@@ -325,7 +311,7 @@ def suite_rel_cs(cfg: RunConfig, rep: VerificationReport):
 
 
 def suite_embed(cfg: RunConfig, rep: VerificationReport):
-    mu = cfg.mu if cfg.mu_set else 0.4
+    (mu,) = cfg.mu_values((0.4,))
     dc, grid = _dirac_setup(cfg, mu, cfg.vartheta)
     base1 = next(_branch_l_values(1, cfg.vartheta))
     worst_sz = worst_n = worst_h = 0.0
@@ -362,7 +348,7 @@ def suite_embed(cfg: RunConfig, rep: VerificationReport):
 
 
 def suite_kernel_rel(cfg: RunConfig, rep: VerificationReport):
-    mu = cfg.mu if cfg.mu_set else 0.3
+    (mu,) = cfg.mu_values((0.3,))
     fc = cfg.field_config(mu)
     dc = _dr.DiracConfig(field=fc, mass=cfg.mass, vartheta=cfg.vartheta)
     k = _dr.green_kernel_rel(1, 2, dc, -0.3j, 0.4, 0.0, 1.0, 2.0)
@@ -378,8 +364,8 @@ def suite_kernel_rel(cfg: RunConfig, rep: VerificationReport):
         diag = kv[0, 0] if sig == 1 else kv[1, 1]
         l_s = l - (1 + sig) // 2
         tab = laguerre_fn_table(nu, 70, np.array([rho, rho_p]))
-        xsum = 2.0 * sum(math.exp(-(2 * m + nu + 1) * g * tau) * tab[m, 0] * tab[m, 1]
-                         for m in range(71))
+        xsum = 2.0 * np.dot(np.exp(-(2 * np.arange(71) + nu + 1) * g * tau),
+                            tab[:, 0] * tab[:, 1])
         pred = -(g * math.exp(-dcv.mass**2 * tau)
                  * math.exp(-(l_s + sig + mu) * g * tau)
                  / (8.0 * math.pi**1.5 * math.sqrt(tau))) * xsum

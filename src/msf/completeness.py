@@ -31,12 +31,13 @@ from .specfun import (
     TruncationError,
     bessel_i,
     erf,
-    laguerre_fn_table,
+    laguerre_fn_rows,
     ln_gamma,
     ln_marcum_p,
 )
-from .landau import (FieldConfig, _check_branch, _laguerre_order, _radial_numbers,
-                     make_quadrature, resolve_qnums)
+from .landau import (FieldConfig, _check_branch, _laguerre_order, _marcum_args,
+                     _radial_numbers, make_quadrature, resolve_qnums)
+from .radial import make_radial_grid
 
 __all__ = [
     "WeightSpec",
@@ -51,6 +52,19 @@ __all__ = [
     "radial_delta_smear",
     "angular_delta_smear",
 ]
+
+# Gauss nodes of the moment rules (more where the degree needs them)
+_MOMENT_NODES = 80
+# relative term tolerance and term cap of the grid Q series
+_GRID_REL_TOL = 1e-15
+_GRID_MAX_TERMS = 40_000
+# relative tail bound and term cap of the propagator mode sum
+_MODE_REL_TOL = 1e-14
+_MODE_MAX_TERMS = 10**6
+# Gaussian test-function widths of the smeared delta checks, angle samples
+_RADIAL_SMEAR_WIDTH = 0.35
+_ANGULAR_SMEAR_WIDTH = 0.5
+_ANGULAR_SMEAR_POINTS = 801
 
 
 @dataclass(frozen=True)
@@ -77,23 +91,21 @@ def weight_fn(spec: WeightSpec, u, v):
     :func:`msf.specfun.ln_marcum_p`, which rejects negative u, v.
     Scalar inputs give a float, arrays an array.
     """
-    if spec.j == 0:
-        ln_p = ln_marcum_p(1.0 - spec.mu, u, v)
-    else:
-        ln_p = ln_marcum_p(spec.mu, v, u)
-    w = np.exp(ln_p) / math.pi**2
+    w = np.exp(ln_marcum_p(*_marcum_args(spec.j, spec.mu, u, v))) / math.pi**2
     return float(w) if np.ndim(w) == 0 else w
 
 
-def weight_half_closed(j: int, u: float, v: float) -> float:
-    """Closed form of the weight at mu = 1/2.
+def weight_half_closed(j: int, u, v):
+    """Closed form of the weight at mu = 1/2, elementwise over u, v >= 0.
 
     W_j = [erf(sqrt u + sqrt v) -+ erf(sqrt u - sqrt v)] / (2 pi^2),
-    minus sign for j = 0.
+    minus sign for j = 0.  Scalar inputs give a float, arrays an array.
     """
     if j not in (0, 1):
         raise DomainError("branch j must be 0 or 1")
-    su, sv = math.sqrt(u), math.sqrt(v)
+    if np.any(np.less(u, 0.0)) or np.any(np.less(v, 0.0)):
+        raise DomainError("weight_half_closed requires u, v >= 0")
+    su, sv = np.sqrt(u), np.sqrt(v)
     sign = -1.0 if j == 0 else 1.0
     return (erf(su + sv) + sign * erf(su - sv)) / (2.0 * math.pi**2)
 
@@ -105,7 +117,7 @@ class MomentCheck:
     abs_err: float
 
 
-def moment_check(n: float, n_nodes: int = 80) -> MomentCheck:
+def moment_check(n: float) -> MomentCheck:
     """Moment of exp(-x) on (0, inf): quadrature vs Gamma(1+n), n > -1.
 
     The fractional part of the exponent is moved into the quadrature
@@ -116,14 +128,13 @@ def moment_check(n: float, n_nodes: int = 80) -> MomentCheck:
         raise DomainError("moment exponent must exceed -1")
     k = max(0, math.floor(n))
     frac = n - k
-    quad = make_quadrature(frac, max(n_nodes, k + 2))
+    quad = make_quadrature(frac, max(_MOMENT_NODES, k + 2))
     qval = float(quad.integrate_weighted(quad.nodes**k))
     gval = math.exp(ln_gamma(1.0 + n).real)
     return MomentCheck(quadrature_value=qval, gamma_value=gval, abs_err=abs(qval - gval))
 
 
-def g_matrix(m: int, n: int, l: int, k: int, mu: float, j: int = 0,
-             n_nodes: int = 80) -> float:
+def g_matrix(m: int, n: int, l: int, k: int, mu: float, j: int = 0) -> float:
     """Radial measure integral G(m, n; l, k) for the exponential density.
 
     The two angular integrals reduce to Kronecker deltas, so the value
@@ -137,12 +148,10 @@ def g_matrix(m: int, n: int, l: int, k: int, mu: float, j: int = 0,
     if m != n or l != k:
         return 0.0
     q = resolve_qnums(j, l, m, FieldConfig(mu=mu))
-    return (moment_check(q.n1, n_nodes).quadrature_value
-            * moment_check(q.n2, n_nodes).quadrature_value)
+    return moment_check(q.n1).quadrature_value * moment_check(q.n2).quadrature_value
 
 
-def _ln_q_grid_series(nu: float, u: np.ndarray, v: np.ndarray,
-                      rel_tol: float = 1e-15, k_cap: int = 40_000) -> np.ndarray:
+def _ln_q_grid_series(nu: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Elementwise ln Q_nu(sqrt u, sqrt v) via the truncated-exponential form.
 
     Collapsing the double power series along diagonals l + m = k gives
@@ -151,7 +160,7 @@ def _ln_q_grid_series(nu: float, u: np.ndarray, v: np.ndarray,
         e_k(u) = sum_{m<=k} u^m / m!,
 
     with e_k accumulated iteratively in log space.  A node retires once
-    its own latest term is below rel_tol of its sum; the terms are
+    its own latest term is below _GRID_REL_TOL of its sum; the terms are
     log-concave in k, so the rest of its series is smaller still.
     Independent of the Marcum-P kernel, used as its cross-check on
     grids; u, v > 0.
@@ -164,7 +173,7 @@ def _ln_q_grid_series(nu: float, u: np.ndarray, v: np.ndarray,
     ln_total = nu * ln_b - _sp.gammaln(nu + 1.0)
     out = np.empty(ln_a.shape)
     live = np.arange(ln_a.size)
-    ln_tol = math.log(rel_tol)
+    ln_tol = math.log(_GRID_REL_TOL)
     k = 0
     while live.size:
         k += 1
@@ -178,7 +187,7 @@ def _ln_q_grid_series(nu: float, u: np.ndarray, v: np.ndarray,
                 keep = ~done
                 live, ln_a, ln_b = live[keep], ln_a[keep], ln_b[keep]
                 ln_ek, ln_total = ln_ek[keep], ln_total[keep]
-        if live.size and k >= k_cap:
+        if live.size and k >= _GRID_MAX_TERMS:
             raise TruncationError("grid Q series did not converge",
                                   float(np.max(ln_total)), float(np.max(ln_term)))
     return out.reshape(u.shape)
@@ -223,7 +232,7 @@ def unity_reconstruction(
     # pi^2 W_j exp(u+v) through the Marcum-P kernel and N_j through the
     # independent diagonal power series; their ratio is the exponential
     # density, reproduced numerically rather than by construction.
-    nu, x, y = (1.0 - mu, U, V) if j == 0 else (mu, V, U)
+    nu, x, y = _marcum_args(j, mu, U, V)
     ln_w = ln_marcum_p(nu, x, y) + x + y
     ln_n = _ln_q_grid_series(nu, x, y)
     ratio = np.exp(ln_w - ln_n)
@@ -311,17 +320,12 @@ def propagator_closed(p: KernelParams, dtheta: float, rho, rho_p):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-# relative tail bound and term cap of the propagator mode sum
-_MODE_REL_TOL = 1e-14
-_MODE_MAX_TERMS = 10**6
-
-
 def propagator_series(p: KernelParams, dtheta: float, rho: float, rho_p: float) -> complex:
     """Spectral mode sum i sum_m exp(-i E_m dt) phi(x) conj(phi(x')).
 
-    Absolutely convergent only for Im(dt) < 0; rejected otherwise.  The
-    tail is bounded geometrically by the factor |exp(-i gamma dt)| per
-    step.
+    Absolutely convergent only for Im(dt) < 0; rejected otherwise.  One
+    Laguerre recurrence feeds blocks of 48 terms; the tail is bounded
+    geometrically by the factor |exp(-i gamma dt)| per step.
     """
     dt = complex(p.delta_t)
     if not dt.imag < 0.0:
@@ -332,12 +336,12 @@ def propagator_series(p: KernelParams, dtheta: float, rho: float, rho_p: float) 
     phase_l = cmath.exp(1j * (p.l - p.cfg.l0) * dtheta)
     # branch phases of phi(x) phi*(x') cancel; N^2 = gamma / 2 pi
     block = 48
-    m_max = block - 1
-    total = 0.0 + 0.0j
+    rows = laguerre_fn_rows(alpha, _MODE_MAX_TERMS - 1, np.asarray([rho, rho_p]))
+    prods = np.empty(0)
     while True:
-        tab = laguerre_fn_table(alpha, m_max, np.asarray([rho, rho_p]))
-        prods = tab[:, 0] * tab[:, 1]
-        n1, _ = _radial_numbers(p.j, alpha, np.arange(m_max + 1.0))
+        tab = np.array([next(rows) for _ in range(block)])
+        prods = np.concatenate((prods, tab[:, 0] * tab[:, 1]))
+        n1, _ = _radial_numbers(p.j, alpha, np.arange(prods.size, dtype=float))
         energies = g * (n1 + 0.5)
         weights = np.exp(-1j * energies * dt)
         total = 1j * (g / (2.0 * math.pi)) * phase_l * np.dot(weights, prods)
@@ -345,24 +349,22 @@ def propagator_series(p: KernelParams, dtheta: float, rho: float, rho_p: float) 
         scale = max(abs(total), 1e-300)
         if tail * g / (2.0 * math.pi) <= _MODE_REL_TOL * scale:
             return complex(total)
-        if m_max + block >= _MODE_MAX_TERMS:
+        if prods.size + block > _MODE_MAX_TERMS:
             raise TruncationError("propagator mode sum did not converge",
                                   abs(total), tail)
-        m_max += block
 
 
-def radial_delta_smear(p: KernelParams, rho: float, width: float = 0.35) -> float:
+def radial_delta_smear(p: KernelParams, rho: float) -> float:
     """Relative error of the smeared radial delta limit at Wick time.
 
     Integrates the closed kernel against a Gaussian test function g
     centered at rho and compares with i (gamma / 2 pi) g(rho); returns
     the relative deviation at dtheta = 0.
     """
-    from .radial import make_radial_grid
-
     dt = complex(p.delta_t)
     if not (dt.real == 0.0 and dt.imag < 0.0):
         raise DomainError("smearing check runs on the Wick axis")
+    width = _RADIAL_SMEAR_WIDTH
     grid = make_radial_grid(rho_max=rho + 14.0 * width + 6.0, tail_step=0.5)
     rp = grid.nodes
     gvals = np.exp(-((rp - rho) ** 2) / (2.0 * width**2))
@@ -372,18 +374,17 @@ def radial_delta_smear(p: KernelParams, rho: float, width: float = 0.35) -> floa
     return float(abs(smeared - target) / abs(target))
 
 
-def angular_delta_smear(l_max: int, test_width: float = 0.5, n_theta: int = 801) -> float:
+def angular_delta_smear(l_max: int) -> float:
     """Smeared check of sum_l e^{i l dtheta} / 2 pi -> delta(dtheta).
 
     Pairs the truncated Fourier comb with a smooth periodic Gaussian and
     returns |integral - h(0)| / |h(0)|.  Convergence in l_max verifies
     the angular part of the completeness statement.
     """
-    theta = np.linspace(-math.pi, math.pi, n_theta)
-    h = np.exp(-(theta**2) / (2.0 * test_width**2))
-    comb = np.zeros_like(theta)
-    for l in range(-l_max, l_max + 1):
-        comb += np.cos(l * theta)  # imaginary parts cancel pairwise
+    theta = np.linspace(-math.pi, math.pi, _ANGULAR_SMEAR_POINTS)
+    h = np.exp(-(theta**2) / (2.0 * _ANGULAR_SMEAR_WIDTH**2))
+    # imaginary parts cancel pairwise; rows summed in l order
+    comb = np.cos(np.outer(np.arange(-l_max, l_max + 1), theta)).sum(axis=0)
     comb /= 2.0 * math.pi
     integral = np.trapezoid(comb * h, theta)
     return float(abs(integral - h[theta.size // 2]) / abs(h[theta.size // 2]))

@@ -60,8 +60,9 @@ import numpy as np
 from scipy import special as _sp
 
 from .specfun import DomainError, exp_in_range, laguerre_fn_rows, ln_marcum_p
-from .landau import (FieldConfig, _branch_l_values, _laguerre_order, _profile_factor,
-                     _radial_numbers, resolve_qnums)
+from .completeness import WeightSpec, weight_fn
+from .landau import (FieldConfig, _branch_l_values, _laguerre_order, _marcum_args,
+                     _profile_factor, _radial_numbers, resolve_qnums)
 
 __all__ = [
     "CSLabel",
@@ -255,13 +256,10 @@ def cs_expansion(j: int, label: CSLabel, cfg: FieldConfig) -> CSExpansion:
                        ln_c=ln_c, phase=phase, ln_norm=ln_norm)
 
 
-def _ln_normalization(j: int, u: float, v: float, mu: float) -> float:
-    """ln N_j = u + v + ln P_nu at squared label moduli (u, v)."""
-    if j == 0:
-        return u + v + ln_marcum_p(1.0 - mu, u, v)
-    if j == 1:
-        return u + v + ln_marcum_p(mu, v, u)
-    raise DomainError("branch j must be 0 or 1")
+def _ln_normalization(j: int, u, v, mu: float):
+    """ln N_j = u + v + ln P_nu at squared label moduli (u, v), elementwise."""
+    nu, x, y = _marcum_args(j, mu, u, v)
+    return np.add(x, y) + ln_marcum_p(nu, x, y)
 
 
 def _ln_half_norm(j: int, label: CSLabel, mu: float) -> float:
@@ -272,12 +270,12 @@ def _ln_half_norm(j: int, label: CSLabel, mu: float) -> float:
     return 0.5 * ln_n
 
 
-def cs_normalization(j: int, u: float, v: float, mu: float) -> float:
-    """N_j at squared label moduli (u, v) = (|z1|^2, |z2|^2).
+def cs_normalization(j: int, u, v, mu: float):
+    """N_j at squared label moduli (u, v) = (|z1|^2, |z2|^2), elementwise.
 
     N_0 = exp(u+v) P_{1-mu}(u, v) and N_1 = exp(u+v) P_mu(v, u), summed
-    in log space.  Raises DomainError where N_j exceeds the double
-    range.
+    in log space.  Scalar inputs give a float, arrays an array.  Raises
+    DomainError if N_j exceeds the double range at any point.
     """
     return exp_in_range(_ln_normalization(j, u, v, mu), f"N_{j}")
 
@@ -364,14 +362,12 @@ def mm_superpose(
     return total
 
 
-def mm_weight_sum(u: float, v: float) -> float:
-    """Sum of the two zero-flux weight functions; constant 1/pi^2.
+def mm_weight_sum(u, v):
+    """Sum of the two zero-flux weight functions, elementwise; constant 1/pi^2.
 
     Evaluated through the Marcum-P kernel, branch 1 through its
     zero-order edge P_0 = P_1 + exp(-(u+v)) I_0(2 sqrt(uv)), with no
     shortcut, so the constancy is a genuine numerical check of the
-    zero-flux measure.
+    zero-flux measure.  Scalar inputs give a float, arrays an array.
     """
-    from .completeness import WeightSpec, weight_fn
-
     return weight_fn(WeightSpec(j=0, mu=0.0), u, v) + weight_fn(WeightSpec(j=1, mu=0.0), u, v)

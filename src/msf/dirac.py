@@ -270,9 +270,10 @@ def basis_spinor_component(q: RelQuantumNumbers, dc: DiracConfig, grid: RadialGr
     return _seed_block(prof, np.zeros_like(prof), q.sigma, q.l_sigma, grid)
 
 
-def _ladder(vals: np.ndarray, sigma: int, L: int, raising: bool,
-            dc: DiracConfig, grid: RadialGrid) -> np.ndarray:
-    """Radial ladder action of P_+ (raising) or P_- on one spin slot.
+def _ladder(vals: np.ndarray, sigma: int, L: int, dc: DiracConfig,
+            grid: RadialGrid) -> np.ndarray:
+    """Radial ladder action on one spin slot: P_+ (raising) on the upper
+    slot, sigma = +1, and P_- on the lower, sigma = -1.
 
     The slot's eigenfamily fixes the origin exponent alpha (profiles are
     rho^(alpha/2) times an entire function h); the prefactor is peeled
@@ -294,7 +295,7 @@ def _ladder(vals: np.ndarray, sigma: int, L: int, raising: bool,
     if not np.all(np.isfinite(h)):
         raise DomainError("profile beyond the range of its origin power law")
     dh = grid.derivative(h)
-    sgn = -1.0 if raising else 1.0
+    sgn = -1.0 if sigma == 1 else 1.0
     coeff = 0.5 * (alpha + sgn * (L + mu))
     out = rho ** ((alpha + 1.0) / 2.0) * (dh + sgn * 0.5 * h)
     if coeff != 0.0:
@@ -309,8 +310,8 @@ def apply_sigma_p(s: Spinor2, dc: DiracConfig) -> Spinor2:
     (angular index drops by one), the lower receives P_+ of the upper.
     Total angular momentum is preserved.
     """
-    new_up = _ladder(s.dn, -1, s.l_dn, False, dc, s.grid)
-    new_dn = _ladder(s.up, 1, s.l_up, True, dc, s.grid)
+    new_up = _ladder(s.dn, -1, s.l_dn, dc, s.grid)
+    new_dn = _ladder(s.up, 1, s.l_up, dc, s.grid)
     return Spinor2(grid=s.grid, l_up=s.l_up, up=new_up, dn=new_dn)
 
 
@@ -353,7 +354,7 @@ def _eigenspinors(j: int, l: int, ms, dc: DiracConfig, charge: int, grid: Radial
     energies = _energy(q0.n1 + np.asarray(ms), charge, dc)  # n1 grows by one with m
     prof = _profiles(charge, l_s, max(ms), dc, grid.nodes)[list(ms)].T
     psi = _seed_block((energies + dc.mass) * prof,
-                      charge * _ladder(prof, charge, l_s, charge == 1, dc, grid),
+                      charge * _ladder(prof, charge, l_s, dc, grid),
                       charge, l_s, grid)
     # both blocks before either norm: a zero slot allocated between the two
     # norms' temporaries made rel_cs take about 70% more page faults

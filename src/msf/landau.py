@@ -125,6 +125,14 @@ def _radial_numbers(j: int, alpha, m):
     return (m, m + alpha) if j == 0 else (m + alpha, m)
 
 
+def _marcum_args(j: int, mu: float, u, v):
+    """(nu, x, y) of the Marcum function P_nu(x, y) behind the branch-j weight
+    and normalization: (1 - mu, u, v) on branch 0 and (mu, v, u) on branch 1."""
+    if j not in (0, 1):
+        raise DomainError("branch j must be 0 or 1")
+    return (1.0 - mu, u, v) if j == 0 else (mu, v, u)
+
+
 def _profile_factor(j: int, l, cfg: FieldConfig):
     """sqrt(gamma / 2 pi) times the branch phase exp(-i pi l) on branch 1,
     elementwise over l."""

@@ -1,7 +1,7 @@
 """Composite radial grid with quadrature and differentiation.
 
-Panels are graded geometrically toward the origin (down to rho_min,
-default 1e-8, so profiles with mildly divergent rho^(-mu/2) behavior
+Panels are graded geometrically toward the origin (down to
+_RHO_MIN = 1e-8, so profiles with mildly divergent rho^(-mu/2) behavior
 are sampled without ever touching rho = 0) and linearly in the tail.
 Each panel carries a Gauss-Legendre rule; derivatives use the exact
 derivative of the panel's polynomial interpolant (barycentric
@@ -71,9 +71,13 @@ class RadialGrid:
         return float(self.nodes[-1])
 
 
-def make_radial_grid(rho_min: float = 1e-8, rho_max: float = 60.0,
-                     n_per_panel: int = 12, tail_step: float = 1.5) -> RadialGrid:
-    """Build the composite grid: geometric panels on [rho_min, 1], then
+# innermost grid edge, and Gauss points of a full-width panel
+_RHO_MIN = 1e-8
+_PANEL_POINTS = 12
+
+
+def make_radial_grid(rho_max: float = 60.0, tail_step: float = 1.5) -> RadialGrid:
+    """Build the composite grid: geometric panels on [_RHO_MIN, 1], then
     uniform panels of width tail_step up to rho_max.
 
     Narrow panels carry fewer Gauss points: the derivative of the
@@ -81,12 +85,12 @@ def make_radial_grid(rho_min: float = 1e-8, rho_max: float = 60.0,
     factor varies so little across a narrow panel that a low order
     already interpolates it to machine accuracy.
     """
-    edges = [rho_min]
+    edges = [_RHO_MIN]
     while edges[-1] < 1.0:
         edges.append(min(edges[-1] * 2.0, 1.0))
     while edges[-1] < rho_max:
         edges.append(min(edges[-1] + tail_step, rho_max))
-    rules = {n: np.polynomial.legendre.leggauss(n) for n in (6, 8, n_per_panel)}
+    rules = {n: np.polynomial.legendre.leggauss(n) for n in (6, 8, _PANEL_POINTS)}
     cluster_edge = 0.012  # panels below this are differentiated jointly
     nodes, weights, slices, blocks = [], [], [], []
     cluster_nodes = []
@@ -98,7 +102,7 @@ def make_radial_grid(rho_min: float = 1e-8, rho_max: float = 60.0,
         elif width < 0.2:
             n_p = 8
         else:
-            n_p = n_per_panel
+            n_p = _PANEL_POINTS
         xg, wg = rules[n_p]
         half = 0.5 * width
         mid = 0.5 * (b + a)
@@ -122,7 +126,7 @@ def make_radial_grid(rho_min: float = 1e-8, rho_max: float = 60.0,
     return RadialGrid(
         nodes=np.concatenate(nodes),
         weights=np.concatenate(weights),
-        rho_min=float(rho_min),
+        rho_min=_RHO_MIN,
         panel_slices=tuple(all_slices),
         diff_blocks=tuple(all_blocks),
     )

@@ -296,11 +296,14 @@ def ln_marcum_p(nu: float, u, v):
 _LN_DOUBLE_MAX = math.log(np.finfo(float).max)
 
 
-def exp_in_range(ln_x: float, what: str) -> float:
-    """exp(ln_x), or DomainError where it exceeds the double range."""
-    if ln_x > _LN_DOUBLE_MAX:
-        raise DomainError(f"{what} = exp({ln_x:.6g}) exceeds the double range")
-    return math.exp(ln_x)
+def exp_in_range(ln_x, what: str):
+    """exp(ln_x) elementwise (a float for scalar input), or DomainError if
+    any element exceeds the double range."""
+    ln_max = np.max(ln_x, initial=-np.inf)
+    if ln_max > _LN_DOUBLE_MAX:
+        raise DomainError(f"{what} = exp({ln_max:.6g}) exceeds the double range")
+    out = np.exp(ln_x)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def q_sum(nu: float, u: float, v: float) -> float:

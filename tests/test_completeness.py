@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from msf import completeness
 from msf.landau import FieldConfig
-from msf.specfun import DomainError, erf, ln_gamma, ln_marcum_p
+from msf.specfun import DomainError, erf, laguerre_fn_rows, ln_gamma, ln_marcum_p
 from msf.completeness import (
     KernelParams,
     WeightSpec,
@@ -49,6 +50,17 @@ def test_weight_half_closed_spot_values():
     # u = 0: odd error function doubles
     assert weight_half_closed(0, 0.0, 1.7) == pytest.approx(
         erf(math.sqrt(1.7)) / math.pi ** 2, rel=1e-14)
+
+
+def test_weight_half_closed_elementwise_over_mesh():
+    u, v = np.meshgrid(np.linspace(0.0, 9.0, 4), [0.0, 0.7, 400.0], indexing="ij")
+    for j in (0, 1):
+        mesh = weight_half_closed(j, u, v)
+        assert mesh.shape == u.shape
+        for w, a, b in zip(mesh.ravel(), u.ravel(), v.ravel()):
+            assert w == weight_half_closed(j, float(a), float(b))
+    with pytest.raises(DomainError):
+        weight_half_closed(0, np.array([1.0, -1.0]), 1.0)
 
 
 def test_zero_flux_weight_sum_constant():
@@ -295,6 +307,23 @@ def test_closed_rejects_real_axis_singularity():
     p = KernelParams(j=0, l=-1, mu=0.3, delta_t=2.0 * math.pi, cfg=cfg)
     with pytest.raises(DomainError):
         propagator_closed(p, 0.0, 1.0, 2.0)
+
+
+def test_series_runs_one_recurrence(monkeypatch):
+    # tau = 0.05 needs several 48-term blocks of the mode sum
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return laguerre_fn_rows(*args)
+
+    monkeypatch.setattr(completeness, "laguerre_fn_rows", counted)
+    cfg = FieldConfig(gamma=1.0, mu=0.3)
+    p = KernelParams(j=0, l=-1, mu=0.3, delta_t=-0.05j, cfg=cfg)
+    series = propagator_series(p, 0.7, 1.0, 2.0)
+    assert len(calls) == 1
+    closed = propagator_closed(p, 0.7, 1.0, 2.0)
+    assert abs(series - closed) < 1e-8 * abs(closed)
 
 
 def test_series_rejects_real_time():

@@ -115,9 +115,22 @@ def test_normalization_far_out():
             diff = sp.erf(su + sv) + sp.erf(sv - su)
         closed = math.exp(u + v) * diff / 2.0
         assert cs_normalization(0, u, v, 0.5) == pytest.approx(closed, rel=1e-11)
-    # beyond the double range: a typed error, not inf
+    # beyond the double range: a typed error, not inf, also at one point of a mesh
     with pytest.raises(DomainError):
         cs_normalization(0, 400.0, 400.0, 0.5)
+    mesh = np.array([[1.0, 2.0], [3.0, 400.0]])
+    with pytest.raises(DomainError):
+        cs_normalization(0, mesh, mesh, 0.5)
+
+
+def test_normalization_elementwise_over_mesh():
+    u, v = np.meshgrid(np.linspace(0.0, 9.0, 4), [0.0, 0.7, 3.0, 250.0], indexing="ij")
+    for j in (0, 1):
+        for mu in (0.0, 0.35):
+            mesh = cs_normalization(j, u, v, mu)
+            assert mesh.shape == u.shape
+            for n, a, b in zip(mesh.ravel(), u.ravel(), v.ravel()):
+                assert n == cs_normalization(j, float(a), float(b), mu)
 
 
 def test_overlap_diagonal_and_conjugate_symmetry():
