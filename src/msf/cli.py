@@ -60,21 +60,6 @@ from .completeness import (
 from . import dirac as _dr
 from .radial import make_radial_grid
 
-SUITES = (
-    "orthonormality",
-    "cs-normalization",
-    "weights",
-    "moments",
-    "g-matrix",
-    "unity",
-    "propagator",
-    "dirac",
-    "rel-cs",
-    "embed-3p1",
-    "kernel-rel",
-    "all",
-)
-
 TABULATE_TARGETS = ("state", "cs-density", "weight", "kernel", "spectrum")
 
 
@@ -316,14 +301,12 @@ def suite_embed(cfg: RunConfig, rep: VerificationReport):
     base1 = next(_branch_l_values(1, cfg.vartheta))
     worst_sz = worst_n = worst_h = 0.0
     for s in (1, -1):
-        for p3 in (0.0,):
-            psi = _dr.embed_3p1(1, base1, 0, 1, s, p3, dc, grid)
-            worst_n = max(worst_n, abs(math.sqrt(_dr.d_inner4(psi, psi, dc).real) - 1.0))
-            diff = _dr.sz_apply(psi, p3, dc) - s * psi
-            worst_sz = max(worst_sz, math.sqrt(abs(_dr.d_inner4(diff, diff, dc).real)))
+        psi = _dr.embed_3p1(1, base1, 0, 1, s, 0.0, dc, grid)
+        worst_n = max(worst_n, abs(math.sqrt(_dr.d_inner4(psi, psi, dc).real) - 1.0))
+        diff = _dr.sz_apply(psi, 0.0, dc) - s * psi
+        worst_sz = max(worst_sz, math.sqrt(abs(_dr.d_inner4(diff, diff, dc).real)))
     for p3 in (0.0, 0.7, -1.3):
-        mt = math.sqrt(dc.mass**2 + p3 * p3)
-        dct = replace(dc, mass=mt)
+        dct = _dr._boosted(dc, p3)
         q = _dr.resolve_rel_qnums(1, base1, 0, 1, dct)
         et = _dr.e_energy(q, dct)
         psi = _dr.embed_3p1(1, base1, 0, 1, 1, p3, dc, grid)
@@ -359,10 +342,9 @@ def suite_kernel_rel(cfg: RunConfig, rep: VerificationReport):
     for (sig, l, vt) in [(1, 2, 1), (-1, -1, 1), (1, 0, -1), (-1, 0, 1)]:
         dcv = _dr.DiracConfig(field=fc, mass=cfg.mass, vartheta=vt)
         tau, rho, rho_p = 0.35, 1.0, 2.0
-        nu = _dr._rel_bessel_index(sig, l, mu, vt)
+        _, l_s, nu = _dr._row(sig, l, dcv)
         kv = _dr.green_kernel_rel(sig, l, dcv, -1j * tau, 0.0, 0.0, rho, rho_p)
         diag = kv[0, 0] if sig == 1 else kv[1, 1]
-        l_s = l - (1 + sig) // 2
         tab = laguerre_fn_table(nu, 70, np.array([rho, rho_p]))
         xsum = 2.0 * np.dot(np.exp(-(2 * np.arange(71) + nu + 1) * g * tau),
                             tab[:, 0] * tab[:, 1])
@@ -401,6 +383,7 @@ SUITE_FUNCS = {
     "embed-3p1": suite_embed,
     "kernel-rel": suite_kernel_rel,
 }
+SUITES = (*SUITE_FUNCS, "all")
 
 
 def verify_suite(cfg: RunConfig, suite: str) -> VerificationReport:
@@ -408,8 +391,7 @@ def verify_suite(cfg: RunConfig, suite: str) -> VerificationReport:
     if suite not in SUITES:
         raise DomainError(f"unknown suite: {suite}")
     rep = VerificationReport(suite=suite, config=_config_echo(cfg))
-    names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
-    for name in names:
+    for name in SUITE_FUNCS if suite == "all" else [suite]:
         SUITE_FUNCS[name](cfg, rep)
     return rep
 
@@ -655,7 +637,11 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         t0 = time.perf_counter()
-        rep = verify_suite(cfg, args.suite)
+        try:
+            rep = verify_suite(cfg, args.suite)
+        except DomainError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         wall = time.perf_counter() - t0
         text = report_csv(rep) if cfg.format == "csv" else report_json(rep)
         _write_output(text, cfg.out)

@@ -286,6 +286,21 @@ def _wick_radial(nu: float, phi: float, rho, rho_p):
     return np.exp(ln_mag) * bessel_i(nu, zarg, scaled=True) / sh
 
 
+def _hille_hardy(nu: float, phi: complex, rho, rho_p):
+    """exp[(i/2)(rho + rho') cot phi] I_nu(sqrt(rho rho') / (i sin phi)) / sin phi.
+
+    The radial factor of the Hille-Hardy kernels off the Wick axis
+    (gamma dt / 2 for the propagator, gamma s for the proper-time
+    kernel), elementwise over rho and rho'.  Raises DomainError near the
+    singular points where sin phi vanishes.
+    """
+    s = cmath.sin(phi)
+    if abs(s) < 1e-12:
+        raise DomainError("kernel singular: sin(phi) vanishes")
+    zarg = np.sqrt(rho * rho_p) / (1j * s)
+    return np.exp(0.5j * (rho + rho_p) * cmath.cos(phi) / s) * bessel_i(nu, zarg) / s
+
+
 def propagator_closed(p: KernelParams, dtheta: float, rho, rho_p):
     """Closed form of the fixed-l kernel (Hille-Hardy type).
 
@@ -309,14 +324,7 @@ def propagator_closed(p: KernelParams, dtheta: float, rho, rho_p):
         radial = _wick_radial(nu, g * -dt.imag / 2.0, rho, rho_p)
         out = (g / (4.0 * math.pi)) * phase * 1j * radial
     else:
-        phi_t = g * dt / 2.0
-        s = cmath.sin(phi_t)
-        if abs(s) < 1e-12:
-            raise DomainError("kernel singular: sin(gamma dt / 2) vanishes")
-        c = cmath.cos(phi_t)
-        zarg = np.sqrt(rho * rho_p) / (1j * s)
-        val = np.exp(0.5j * (rho + rho_p) * c / s) * bessel_i(nu, zarg) / s
-        out = (g / (4.0 * math.pi)) * phase * val
+        out = (g / (4.0 * math.pi)) * phase * _hille_hardy(nu, g * dt / 2.0, rho, rho_p)
     return complex(out) if np.ndim(out) == 0 else out
 
 

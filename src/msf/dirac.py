@@ -14,9 +14,14 @@ Scalar building blocks (spin-shifted stationary functions):
                n1 = m + l_s + mu, n2 = m,      l >= (1 + vartheta)/2
 
 with l_s = l - (1 + sigma)/2: the branch map of :mod:`msf.landau` at
-extension vartheta, read for planar row l_s.  Transverse energy squared is
-2 gamma [n1 + (1 + sigma)/2]; the positive operator Pi0 has eigenvalues
-E = sqrt(M^2 + E_perp^2).
+extension vartheta, read for planar row l_s.  This spin shift is written
+once, in :func:`_row`, which gives (j, l_s, alpha) for Dirac row
+(l, sigma); :func:`_family` is its view that refuses orders alpha <= -1.
+The slot helpers take the Dirac row l: both slots of a spinor belong to
+row l = l_dn, the upper (sigma = +1) at angular index l - 1.  Transverse
+energy squared is 2 gamma [n1 + (1 + sigma)/2]; the positive operator
+Pi0 has eigenvalues E = sqrt(M^2 + E_perp^2), and the 3+1 embedding
+replaces M by the boosted mass of :func:`_boosted`.
 
 Spinor eigenstates of H are built by the operator string
 
@@ -54,7 +59,7 @@ from .landau import (FieldConfig, _branch_l_values, _branch_of, _check_branch,
                      _laguerre_order, _profiles as _row_profiles, _radial_numbers)
 from .radial import RadialGrid, make_radial_grid
 from .cs import CSLabel, _grown_table, _on_larger_table, _quiet_blocks
-from .completeness import _wick_radial
+from .completeness import _hille_hardy, _wick_radial
 
 __all__ = [
     "DiracConfig",
@@ -110,6 +115,24 @@ class RelQuantumNumbers:
     n2: float
 
 
+def _row(sigma: int, l: int, dc: DiracConfig) -> tuple[int, int, float]:
+    """(j, l_s, alpha) of Dirac row (l, sigma): the branch j whose vartheta
+    range holds l, the planar row l_s = l - (1 + sigma)/2 evaluated on it,
+    and that row's Laguerre order alpha; not validated."""
+    j = _branch_of(l, dc.vartheta)
+    l_s = l - (1 + sigma) // 2
+    return j, l_s, _laguerre_order(j, l_s, dc.field.mu)
+
+
+def _family(sigma: int, l: int, dc: DiracConfig) -> tuple[int, int, float]:
+    """:func:`_row`, or DomainError when its radial family leaves the
+    Laguerre domain (alpha <= -1)."""
+    row = _row(sigma, l, dc)
+    if not row[2] > -1.0:
+        raise DomainError("radial profile outside the Laguerre domain")
+    return row
+
+
 def resolve_rel_qnums(j: int, l: int, m: int, sigma: int, dc: DiracConfig) -> RelQuantumNumbers:
     """Validate (j, l, m, sigma) against the vartheta-dependent ranges."""
     if sigma not in (-1, 1):
@@ -117,10 +140,7 @@ def resolve_rel_qnums(j: int, l: int, m: int, sigma: int, dc: DiracConfig) -> Re
     if m < 0 or m != int(m):
         raise DomainError("m must be a non-negative integer")
     _check_branch(j, l, dc.vartheta)
-    l_s = l - (1 + sigma) // 2
-    alpha = _laguerre_order(j, l_s, dc.field.mu)
-    if not alpha > -1.0:
-        raise DomainError("radial profile outside the Laguerre domain")
+    _, l_s, alpha = _family(sigma, l, dc)
     n1, n2 = _radial_numbers(j, alpha, float(m))
     return RelQuantumNumbers(j=j, l=int(l), m=int(m), sigma=sigma, l_sigma=int(l_s),
                              n1=n1, n2=n2)
@@ -149,7 +169,7 @@ def rel_basis_fn(q: RelQuantumNumbers, dc: DiracConfig, theta, rho):
     unbounded as rho -> 0.
     """
     phase = np.exp(1j * (q.l_sigma - dc.field.l0) * np.asarray(theta, dtype=float))
-    out = phase * _profiles(q.sigma, q.l_sigma, q.m, dc, rho)[q.m]
+    out = phase * _profiles(q.sigma, q.l, q.m, dc, rho)[q.m]
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -234,11 +254,11 @@ def d_inner(a: Spinor2, b: Spinor2, dc: DiracConfig, origin_tail: bool = True):
     r1, r2 = a.grid.nodes[:2]
     delta = a.grid.rho_min
     total = 0.0
-    for av, bv, sigma, L in ((a.up, b.up, 1, a.l_up), (a.dn, b.dn, -1, a.l_dn)):
+    for av, bv, sigma in ((a.up, b.up, 1), (a.dn, b.dn, -1)):
         w = np.conj(av) * bv
         total = total + a.grid.weights @ w
         if origin_tail:
-            alpha, _ = _component_family(sigma, L, dc)
+            alpha = _family(sigma, a.l_dn, dc)[2]
             # two-term fit w = (rho / rho_min)^alpha (c0 + c1 rho) through the
             # first two nodes, integrated over (0, rho_min); the ratios stay finite
             h1, h2 = w[0] * (delta / r1) ** alpha, w[1] * (delta / r2) ** alpha
@@ -255,31 +275,31 @@ def d_norm(a: Spinor2, dc: DiracConfig, origin_tail: bool = True):
     return float(nrm) if np.ndim(nrm) == 0 else nrm
 
 
-def _seed_block(seed: np.ndarray, other: np.ndarray, sigma: int, l_s: int,
+def _seed_block(seed: np.ndarray, other: np.ndarray, sigma: int, l: int,
                 grid: RadialGrid) -> Spinor2:
-    """``seed`` in spin slot sigma at angular index l_s and ``other`` in the
-    other slot: l_up = l_s for sigma = +1, l_s - 1 for sigma = -1."""
-    if sigma == 1:
-        return Spinor2(grid=grid, l_up=l_s, up=seed, dn=other)
-    return Spinor2(grid=grid, l_up=l_s - 1, up=other, dn=seed)
+    """``seed`` in spin slot sigma and ``other`` in the other slot of Dirac
+    row l, whose slots sit at angular indices l_up = l - 1 and l_dn = l."""
+    up, dn = (seed, other)[::sigma]  # sigma = -1 puts the seed below
+    return Spinor2(grid=grid, l_up=l - 1, up=up, dn=dn)
 
 
 def basis_spinor_component(q: RelQuantumNumbers, dc: DiracConfig, grid: RadialGrid) -> Spinor2:
     """u = phi_sigma v_sigma: the scalar profile in the sigma slot."""
-    prof = _profiles(q.sigma, q.l_sigma, q.m, dc, grid.nodes)[q.m]
-    return _seed_block(prof, np.zeros_like(prof), q.sigma, q.l_sigma, grid)
+    prof = _profiles(q.sigma, q.l, q.m, dc, grid.nodes)[q.m]
+    return _seed_block(prof, np.zeros_like(prof), q.sigma, q.l, grid)
 
 
-def _ladder(vals: np.ndarray, sigma: int, L: int, dc: DiracConfig,
+def _ladder(vals: np.ndarray, sigma: int, l: int, dc: DiracConfig,
             grid: RadialGrid) -> np.ndarray:
-    """Radial ladder action on one spin slot: P_+ (raising) on the upper
-    slot, sigma = +1, and P_- on the lower, sigma = -1.
+    """Radial ladder action on spin slot sigma of Dirac row l: P_+ (raising)
+    on the upper slot, sigma = +1, and P_- on the lower, sigma = -1.
 
-    The slot's eigenfamily fixes the origin exponent alpha (profiles are
-    rho^(alpha/2) times an entire function h); the prefactor is peeled
-    off analytically, so the 1/sqrt(rho)-singular pieces either cancel
-    exactly or are carried explicitly, and only the smooth factor h is
-    differentiated numerically:
+    The slot's eigenfamily (:func:`_family`, angular index L = l_s) fixes
+    the origin exponent alpha (profiles are rho^(alpha/2) times an entire
+    function h); the prefactor is peeled off analytically, so the
+    1/sqrt(rho)-singular pieces either cancel exactly or are carried
+    explicitly, and only the smooth factor h is differentiated
+    numerically:
 
         P_+- [rho^(a/2) h] = -i sqrt(2 gamma) { rho^((a+1)/2) (h' -+ h/2)
                              + ((a -+ (L + mu))/2) rho^((a-1)/2) h },
@@ -288,7 +308,7 @@ def _ladder(vals: np.ndarray, sigma: int, L: int, dc: DiracConfig,
     profile is; a profile beyond the double range of h raises DomainError.
     """
     mu = dc.field.mu
-    alpha, _ = _component_family(sigma, L, dc)
+    _, L, alpha = _family(sigma, l, dc)
     rho = np.expand_dims(grid.nodes, tuple(range(1, np.ndim(vals))))
     with np.errstate(over="ignore", invalid="ignore"):
         h = np.where(vals == 0.0, 0.0, vals * rho ** (-alpha / 2.0))
@@ -311,30 +331,16 @@ def apply_sigma_p(s: Spinor2, dc: DiracConfig) -> Spinor2:
     Total angular momentum is preserved.
     """
     new_up = _ladder(s.dn, -1, s.l_dn, dc, s.grid)
-    new_dn = _ladder(s.up, 1, s.l_up, dc, s.grid)
+    new_dn = _ladder(s.up, 1, s.l_dn, dc, s.grid)
     return Spinor2(grid=s.grid, l_up=s.l_up, up=new_up, dn=new_dn)
 
 
-def _component_family(sigma: int, L: int, dc: DiracConfig) -> tuple[float, int]:
-    """Scalar eigenfamily for a spin slot with angular index L.
-
-    Returns (alpha, j): the order of the orthonormal radial family
-    I_{m+alpha,m}(rho) at that angular index under the vartheta boundary
-    condition, and its branch, the one whose range holds the Dirac row
-    l = L + (1 + sigma)/2.
-    """
-    j = _branch_of(L + (1 + sigma) // 2, dc.vartheta)
-    alpha = _laguerre_order(j, L, dc.field.mu)
-    if not alpha > -1.0:
-        raise DomainError("profile family outside the Laguerre domain")
-    return alpha, j
-
-
-def _profiles(sigma: int, L: int, m_max: int, dc: DiracConfig, rho) -> np.ndarray:
-    """Radial profiles of a spin slot's eigenfamily, rows m = 0..m_max: the
-    planar profiles of row L on the slot's branch, behind the scalar
+def _profiles(sigma: int, l: int, m_max: int, dc: DiracConfig, rho) -> np.ndarray:
+    """Radial profiles of spin slot sigma of Dirac row l, rows m = 0..m_max:
+    the planar profiles of the slot's :func:`_family` row, behind the scalar
     component functions and the eigenspinor seeds."""
-    return _row_profiles(_component_family(sigma, L, dc)[1], L, m_max, rho, dc.field)
+    j, l_s, _ = _family(sigma, l, dc)
+    return _row_profiles(j, l_s, m_max, rho, dc.field)
 
 
 def hamiltonian_apply(s: Spinor2, dc: DiracConfig) -> Spinor2:
@@ -350,15 +356,14 @@ def _eigenspinors(j: int, l: int, ms, dc: DiracConfig, charge: int, grid: Radial
     seed_nrm are the grid norms of the unit-norm seeds.
     """
     q0 = resolve_rel_qnums(j, l, 0, charge, dc)
-    l_s = q0.l_sigma
     energies = _energy(q0.n1 + np.asarray(ms), charge, dc)  # n1 grows by one with m
-    prof = _profiles(charge, l_s, max(ms), dc, grid.nodes)[list(ms)].T
+    prof = _profiles(charge, l, max(ms), dc, grid.nodes)[list(ms)].T
     psi = _seed_block((energies + dc.mass) * prof,
-                      charge * _ladder(prof, charge, l_s, dc, grid),
-                      charge, l_s, grid)
+                      charge * _ladder(prof, charge, l, dc, grid),
+                      charge, l, grid)
     # both blocks before either norm: a zero slot allocated between the two
     # norms' temporaries made rel_cs take about 70% more page faults
-    bare = _seed_block(prof, np.zeros_like(prof), charge, l_s, grid)
+    bare = _seed_block(prof, np.zeros_like(prof), charge, l, grid)
     nrm, seed_nrm = d_norm(psi, dc), d_norm(bare, dc)
     if np.any(nrm <= 1e-10 * np.maximum(seed_nrm * np.maximum(energies, max(dc.mass, 1.0)),
                                          1e-30)):
@@ -412,11 +417,10 @@ _REL_GRID_SHARE = 1e-9
 
 def _rel_table(j: int, label: CSLabel, dc: DiracConfig, charge: int):
     """(l_s, alpha, ln|c|, arg c) of the planar table grown over the
-    spin-shifted rows l_s = l - (1 + charge)/2 of the branch-j range."""
+    :func:`_row` rows l_s of spin charge for the branch-j Dirac rows."""
     if dc.mass <= 0.0:
         raise DomainError("relativistic coherent states require M > 0")
-    shift = (1 + charge) // 2
-    table = _grown_table(j, (l - shift for l in _branch_l_values(j, dc.vartheta)),
+    table = _grown_table(j, (_row(charge, l, dc)[1] for l in _branch_l_values(j, dc.vartheta)),
                          label, dc.field)
     if np.all(table[2] == -np.inf):
         raise DomainError("relativistic coherent state undefined: zero normalization")
@@ -447,7 +451,7 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
     as soon as the rows built so far miss more than _REL_GRID_SHARE of
     Mcal on the radial grid.
     """
-    l_s, alpha, ln_c, phase = _rel_table(j, label, dc, charge)
+    _, alpha, ln_c, phase = _rel_table(j, label, dc, charge)
     if grid is None:
         grid = make_radial_grid(rho_max=60.0)
     ln_w = 2.0 * ln_c + _rel_ln_weight(j, alpha, ln_c.shape[1], dc, charge)
@@ -457,7 +461,8 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
     states: dict = {}
     spinors: dict = {}
     missed = 0.0
-    for l, ln_row, ph_row, ln_w_row in zip(l_s[:keep] + (1 + charge) // 2, ln_c, phase, ln_w):
+    for l, ln_row, ph_row, ln_w_row in zip(_branch_l_values(j, dc.vartheta), ln_c[:keep],
+                                           phase, ln_w):
         ms = np.flatnonzero(ln_row > -np.inf)
         if ms.size == 0:
             continue
@@ -524,6 +529,11 @@ def d_inner4(a: Spinor4, b: Spinor4, dc: DiracConfig) -> complex:
     return d_inner(a.upper, b.upper, dc) + d_inner(a.lower, b.lower, dc)
 
 
+def _boosted(dc: DiracConfig, p3: float) -> DiracConfig:
+    """dc with the boosted mass Mt = sqrt(M^2 + p3^2)."""
+    return replace(dc, mass=math.sqrt(dc.mass**2 + p3 * p3))
+
+
 def embed_3p1(j: int, l: int, m: int, charge: int, s: int, p3: float,
               dc: DiracConfig, grid: RadialGrid | None = None) -> Spinor4:
     """Stationary four-spinor with longitudinal momentum p3 and spin s.
@@ -542,8 +552,8 @@ def embed_3p1(j: int, l: int, m: int, charge: int, s: int, p3: float,
         raise DomainError("spin label s must be +1 or -1")
     if grid is None:
         grid = make_radial_grid(rho_max=60.0)
-    m_tilde = math.sqrt(dc.mass**2 + p3 * p3)
-    dct = replace(dc, mass=m_tilde)
+    dct = _boosted(dc, p3)
+    m_tilde = dct.mass
     q_up = resolve_rel_qnums(j, l, m, charge, dct)
     q_dn = resolve_rel_qnums(j, l, m, -charge, dct)
     psi_up, _ = dirac_spinor(q_up, dct, charge, grid)
@@ -564,10 +574,9 @@ def h3p1_apply(psi: Spinor4, p3: float, dc: DiracConfig) -> Spinor4:
     Mt = sqrt(M^2 + p3^2).  In this representation the embedded states
     are exact eigenstates for every p3.
     """
-    m_tilde = math.sqrt(dc.mass**2 + p3 * p3)
-    dct = replace(dc, mass=m_tilde)
+    dct = _boosted(dc, p3)
     return Spinor4(upper=hamiltonian_apply(psi.upper, dct),
-                   lower=apply_sigma_p(psi.lower, dct) - m_tilde * psi.lower.sigma3())
+                   lower=apply_sigma_p(psi.lower, dct) - dct.mass * psi.lower.sigma3())
 
 
 def sz_apply(psi: Spinor4, p3: float, dc: DiracConfig) -> Spinor4:
@@ -578,12 +587,8 @@ def sz_apply(psi: Spinor4, p3: float, dc: DiracConfig) -> Spinor4:
     eigenvalue property depends on the (unspecified) spin-matrix
     convention and is not asserted.
     """
-    m_tilde = math.sqrt(dc.mass**2 + p3 * p3)
-    return (h3p1_apply(psi.sigma3(), p3, dc) + h3p1_apply(psi, p3, dc).sigma3()) / (2 * m_tilde)
-
-
-def _rel_bessel_index(sigma: int, l: int, mu: float, vartheta: int) -> float:
-    return _laguerre_order(_branch_of(l, vartheta), l - (1 + sigma) // 2, mu)
+    return ((h3p1_apply(psi.sigma3(), p3, dc) + h3p1_apply(psi, p3, dc).sigma3())
+            / (2 * _boosted(dc, p3).mass))
 
 
 def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
@@ -605,15 +610,12 @@ def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
     near the singular real points s_k = k pi / gamma.  Elementwise over
     rho and rho', with the 2x2 block in the last two axes.
     """
-    from .specfun import bessel_i
-
     if sigma not in (-1, 1):
         raise DomainError("sigma must be +1 or -1")
     g = dc.field.gamma
     mu = dc.field.mu
     sc = complex(s)
-    l_s = l - (1 + sigma) // 2
-    nu = _rel_bessel_index(sigma, l, mu, dc.vartheta)
+    _, l_s, nu = _row(sigma, l, dc)
     phase = cmath.exp(1j * (l_s - dc.field.l0) * dtheta
                       - 1j * dc.mass**2 * sc
                       - 1j * (l_s + sigma + mu) * g * sc)
@@ -624,16 +626,9 @@ def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
         amp = -(g / (8.0 * math.pi**1.5 * math.sqrt(tau))) * radial
         diag = amp * phase * cmath.exp(-1j * dt * dt / (4.0 * sc))
     else:
-        sin_gs = cmath.sin(g * sc)
-        if abs(sin_gs) < 1e-12:
-            raise DomainError("kernel singular: sin(gamma s) vanishes")
-        zarg = cmath.exp(-0.5j * math.pi) * np.sqrt(rho * rho_p) / sin_gs
-        a = (g / (8.0 * math.pi**1.5 * cmath.sqrt(sc) * sin_gs)) * np.exp(
-            0.25j * math.pi
-            - 1j * dt * dt / (4.0 * sc)
-            + 0.5j * (rho + rho_p) * cmath.cos(g * sc) / sin_gs
-        )
-        diag = a * phase * bessel_i(nu, zarg)
+        amp = (g / (8.0 * math.pi**1.5 * cmath.sqrt(sc))) * cmath.exp(
+            0.25j * math.pi - 1j * dt * dt / (4.0 * sc))
+        diag = amp * phase * _hille_hardy(nu, g * sc, rho, rho_p)
     out = np.zeros(np.shape(diag) + (2, 2), dtype=complex)  # diag Xi_sigma
     out[..., (1 - sigma) // 2, (1 - sigma) // 2] = diag
     return out

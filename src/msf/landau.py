@@ -29,10 +29,11 @@ two branches split the angular numbers at one edge,
 so vartheta = -1 gives the planar ranges above and the Dirac extensions
 vartheta = +-1 their own (:mod:`msf.dirac` evaluates Dirac row
 (j, l, sigma) as planar row l_s = l - (1 + sigma)/2 on the branch whose
-range holds l).  A row has Laguerre order alpha = -(l + mu) on branch 0
-and l + mu on branch 1, radial numbers (n1, n2) = (m, m + alpha) or
-(m + alpha, m), and profiles sqrt(gamma / 2 pi) I_{m+alpha,m}(rho) times
-the branch phase exp(-i pi l) on branch 1.
+range holds l, a spin shift written once, in ``dirac._row``).  A row
+has Laguerre order alpha = -(l + mu) on branch 0 and l + mu on branch 1,
+radial numbers (n1, n2) = (m, m + alpha) or (m + alpha, m), and profiles
+sqrt(gamma / 2 pi) I_{m+alpha,m}(rho) times the branch phase
+exp(-i pi l) on branch 1.
 """
 
 from __future__ import annotations

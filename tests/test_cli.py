@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from msf.cli import RunConfig, _parse_grid, report_json, verify_suite
+from msf.cli import RunConfig, _parse_grid, main, report_json, verify_suite
 
 
 def run_cli(args, env=None, cwd=None):
@@ -29,6 +29,14 @@ def test_exit_code_usage_error():
     assert run_cli(["verify", "--suite", "unknown"]).returncode == 2
     assert run_cli(["bogus-command"]).returncode == 2
     assert run_cli(["tabulate", "weight", "--u", "bad"]).returncode == 2
+
+
+@pytest.mark.parametrize("suite", ["dirac", "kernel-rel"])
+def test_suite_domain_error_exits_2(suite, capsys):
+    # at zero flux the vartheta = -1 row l = 0 needs Laguerre order -1
+    assert main(["verify", "--suite", suite, "--mu", "0"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_exit_code_check_failure():

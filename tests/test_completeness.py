@@ -30,16 +30,6 @@ from msf.completeness import (
 # ---------------------------------------------------------------------------
 
 
-def test_weight_half_flux_closed_form_grid():
-    grid = np.linspace(0.0, 9.0, 10)
-    for u in grid:
-        for v in grid:
-            for j in (0, 1):
-                series = weight_fn(WeightSpec(j=j, mu=0.5), float(u), float(v))
-                closed = weight_half_closed(j, float(u), float(v))
-                assert abs(series - closed) < 1e-12
-
-
 def test_weight_half_closed_spot_values():
     # frozen: erf(2) / (2 pi^2)
     assert weight_half_closed(0, 1.0, 1.0) == pytest.approx(0.050423614998646447,
@@ -61,15 +51,6 @@ def test_weight_half_closed_elementwise_over_mesh():
             assert w == weight_half_closed(j, float(a), float(b))
     with pytest.raises(DomainError):
         weight_half_closed(0, np.array([1.0, -1.0]), 1.0)
-
-
-def test_zero_flux_weight_sum_constant():
-    grid = np.linspace(0.0, 9.0, 10)
-    for u in grid:
-        for v in grid:
-            total = (weight_fn(WeightSpec(0, 0.0), float(u), float(v))
-                     + weight_fn(WeightSpec(1, 0.0), float(u), float(v)))
-            assert total == pytest.approx(1.0 / math.pi ** 2, abs=1e-10)
 
 
 def test_weight_positivity_sampled():

@@ -2,6 +2,7 @@
 and the proper-time kernel."""
 
 import cmath
+import itertools
 import math
 from dataclasses import replace
 
@@ -36,7 +37,7 @@ from msf.dirac import (
     resolve_rel_qnums,
     sz_apply,
 )
-from msf.dirac import _eigenspinors, _rel_bessel_index
+from msf.dirac import _eigenspinors, _row
 
 
 GRID = make_radial_grid(rho_max=70.0)
@@ -346,20 +347,6 @@ def test_spinor_finite_at_high_angular_number(l, charge):
 # ---------------------------------------------------------------------------
 
 
-def test_rel_cs_unit_norm_and_dual_overlap():
-    lab_a = CSLabel(0.6 + 0.3j, -0.2 + 0.5j)
-    lab_b = CSLabel(0.3 - 0.4j, 0.7j)
-    for (j, vt) in ((1, 1), (0, -1)):
-        dc = make_dc(mu=0.5, vartheta=vt)
-        for charge in (1, -1):
-            a = rel_cs(j, lab_a, dc, charge, grid=GRID)
-            b = rel_cs(j, lab_b, dc, charge, grid=GRID)
-            assert rel_cs_inner(a, a, dc).real == pytest.approx(1.0, abs=1e-7)
-            quad_ov = rel_cs_inner(a, b, dc)
-            closed_ov = rel_cs_overlap_closed(j, lab_a, lab_b, dc, charge)
-            assert abs(quad_ov - closed_ov) < 1e-7
-
-
 def test_rel_cs_series_coefficients_match_bookkeeping():
     dc = make_dc(mu=0.5)
     lab = CSLabel(0.6 + 0.3j, -0.2 + 0.5j)
@@ -561,16 +548,43 @@ def test_kernel_projector_structure():
     assert k[0, 0] == 0 and abs(k[1, 1]) > 0
 
 
+def kernel_order(sig, l, mu, vt):
+    """Bessel order of the kernel: the Laguerre order of the Dirac row."""
+    return _row(sig, l, make_dc(mu=mu, vartheta=vt))[2]
+
+
 def test_kernel_bessel_index_conventions():
     # l != 0: order |l_sigma + mu| independent of vartheta
-    assert _rel_bessel_index(1, 2, 0.3, 1) == pytest.approx(1.3)
-    assert _rel_bessel_index(1, 2, 0.3, -1) == pytest.approx(1.3)
-    assert _rel_bessel_index(-1, -2, 0.3, 1) == pytest.approx(1.7)
+    assert kernel_order(1, 2, 0.3, 1) == pytest.approx(1.3)
+    assert kernel_order(1, 2, 0.3, -1) == pytest.approx(1.3)
+    assert kernel_order(-1, -2, 0.3, 1) == pytest.approx(1.7)
     # l = 0 channel: vartheta selects the (ir)regular order
-    assert _rel_bessel_index(1, 0, 0.3, 1) == pytest.approx(0.7)
-    assert _rel_bessel_index(-1, 0, 0.3, 1) == pytest.approx(-0.3)
-    assert _rel_bessel_index(1, 0, 0.3, -1) == pytest.approx(-0.7)
-    assert _rel_bessel_index(-1, 0, 0.3, -1) == pytest.approx(0.3)
+    assert kernel_order(1, 0, 0.3, 1) == pytest.approx(0.7)
+    assert kernel_order(-1, 0, 0.3, 1) == pytest.approx(-0.3)
+    assert kernel_order(1, 0, 0.3, -1) == pytest.approx(-0.7)
+    assert kernel_order(-1, 0, 0.3, -1) == pytest.approx(0.3)
+
+
+def test_kernel_zero_flux_l0_channel_same_for_both_extensions():
+    # at mu = 0 the l = 0 row has integer order +-n on the two extensions,
+    # and I_{-n} = I_n: the kernel does not validate the row's Laguerre order
+    rho_p = np.linspace(0.1, 4.0, 5)
+    for sig, s in itertools.product((1, -1), (-0.35j, 0.3 - 0.2j)):
+        k = [green_kernel_rel(sig, 0, make_dc(mu=0.0, vartheta=vt), s, 0.4, 0.2, 1.5, rho_p)
+             for vt in (1, -1)]
+        assert np.abs(k[0]).max() > 0
+        np.testing.assert_array_equal(k[0], k[1])
+
+
+def test_slot_without_family_refused():
+    # mu = 0, vartheta = -1: the upper slot of row l = 0 would need order -1
+    dc = make_dc(mu=0.0, vartheta=-1)
+    ones = np.ones(GRID.nodes.size)
+    s = Spinor2(grid=GRID, l_up=-1, up=ones, dn=ones)
+    with pytest.raises(DomainError):
+        d_inner(s, s, dc)
+    with pytest.raises(DomainError):
+        apply_sigma_p(s, dc)
 
 
 @pytest.mark.parametrize("sig,l,vt", [(1, 2, 1), (-1, -1, 1), (1, 0, -1), (-1, 0, 1)])
@@ -579,10 +593,9 @@ def test_kernel_matches_mode_sum(sig, l, vt):
     dc = make_dc(mu=mu, mass=0.8, vartheta=vt)
     g = dc.field.gamma
     tau, rho, rho_p = 0.35, 1.0, 2.0
-    nu = _rel_bessel_index(sig, l, mu, vt)
+    _, l_s, nu = _row(sig, l, dc)
     k = green_kernel_rel(sig, l, dc, -1j * tau, 0.0, 0.0, rho, rho_p)
     diag = k[0, 0] if sig == 1 else k[1, 1]
-    l_s = l - (1 + sig) // 2
     tab = laguerre_fn_table(nu, 70, np.array([rho, rho_p]))
     xsum = 2.0 * sum(math.exp(-(2 * m + nu + 1) * g * tau) * tab[m, 0] * tab[m, 1]
                      for m in range(71))
