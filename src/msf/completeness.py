@@ -270,6 +270,12 @@ class KernelParams:
             raise DomainError("delta_t must have non-positive imaginary part")
 
 
+def _check_radii(rho, rho_p):
+    """DomainError unless every radius is non-negative (scalars or arrays)."""
+    if (np.minimum(rho, rho_p) < 0.0).any():
+        raise DomainError("rho must be non-negative")
+
+
 def _wick_radial(nu: float, phi: float, rho, rho_p):
     """exp[-(rho + rho') coth(phi) / 2] I_nu(sqrt(rho rho') / sinh phi) / sinh phi.
 
@@ -278,8 +284,9 @@ def _wick_radial(nu: float, phi: float, rho, rho_p):
     kernel), elementwise over rho and rho'.  The growth of I_nu is moved
     into the exponent through the scaled Bessel function; that exponent
     never exceeds 0 (sqrt(rho rho') <= (rho + rho') / 2), so small phi
-    does not overflow.
+    does not overflow.  Raises DomainError on a negative radius.
     """
+    _check_radii(rho, rho_p)
     sh = np.sinh(phi)
     zarg = np.sqrt(rho * rho_p) / sh
     ln_mag = -0.5 * (rho + rho_p) * np.cosh(phi) / sh + zarg
@@ -291,9 +298,10 @@ def _hille_hardy(nu: float, phi: complex, rho, rho_p):
 
     The radial factor of the Hille-Hardy kernels off the Wick axis
     (gamma dt / 2 for the propagator, gamma s for the proper-time
-    kernel), elementwise over rho and rho'.  Raises DomainError near the
-    singular points where sin phi vanishes.
+    kernel), elementwise over rho and rho'.  Raises DomainError on a
+    negative radius and near the singular points where sin phi vanishes.
     """
+    _check_radii(rho, rho_p)
     s = cmath.sin(phi)
     if abs(s) < 1e-12:
         raise DomainError("kernel singular: sin(phi) vanishes")
@@ -313,8 +321,6 @@ def propagator_closed(p: KernelParams, dtheta: float, rho, rho_p):
     Bessel function, so small tau does not overflow.  Elementwise over
     rho and rho'; scalar radii give a complex.
     """
-    if np.any(np.less(rho, 0.0)) or np.any(np.less(rho_p, 0.0)):
-        raise DomainError("rho must be non-negative")
     g = p.cfg.gamma
     dt = complex(p.delta_t)
     nu = _laguerre_order(p.j, p.l, p.mu)

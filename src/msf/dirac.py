@@ -607,8 +607,9 @@ def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
     (1+sigma)/2 - mu for vartheta = +1 and its negative for
     vartheta = -1 (the irregular channel).  Xi_sigma = (1 + sigma s3)/2.
     Wick-rotated s = -i tau is evaluated on a stable real path.  Raises
-    near the singular real points s_k = k pi / gamma.  Elementwise over
-    rho and rho', with the 2x2 block in the last two axes.
+    DomainError on a negative radius and near the singular real points
+    s_k = k pi / gamma.  Elementwise over rho and rho', with the 2x2
+    block in the last two axes.
     """
     if sigma not in (-1, 1):
         raise DomainError("sigma must be +1 or -1")

@@ -6,11 +6,18 @@ are sampled without ever touching rho = 0) and linearly in the tail.
 Each panel carries a Gauss-Legendre rule; derivatives use the exact
 derivative of the panel's polynomial interpolant (barycentric
 differentiation matrix), which is spectrally accurate for functions
-smooth on the panel.
+smooth on the panel.  The panels of the origin cluster share one
+least-squares derivative block instead.
+
+The operator is stored as stacked runs: consecutive panels with the same
+point count form one (count, n, n) stack, so a derivative costs one
+batched product per run (three on the default grids: the origin
+cluster, the 8-point panels, the 12-point panels), not one per panel.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,23 +55,32 @@ def _lsq_cheb_diff(x: np.ndarray, degree: int) -> np.ndarray:
     return da @ np.linalg.pinv(C.chebvander(t, degree))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     nodes: np.ndarray
     weights: np.ndarray
     rho_min: float
-    panel_slices: tuple = field(repr=False)
-    diff_blocks: tuple = field(repr=False)
+    # (slice of nodes, (count, n, n) stack of derivative blocks) per run
+    runs: tuple = field(repr=False)
 
     def integrate(self, values: np.ndarray):
         return np.sum(self.weights * np.asarray(values))
 
     def derivative(self, values: np.ndarray) -> np.ndarray:
+        """d/drho along axis 0; trailing axes are independent columns.
+
+        One batched product per run of equal panels.  The blocks are
+        real, so a complex input is differentiated as its real
+        (nodes, 2k) view; an input that is not C-contiguous is copied once.
+        """
         vals = np.asarray(values)
-        out = np.empty_like(vals)
-        for sl, d in zip(self.panel_slices, self.diff_blocks):
-            out[sl] = d @ vals[sl]
-        return out
+        dtype = complex if np.iscomplexobj(vals) else float
+        x = np.ascontiguousarray(vals, dtype=dtype).reshape(len(vals), -1).view(float)
+        out = np.empty_like(x)
+        for sl, stack in self.runs:
+            count, n, _ = stack.shape
+            np.matmul(stack, x[sl].reshape(count, n, -1), out=out[sl].reshape(count, n, -1))
+        return out.view(dtype).reshape(vals.shape)
 
     @property
     def rho_max(self) -> float:
@@ -92,9 +108,7 @@ def make_radial_grid(rho_max: float = 60.0, tail_step: float = 1.5) -> RadialGri
         edges.append(min(edges[-1] + tail_step, rho_max))
     rules = {n: np.polynomial.legendre.leggauss(n) for n in (6, 8, _PANEL_POINTS)}
     cluster_edge = 0.012  # panels below this are differentiated jointly
-    nodes, weights, slices, blocks = [], [], [], []
-    cluster_nodes = []
-    start = 0
+    nodes, weights, cluster_nodes, tail_blocks = [], [], [], []
     for a, b in zip(edges[:-1], edges[1:]):
         width = b - a
         if width < 1e-3:
@@ -112,21 +126,18 @@ def make_radial_grid(rho_max: float = 60.0, tail_step: float = 1.5) -> RadialGri
         if b <= cluster_edge:
             cluster_nodes.append(xn)
         else:
-            slices.append(slice(start, start + n_p))
-            blocks.append(_diff_matrix(xn))
-        start += n_p
-    all_slices = []
-    all_blocks = []
-    if cluster_nodes:
-        xc = np.concatenate(cluster_nodes)
-        all_slices.append(slice(0, xc.size))
-        all_blocks.append(_lsq_cheb_diff(xc, degree=12))
-    all_slices.extend(slices)
-    all_blocks.extend(blocks)
+            tail_blocks.append(_diff_matrix(xn))
+    # the cluster is one run of one block; the tail groups by panel size
+    stacks = [_lsq_cheb_diff(np.concatenate(cluster_nodes), degree=12)[None]]
+    stacks += [np.stack(list(run)) for _, run in itertools.groupby(tail_blocks, key=len)]
+    runs, start = [], 0
+    for stack in stacks:
+        count, n, _ = stack.shape
+        runs.append((slice(start, start + count * n), stack))
+        start += count * n
     return RadialGrid(
         nodes=np.concatenate(nodes),
         weights=np.concatenate(weights),
         rho_min=_RHO_MIN,
-        panel_slices=tuple(all_slices),
-        diff_blocks=tuple(all_blocks),
+        runs=tuple(runs),
     )

@@ -180,7 +180,7 @@ def bessel_i(nu: float, z, scaled: bool = False):
     stays finite where the plain value would overflow.
     """
     nu = float(nu)
-    if abs(nu) < np.finfo(float).tiny:
+    if abs(nu) < _DOUBLE_TINY:
         nu = 0.0  # scipy's iv returns nan at subnormal orders with complex z
     fn = _sp.ive if scaled else _sp.iv
     if np.iscomplexobj(z) or isinstance(z, complex):
@@ -268,7 +268,7 @@ def ln_marcum_p(nu: float, u, v):
     nu = float(nu)
     if not nu >= 0.0:
         raise DomainError("ln_marcum_p requires nu >= 0")
-    if nu < np.finfo(float).tiny:
+    if nu < _DOUBLE_TINY:
         nu = 0.0
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
     u, v = np.broadcast_arrays(np.atleast_1d(np.asarray(u, dtype=float)),
@@ -294,6 +294,7 @@ def ln_marcum_p(nu: float, u, v):
 
 
 _LN_DOUBLE_MAX = math.log(np.finfo(float).max)
+_DOUBLE_TINY = np.finfo(float).tiny  # smallest normal double
 
 
 def exp_in_range(ln_x, what: str):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from msf.completeness import KernelParams, propagator_closed
 from msf.landau import FieldConfig, _branch_l_values
 from msf.radial import make_radial_grid
 from msf.specfun import DomainError, TruncationError, laguerre_fn_table
@@ -642,3 +643,21 @@ def test_kernel_singularity_rejected():
     dc = make_dc(mu=0.3)
     with pytest.raises(DomainError):
         green_kernel_rel(1, 2, dc, math.pi / dc.field.gamma, 0.0, 0.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("rho,rho_p", [
+    (-1.0, 2.0), (1.0, -1.5), (-1.0, -1.5),
+    (1.5, np.array([0.5, -0.1])), (np.array([-1.0, -2.0]), -1.5),
+])
+@pytest.mark.parametrize("s", [-0.4j, 0.3 - 0.2j])
+@pytest.mark.parametrize("kernel", ["green_kernel_rel", "propagator_closed"])
+def test_kernels_reject_negative_radius(kernel, s, rho, rho_p):
+    # both kernels share the radial factors, which own the radius check;
+    # two negative radii make rho rho' > 0, so the factors alone stay finite
+    mu = 0.37
+    p = KernelParams(j=1, l=2, mu=mu, delta_t=s, cfg=FieldConfig(mu=mu))
+    with pytest.raises(DomainError, match="non-negative"):
+        if kernel == "green_kernel_rel":
+            green_kernel_rel(1, 2, make_dc(mu=mu, vartheta=1), s, 0.0, 0.0, rho, rho_p)
+        else:
+            propagator_closed(p, 0.0, rho, rho_p)
