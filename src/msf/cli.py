@@ -2,16 +2,21 @@
 
 Usage:
 
-    msf verify   [--suite S] [--mu F] [--l0 I] [--gamma F] [--vartheta +-1]
-                 [--tol F] [--nodes N] [--out PATH] [--format csv|json]
-    msf tabulate TARGET [grid flags] [--out PATH] [--format csv|json]
+    msf verify   [--suite S] [--list] [options]
+    msf tabulate TARGET [grid flags] [options]
+
+    options: [--mu F] [--l0 I] [--gamma F] [--vartheta +-1] [--mass F]
+             [--out PATH] [--format csv|json]
 
 ``verify`` runs a named identity suite and writes a machine-readable
 report; the exit status is 0 when every check passes, 1 on any check
 failure, 2 on usage errors.  ``tabulate`` emits state/weight/kernel/
 spectrum tables on rectangular grids.  A flat key=value config file can
-be supplied through the MSF_CONFIG environment variable; command-line
-flags win over the file.
+be supplied through the MSF_CONFIG environment variable; its keys are
+the option names, checked like the flags, and flags win over the file.
+A given ``mu`` replaces the flux values that each suite scans, and a
+given ``vartheta`` the extensions that the dirac and rel-cs suites scan
+(embed-3p1 and kernel-rel read ``vartheta`` either way, default +1).
 
 Output files are deterministic: identical configuration produces
 byte-identical bytes (timing information goes to the console only,
@@ -63,6 +68,21 @@ from .radial import make_radial_grid
 TABULATE_TARGETS = ("state", "cs-density", "weight", "kernel", "spectrum")
 
 
+# name -> (type, choices, help): the one list of settable values, read by
+# the flags of both commands, the MSF_CONFIG parser and the config echo
+OPTIONS = {
+    "mu": (float, None, "fractional flux in [0,1); replaces each suite's flux values"),
+    "l0": (int, None, "integer flux part"),
+    "gamma": (float, None, "field strength scale"),
+    "vartheta": (int, (-1, 1), "self-adjoint extension label; replaces the "
+                               "dirac and rel-cs suites' extensions"),
+    "mass": (float, None, "fermion mass"),
+    "out": (str, None, "output file path"),
+    "format": (str, ("csv", "json"), "output format"),
+}
+_OUTPUT_OPTIONS = ("out", "format")  # where the output goes: not echoed
+
+
 @dataclass(frozen=True)
 class RunConfig:
     mu: float = 0.5
@@ -70,18 +90,17 @@ class RunConfig:
     gamma: float = 1.0
     vartheta: int = 1
     mass: float = 1.0
-    tol: float | None = None
-    nodes: int = 100
     out: str | None = None
     format: str = "json"
-    mu_set: bool = False  # whether --mu was given explicitly
+    given: frozenset[str] = frozenset()  # option names set by flag or by MSF_CONFIG
 
     def field_config(self, mu: float | None = None) -> FieldConfig:
         return FieldConfig(gamma=self.gamma, l0=self.l0,
                            mu=self.mu if mu is None else mu)
 
-    def mu_values(self, default: tuple[float, ...]) -> tuple[float, ...]:
-        return (self.mu,) if self.mu_set else default
+    def values(self, name: str, default: tuple) -> tuple:
+        """The given value of option ``name`` alone, else a suite's defaults."""
+        return (getattr(self, name),) if name in self.given else default
 
 
 @dataclass
@@ -110,18 +129,14 @@ class VerificationReport:
         return all(r.status == "pass" for r in self.records)
 
 
-def _tol(cfg: RunConfig, default: float) -> float:
-    return cfg.tol if cfg.tol is not None else default
-
-
 # ---------------------------------------------------------------------------
 # verification suites
 # ---------------------------------------------------------------------------
 
 
 def suite_orthonormality(cfg: RunConfig, rep: VerificationReport):
-    tol = _tol(cfg, 1e-10)
-    for mu in cfg.mu_values((0.0, 0.25, 0.5, 0.9)):
+    tol = 1e-10
+    for mu in cfg.values("mu", (0.0, 0.25, 0.5, 0.9)):
         fc = cfg.field_config(mu)
         states = [resolve_qnums(0, l, m, fc) for l in range(-10, 0) for m in range(11)]
         states += [resolve_qnums(1, l, m, fc) for l in range(0, 11) for m in range(11)]
@@ -131,16 +146,16 @@ def suite_orthonormality(cfg: RunConfig, rep: VerificationReport):
 
 
 def suite_cs_normalization(cfg: RunConfig, rep: VerificationReport):
-    tol = _tol(cfg, 1e-10)
+    tol = 1e-10
     grid = np.linspace(0.0, 9.0, 10)
     u, v = np.meshgrid(grid, grid, indexing="ij")
     target = np.exp(u + v)
-    for mu in cfg.mu_values((0.0, 0.25, 0.5, 0.75)):
+    for mu in cfg.values("mu", (0.0, 0.25, 0.5, 0.75)):
         total = cs_normalization(0, u, v, mu) + cs_normalization(1, u, v, mu)
         worst = np.max(np.abs(total - target) / target)
         rep.add("exp-sum-rule", f"mu={mu} u,v in [0,9]", worst, tol)
     # unit norm of the assembled state against the series normalization
-    fc = cfg.field_config(*cfg.mu_values((0.5,)))
+    fc = cfg.field_config(*cfg.values("mu", (0.5,)))
     lab = CSLabel(0.7 + 0.2j, -0.4j)
     worst = 0.0
     for j in (0, 1):
@@ -154,7 +169,7 @@ def suite_cs_normalization(cfg: RunConfig, rep: VerificationReport):
             total += float(quad.integrate(np.abs(prof) ** 2).real)
         n = cs_normalization(j, lab.u, lab.v, fc.mu)
         worst = max(worst, abs(total / n - 1.0))
-    rep.add("cs-unit-norm", f"mu={fc.mu} z=(0.7+0.2i,-0.4i)", worst, _tol(cfg, 1e-9))
+    rep.add("cs-unit-norm", f"mu={fc.mu} z=(0.7+0.2i,-0.4i)", worst, 1e-9)
 
 
 def suite_weights(cfg: RunConfig, rep: VerificationReport):
@@ -162,32 +177,35 @@ def suite_weights(cfg: RunConfig, rep: VerificationReport):
     u, v = np.meshgrid(grid, grid, indexing="ij")
     worst = max(np.max(np.abs(weight_fn(WeightSpec(j=j, mu=0.5), u, v)
                               - weight_half_closed(j, u, v))) for j in (0, 1))
-    rep.add("half-flux-closed-form", "mu=0.5 u,v in [0,9]", worst, _tol(cfg, 1e-12))
+    rep.add("half-flux-closed-form", "mu=0.5 u,v in [0,9]", worst, 1e-12)
     worst = np.max(np.abs(mm_weight_sum(u, v) - 1.0 / math.pi**2))
-    rep.add("zero-flux-constant", "u,v in [0,9]", worst, _tol(cfg, 1e-10))
+    rep.add("zero-flux-constant", "u,v in [0,9]", worst, 1e-10)
     # positivity on a sampled grid, all mu
     grid = np.linspace(0.25, 8.0, 6)
     u, v = np.meshgrid(grid, grid, indexing="ij")
     w_min = min(np.min(weight_fn(WeightSpec(j=j, mu=mu), u, v))
-                for mu in cfg.mu_values((0.1, 0.25, 0.5, 0.75, 0.9)) for j in (0, 1))
+                for mu in cfg.values("mu", (0.1, 0.25, 0.5, 0.75, 0.9)) for j in (0, 1))
     rep.add("weight-positivity", "sampled grid", 1.0 - w_min if w_min <= 0 else 0.0, 0.5)
 
 
 def suite_moments(cfg: RunConfig, rep: VerificationReport):
-    tol = _tol(cfg, 1e-10)
+    tol = 1e-10
     for n in np.linspace(-0.85, 12.0, 50):
         mc = moment_check(float(n))
         rep.add("gamma-moment", f"n={n:.6g}", mc.abs_err / mc.gamma_value, tol)
 
 
 def suite_g_matrix(cfg: RunConfig, rep: VerificationReport):
-    tol = _tol(cfg, 1e-9)
+    tol = 1e-9
     worst = 0.0
-    for mu in cfg.mu_values((0.25, 0.5, 0.75)):
+    for mu in cfg.values("mu", (0.25, 0.5, 0.75)):
         for j, lrange in ((0, range(-4, 0)), (1, range(0, 5))):
             for m in range(0, 7):
                 for l in lrange:
                     gq = g_matrix(m, m, l, l, mu, j=j)
+                    # the Gamma exponents are written by hand as the independent
+                    # oracle for g_matrix's branch map: reading them from
+                    # resolve_qnums would compare g_matrix with its own inputs
                     if j == 0:
                         gc = math.exp(ln_gamma(1.0 + m).real + ln_gamma(1.0 + m - l - mu).real)
                     else:
@@ -199,21 +217,21 @@ def suite_g_matrix(cfg: RunConfig, rep: VerificationReport):
 
 
 def suite_unity(cfg: RunConfig, rep: VerificationReport):
-    tol = _tol(cfg, 1e-6)
-    (mu,) = cfg.mu_values((0.5,))
+    tol = 1e-6
+    (mu,) = cfg.values("mu", (0.5,))
     for j in (0, 1):
         if j == 0:
             pairs = [(l, m) for l in range(-4, 0) for m in range(0, 5)]
         else:
             pairs = [(l, m) for l in range(0, 5) for m in range(0, 5)]
-        g = unity_reconstruction(pairs, mu=mu, j=j, n_nodes=min(cfg.nodes, 120))
+        g = unity_reconstruction(pairs, mu=mu, j=j, n_nodes=100)
         err = float(np.max(np.abs(g - np.eye(len(pairs)))))
         rep.add("unity-diagonal", f"j={j} mu={mu} m,|l|<=4", err, tol)
 
 
 def suite_propagator(cfg: RunConfig, rep: VerificationReport):
-    tol = _tol(cfg, 1e-8)
-    fc = cfg.field_config(*cfg.mu_values((0.3,)))
+    tol = 1e-8
+    fc = cfg.field_config(*cfg.values("mu", (0.3,)))
     worst = 0.0
     for tau in (0.05, 0.1, 0.2, 0.5, 1.0):
         for (j, l) in ((0, -1), (1, 2)):
@@ -240,8 +258,8 @@ def _dirac_setup(cfg: RunConfig, mu: float, vt: int):
 
 
 def suite_dirac(cfg: RunConfig, rep: VerificationReport):
-    (mu,) = cfg.mu_values((0.4,))
-    for vt in (1, -1):
+    (mu,) = cfg.values("mu", (0.4,))
+    for vt in cfg.values("vartheta", (1, -1)):
         dc, grid = _dirac_setup(cfg, mu, vt)
         base1, base0 = next(_branch_l_values(1, vt)), next(_branch_l_values(0, vt))
         combos = [(1, base1 + dl, m) for dl in range(3) for m in range(2)]
@@ -256,7 +274,7 @@ def suite_dirac(cfg: RunConfig, rep: VerificationReport):
         g = np.array([[_dr.d_inner(spinors[a][0], spinors[b][0], dc) for b in range(n)]
                       for a in range(n)])
         rep.add("spinor-gram", f"vt={vt:+d} mu={mu} {n} states",
-                float(np.max(np.abs(g - np.eye(n)))), _tol(cfg, 1e-8))
+                float(np.max(np.abs(g - np.eye(n)))), 1e-8)
         worst_p = 0.0
         for (j, l, m, sig) in [(1, base1, 0, 1), (0, base0, 0, -1), (1, base1 + 1, 1, -1)]:
             q = _dr.resolve_rel_qnums(j, l, m, sig, dc)
@@ -269,20 +287,22 @@ def suite_dirac(cfg: RunConfig, rep: VerificationReport):
             else:
                 worst_p = max(worst_p, _dr.d_norm(ppu, dc, origin_tail=False)
                               / (2.0 * dc.field.gamma))
-        rep.add("sigma-p-squared", f"vt={vt:+d} mu={mu}", worst_p, _tol(cfg, 1e-6))
+        rep.add("sigma-p-squared", f"vt={vt:+d} mu={mu}", worst_p, 1e-6)
         worst_h = 0.0
         for (psi, e, charge) in spinors[:10]:
             resid = _dr.hamiltonian_apply(psi, dc) - charge * e * psi
             worst_h = max(worst_h, _dr.d_norm(resid, dc, origin_tail=False) / e)
-        rep.add("hamiltonian-residual", f"vt={vt:+d} mu={mu}", worst_h, _tol(cfg, 1e-5))
+        rep.add("hamiltonian-residual", f"vt={vt:+d} mu={mu}", worst_h, 1e-5)
 
 
 def suite_rel_cs(cfg: RunConfig, rep: VerificationReport):
-    (mu,) = cfg.mu_values((0.5,))
+    (mu,) = cfg.values("mu", (0.5,))
     lab_a = CSLabel(0.6 + 0.3j, -0.2 + 0.5j)
     lab_b = CSLabel(0.3 - 0.4j, 0.7j)
     worst_n = worst_o = 0.0
-    for (j, vt) in ((1, 1), (0, -1)):
+    # unpinned: branch 1 at vartheta = +1 (rows l >= 1) and branch 0 at
+    # vartheta = -1 (rows l <= -1); pinned: both branches at the given one
+    for j, vt in zip((1, 0), itertools.cycle(cfg.values("vartheta", (1, -1)))):
         dc, grid = _dirac_setup(cfg, mu, vt)
         for charge in (1, -1):
             a = _dr.rel_cs(j, lab_a, dc, charge, grid=grid)
@@ -291,12 +311,12 @@ def suite_rel_cs(cfg: RunConfig, rep: VerificationReport):
             ovq = _dr.rel_cs_inner(a, b, dc)
             ovc = _dr.rel_cs_overlap_closed(j, lab_a, lab_b, dc, charge)
             worst_o = max(worst_o, abs(ovq - ovc))
-    rep.add("rel-cs-unit-norm", f"mu={mu} both branches/charges", worst_n, _tol(cfg, 1e-7))
-    rep.add("rel-cs-overlap-dual", f"mu={mu}", worst_o, _tol(cfg, 1e-7))
+    rep.add("rel-cs-unit-norm", f"mu={mu} both branches/charges", worst_n, 1e-7)
+    rep.add("rel-cs-overlap-dual", f"mu={mu}", worst_o, 1e-7)
 
 
 def suite_embed(cfg: RunConfig, rep: VerificationReport):
-    (mu,) = cfg.mu_values((0.4,))
+    (mu,) = cfg.values("mu", (0.4,))
     dc, grid = _dirac_setup(cfg, mu, cfg.vartheta)
     base1 = next(_branch_l_values(1, cfg.vartheta))
     worst_sz = worst_n = worst_h = 0.0
@@ -312,9 +332,9 @@ def suite_embed(cfg: RunConfig, rep: VerificationReport):
         psi = _dr.embed_3p1(1, base1, 0, 1, 1, p3, dc, grid)
         diff = _dr.h3p1_apply(psi, p3, dc) - et * psi
         worst_h = max(worst_h, math.sqrt(abs(_dr.d_inner4(diff, diff, dc).real)) / et)
-    rep.add("embed-unit-norm", f"mu={mu}", worst_n, _tol(cfg, 1e-10))
-    rep.add("embed-sz-eigen", f"mu={mu} p3=0", worst_sz, _tol(cfg, 1e-5))
-    rep.add("embed-energy-eigen", f"mu={mu} p3 in {{0,0.7,-1.3}}", worst_h, _tol(cfg, 1e-9))
+    rep.add("embed-unit-norm", f"mu={mu}", worst_n, 1e-10)
+    rep.add("embed-sz-eigen", f"mu={mu} p3=0", worst_sz, 1e-5)
+    rep.add("embed-energy-eigen", f"mu={mu} p3 in {{0,0.7,-1.3}}", worst_h, 1e-9)
     # non-relativistic suppression of the small components, O(1/M)
     ratios = []
     for mass in (10.0, 100.0, 1000.0):
@@ -331,7 +351,7 @@ def suite_embed(cfg: RunConfig, rep: VerificationReport):
 
 
 def suite_kernel_rel(cfg: RunConfig, rep: VerificationReport):
-    (mu,) = cfg.mu_values((0.3,))
+    (mu,) = cfg.values("mu", (0.3,))
     fc = cfg.field_config(mu)
     dc = _dr.DiracConfig(field=fc, mass=cfg.mass, vartheta=cfg.vartheta)
     k = _dr.green_kernel_rel(1, 2, dc, -0.3j, 0.4, 0.0, 1.0, 2.0)
@@ -353,7 +373,7 @@ def suite_kernel_rel(cfg: RunConfig, rep: VerificationReport):
                  / (8.0 * math.pi**1.5 * math.sqrt(tau))) * xsum
         worst = max(worst, abs(diag.real - pred) / abs(pred) + abs(diag.imag))
     rep.add("kernel-mode-sum", f"mu={mu} incl. both vartheta l=0 channels",
-            worst, _tol(cfg, 1e-10))
+            worst, 1e-10)
     grid = make_radial_grid(rho_max=24.0, tail_step=0.5)
     rho0, width = 1.5, 0.35
     gvals = np.exp(-((grid.nodes - rho0) ** 2) / (2.0 * width**2))
@@ -460,39 +480,24 @@ def tabulate(cfg: RunConfig, target: str, args) -> tuple[list[str], list[list]]:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    return {
-        "mu": cfg.mu, "l0": cfg.l0, "gamma": cfg.gamma, "vartheta": cfg.vartheta,
-        "mass": cfg.mass, "tol": cfg.tol, "nodes": cfg.nodes,
-    }
+    return {k: getattr(cfg, k) for k in OPTIONS if k not in _OUTPUT_OPTIONS}
 
 
-def _fmt_json(x) -> float:
-    return float(f"{x:.17g}") if isinstance(x, float) else x
+REPORT_COLUMNS = ["name", "parameters", "achieved_error", "tolerance", "status"]
+
+
+def _report_rows(rep: VerificationReport, comma: str = ",") -> list[list]:
+    return [[r.name, r.params.replace(",", comma), r.achieved_error, r.tolerance, r.status]
+            for r in rep.records]
 
 
 def report_json(rep: VerificationReport) -> str:
-    obj = {
-        "meta": {"suite": rep.suite, "config": {k: _fmt_json(v) for k, v in rep.config.items()}},
-        "records": [
-            {
-                "name": r.name,
-                "parameters": r.params,
-                "achieved_error": _fmt_json(r.achieved_error),
-                "tolerance": _fmt_json(r.tolerance),
-                "status": r.status,
-            }
-            for r in rep.records
-        ],
-    }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _json_table({"suite": rep.suite, "config": rep.config},
+                       REPORT_COLUMNS, _report_rows(rep))
 
 
 def report_csv(rep: VerificationReport) -> str:
-    lines = ["name,parameters,achieved_error,tolerance,status"]
-    for r in rep.records:
-        params = r.params.replace(",", ";")
-        lines.append(f"{r.name},{params},{r.achieved_error:.12g},{r.tolerance:.12g},{r.status}")
-    return "\n".join(lines) + "\n"
+    return table_csv(REPORT_COLUMNS, _report_rows(rep, comma=";"))
 
 
 def table_csv(header: list[str], rows: list[list]) -> str:
@@ -504,14 +509,12 @@ def table_csv(header: list[str], rows: list[list]) -> str:
 
 
 def table_json(header: list[str], rows: list[list], cfg: RunConfig) -> str:
-    obj = {
-        "meta": {"config": {k: _fmt_json(v) for k, v in _config_echo(cfg).items()},
-                 "columns": header},
-        "records": [
-            {h: _fmt_json(c) if isinstance(c, float) else c for h, c in zip(header, row)}
-            for row in rows
-        ],
-    }
+    return _json_table({"config": _config_echo(cfg), "columns": header}, header, rows)
+
+
+def _json_table(meta: dict, header: list[str], rows: list[list]) -> str:
+    # json writes each double as its shortest round-trip repr, 17 digits at most
+    obj = {"meta": meta, "records": [dict(zip(header, row)) for row in rows]}
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -545,42 +548,28 @@ def _load_config_file() -> dict:
     return values
 
 
-_CONFIG_TYPES = {
-    "mu": float, "l0": int, "gamma": float, "vartheta": int, "mass": float,
-    "tol": float, "nodes": int, "out": str, "format": str,
-}
+def _config_value(key: str, raw: str):
+    """One MSF_CONFIG value, with the type and choice checks of its flag."""
+    if key not in OPTIONS:
+        raise DomainError(f"unknown config key: {key}")
+    typ, choices, _ = OPTIONS[key]
+    val = typ(raw)
+    if choices is not None and val not in choices:
+        raise DomainError(f"config {key} = {raw!r}: choose from "
+                          + ", ".join(map(str, choices)))
+    return val
 
 
 def _build_run_config(args) -> RunConfig:
-    file_vals = _load_config_file()
-    cfg = RunConfig()
-    updates = {}
-    for key, raw in file_vals.items():
-        if key not in _CONFIG_TYPES:
-            raise DomainError(f"unknown config key: {key}")
-        updates[key] = _CONFIG_TYPES[key](raw)
-    if "mu" in updates:
-        updates["mu_set"] = True
-    for key in _CONFIG_TYPES:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            updates[key] = val
-            if key == "mu":
-                updates["mu_set"] = True
-    return replace(cfg, **updates)
+    given = {key: _config_value(key, raw) for key, raw in _load_config_file().items()}
+    given.update((key, getattr(args, key)) for key in OPTIONS
+                 if getattr(args, key) is not None)  # flags win over the file
+    return RunConfig(**given, given=frozenset(given))
 
 
 def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--mu", type=float, default=None, help="fractional flux in [0,1)")
-    p.add_argument("--l0", type=int, default=None, help="integer flux part")
-    p.add_argument("--gamma", type=float, default=None, help="field strength scale")
-    p.add_argument("--vartheta", type=int, choices=(-1, 1), default=None,
-                   help="self-adjoint extension label")
-    p.add_argument("--mass", type=float, default=None, help="fermion mass")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
-    p.add_argument("--nodes", type=int, default=None, help="quadrature order")
-    p.add_argument("--out", type=str, default=None, help="output file path")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    for name, (typ, choices, help_) in OPTIONS.items():
+        p.add_argument(f"--{name}", type=typ, choices=choices, help=help_)
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from msf import dirac
 from msf.cli import RunConfig, _parse_grid, main, report_json, verify_suite
 
 
@@ -29,6 +30,9 @@ def test_exit_code_usage_error():
     assert run_cli(["verify", "--suite", "unknown"]).returncode == 2
     assert run_cli(["bogus-command"]).returncode == 2
     assert run_cli(["tabulate", "weight", "--u", "bad"]).returncode == 2
+    # no tolerance or quadrature-order override: --tol 1 would pass C02
+    for flag in (["--tol", "1"], ["--nodes", "200"]):
+        assert main(["verify", "--suite", "all", *flag]) == 2
 
 
 @pytest.mark.parametrize("suite", ["dirac", "kernel-rel"])
@@ -137,11 +141,52 @@ def test_config_file_and_cli_precedence(tmp_path):
     assert obj["meta"]["config"]["mu"] == 0.75
 
 
-def test_bad_config_file(tmp_path):
+def test_bad_config_file(tmp_path, monkeypatch, capsys):
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("nonsense value\n")
-    res = run_cli(["verify", "--suite", "moments"], env={"MSF_CONFIG": str(cfgfile)})
-    assert res.returncode == 2
+    monkeypatch.setenv("MSF_CONFIG", str(cfgfile))
+    # config values get the type and choice checks of their flags
+    for text in ("nonsense value", "tol = 1", "nodes = 200", "format = xml", "vartheta = 0"):
+        cfgfile.write_text(text + "\n")
+        assert main(["verify", "--suite", "moments"]) == 2, text
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), text
+
+
+def _records(argv, tmp_path) -> list:
+    out = tmp_path / "rep.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    return json.loads(out.read_text())["records"]
+
+
+def test_vartheta_pins_dirac_suite(tmp_path):
+    both = _records(["verify", "--suite", "dirac"], tmp_path)
+    pinned = _records(["verify", "--suite", "dirac", "--vartheta", "-1"], tmp_path)
+    assert len(both) == 6 and len(pinned) == 3
+    assert json.dumps(pinned) == json.dumps([r for r in both if "vt=-1" in r["parameters"]])
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_vartheta_pins_rel_cs_suite(source, tmp_path, monkeypatch):
+    # pinned to vartheta = -1, branch 1 starts at the irregular l = 0 row
+    seen, rel_cs = set(), dirac.rel_cs
+
+    def spy(j, lab, dc, *args, **kwargs):
+        seen.add((j, dc.vartheta))
+        return rel_cs(j, lab, dc, *args, **kwargs)
+
+    monkeypatch.setattr(dirac, "rel_cs", spy)
+    argv = ["verify", "--suite", "rel-cs", "--mu", "0.15"]
+    if source == "flag":
+        argv += ["--vartheta", "-1"]
+    else:
+        cfgfile = tmp_path / "msf.cfg"
+        cfgfile.write_text("vartheta = -1\n")
+        monkeypatch.setenv("MSF_CONFIG", str(cfgfile))
+    pinned = _records(argv, tmp_path)
+    assert seen == {(1, -1), (0, -1)}
+    assert [(r["name"], r["parameters"], r["status"]) for r in pinned] == [
+        ("rel-cs-unit-norm", "mu=0.15 both branches/charges", "pass"),
+        ("rel-cs-overlap-dual", "mu=0.15", "pass")]
 
 
 def test_grid_parse():

@@ -218,25 +218,6 @@ def test_sigma_p_hermitian():
 
 
 @pytest.mark.parametrize("vt", [1, -1])
-def test_spinor_orthonormality_20_states(vt):
-    dc = make_dc(mu=0.4, vartheta=vt)
-    base1, base0 = next(_branch_l_values(1, vt)), next(_branch_l_values(0, vt))
-    combos = [(1, base1 + dl, m) for dl in range(3) for m in range(2)]
-    combos += [(0, base0 - dl, m) for dl in range(2) for m in range(2)]
-    spinors = []
-    for (j, l, m) in combos:
-        for charge in (1, -1):
-            q = resolve_rel_qnums(j, l, m, charge, dc)
-            psi, _ = dirac_spinor(q, dc, charge, GRID)
-            spinors.append(psi)
-    n = len(spinors)
-    assert n == 20
-    gram = np.array([[d_inner(spinors[a], spinors[b], dc) for b in range(n)]
-                     for a in range(n)])
-    assert np.max(np.abs(gram - np.eye(n))) < 1e-8
-
-
-@pytest.mark.parametrize("vt", [1, -1])
 def test_hamiltonian_eigen_residual(vt):
     dc = make_dc(mu=0.4, vartheta=vt)
     base1, base0 = next(_branch_l_values(1, vt)), next(_branch_l_values(0, vt))

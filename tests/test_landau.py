@@ -162,15 +162,6 @@ def test_stationary_state_scalar_matches_array():
             assert val == pytest.approx(arr[k], rel=1e-15, abs=0.0)
 
 
-@pytest.mark.parametrize("mu", [0.0, 0.25, 0.5, 0.9])
-def test_orthonormality_gram(mu):
-    cfg = FieldConfig(mu=mu)
-    states = [resolve_qnums(0, l, m, cfg) for l in range(-10, 0) for m in range(11)]
-    states += [resolve_qnums(1, l, m, cfg) for l in range(0, 11) for m in range(11)]
-    g = gram_matrix(states, cfg)
-    assert np.max(np.abs(g - np.eye(len(states)))) < 1e-10
-
-
 def test_zero_flux_superposition_single_valued():
     # at mu = 0 the branch-0 and branch-1 functions joined across l = 0
     # reproduce one smoothly labeled family: energies agree through the
