@@ -14,6 +14,9 @@ failure, 2 on usage errors.  ``tabulate`` emits state/weight/kernel/
 spectrum tables on rectangular grids.  A flat key=value config file can
 be supplied through the MSF_CONFIG environment variable; its keys are
 the option names, checked like the flags, and flags win over the file.
+Every value is range-checked once, when the run configuration is built
+(mu in [0, 1), gamma > 0, mass >= 0): an invalid one exits 2 with one
+``error:`` line, whichever suite or table is asked for.
 A given ``mu`` replaces the flux values that each suite scans, and a
 given ``vartheta`` the extensions that the dirac and rel-cs suites scan
 (embed-3p1 and kernel-rel read ``vartheta`` either way, default +1).
@@ -73,10 +76,10 @@ TABULATE_TARGETS = ("state", "cs-density", "weight", "kernel", "spectrum")
 OPTIONS = {
     "mu": (float, None, "fractional flux in [0,1); replaces each suite's flux values"),
     "l0": (int, None, "integer flux part"),
-    "gamma": (float, None, "field strength scale"),
+    "gamma": (float, None, "field strength scale, > 0"),
     "vartheta": (int, (-1, 1), "self-adjoint extension label; replaces the "
                                "dirac and rel-cs suites' extensions"),
-    "mass": (float, None, "fermion mass"),
+    "mass": (float, None, "fermion mass, >= 0"),
     "out": (str, None, "output file path"),
     "format": (str, ("csv", "json"), "output format"),
 }
@@ -93,6 +96,11 @@ class RunConfig:
     out: str | None = None
     format: str = "json"
     given: frozenset[str] = frozenset()  # option names set by flag or by MSF_CONFIG
+
+    def __post_init__(self):
+        # the ranges of FieldConfig and DiracConfig, checked once for every
+        # suite and table: an out-of-range value raises DomainError here
+        _dr.DiracConfig(field=self.field_config(), mass=self.mass, vartheta=self.vartheta)
 
     def field_config(self, mu: float | None = None) -> FieldConfig:
         return FieldConfig(gamma=self.gamma, l0=self.l0,

@@ -31,6 +31,7 @@ from .specfun import (
     TruncationError,
     bessel_i,
     erf,
+    exp_in_range,
     laguerre_fn_rows,
     ln_gamma,
     ln_marcum_p,
@@ -129,8 +130,11 @@ def moment_check(n: float) -> MomentCheck:
     k = max(0, math.floor(n))
     frac = n - k
     quad = make_quadrature(frac, max(_MOMENT_NODES, k + 2))
-    qval = float(quad.integrate_weighted(quad.nodes**k))
-    gval = math.exp(ln_gamma(1.0 + n).real)
+    gval = exp_in_range(ln_gamma(1.0 + n).real, "Gamma(1 + n)")
+    # x^k overflows at the largest nodes long before the moment does: the
+    # nodes are scaled by a power of two 2^e above them, undone exactly
+    e = math.frexp(quad.nodes.max())[1]
+    qval = math.ldexp(float(quad.integrate_weighted(np.ldexp(quad.nodes, -e) ** k)), e * k)
     return MomentCheck(quadrature_value=qval, gamma_value=gval, abs_err=abs(qval - gval))
 
 

@@ -40,6 +40,20 @@ two.  The states sharing (j, l, sigma) are built as one block, a column
 per m: a spinor is one column, a relativistic coherent state one block
 per l contracted with its amplitudes.
 
+Every such block is built in real (float64) arithmetic.  The seed slot
+is (E + M) times a real Laguerre profile and the other slot -i charge
+times its real radial ladder; the profile factor exp(-i pi l_s)
+sqrt(gamma / 2 pi) is a unit phase, which the phase convention removes,
+times a constant.  So the block holds the real profiles and their
+ladders, and one complex factor per column and slot carries E + M,
+-i charge, sqrt(gamma / 2 pi) / norm and the phase (:func:`_eigenspinors`).
+A spinor applies its factors to its one column, a coherent state folds
+them into its amplitudes before one real product per slot.  On a
+742-node grid a 15-column complex block is 178 KB, above glibc's 128 KiB
+mmap threshold, so each complex temporary of the ladder, the derivative
+and the norms would be a fresh zero-filled mapping; the real blocks
+(89 KB) stay below it and are reused from the heap.
+
 sigma.P acts by an exact angular shift plus the first-order radial
 ladder operator, applied through numerical differentiation on a
 composite grid (see :mod:`msf.radial`).
@@ -54,7 +68,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .specfun import DomainError, TruncationError, exp_in_range
+from .specfun import DomainError, TruncationError, exp_in_range, laguerre_fn_table
 from .landau import (FieldConfig, _branch_l_values, _branch_of, _check_branch,
                      _laguerre_order, _profiles as _row_profiles, _radial_numbers)
 from .radial import RadialGrid, make_radial_grid
@@ -235,36 +249,42 @@ class Spinor2(_SpinorArithmetic):
         return Spinor2(self.grid, self.l_up, self.up, -self.dn)
 
 
+def _origin_tail(w: np.ndarray, alpha: float, grid: RadialGrid):
+    """Integral over (0, rho_min) of the product w of two profiles of one
+    spin slot, along axis 0, from the power law rho^alpha of the slot's
+    eigenfamily (:func:`_family`): the two-term fit
+    w = (rho / rho_min)^alpha (c0 + c1 rho) through the first two nodes;
+    the ratios stay finite."""
+    (r1, r2), delta = grid.nodes[:2], grid.rho_min
+    h1, h2 = w[0] * (delta / r1) ** alpha, w[1] * (delta / r2) ** alpha
+    c1 = (h2 - h1) / (r2 - r1)
+    c0 = h1 - c1 * r1
+    return delta * (c0 / (alpha + 1.0) + c1 * delta / (alpha + 2.0))
+
+
 def d_inner(a: Spinor2, b: Spinor2, dc: DiracConfig, origin_tail: bool = True):
     """Spinor inner product (1/gamma) int drho dtheta a^dag b.
 
     The grid covers [rho_min, rho_max].  With ``origin_tail`` the
-    segment (0, rho_min) is added analytically from the power-law
-    behavior of each spin slot's eigenfamily (two-term fit through the
-    first nodes); without it, pairs involving the irregular vartheta
-    profiles lose O(rho_min^(1-mu)) of orthogonality.  Residual fields
-    produced by grid differentiation do not follow the family power law
-    and should be measured with ``origin_tail=False``.  A complex for two
-    spinors; for two blocks an array, column k of a against column k of b.
+    segment (0, rho_min) is added analytically, slot by slot
+    (:func:`_origin_tail`); without it, pairs involving the irregular
+    vartheta profiles lose O(rho_min^(1-mu)) of orthogonality.  Residual
+    fields produced by grid differentiation do not follow the family
+    power law and should be measured with ``origin_tail=False``.  A
+    complex for two spinors; for two blocks an array, column k of a
+    against column k of b.
     """
     if a.grid is not b.grid:
         raise DomainError("spinors must share one grid")
     if a.l_up != b.l_up:
         return 0j if a.up.ndim == 1 else np.zeros(a.up.shape[1], dtype=complex)
-    r1, r2 = a.grid.nodes[:2]
-    delta = a.grid.rho_min
     total = 0.0
     for av, bv, sigma in ((a.up, b.up, 1), (a.dn, b.dn, -1)):
-        w = np.conj(av) * bv
-        total = total + a.grid.weights @ w
+        # one contiguous row per column, so a column sums alone as in its block
+        w = np.multiply(np.conj(av.T), bv.T, order="C")
+        total = total + np.vecdot(a.grid.weights, w)
         if origin_tail:
-            alpha = _family(sigma, a.l_dn, dc)[2]
-            # two-term fit w = (rho / rho_min)^alpha (c0 + c1 rho) through the
-            # first two nodes, integrated over (0, rho_min); the ratios stay finite
-            h1, h2 = w[0] * (delta / r1) ** alpha, w[1] * (delta / r2) ** alpha
-            c1 = (h2 - h1) / (r2 - r1)
-            c0 = h1 - c1 * r1
-            total = total + delta * (c0 / (alpha + 1.0) + c1 * delta / (alpha + 2.0))
+            total = total + _origin_tail(w.T, _family(sigma, a.l_dn, dc)[2], a.grid)
     total = 2.0 * math.pi / dc.field.gamma * total
     return complex(total) if np.ndim(total) == 0 else total
 
@@ -291,8 +311,9 @@ def basis_spinor_component(q: RelQuantumNumbers, dc: DiracConfig, grid: RadialGr
 
 def _ladder(vals: np.ndarray, sigma: int, l: int, dc: DiracConfig,
             grid: RadialGrid) -> np.ndarray:
-    """Radial ladder action on spin slot sigma of Dirac row l: P_+ (raising)
-    on the upper slot, sigma = +1, and P_- on the lower, sigma = -1.
+    """Radial ladder action on spin slot sigma of Dirac row l, divided by -i:
+    P_+ / (-i) (raising) on the upper slot, sigma = +1, and P_- / (-i) on
+    the lower, sigma = -1.  A real operator, so real profiles stay real.
 
     The slot's eigenfamily (:func:`_family`, angular index L = l_s) fixes
     the origin exponent alpha (profiles are rho^(alpha/2) times an entire
@@ -309,18 +330,19 @@ def _ladder(vals: np.ndarray, sigma: int, l: int, dc: DiracConfig,
     """
     mu = dc.field.mu
     _, L, alpha = _family(sigma, l, dc)
-    rho = np.expand_dims(grid.nodes, tuple(range(1, np.ndim(vals))))
+    rho = grid.nodes.reshape((-1,) + (1,) * (np.ndim(vals) - 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        h = np.where(vals == 0.0, 0.0, vals * rho ** (-alpha / 2.0))
+        h = vals * rho ** (-alpha / 2.0)
+    h[vals == 0.0] = 0.0  # a zero profile stays zero where the power overflows
     if not np.all(np.isfinite(h)):
         raise DomainError("profile beyond the range of its origin power law")
-    dh = grid.derivative(h)
     sgn = -1.0 if sigma == 1 else 1.0
     coeff = 0.5 * (alpha + sgn * (L + mu))
-    out = rho ** ((alpha + 1.0) / 2.0) * (dh + sgn * 0.5 * h)
-    if coeff != 0.0:
-        out = out + coeff * rho ** ((alpha - 1.0) / 2.0) * h
-    return -1j * math.sqrt(2.0 * dc.field.gamma) * out
+    # sqrt(2 gamma) rho^((a+1)/2) (h' -+ h/2 + coeff h / rho), in place on h'
+    dh = grid.derivative(h)
+    dh += (0.5 * sgn + coeff / rho) * h
+    dh *= math.sqrt(2.0 * dc.field.gamma) * rho ** ((alpha + 1.0) / 2.0)
+    return dh
 
 
 def apply_sigma_p(s: Spinor2, dc: DiracConfig) -> Spinor2:
@@ -330,8 +352,8 @@ def apply_sigma_p(s: Spinor2, dc: DiracConfig) -> Spinor2:
     (angular index drops by one), the lower receives P_+ of the upper.
     Total angular momentum is preserved.
     """
-    new_up = _ladder(s.dn, -1, s.l_dn, dc, s.grid)
-    new_dn = _ladder(s.up, 1, s.l_dn, dc, s.grid)
+    new_up = -1j * _ladder(s.dn, -1, s.l_dn, dc, s.grid)
+    new_dn = -1j * _ladder(s.up, 1, s.l_dn, dc, s.grid)
     return Spinor2(grid=s.grid, l_up=s.l_up, up=new_up, dn=new_dn)
 
 
@@ -349,29 +371,52 @@ def hamiltonian_apply(s: Spinor2, dc: DiracConfig) -> Spinor2:
 
 
 def _eigenspinors(j: int, l: int, ms, dc: DiracConfig, charge: int, grid: RadialGrid):
-    """(psi, energies, seed_nrm) of the eigenspinors (j, l, m, sigma = charge),
-    psi a block with one column per m in ``ms``: the collapsed operator
-    string with one ladder action for the block, unit norm, and the first
-    nonvanishing component real and positive at the smallest node.
-    seed_nrm are the grid norms of the unit-norm seeds.
+    """(block, factors, energies, seed_nrm) of the eigenspinors (j, l, m,
+    sigma = charge), one column per m in ``ms``.
+
+    The block is real: the Laguerre profiles I of the seed slot's family
+    in the seed slot and their real ladder (:func:`_ladder`) in the other.
+    ``factors`` (2, k) holds one complex number per slot (up, dn) and
+    column: E + M on the seed slot, -i charge on the other, the profile
+    normalization sqrt(gamma / 2 pi), 1/norm and the sign or unit phase
+    that makes the first nonvanishing component real and positive at the
+    smallest node; column k of :func:`_superpose` (block, factors) is then
+    a unit-norm eigenspinor.  seed_nrm are the grid norms of the unit-norm
+    seeds.
     """
     q0 = resolve_rel_qnums(j, l, 0, charge, dc)
     energies = _energy(q0.n1 + np.asarray(ms), charge, dc)  # n1 grows by one with m
-    prof = _profiles(charge, l, max(ms), dc, grid.nodes)[list(ms)].T
-    psi = _seed_block((energies + dc.mass) * prof,
-                      charge * _ladder(prof, charge, l, dc, grid),
-                      charge, l, grid)
-    # both blocks before either norm: a zero slot allocated between the two
-    # norms' temporaries made rel_cs take about 70% more page faults
-    bare = _seed_block(prof, np.zeros_like(prof), charge, l, grid)
-    nrm, seed_nrm = d_norm(psi, dc), d_norm(bare, dc)
+    alpha = _family(charge, l, dc)[2], _family(-charge, l, dc)[2]
+    prof = laguerre_fn_table(alpha[0], max(ms), grid.nodes).T[:, ms]
+    ladder = _ladder(prof, charge, l, dc, grid)
+    seed_sq, other_sq = (grid.weights @ w + _origin_tail(w, a, grid)
+                         for w, a in ((prof * prof, alpha[0]), (ladder * ladder, alpha[1])))
+    seed_nrm = np.sqrt(np.maximum(seed_sq, 0.0))
+    nrm = np.sqrt(np.maximum((energies + dc.mass) ** 2 * seed_sq + other_sq, 0.0))
     if np.any(nrm <= 1e-10 * np.maximum(seed_nrm * np.maximum(energies, max(dc.mass, 1.0)),
                                          1e-30)):
         raise SpectralBoundaryError(
             "operator string annihilated the seed state (zero-norm spinor)"
         )
-    ref = np.where(psi.up[0] != 0, psi.up[0], psi.dn[0])
-    return np.exp(-1j * np.angle(ref)) / nrm * psi, energies, seed_nrm
+    block = _seed_block(prof, ladder, charge, l, grid)
+    unit = np.array([[1.0], [-1j * charge]])[::charge]  # seed slot 1, other slot -i charge
+    # the phase reference is the first node of the upper slot where it is
+    # nonzero, else of the lower: a sign times a slot unit, undone exactly
+    up_ref = block.up[0] != 0
+    sign = np.where(np.where(up_ref, block.up[0], block.dn[0]) < 0, -1.0, 1.0)
+    phase = sign * np.where(up_ref, unit[0], unit[1]).conj()
+    factors = unit * (math.sqrt(dc.field.gamma / (2.0 * math.pi)) * phase / nrm)
+    factors[(1 - charge) // 2] *= energies + dc.mass
+    return block, factors, energies, seed_nrm
+
+
+def _superpose(block: Spinor2, factors: np.ndarray) -> Spinor2:
+    """sum_k factors[:, k] times column k of a real block: per slot one real
+    product with the real and imaginary parts of its factors, so the block
+    is never copied to complex."""
+    up, dn = ((x @ np.stack([f.real, f.imag], axis=1)).view(complex)[:, 0]
+              for x, f in zip((block.up, block.dn), factors))
+    return Spinor2(grid=block.grid, l_up=block.l_up, up=up, dn=dn)
 
 
 def dirac_spinor(q: RelQuantumNumbers, dc: DiracConfig, charge: int,
@@ -382,12 +427,12 @@ def dirac_spinor(q: RelQuantumNumbers, dc: DiracConfig, charge: int,
     scalar, charge = -1 the negative-energy state from sigma = -1; the
     Hamiltonian eigenvalue is charge * E.  Raises SpectralBoundaryError
     when the operator string annihilates the seed (massless zero mode).
-    Column 0 of the one-column block :func:`_eigenspinors` builds.
+    The one column of the block :func:`_eigenspinors` builds.
     """
     if q.sigma != charge:
         raise DomainError("seed spin label must match the charge branch (+1 or -1)")
-    psi, energies, _ = _eigenspinors(q.j, q.l, [q.m], dc, charge, grid)
-    return psi._map(lambda x: x[:, 0]), float(energies[0])
+    block, factors, energies, _ = _eigenspinors(q.j, q.l, [q.m], dc, charge, grid)
+    return _superpose(block, factors), float(energies[0])
 
 
 @dataclass(frozen=True)
@@ -466,7 +511,7 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
         ms = np.flatnonzero(ln_row > -np.inf)
         if ms.size == 0:
             continue
-        psi, energies, seed_nrm = _eigenspinors(j, l, ms, dc, charge, grid)
+        block, factors, energies, seed_nrm = _eigenspinors(j, l, ms, dc, charge, grid)
         c = np.exp(ln_row[ms] + 1j * ph_row[ms])
         states.update({(int(l), int(m)): (cm, e) for m, cm, e in zip(ms, c.tolist(), energies)})
         share = np.exp(ln_w_row[ms] - ln_mcal)
@@ -475,7 +520,7 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
             raise TruncationError("radial grid too short for the relativistic coherent state",
                                   norm_const, missed)
         coef = np.sqrt(share) * np.exp(1j * ph_row[ms])
-        spinors[psi.l_up] = psi._map(lambda x: x @ coef)
+        spinors[block.l_up] = _superpose(block, coef * factors)
     return RelCS(j=j, charge=charge, label=label, states=states,
                  norm_const=norm_const, spinors=spinors, grid=grid)
 

@@ -43,6 +43,17 @@ def test_suite_domain_error_exits_2(suite, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("args", [["--suite", "moments", "--mu", "1.5"],
+                                  ["--suite", "moments", "--gamma", "-1"],
+                                  ["--suite", "orthonormality", "--mass", "-2"]])
+def test_out_of_range_option_exits_2(args, capsys):
+    # every suite refuses a value outside the field and Dirac ranges, even
+    # one that never reads it
+    assert main(["verify", *args]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_exit_code_check_failure():
     # the fractional-flux exponential sum rule genuinely fails at mu=0.25,
     # so this suite must exit 1 and list the failing records

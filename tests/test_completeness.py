@@ -109,6 +109,13 @@ def test_moment_fractional_flux_exponent():
         math.exp(ln_gamma(3.7).real), rel=1e-12)
 
 
+def test_moment_finite_past_the_overflow_of_its_nodes():
+    # x^120 overflows at the largest of the 122 nodes; Gamma(121) = 6.7e198
+    mc = moment_check(120.0)
+    assert math.isfinite(mc.quadrature_value)
+    assert mc.quadrature_value == pytest.approx(math.exp(ln_gamma(121.0).real), rel=1e-12)
+
+
 def test_moment_domain():
     with pytest.raises(DomainError):
         moment_check(-1.0)

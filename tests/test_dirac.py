@@ -240,12 +240,19 @@ def test_angular_momentum_bookkeeping():
     assert psi.l_dn == q.l      == 2
 
 
+def unit_block(built) -> Spinor2:
+    """The complex block of unit-norm eigenspinors: each column of the real
+    block that _eigenspinors returns times its two slot factors."""
+    block, factors = built[:2]
+    return replace(block, up=block.up * factors[0], dn=block.dn * factors[1])
+
+
 @pytest.mark.parametrize("j,l,charge,vt", [(1, 2, 1, 1), (0, 0, -1, 1), (1, 0, 1, -1)])
 def test_block_inner_matches_columns(j, l, charge, vt):
     # a block's inner product and norm are the values of its columns, taken
     # as dirac_spinor takes column 0; irregular l = 0 channels included
     dc = make_dc(mu=0.4, vartheta=vt)
-    block, _, _ = _eigenspinors(j, l, [0, 1, 3], dc, charge, GRID)
+    block = unit_block(_eigenspinors(j, l, [0, 1, 3], dc, charge, GRID))
     cols = [replace(block, up=block.up[:, k], dn=block.dn[:, k]) for k in range(3)]
     c = np.array([1.0, 1j, -0.6 + 0.8j])
     for tail in (True, False):
@@ -275,7 +282,7 @@ def test_spinor_sums_need_one_grid_and_sector():
 
 def test_array_times_block_scales_each_column():
     dc = make_dc(mu=0.4)
-    block, _, _ = _eigenspinors(1, 2, [0, 1, 2], dc, 1, GRID)
+    block = unit_block(_eigenspinors(1, 2, [0, 1, 2], dc, 1, GRID))
     c = np.array([2.0, -1j, 0.25 + 0.5j])
     for out in (c * block, block * c):
         assert isinstance(out, Spinor2) and out.l_up == block.l_up
@@ -362,11 +369,12 @@ def test_rel_cs_requires_mass():
         rel_cs(1, CSLabel(0.5, 0.5), dc, 1, grid=GRID)
 
 
-@pytest.mark.parametrize("j,vt", [(1, 1), (0, -1)])
+@pytest.mark.parametrize("j,vt", [(1, 1), (0, -1), (0, 1), (1, -1)])
 @pytest.mark.parametrize("charge", [1, -1])
 def test_rel_cs_assembles_the_eigenspinor_series(j, vt, charge):
     # each angular sector is sum c sqrt(2M(E+M)) psihat / sqrt(Mcal) over
-    # the one-state spinors
+    # the one-state spinors: the real blocks, contracted once per sector,
+    # against single columns; (0, +1) and (1, -1) start at the l = 0 channel
     dc = make_dc(mu=0.5, vartheta=vt)
     state = rel_cs(j, CSLabel(0.6 + 0.3j, -0.2 + 0.5j), dc, charge, grid=GRID)
     sums = {}
@@ -378,8 +386,20 @@ def test_rel_cs_assembles_the_eigenspinor_series(j, vt, charge):
     for lu, want in sums.items():
         diff = state.spinors[lu] - want
         scale = max(np.max(np.abs(want.up)), np.max(np.abs(want.dn)))
-        assert np.max(np.abs(diff.up)) <= 1e-12 * scale
-        assert np.max(np.abs(diff.dn)) <= 1e-12 * scale
+        assert np.max(np.abs(diff.up)) <= 1e-13 * scale
+        assert np.max(np.abs(diff.dn)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("j,l,vt", [(1, 2, 1), (0, 0, 1), (1, 0, -1), (0, -2, -1)])
+@pytest.mark.parametrize("charge", [1, -1])
+def test_dirac_spinor_slots_are_real_and_imaginary(j, l, vt, charge):
+    # the upper slot carries the real, positive reference; for charge +1 it
+    # is the seed, which stays real, and the lower slot is imaginary
+    dc = make_dc(mu=0.4, vartheta=vt)
+    psi, _ = dirac_spinor(resolve_rel_qnums(j, l, 1, charge, dc), dc, charge, GRID)
+    assert psi.up[0].real > 0
+    assert np.all(np.abs(psi.up.imag) <= 1e-15 * np.abs(psi.up))
+    assert np.all(np.abs(psi.dn.real) <= 1e-15 * np.abs(psi.dn))
 
 
 REL_CASES = [(j, vt, charge) for (j, vt) in ((1, 1), (0, -1)) for charge in (1, -1)]
