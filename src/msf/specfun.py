@@ -177,17 +177,30 @@ def bessel_i(nu: float, z, scaled: bool = False):
 
     Real order nu (any sign), real or complex argument; principal
     branch.  With ``scaled=True`` returns exp(-|Re z|) I_nu(z), which
-    stays finite where the plain value would overflow.
+    stays finite where the plain value would overflow.  The plain value
+    raises DomainError where a finite argument gives no finite value:
+    past the double range (about |Re z| > 700), where the message points
+    to ``scaled=True``, and where the scaled value fails as well (z = 0
+    at negative non-integer order, where I_nu is infinite, and real
+    z < 0 at non-integer order, where it is not real).
     """
     nu = float(nu)
     if abs(nu) < _DOUBLE_TINY:
         nu = 0.0  # scipy's iv returns nan at subnormal orders with complex z
     fn = _sp.ive if scaled else _sp.iv
-    if np.iscomplexobj(z) or isinstance(z, complex):
-        out = fn(nu, np.asarray(z, dtype=complex))
-        return complex(out) if np.ndim(z) == 0 else out
-    out = fn(nu, np.asarray(z, dtype=float))
-    return float(out) if np.ndim(z) == 0 else out
+    cplx = np.iscomplexobj(z) or isinstance(z, complex)
+    zarr = np.asarray(z, dtype=complex if cplx else float)
+    out = fn(nu, zarr)
+    if not scaled:
+        bad = ~np.isfinite(out) & np.isfinite(zarr)
+        if np.any(bad):
+            zb = zarr[bad]
+            why = ("exceeds the double range; scaled=True gives exp(-|Re z|) I_nu(z)"
+                   if np.all(np.isfinite(_sp.ive(nu, zb))) else "is infinite or not real")
+            raise DomainError(f"I_{nu}(z) at z = {zb[0]} {why}")
+    if np.ndim(z) == 0:
+        return complex(out) if cplx else float(out)
+    return out
 
 
 def erf(x):
@@ -219,15 +232,18 @@ def _ln_gammainc(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _ln_poisson_gamma_mixture(nu: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """ln sum_m exp(-u + m ln u - lnGamma(m+1)) P(nu+m, v), elementwise, v > 0.
+    """ln sum_m exp(-u + m ln u - lnGamma(m+1)) P(nu+m, v) over 1-d u, v > 0.
 
     Summed in blocks of 16 m with a running logaddexp; short blocks keep
     the (m x points) temporaries small.  The terms are log-concave in m,
     so once a block ends on a decreasing step the rest is bounded by the
-    geometric series of that step; the sum stops when the bound falls
-    below 1e-17 of the total at every point.
+    geometric series of that step.  A point retires, with its total, at
+    the end of the first block where that bound falls below 1e-17 of its
+    own total; the later blocks are summed over the live points only.
     """
     block, ln_tol = 16, math.log(1e-17)
+    out = np.empty(u.shape)
+    live = np.arange(u.size)
     total = np.full(u.shape, -np.inf)
     m0 = 0
     while True:
@@ -238,8 +254,12 @@ def _ln_poisson_gamma_mixture(nu: float, u: np.ndarray, v: np.ndarray) -> np.nda
             step = ln_t[-1] - ln_t[-2]
             ln_tail = ln_t[-1] + step - np.log1p(-np.exp(step))
             done = (ln_t[-1] == -np.inf) | ((step < 0) & (ln_tail - total < ln_tol))
-        if np.all(done):
-            return total
+        if np.any(done):
+            out[live[done]] = total[done]
+            keep = ~done
+            live, u, v, total, ln_tail = live[keep], u[keep], v[keep], total[keep], ln_tail[keep]
+        if not live.size:
+            return out
         m0 += block
         if m0 > 1_000_000:
             raise TruncationError("Poisson-gamma mixture did not converge (logarithms)",

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from msf import completeness
 from msf.landau import FieldConfig
@@ -12,6 +13,7 @@ from msf.completeness import (
     KernelParams,
     WeightSpec,
     _ln_q_grid_series,
+    _logaddexp_finite,
     _unity_grid,
     angular_delta_smear,
     g_matrix,
@@ -165,6 +167,29 @@ def test_unity_grid_weight_matches_series_at_every_node(mu, n_nodes, j):
     ref = _ln_q_grid_series(nu, x, y) - x - y
     assert np.all(np.isfinite(ln_p))
     assert np.max(np.abs(ln_p - ref)) <= 1e-10
+
+
+_LOG_MAGNITUDE = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+
+
+@given(a=_LOG_MAGNITUDE, b=_LOG_MAGNITUDE, shift=st.sampled_from([None, 0.0, 40.5, -75.0]))
+@settings(max_examples=300, deadline=None)
+@example(a=-math.log(2.0), b=0.0, shift=0.0)      # a == b: the sum is exactly 0
+@example(a=1e4, b=0.0, shift=-41.0)               # |a - b| > 40: the smaller adds nothing
+@example(a=-1e4, b=0.0, shift=700.0)              # the larger argument second
+def test_logaddexp_finite_matches_numpy(a, b, shift):
+    """The Q series' log-add agrees with np.logaddexp within one ulp.
+
+    shift None draws b freely; otherwise b = a + shift, covering a == b
+    and gaps past 40.  Both add log1p(e^-|a-b|) <= ln 2 to max(a, b), so
+    where that sum cancels to near 0 the ulp is taken at 1, the scale of
+    its operands, instead of at the result.
+    """
+    if shift is not None:
+        b = a + shift
+    ours = float(_logaddexp_finite(np.array([a]), np.array([b]))[0])
+    ref = float(np.logaddexp(a, b))
+    assert abs(ours - ref) <= np.spacing(max(abs(ref), 1.0))
 
 
 def test_unity_reconstruction_offdiagonal_zero():

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate, special as sp
 
+from msf import specfun
+from msf.landau import make_quadrature
 from msf.specfun import (
     DomainError,
     IrregularOriginError,
@@ -223,6 +225,32 @@ def test_bessel_scaled_variant():
     assert scaled == pytest.approx(1.0 / math.sqrt(2 * math.pi * x), rel=0.05)
 
 
+@given(nu=st.floats(0.0, 500.0), re=st.floats(0.0, 1e6), im=st.floats(-1e3, 1e3), cplx=st.booleans())
+@settings(max_examples=80, deadline=None)
+@example(nu=0.3, re=800.0, im=0.0, cplx=False)
+@example(nu=0.3, re=1e6, im=0.0, cplx=False)
+@example(nu=0.3, re=800.0, im=1.0, cplx=True)
+def test_bessel_finite_or_points_to_scaled(nu, re, im, cplx):
+    # the plain value is finite, or a DomainError names the scaled route,
+    # which is finite there
+    z = complex(re, im) if cplx else re
+    try:
+        val = bessel_i(nu, z)
+    except DomainError as err:
+        assert "scaled=True" in str(err)
+        assert np.isfinite(bessel_i(nu, z, scaled=True))
+    else:
+        assert np.isfinite(val)
+
+
+def test_bessel_singular_points_raise():
+    for nu, z in ((-0.3, 0.0), (-0.3, 0j), (0.3, -1.0)):
+        with pytest.raises(DomainError, match="infinite or not real"):
+            bessel_i(nu, z)
+    with pytest.raises(DomainError, match="scaled=True"):
+        bessel_i(0.3, np.array([1.0, 900.0]))
+
+
 # ---------------------------------------------------------------------------
 # erf
 # ---------------------------------------------------------------------------
@@ -383,3 +411,33 @@ def test_ln_marcum_p_finite_probability(nu, u, v):
     ln_p = ln_marcum_p(nu, u, v)
     assert math.isfinite(ln_p) and ln_p <= 1e-14
 
+
+def test_mixture_retires_each_point_at_its_own_bound(monkeypatch):
+    """Lower-tail nodes of the C07 grid (mu = 1/2, branch 0, 100 nodes).
+
+    Each point leaves the Poisson-gamma mixture at the block where its
+    own tail bound holds, so summing two sets together evaluates as many
+    incomplete-gamma terms as summing them apart, with the same values.
+    """
+    u, v = np.meshgrid(make_quadrature(0.0, 100).nodes, make_quadrature(0.5, 100).nodes,
+                       indexing="ij")
+    p = sp.chndtr(2.0 * v, 1.0, 2.0 * u)
+    tail = p < 1e-30
+    u, v, p = u[tail], v[tail], p[tail]
+    near = np.argsort(-p)[:4]                                 # next to the bulk
+    far = [np.argmin(np.hypot(u - 375.0, v - 0.05))]          # (375, 0.024)
+    evaluated = [0]
+    ln_gammainc = specfun._ln_gammainc
+
+    def spy(a, x):
+        evaluated[0] += np.broadcast(a, x).size
+        return ln_gammainc(a, x)
+
+    monkeypatch.setattr(specfun, "_ln_gammainc", spy)
+    counts, values = [], []
+    for idx in (near, far, np.r_[near, far]):
+        evaluated[0] = 0
+        values.append(ln_marcum_p(0.5, u[idx], v[idx]))
+        counts.append(evaluated[0])
+    assert counts[2] == counts[0] + counts[1]
+    np.testing.assert_array_equal(values[2], np.r_[values[0], values[1]])
