@@ -10,7 +10,9 @@ Contents:
   coherent-state measure,
 * the fixed-angular-number propagator kernel: spectral mode sum and its
   Bessel closed form of Hille-Hardy type, with the smeared
-  delta-function limits used to verify completeness numerically.
+  delta-function limits used to verify completeness numerically.  Its
+  radial factor, :func:`_hille_hardy`, is one route for every time, and
+  the proper-time kernel of :mod:`msf.dirac` shares it.
 
 All delta-type statements are tested in smeared form only: the kernels
 are paired with smooth concentrated test functions (Gaussians in rho,
@@ -288,43 +290,28 @@ class KernelParams:
             raise DomainError("delta_t must have non-positive imaginary part")
 
 
-def _check_radii(rho, rho_p):
-    """DomainError unless every radius is non-negative (scalars or arrays)."""
-    if (np.minimum(rho, rho_p) < 0.0).any():
-        raise DomainError("rho must be non-negative")
-
-
-def _wick_radial(nu: float, phi: float, rho, rho_p):
+def _hille_hardy(nu: float, phi: complex, rho, rho_p):
     """exp[-(rho + rho') coth(phi) / 2] I_nu(sqrt(rho rho') / sinh phi) / sinh phi.
 
-    The radial factor of the Hille-Hardy kernels on the Wick axis, phi > 0
-    (gamma tau / 2 for the propagator, gamma tau for the proper-time
-    kernel), elementwise over rho and rho'.  The growth of I_nu is moved
-    into the exponent through the scaled Bessel function; that exponent
-    never exceeds 0 (sqrt(rho rho') <= (rho + rho') / 2), so small phi
-    does not overflow.  Raises DomainError on a negative radius.
+    The radial factor of both Hille-Hardy kernels (Erdelyi et al.,
+    Higher Transcendental Functions vol. 2, 10.12), elementwise over rho
+    and rho', Re phi >= 0; the Wick axis is real phi, which runs in
+    float64.  The growth of I_nu goes into the exponent through the
+    scaled Bessel function, + |Re z|; on real phi that exponent never
+    exceeds 0, so small phi does not overflow.  Raises DomainError on a
+    negative radius, where sinh phi vanishes, and where the Bessel
+    factor has no finite value.
     """
-    _check_radii(rho, rho_p)
+    if (np.minimum(rho, rho_p) < 0.0).any():
+        raise DomainError("rho must be non-negative")
+    if phi.imag == 0.0:
+        phi = phi.real
     sh = np.sinh(phi)
+    if abs(sh) < 1e-12:
+        raise DomainError("kernel singular: sinh(phi) vanishes")
     zarg = np.sqrt(rho * rho_p) / sh
-    ln_mag = -0.5 * (rho + rho_p) * np.cosh(phi) / sh + zarg
+    ln_mag = -0.5 * (rho + rho_p) * np.cosh(phi) / sh + abs(zarg.real)
     return np.exp(ln_mag) * bessel_i(nu, zarg, scaled=True) / sh
-
-
-def _hille_hardy(nu: float, phi: complex, rho, rho_p):
-    """exp[(i/2)(rho + rho') cot phi] I_nu(sqrt(rho rho') / (i sin phi)) / sin phi.
-
-    The radial factor of the Hille-Hardy kernels off the Wick axis
-    (gamma dt / 2 for the propagator, gamma s for the proper-time
-    kernel), elementwise over rho and rho'.  Raises DomainError on a
-    negative radius and near the singular points where sin phi vanishes.
-    """
-    _check_radii(rho, rho_p)
-    s = cmath.sin(phi)
-    if abs(s) < 1e-12:
-        raise DomainError("kernel singular: sin(phi) vanishes")
-    zarg = np.sqrt(rho * rho_p) / (1j * s)
-    return np.exp(0.5j * (rho + rho_p) * cmath.cos(phi) / s) * bessel_i(nu, zarg) / s
 
 
 def propagator_closed(p: KernelParams, dtheta: float, rho, rho_p):
@@ -334,21 +321,18 @@ def propagator_closed(p: KernelParams, dtheta: float, rho, rho_p):
           * exp[(i/2)(rho + rho') cot(gamma dt / 2)] / sin(gamma dt / 2)
           * I_nu( sqrt(rho rho') / (i sin(gamma dt / 2)) ),
 
-    nu = -(l + mu) on branch 0 and +(l + mu) on branch 1.  Wick-rotated
-    times are evaluated through real hyperbolic factors with the scaled
-    Bessel function, so small tau does not overflow.  Elementwise over
+    nu = -(l + mu) on branch 0 and +(l + mu) on branch 1.  The radial
+    factor is i :func:`_hille_hardy` at phi = i gamma dt / 2 for every
+    time, real on the Wick axis.  Raises DomainError on a negative
+    radius, at the zeros of sin(gamma dt / 2), and where the Bessel factor
+    has no finite value (tau <= 1e-9 at rho = rho' = 1).  Elementwise over
     rho and rho'; scalar radii give a complex.
     """
     g = p.cfg.gamma
     dt = complex(p.delta_t)
     nu = _laguerre_order(p.j, p.l, p.mu)
     phase = cmath.exp(1j * (p.l - p.cfg.l0) * dtheta - 1j * (g / 2.0) * (p.l + p.mu) * dt)
-    if dt.real == 0.0 and dt.imag < 0.0:
-        # Wick axis: everything real apart from the carried phase
-        radial = _wick_radial(nu, g * -dt.imag / 2.0, rho, rho_p)
-        out = (g / (4.0 * math.pi)) * phase * 1j * radial
-    else:
-        out = (g / (4.0 * math.pi)) * phase * _hille_hardy(nu, g * dt / 2.0, rho, rho_p)
+    out = (g / (4.0 * math.pi)) * phase * 1j * _hille_hardy(nu, 0.5j * g * dt, rho, rho_p)
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -356,8 +340,8 @@ def propagator_series(p: KernelParams, dtheta: float, rho: float, rho_p: float) 
     """Spectral mode sum i sum_m exp(-i E_m dt) phi(x) conj(phi(x')).
 
     Absolutely convergent only for Im(dt) < 0; rejected otherwise.  One
-    Laguerre recurrence feeds blocks of 48 terms; the tail is bounded
-    geometrically by the factor |exp(-i gamma dt)| per step.
+    Laguerre recurrence feeds blocks of 48 terms into one running sum;
+    the tail is bounded geometrically by |exp(-i gamma dt)| per step.
     """
     dt = complex(p.delta_t)
     if not dt.imag < 0.0:
@@ -365,25 +349,22 @@ def propagator_series(p: KernelParams, dtheta: float, rho: float, rho_p: float) 
     g = p.cfg.gamma
     ratio = abs(cmath.exp(-1j * g * dt))  # < 1
     alpha = _laguerre_order(p.j, p.l, p.mu)
-    phase_l = cmath.exp(1j * (p.l - p.cfg.l0) * dtheta)
     # branch phases of phi(x) phi*(x') cancel; N^2 = gamma / 2 pi
+    pref = 1j * (g / (2.0 * math.pi)) * cmath.exp(1j * (p.l - p.cfg.l0) * dtheta)
     block = 48
     rows = laguerre_fn_rows(alpha, _MODE_MAX_TERMS - 1, np.asarray([rho, rho_p]))
-    prods = np.empty(0)
-    while True:
+    acc = 0j
+    for m0 in range(0, _MODE_MAX_TERMS - block + 1, block):
         tab = np.array([next(rows) for _ in range(block)])
-        prods = np.concatenate((prods, tab[:, 0] * tab[:, 1]))
-        n1, _ = _radial_numbers(p.j, alpha, np.arange(prods.size, dtype=float))
-        energies = g * (n1 + 0.5)
-        weights = np.exp(-1j * energies * dt)
-        total = 1j * (g / (2.0 * math.pi)) * phase_l * np.dot(weights, prods)
+        prods = tab[:, 0] * tab[:, 1]
+        n1, _ = _radial_numbers(p.j, alpha, np.arange(m0, m0 + block, dtype=float))
+        weights = np.exp(-1j * (g * (n1 + 0.5)) * dt)
+        acc += np.dot(weights, prods)
+        total = pref * acc
         tail = abs(weights[-1] * prods[-1]) * ratio / (1.0 - ratio)
-        scale = max(abs(total), 1e-300)
-        if tail * g / (2.0 * math.pi) <= _MODE_REL_TOL * scale:
+        if tail * g / (2.0 * math.pi) <= _MODE_REL_TOL * max(abs(total), 1e-300):
             return complex(total)
-        if prods.size + block > _MODE_MAX_TERMS:
-            raise TruncationError("propagator mode sum did not converge",
-                                  abs(total), tail)
+    raise TruncationError("propagator mode sum did not converge", abs(total), tail)
 
 
 def radial_delta_smear(p: KernelParams, rho: float) -> float:

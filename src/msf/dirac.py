@@ -73,7 +73,7 @@ from .landau import (FieldConfig, _branch_l_values, _branch_of, _check_branch,
                      _laguerre_order, _profiles as _row_profiles, _radial_numbers)
 from .radial import RadialGrid, make_radial_grid
 from .cs import CSLabel, _grown_table, _on_larger_table, _quiet_blocks
-from .completeness import _hille_hardy, _wick_radial
+from .completeness import _hille_hardy
 
 __all__ = [
     "DiracConfig",
@@ -651,10 +651,14 @@ def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
     and nu = |l_s + mu| for l != 0; in the l = 0 channel the order is
     (1+sigma)/2 - mu for vartheta = +1 and its negative for
     vartheta = -1 (the irregular channel).  Xi_sigma = (1 + sigma s3)/2.
-    Wick-rotated s = -i tau is evaluated on a stable real path.  Raises
-    DomainError on a negative radius and near the singular real points
-    s_k = k pi / gamma.  Elementwise over rho and rho', with the 2x2
-    block in the last two axes.
+    A B is the phases of A times one complex prefactor
+    i e^{i pi/4 - i dt^2 / 4s} / sqrt(s) times
+    :func:`msf.completeness._hille_hardy` at phi = i gamma s, which is
+    real on the Wick axis s = -i tau.  Raises DomainError on a negative
+    radius, near the singular real points s_k = k pi / gamma, and at
+    rho = 0 in the irregular channel, where I_nu is infinite.
+    Elementwise over rho and rho', with the 2x2 block in the last two
+    axes.
     """
     if sigma not in (-1, 1):
         raise DomainError("sigma must be +1 or -1")
@@ -665,16 +669,9 @@ def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
     phase = cmath.exp(1j * (l_s - dc.field.l0) * dtheta
                       - 1j * dc.mass**2 * sc
                       - 1j * (l_s + sigma + mu) * g * sc)
-    if sc.real == 0.0 and sc.imag < 0.0:
-        tau = -sc.imag
-        # i pi/4 phase, sqrt(-i tau) and 1/(-i sinh) combine to -1/(sqrt(tau) sinh)
-        radial = _wick_radial(nu, g * tau, rho, rho_p)
-        amp = -(g / (8.0 * math.pi**1.5 * math.sqrt(tau))) * radial
-        diag = amp * phase * cmath.exp(-1j * dt * dt / (4.0 * sc))
-    else:
-        amp = (g / (8.0 * math.pi**1.5 * cmath.sqrt(sc))) * cmath.exp(
-            0.25j * math.pi - 1j * dt * dt / (4.0 * sc))
-        diag = amp * phase * _hille_hardy(nu, g * sc, rho, rho_p)
+    amp = (g / (8.0 * math.pi**1.5)) * 1j * cmath.exp(
+        0.25j * math.pi - 1j * dt * dt / (4.0 * sc)) / cmath.sqrt(sc)
+    diag = amp * phase * _hille_hardy(nu, 1j * g * sc, rho, rho_p)
     out = np.zeros(np.shape(diag) + (2, 2), dtype=complex)  # diag Xi_sigma
     out[..., (1 - sigma) // 2, (1 - sigma) // 2] = diag
     return out

@@ -26,6 +26,7 @@ Everything here is a pure function of its inputs.  The conventions:
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -177,12 +178,12 @@ def bessel_i(nu: float, z, scaled: bool = False):
 
     Real order nu (any sign), real or complex argument; principal
     branch.  With ``scaled=True`` returns exp(-|Re z|) I_nu(z), which
-    stays finite where the plain value would overflow.  The plain value
-    raises DomainError where a finite argument gives no finite value:
-    past the double range (about |Re z| > 700), where the message points
-    to ``scaled=True``, and where the scaled value fails as well (z = 0
-    at negative non-integer order, where I_nu is infinite, and real
-    z < 0 at non-integer order, where it is not real).
+    stays finite where the plain value would overflow.  At a finite
+    argument both forms return a finite value or raise DomainError that
+    names the cause: past the double range (plain form, about
+    |Re z| > 700; points to ``scaled=True``), infinite or not real (z = 0
+    at negative non-integer order, real z < 0 at non-integer order), or
+    outside the range of scipy's routines (such as |z| = 2e9).
     """
     nu = float(nu)
     if abs(nu) < _DOUBLE_TINY:
@@ -191,14 +192,20 @@ def bessel_i(nu: float, z, scaled: bool = False):
     cplx = np.iscomplexobj(z) or isinstance(z, complex)
     zarr = np.asarray(z, dtype=complex if cplx else float)
     out = fn(nu, zarr)
-    if not scaled:
+    # one check on the success path; on a scalar cmath.isfinite is about
+    # 60 times cheaper than np.isfinite(out).all()
+    if not (cmath.isfinite(out) if zarr.ndim == 0 else np.isfinite(out).all()):
         bad = ~np.isfinite(out) & np.isfinite(zarr)
         if np.any(bad):
-            zb = zarr[bad]
-            why = ("exceeds the double range; scaled=True gives exp(-|Re z|) I_nu(z)"
-                   if np.all(np.isfinite(_sp.ive(nu, zb))) else "is infinite or not real")
-            raise DomainError(f"I_{nu}(z) at z = {zb[0]} {why}")
-    if np.ndim(z) == 0:
+            zb = zarr[bad][0]
+            if not scaled and np.isfinite(_sp.ive(nu, zb)):
+                why = "exceeds the double range; scaled=True gives exp(-|Re z|) I_nu(z)"
+            elif (zb == 0 and nu < 0 and nu != math.floor(nu)) or (not cplx and zb < 0):
+                why = "is infinite or not real"
+            else:
+                why = "lies outside the range of scipy's Bessel routines"
+            raise DomainError(f"I_{nu}(z) at z = {zb} {why}")
+    if zarr.ndim == 0:
         return complex(out) if cplx else float(out)
     return out
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from msf import completeness
-from msf.landau import FieldConfig
+from msf.landau import FieldConfig, _radial_numbers
 from msf.specfun import DomainError, erf, laguerre_fn_rows, ln_gamma, ln_marcum_p
 from msf.completeness import (
     KernelParams,
@@ -315,6 +315,51 @@ def test_series_runs_one_recurrence(monkeypatch):
     assert len(calls) == 1
     closed = propagator_closed(p, 0.7, 1.0, 2.0)
     assert abs(series - closed) < 1e-8 * abs(closed)
+
+
+def test_series_cost_linear_in_terms(monkeypatch):
+    # each radial number is requested once: the 48-term blocks add to one
+    # running sum instead of re-weighting the whole prefix
+    yielded, requested = [0], [0]
+
+    def rows(*args):
+        for row in laguerre_fn_rows(*args):
+            yielded[0] += 1
+            yield row
+
+    def numbers(j, alpha, m):
+        requested[0] += np.size(m)
+        return _radial_numbers(j, alpha, m)
+
+    monkeypatch.setattr(completeness, "laguerre_fn_rows", rows)
+    monkeypatch.setattr(completeness, "_radial_numbers", numbers)
+    cfg = FieldConfig(gamma=1.0, mu=0.3)
+    p = KernelParams(j=0, l=-1, mu=0.3, delta_t=-0.05j, cfg=cfg)
+    series = propagator_series(p, 0.7, 1.0, 2.0)
+    assert yielded[0] >= 3 * 48
+    assert requested[0] == yielded[0]
+    closed = propagator_closed(p, 0.7, 1.0, 2.0)
+    assert abs(series - closed) < 1e-8 * abs(closed)
+
+
+def test_closed_tiny_time_raises_typed_error():
+    # |z| = sqrt(rho rho') / sinh(tau / 2) = 2e9 is past scipy's Bessel
+    # range, where the value was once a silent nan+nanj
+    cfg = FieldConfig(gamma=1.0, mu=0.3)
+    for dt in (-1e-9j, 1e-9):
+        p = KernelParams(j=1, l=2, mu=0.3, delta_t=dt, cfg=cfg)
+        with pytest.raises(DomainError, match="outside the range"):
+            propagator_closed(p, 0.0, 1.0, 1.0)
+
+
+def test_closed_far_out_underflows_to_zero(recwarn):
+    # the kernel is about exp(-70000) here; the unscaled Bessel factor
+    # would overflow, the scaled one leaves its growth in the exponent
+    cfg = FieldConfig(gamma=1.0, mu=0.3)
+    p = KernelParams(j=1, l=2, mu=0.3, delta_t=3.0 - 0.1j, cfg=cfg)
+    val = propagator_closed(p, 0.0, 1e6, 2e6)
+    assert val == 0.0
+    assert not recwarn.list
 
 
 def test_series_rejects_real_time():

@@ -662,3 +662,38 @@ def test_kernels_reject_negative_radius(kernel, s, rho, rho_p):
             green_kernel_rel(1, 2, make_dc(mu=mu, vartheta=1), s, 0.0, 0.0, rho, rho_p)
         else:
             propagator_closed(p, 0.0, rho, rho_p)
+
+
+@pytest.mark.parametrize("s", [-0.3j, 0.3 - 0.2j])
+def test_kernel_irregular_origin_raises(s):
+    # sigma = +1, vartheta = -1, l = 0 has order -(1 - mu): I_nu(0) is
+    # infinite, on the Wick axis as off it (the Wick axis once gave nan)
+    dc = make_dc(mu=0.3, vartheta=-1)
+    with pytest.raises(DomainError, match="infinite"):
+        green_kernel_rel(1, 0, dc, s, 0.0, 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("s", [-5e-10j, 5e-10])
+def test_kernel_tiny_proper_time_raises(s):
+    # |z| = 1 / sinh(gamma tau) = 2e9 is past scipy's Bessel range; the
+    # Wick axis once gave a silent nan+nanj
+    with pytest.raises(DomainError, match="outside the range"):
+        green_kernel_rel(1, 2, make_dc(mu=0.999), s, 0.0, 0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.7, 3.0])
+@pytest.mark.parametrize("kernel", ["green_kernel_rel", "propagator_closed"])
+def test_kernels_continuous_across_wick_axis(kernel, tau):
+    # the real (Wick) case of the shared Hille-Hardy factor joins its
+    # complex neighbours
+    mu, rho_p = 0.3, np.linspace(0.0, 5.0, 11)
+
+    def at(t):
+        if kernel == "green_kernel_rel":
+            return green_kernel_rel(1, 2, make_dc(mu=mu, mass=0.8), t, 0.4, 0.2, 1.3, rho_p)
+        p = KernelParams(j=1, l=2, mu=mu, delta_t=t, cfg=FieldConfig(mu=mu))
+        return propagator_closed(p, 0.4, 1.3, rho_p)
+
+    on, off = at(-1j * tau), at(1e-12 - 1j * tau)
+    assert np.abs(on).max() > 0
+    assert np.abs(on - off).max() <= 1e-10 * np.abs(on).max()

@@ -244,11 +244,17 @@ def test_bessel_finite_or_points_to_scaled(nu, re, im, cplx):
 
 
 def test_bessel_singular_points_raise():
-    for nu, z in ((-0.3, 0.0), (-0.3, 0j), (0.3, -1.0)):
-        with pytest.raises(DomainError, match="infinite or not real"):
-            bessel_i(nu, z)
+    # one finiteness rule for both forms; the message names the cause
+    for scaled in (False, True):
+        for nu, z in ((-0.3, 0.0), (-0.3, 0j), (0.3, -1.0), (-0.3, np.array([1.0, 0.0]))):
+            with pytest.raises(DomainError, match="infinite or not real"):
+                bessel_i(nu, z, scaled=scaled)
+        for z in (2e9, -2e9j, 1e300):
+            with pytest.raises(DomainError, match="outside the range of scipy"):
+                bessel_i(0.3, z, scaled=scaled)
     with pytest.raises(DomainError, match="scaled=True"):
         bessel_i(0.3, np.array([1.0, 900.0]))
+    assert np.all(np.isfinite(bessel_i(0.3, np.array([1.0, 900.0]), scaled=True)))
 
 
 # ---------------------------------------------------------------------------
