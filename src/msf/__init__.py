@@ -41,7 +41,6 @@ from .cs import (
 )
 from .completeness import (
     KernelParams,
-    WeightSpec,
     g_matrix,
     moment_check,
     propagator_closed,

@@ -54,7 +54,6 @@ from .landau import (
 from .cs import CSLabel, cs_branch, cs_normalization, cs_state, mm_weight_sum
 from .completeness import (
     KernelParams,
-    WeightSpec,
     angular_delta_smear,
     moment_check,
     g_matrix,
@@ -169,11 +168,11 @@ def suite_cs_normalization(cfg: RunConfig, rep: VerificationReport):
     for j in (0, 1):
         total = 0.0
         for l in itertools.islice(_branch_l_values(j), 29):
-            term = cs_branch(j, l, lab, fc)
+            coeffs = cs_branch(l, lab, fc)
             alpha = _laguerre_order(j, l, fc.mu)
             quad = make_quadrature(alpha, 48)
-            tab = laguerre_fn_table(alpha, len(term.coeffs) - 1, quad.nodes)
-            prof = term.coeffs @ tab
+            tab = laguerre_fn_table(alpha, len(coeffs) - 1, quad.nodes)
+            prof = coeffs @ tab
             total += float(quad.integrate(np.abs(prof) ** 2).real)
         n = cs_normalization(j, lab.u, lab.v, fc.mu)
         worst = max(worst, abs(total / n - 1.0))
@@ -183,7 +182,7 @@ def suite_cs_normalization(cfg: RunConfig, rep: VerificationReport):
 def suite_weights(cfg: RunConfig, rep: VerificationReport):
     grid = np.linspace(0.0, 9.0, 10)
     u, v = np.meshgrid(grid, grid, indexing="ij")
-    worst = max(np.max(np.abs(weight_fn(WeightSpec(j=j, mu=0.5), u, v)
+    worst = max(np.max(np.abs(weight_fn(j, u, v, 0.5)
                               - weight_half_closed(j, u, v))) for j in (0, 1))
     rep.add("half-flux-closed-form", "mu=0.5 u,v in [0,9]", worst, 1e-12)
     worst = np.max(np.abs(mm_weight_sum(u, v) - 1.0 / math.pi**2))
@@ -191,7 +190,7 @@ def suite_weights(cfg: RunConfig, rep: VerificationReport):
     # positivity on a sampled grid, all mu
     grid = np.linspace(0.25, 8.0, 6)
     u, v = np.meshgrid(grid, grid, indexing="ij")
-    w_min = min(np.min(weight_fn(WeightSpec(j=j, mu=mu), u, v))
+    w_min = min(np.min(weight_fn(j, u, v, mu))
                 for mu in cfg.values("mu", (0.1, 0.25, 0.5, 0.75, 0.9)) for j in (0, 1))
     rep.add("weight-positivity", "sampled grid", 1.0 - w_min if w_min <= 0 else 0.0, 0.5)
 
@@ -210,7 +209,7 @@ def suite_g_matrix(cfg: RunConfig, rep: VerificationReport):
         for j, lrange in ((0, range(-4, 0)), (1, range(0, 5))):
             for m in range(0, 7):
                 for l in lrange:
-                    gq = g_matrix(m, m, l, l, mu, j=j)
+                    gq = g_matrix(m, m, l, l, mu)
                     # the Gamma exponents are written by hand as the independent
                     # oracle for g_matrix's branch map: reading them from
                     # resolve_qnums would compare g_matrix with its own inputs
@@ -242,15 +241,15 @@ def suite_propagator(cfg: RunConfig, rep: VerificationReport):
     fc = cfg.field_config(*cfg.values("mu", (0.3,)))
     worst = 0.0
     for tau in (0.05, 0.1, 0.2, 0.5, 1.0):
-        for (j, l) in ((0, -1), (1, 2)):
-            p = KernelParams(j=j, l=l, mu=fc.mu, delta_t=-1j * tau, cfg=fc)
+        for l in (-1, 2):
+            p = KernelParams(l=l, delta_t=-1j * tau, cfg=fc)
             a = propagator_closed(p, 0.7, 1.0, 2.0)
             b = propagator_series(p, 0.7, 1.0, 2.0)
             worst = max(worst, abs(a - b) / abs(a))
     rep.add("mode-sum-vs-closed", f"mu={fc.mu} tau in [0.05,1]", worst, tol)
     errs = []
     for tau in np.geomspace(0.2, 0.02, 6):
-        p = KernelParams(j=0, l=-1, mu=fc.mu, delta_t=-1j * float(tau), cfg=fc)
+        p = KernelParams(l=-1, delta_t=-1j * float(tau), cfg=fc)
         errs.append(radial_delta_smear(p, rho=1.5))
     mono = all(a > b for a, b in zip(errs, errs[1:]))
     rep.add("radial-delta-monotone", "tau 0.2 -> 0.02", 0.0 if mono else 1.0, 0.5)
@@ -448,8 +447,8 @@ def tabulate(cfg: RunConfig, target: str, args) -> tuple[list[str], list[list]]:
         vgrid = _parse_grid(args.v)
         header = ["u", "v", "w0", "w1"]
         u, v = (a.ravel() for a in np.meshgrid(ugrid, vgrid, indexing="ij"))
-        w0 = weight_fn(WeightSpec(0, fc.mu), u, v)
-        w1 = weight_fn(WeightSpec(1, fc.mu), u, v)
+        w0 = weight_fn(0, u, v, fc.mu)
+        w1 = weight_fn(1, u, v, fc.mu)
         return header, [list(row) for row in zip(u, v, w0, w1)]
     if target == "spectrum":
         header = ["j", "l", "m", "n1", "energy"]
@@ -462,8 +461,7 @@ def tabulate(cfg: RunConfig, target: str, args) -> tuple[list[str], list[list]]:
         return header, rows
     if target == "kernel":
         rhop = _parse_grid(args.rhop)
-        p = KernelParams(j=_branch_of(args.l), l=args.l, mu=fc.mu,
-                         delta_t=-1j * args.tau, cfg=fc)
+        p = KernelParams(l=args.l, delta_t=-1j * args.tau, cfg=fc)
         header = ["rhop", "re", "im"]
         vals = propagator_closed(p, 0.0, args.rho, rhop)
         return header, [[rp, val.real, val.imag] for rp, val in zip(rhop, vals)]

@@ -38,12 +38,11 @@ from .specfun import (
     ln_gamma,
     ln_marcum_p,
 )
-from .landau import (FieldConfig, _check_branch, _laguerre_order, _marcum_args,
+from .landau import (FieldConfig, _branch_of, _laguerre_order, _marcum_args,
                      _radial_numbers, make_quadrature, resolve_qnums)
 from .radial import make_radial_grid
 
 __all__ = [
-    "WeightSpec",
     "KernelParams",
     "weight_fn",
     "weight_half_closed",
@@ -70,31 +69,18 @@ _ANGULAR_SMEAR_WIDTH = 0.5
 _ANGULAR_SMEAR_POINTS = 801
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Branch and flux fraction selecting one weight function."""
-
-    j: int
-    mu: float
-
-    def __post_init__(self):
-        if self.j not in (0, 1):
-            raise DomainError("branch j must be 0 or 1")
-        if not (0.0 <= self.mu < 1.0):
-            raise DomainError("mu must lie in [0, 1)")
-
-
-def weight_fn(spec: WeightSpec, u, v):
+def weight_fn(j: int, u, v, mu: float):
     """Measure density W_j(u, v) on squared label moduli, elementwise.
 
     W_0 = pi^-2 exp(-(u+v)) Q_{1-mu}(sqrt u, sqrt v) = pi^-2 P_{1-mu}(u, v)
     W_1 = pi^-2 exp(-(u+v)) Q_mu(sqrt v, sqrt u)     = pi^-2 P_mu(v, u)
 
     with P the complementary Marcum function of
-    :func:`msf.specfun.ln_marcum_p`, which rejects negative u, v.
-    Scalar inputs give a float, arrays an array.
+    :func:`msf.specfun.ln_marcum_p`, which rejects negative u, v, as
+    :func:`landau._marcum_args` rejects j and mu.  Scalar inputs give a
+    float, arrays an array.
     """
-    w = np.exp(ln_marcum_p(*_marcum_args(spec.j, spec.mu, u, v))) / math.pi**2
+    w = np.exp(ln_marcum_p(*_marcum_args(j, mu, u, v))) / math.pi**2
     return float(w) if np.ndim(w) == 0 else w
 
 
@@ -140,9 +126,10 @@ def moment_check(n: float) -> MomentCheck:
     return MomentCheck(quadrature_value=qval, gamma_value=gval, abs_err=abs(qval - gval))
 
 
-def g_matrix(m: int, n: int, l: int, k: int, mu: float, j: int = 0) -> float:
+def g_matrix(m: int, n: int, l: int, k: int, mu: float) -> float:
     """Radial measure integral G(m, n; l, k) for the exponential density.
 
+    (l, m) and (k, n) are checked first, each on the branch holding l or k.
     The two angular integrals reduce to Kronecker deltas, so the value
     vanishes exactly unless m = n and l = k; the surviving double
     integral factorizes into two one-dimensional moments of exp(-x),
@@ -151,9 +138,10 @@ def g_matrix(m: int, n: int, l: int, k: int, mu: float, j: int = 0) -> float:
     Gamma(1+m+l+mu) Gamma(1+m) on branch 1: the u- and v-exponents are
     the branch quantum numbers (n1, n2).
     """
-    if m != n or l != k:
+    cfg = FieldConfig(mu=mu)
+    q, q_k = (resolve_qnums(_branch_of(a), a, b, cfg) for a, b in ((l, m), (k, n)))
+    if q != q_k:
         return 0.0
-    q = resolve_qnums(j, l, m, FieldConfig(mu=mu))
     return moment_check(q.n1).quadrature_value * moment_check(q.n2).quadrature_value
 
 
@@ -229,8 +217,8 @@ def _unity_grid(mu: float, j: int, n_nodes: int):
 def unity_reconstruction(
     basis_pairs: list[tuple[int, int]],
     mu: float,
-    j: int = 0,
-    n_nodes: int = 140,
+    j: int,
+    n_nodes: int,
 ) -> np.ndarray:
     """Gram matrix reconstructed from the coherent-state measure.
 
@@ -270,7 +258,7 @@ def unity_reconstruction(
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Parameters of the fixed-l propagator kernel.
+    """Parameters of the fixed-l propagator kernel, on the branch holding l.
 
     delta_t may be complex with non-positive imaginary part; the purely
     imaginary axis delta_t = -i tau is the absolutely convergent
@@ -278,40 +266,67 @@ class KernelParams:
     defined, away from the zeros of sin(gamma t / 2).
     """
 
-    j: int
     l: int
-    mu: float
     delta_t: complex
     cfg: FieldConfig
 
     def __post_init__(self):
-        _check_branch(self.j, self.l)
+        if self.l != int(self.l):
+            raise DomainError("angular number l must be an integer")
         if complex(self.delta_t).imag > 1e-15:
             raise DomainError("delta_t must have non-positive imaginary part")
 
 
-def _hille_hardy(nu: float, phi: complex, rho, rho_p):
-    """exp[-(rho + rho') coth(phi) / 2] I_nu(sqrt(rho rho') / sinh phi) / sinh phi.
+def _any(mask) -> bool:
+    """mask.any(), with bool() on a scalar: nanoseconds, not microseconds."""
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _hille_hardy(nu: float, phi: complex, rho, rho_p, ln_pref: complex):
+    """exp(ln_pref - (rho + rho') coth(phi) / 2) I_nu(sqrt(rho rho') / sinh phi) / sinh phi.
 
     The radial factor of both Hille-Hardy kernels (Erdelyi et al.,
     Higher Transcendental Functions vol. 2, 10.12), elementwise over rho
     and rho', Re phi >= 0; the Wick axis is real phi, which runs in
-    float64.  The growth of I_nu goes into the exponent through the
-    scaled Bessel function, + |Re z|; on real phi that exponent never
-    exceeds 0, so small phi does not overflow.  Raises DomainError on a
-    negative radius, where sinh phi vanishes, and where the Bessel
-    factor has no finite value.
+    float64.  coth phi and 1 / sinh phi come from 1 - e^(-2 phi), and all
+    exponents (Re ln_pref, the Bessel growth |Re z|, the logs of 1/sinh phi
+    and of the scaled Bessel factor) meet before one exp, so long times
+    stay finite.  Where the scaled factor underflows, ln I_nu = nu ln(z/2)
+    - ln Gamma(nu + 1) + ln 0F1(; nu + 1; z^2/4), with I_-n = I_n.  Raises
+    DomainError on a negative radius, where sinh phi vanishes, and where
+    the Bessel factor has no finite value.
     """
-    if (np.minimum(rho, rho_p) < 0.0).any():
+    if _any(np.minimum(rho, rho_p) < 0.0):
         raise DomainError("rho must be non-negative")
+    lib = np
     if phi.imag == 0.0:
-        phi = phi.real
-    sh = np.sinh(phi)
-    if abs(sh) < 1e-12:
+        phi, lib = phi.real, math  # math: nanoseconds a call on a float
+    one_q = -lib.expm1(-2.0 * phi)  # 2 e^(-phi) sinh phi
+    if abs(one_q) < 2e-12 * math.exp(-phi.real):
         raise DomainError("kernel singular: sinh(phi) vanishes")
-    zarg = np.sqrt(rho * rho_p) / sh
-    ln_mag = -0.5 * (rho + rho_p) * np.cosh(phi) / sh + abs(zarg.real)
-    return np.exp(ln_mag) * bessel_i(nu, zarg, scaled=True) / sh
+    ln_inv_sh = lib.log(2.0 / one_q) - phi
+    # where 1 / sinh phi underflows to 0, each Bessel factor off the origin
+    # comes from the series at the end
+    inv_sh = 2.0 * lib.exp(-phi) / one_q
+    rr = rho * rho_p
+    zarg = np.sqrt(rr) * inv_sh
+    bes = bessel_i(nu, zarg if inv_sh else np.sign(rr), scaled=True)
+    ln_mag = (ln_pref.real - 0.5 * (rho + rho_p) * (2.0 - one_q) / one_q
+              + abs(zarg.real) + ln_inv_sh)
+    phase = cmath.exp(1j * ln_pref.imag)
+    if inv_sh and not _any(bes == 0.0):
+        return np.exp(ln_mag + np.log(bes)) * phase
+    lost = np.asarray(((bes == 0.0) | (not inv_sh)) & (rr > 0.0))
+    ln_bes = np.full(lost.shape, -np.inf, dtype=np.result_type(bes, ln_inv_sh))
+    ok = ~lost & (bes != 0.0)  # I_nu(0) = 0 stays -inf at rho rho' = 0
+    ln_bes[ok] = np.log(np.asarray(bes)[ok])
+    arg = np.angle(np.exp(1j * np.imag(ln_inv_sh)))  # Arg z on the principal branch
+    ln_h = 0.5 * np.log(np.asarray(rr)[lost] / 4.0) + np.real(ln_inv_sh)  # ln |z/2|
+    ln_h = ln_h + 1j * arg if arg else ln_h
+    a = abs(nu) if nu == round(nu) else nu
+    ln_bes[lost] = (a * ln_h - _sp.gammaln(a + 1.0) - abs(np.asarray(zarg)[lost].real)
+                    + np.log(_sp.hyp0f1(a + 1.0, np.exp(2.0 * ln_h))))
+    return np.exp(ln_mag + ln_bes) * phase
 
 
 def propagator_closed(p: KernelParams, dtheta: float, rho, rho_p):
@@ -323,16 +338,17 @@ def propagator_closed(p: KernelParams, dtheta: float, rho, rho_p):
 
     nu = -(l + mu) on branch 0 and +(l + mu) on branch 1.  The radial
     factor is i :func:`_hille_hardy` at phi = i gamma dt / 2 for every
-    time, real on the Wick axis.  Raises DomainError on a negative
+    time, real on the Wick axis, with the phase as its exponent (which
+    grows at long Wick times when l + mu < 0).  Raises DomainError on a negative
     radius, at the zeros of sin(gamma dt / 2), and where the Bessel factor
     has no finite value (tau <= 1e-9 at rho = rho' = 1).  Elementwise over
     rho and rho'; scalar radii give a complex.
     """
-    g = p.cfg.gamma
+    g, mu = p.cfg.gamma, p.cfg.mu
     dt = complex(p.delta_t)
-    nu = _laguerre_order(p.j, p.l, p.mu)
-    phase = cmath.exp(1j * (p.l - p.cfg.l0) * dtheta - 1j * (g / 2.0) * (p.l + p.mu) * dt)
-    out = (g / (4.0 * math.pi)) * phase * 1j * _hille_hardy(nu, 0.5j * g * dt, rho, rho_p)
+    nu = _laguerre_order(_branch_of(p.l), p.l, mu)
+    ln_phase = 1j * (p.l - p.cfg.l0) * dtheta - 1j * (g / 2.0) * (p.l + mu) * dt
+    out = (g / (4.0 * math.pi)) * 1j * _hille_hardy(nu, 0.5j * g * dt, rho, rho_p, ln_phase)
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -348,7 +364,8 @@ def propagator_series(p: KernelParams, dtheta: float, rho: float, rho_p: float) 
         raise DomainError("mode sum requires Im(delta_t) < 0")
     g = p.cfg.gamma
     ratio = abs(cmath.exp(-1j * g * dt))  # < 1
-    alpha = _laguerre_order(p.j, p.l, p.mu)
+    j = _branch_of(p.l)
+    alpha = _laguerre_order(j, p.l, p.cfg.mu)
     # branch phases of phi(x) phi*(x') cancel; N^2 = gamma / 2 pi
     pref = 1j * (g / (2.0 * math.pi)) * cmath.exp(1j * (p.l - p.cfg.l0) * dtheta)
     block = 48
@@ -357,7 +374,7 @@ def propagator_series(p: KernelParams, dtheta: float, rho: float, rho_p: float) 
     for m0 in range(0, _MODE_MAX_TERMS - block + 1, block):
         tab = np.array([next(rows) for _ in range(block)])
         prods = tab[:, 0] * tab[:, 1]
-        n1, _ = _radial_numbers(p.j, alpha, np.arange(m0, m0 + block, dtype=float))
+        n1, _ = _radial_numbers(j, alpha, np.arange(m0, m0 + block, dtype=float))
         weights = np.exp(-1j * (g * (n1 + 0.5)) * dt)
         acc += np.dot(weights, prods)
         total = pref * acc

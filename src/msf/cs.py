@@ -60,8 +60,8 @@ import numpy as np
 from scipy import special as _sp
 
 from .specfun import DomainError, exp_in_range, laguerre_fn_rows, ln_marcum_p
-from .completeness import WeightSpec, weight_fn
-from .landau import (FieldConfig, _branch_l_values, _laguerre_order, _marcum_args,
+from .completeness import weight_fn
+from .landau import (FieldConfig, _branch_l_values, _branch_of, _laguerre_order, _marcum_args,
                      _profile_factor, _radial_numbers, resolve_qnums)
 
 __all__ = [
@@ -203,23 +203,13 @@ def _quiet_blocks(ln_w: np.ndarray, ln_tol: float) -> int | None:
     return int(hits[0]) + 3 if hits.size else None
 
 
-@dataclass(frozen=True)
-class BranchTerm:
-    """Unnormalized amplitudes c_lm, m = 0..M, at fixed angular number l."""
-
-    j: int
-    l: int
-    coeffs: np.ndarray  # index m
-
-    def weight(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
-
-
-def cs_branch(j: int, l: int, label: CSLabel, cfg: FieldConfig) -> BranchTerm:
-    """One row of the coherent-state table, unnormalized."""
-    resolve_qnums(j, l, 0, cfg)
+def cs_branch(l: int, label: CSLabel, cfg: FieldConfig) -> np.ndarray:
+    """Row l of the coherent-state table, unnormalized: the amplitudes c_lm,
+    m = 0..M, on the branch whose range holds l."""
+    j = _branch_of(l)
+    resolve_qnums(j, l, 0, cfg)  # DomainError unless l is an integer
     _, ln_c, phase = _table(j, [l], label, cfg, _m_last(label))
-    return BranchTerm(j=j, l=l, coeffs=np.exp(ln_c[0] + 1j * phase[0]))
+    return np.exp(ln_c[0] + 1j * phase[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +265,8 @@ def cs_normalization(j: int, u, v, mu: float):
 
     N_0 = exp(u+v) P_{1-mu}(u, v) and N_1 = exp(u+v) P_mu(v, u), summed
     in log space.  Scalar inputs give a float, arrays an array.  Raises
-    DomainError if N_j exceeds the double range at any point.
+    DomainError unless j is 0 or 1 and mu lies in [0, 1), and if N_j
+    exceeds the double range at any point.
     """
     return exp_in_range(_ln_normalization(j, u, v, mu), f"N_{j}")
 
@@ -370,4 +361,4 @@ def mm_weight_sum(u, v):
     shortcut, so the constancy is a genuine numerical check of the
     zero-flux measure.  Scalar inputs give a float, arrays an array.
     """
-    return weight_fn(WeightSpec(j=0, mu=0.0), u, v) + weight_fn(WeightSpec(j=1, mu=0.0), u, v)
+    return weight_fn(0, u, v, 0.0) + weight_fn(1, u, v, 0.0)

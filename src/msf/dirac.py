@@ -69,9 +69,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .specfun import DomainError, TruncationError, exp_in_range, laguerre_fn_table
-from .landau import (FieldConfig, _branch_l_values, _branch_of, _check_branch,
-                     _laguerre_order, _profiles as _row_profiles, _radial_numbers)
-from .radial import RadialGrid, make_radial_grid
+from .landau import (FieldConfig, _branch_l_values, _branch_of, _laguerre_order,
+                     _profiles as _row_profiles, _radial_numbers)
+from .radial import RadialGrid
 from .cs import CSLabel, _grown_table, _on_larger_table, _quiet_blocks
 from .completeness import _hille_hardy
 
@@ -153,7 +153,8 @@ def resolve_rel_qnums(j: int, l: int, m: int, sigma: int, dc: DiracConfig) -> Re
         raise DomainError("sigma must be +1 or -1")
     if m < 0 or m != int(m):
         raise DomainError("m must be a non-negative integer")
-    _check_branch(j, l, dc.vartheta)
+    if _branch_of(l, dc.vartheta) != j:
+        raise DomainError(f"l = {l} is not on branch {j} for vartheta = {dc.vartheta}")
     _, l_s, alpha = _family(sigma, l, dc)
     n1, n2 = _radial_numbers(j, alpha, float(m))
     return RelQuantumNumbers(j=j, l=int(l), m=int(m), sigma=sigma, l_sigma=int(l_s),
@@ -479,7 +480,7 @@ def _rel_ln_weight(j: int, alpha: np.ndarray, cols: int, dc: DiracConfig, charge
 
 
 def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
-           grid: RadialGrid | None = None) -> RelCS:
+           grid: RadialGrid) -> RelCS:
     """Relativistic coherent state: the (l, m) series of eigenspinors.
 
     Per-state weights follow the convention that fixes the overlap form
@@ -497,8 +498,6 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
     Mcal on the radial grid.
     """
     _, alpha, ln_c, phase = _rel_table(j, label, dc, charge)
-    if grid is None:
-        grid = make_radial_grid(rho_max=60.0)
     ln_w = 2.0 * ln_c + _rel_ln_weight(j, alpha, ln_c.shape[1], dc, charge)
     keep = _quiet_blocks(np.logaddexp.reduce(ln_w, axis=1), _REL_LN_TOL)
     ln_mcal = np.logaddexp.reduce(ln_w[:keep], axis=None)
@@ -580,7 +579,7 @@ def _boosted(dc: DiracConfig, p3: float) -> DiracConfig:
 
 
 def embed_3p1(j: int, l: int, m: int, charge: int, s: int, p3: float,
-              dc: DiracConfig, grid: RadialGrid | None = None) -> Spinor4:
+              dc: DiracConfig, grid: RadialGrid) -> Spinor4:
     """Stationary four-spinor with longitudinal momentum p3 and spin s.
 
     The construction substitutes the boosted mass Mt = sqrt(M^2 + p3^2)
@@ -595,8 +594,6 @@ def embed_3p1(j: int, l: int, m: int, charge: int, s: int, p3: float,
     """
     if s not in (-1, 1):
         raise DomainError("spin label s must be +1 or -1")
-    if grid is None:
-        grid = make_radial_grid(rho_max=60.0)
     dct = _boosted(dc, p3)
     m_tilde = dct.mass
     q_up = resolve_rel_qnums(j, l, m, charge, dct)
@@ -651,12 +648,12 @@ def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
     and nu = |l_s + mu| for l != 0; in the l = 0 channel the order is
     (1+sigma)/2 - mu for vartheta = +1 and its negative for
     vartheta = -1 (the irregular channel).  Xi_sigma = (1 + sigma s3)/2.
-    A B is the phases of A times one complex prefactor
-    i e^{i pi/4 - i dt^2 / 4s} / sqrt(s) times
+    A B is i gamma / (8 pi^{3/2} s^{1/2}) times
     :func:`msf.completeness._hille_hardy` at phi = i gamma s, which is
-    real on the Wick axis s = -i tau.  Raises DomainError on a negative
-    radius, near the singular real points s_k = k pi / gamma, and at
-    rho = 0 in the irregular channel, where I_nu is infinite.
+    real on the Wick axis s = -i tau, with the exponent of A as its
+    phase.  Raises DomainError on a negative radius, near the singular
+    real points s_k = k pi / gamma, and at rho = 0 in the irregular
+    channel, where I_nu is infinite.
     Elementwise over rho and rho', with the 2x2 block in the last two
     axes.
     """
@@ -666,12 +663,10 @@ def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
     mu = dc.field.mu
     sc = complex(s)
     _, l_s, nu = _row(sigma, l, dc)
-    phase = cmath.exp(1j * (l_s - dc.field.l0) * dtheta
-                      - 1j * dc.mass**2 * sc
-                      - 1j * (l_s + sigma + mu) * g * sc)
-    amp = (g / (8.0 * math.pi**1.5)) * 1j * cmath.exp(
-        0.25j * math.pi - 1j * dt * dt / (4.0 * sc)) / cmath.sqrt(sc)
-    diag = amp * phase * _hille_hardy(nu, 1j * g * sc, rho, rho_p)
+    ln_phase = (1j * (l_s - dc.field.l0) * dtheta - 1j * dc.mass**2 * sc
+                - 1j * (l_s + sigma + mu) * g * sc + 0.25j * math.pi - 1j * dt * dt / (4.0 * sc))
+    amp = (g / (8.0 * math.pi**1.5)) * 1j / cmath.sqrt(sc)
+    diag = amp * _hille_hardy(nu, 1j * g * sc, rho, rho_p, ln_phase)
     out = np.zeros(np.shape(diag) + (2, 2), dtype=complex)  # diag Xi_sigma
     out[..., (1 - sigma) // 2, (1 - sigma) // 2] = diag
     return out

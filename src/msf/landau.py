@@ -107,14 +107,6 @@ def _branch_l_values(j: int, vartheta: int = -1):
     return itertools.count(edge, -1) if j == 0 else itertools.count(edge + 1)
 
 
-def _check_branch(j: int, l: int, vartheta: int = -1) -> None:
-    """DomainError unless j is a branch and l lies in its range."""
-    if j not in (0, 1):
-        raise DomainError("branch j must be 0 or 1")
-    if _branch_of(l, vartheta) != j:
-        raise DomainError(f"l = {l} outside the branch-{j} range for vartheta = {vartheta}")
-
-
 def _laguerre_order(j: int, l, mu: float):
     """Laguerre order -(l + mu) on branch 0 and l + mu on branch 1,
     elementwise over l; not validated."""
@@ -128,9 +120,12 @@ def _radial_numbers(j: int, alpha, m):
 
 def _marcum_args(j: int, mu: float, u, v):
     """(nu, x, y) of the Marcum function P_nu(x, y) behind the branch-j weight
-    and normalization: (1 - mu, u, v) on branch 0 and (mu, v, u) on branch 1."""
+    and normalization: (1 - mu, u, v) on branch 0 and (mu, v, u) on branch 1.
+    DomainError unless j is a branch and mu passes the flux check of
+    :class:`FieldConfig`."""
     if j not in (0, 1):
         raise DomainError("branch j must be 0 or 1")
+    FieldConfig(mu=mu)
     return (1.0 - mu, u, v) if j == 0 else (mu, v, u)
 
 
@@ -150,12 +145,13 @@ def _profiles(j: int, l: int, m_max: int, rho, cfg: FieldConfig) -> np.ndarray:
 
 
 def resolve_qnums(j: int, l: int, m: int, cfg: FieldConfig) -> QuantumNumbers:
-    """Validate (j, l, m) against the branch domains and derive (n1, n2)."""
+    """Validate a given (j, l, m) against the branch domains and derive (n1, n2)."""
     if m < 0 or m != int(m):
         raise DomainError("radial number m must be a non-negative integer")
     if l != int(l):
         raise DomainError("angular number l must be an integer")
-    _check_branch(j, l)
+    if _branch_of(l) != j:
+        raise DomainError(f"l = {l} is not on branch {j}")
     n1, n2 = _radial_numbers(j, _laguerre_order(j, l, cfg.mu), float(m))
     return QuantumNumbers(j=j, l=int(l), m=int(m), n1=n1, n2=n2)
 

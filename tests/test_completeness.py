@@ -7,11 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from msf import completeness
-from msf.landau import FieldConfig, _radial_numbers
+from msf.landau import FieldConfig, _branch_of, _radial_numbers
 from msf.specfun import DomainError, erf, laguerre_fn_rows, ln_gamma, ln_marcum_p
 from msf.completeness import (
     KernelParams,
-    WeightSpec,
     _ln_q_grid_series,
     _logaddexp_finite,
     _unity_grid,
@@ -60,30 +59,29 @@ def test_weight_positivity_sampled():
         for u in np.linspace(0.2, 8.0, 5):
             for v in np.linspace(0.2, 8.0, 5):
                 for j in (0, 1):
-                    assert weight_fn(WeightSpec(j, mu), float(u), float(v)) > 0.0
+                    assert weight_fn(j, float(u), float(v), mu) > 0.0
 
 
 def test_weight_vanishing_edge():
     # v = 0 kills the branch-0 weight for mu > 0
-    assert weight_fn(WeightSpec(0, 0.3), 2.0, 0.0) == 0.0
+    assert weight_fn(0, 2.0, 0.0, 0.3) == 0.0
 
 
 def test_weight_fn_elementwise_over_arrays():
     u, v = np.meshgrid(np.linspace(0.0, 9.0, 4), [0.0, 0.7, 250.0], indexing="ij")
     for j in (0, 1):
-        spec = WeightSpec(j, 0.35)
-        grid = weight_fn(spec, u, v)
+        grid = weight_fn(j, u, v, 0.35)
         assert grid.shape == u.shape
         for w, a, b in zip(grid.ravel(), u.ravel(), v.ravel()):
-            assert w == weight_fn(spec, float(a), float(b))
+            assert w == weight_fn(j, float(a), float(b), 0.35)
     with pytest.raises(DomainError):
-        weight_fn(WeightSpec(0, 0.35), np.array([1.0, -1.0]), 1.0)
+        weight_fn(0, np.array([1.0, -1.0]), 1.0, 0.35)
 
 
 @pytest.mark.parametrize("j", (0, 1))
 def test_weight_half_flux_far_out(j):
     # the Bessel series overflowed to nan here; the true value is erf(40) / (2 pi^2)
-    assert weight_fn(WeightSpec(j, 0.5), 400.0, 400.0) == pytest.approx(
+    assert weight_fn(j, 400.0, 400.0, 0.5) == pytest.approx(
         weight_half_closed(j, 400.0, 400.0), abs=1e-12)
     assert weight_half_closed(j, 400.0, 400.0) == pytest.approx(0.0506606, rel=1e-6)
 
@@ -128,11 +126,18 @@ def test_moment_domain():
 # ---------------------------------------------------------------------------
 
 
+def test_g_matrix_checks_inputs_before_the_angular_deltas():
+    # each of these once returned 0.0 from the Kronecker shortcut
+    for args in ((1, 2, -1, -1, 1.5), (-3, -2, -1, -1, 0.5), (1, 1, -1, -2, 7.0)):
+        with pytest.raises(DomainError):
+            g_matrix(*args)
+
+
 def test_g_matrix_frozen_value():
     # Gamma(2) Gamma(2.5), frozen
-    assert g_matrix(1, 1, -1, -1, 0.5, j=0) == pytest.approx(
+    assert g_matrix(1, 1, -1, -1, 0.5) == pytest.approx(
         1.3293403881791370205, rel=1e-12)
-    assert g_matrix(0, 0, -1, -1, 0.0, j=0) == pytest.approx(1.0, rel=1e-13)
+    assert g_matrix(0, 0, -1, -1, 0.0) == pytest.approx(1.0, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +230,16 @@ def test_unity_reconstruction_zero_flux_limit():
 
 def test_kernel_params_validation():
     cfg = FieldConfig(mu=0.3)
+    with pytest.raises(DomainError, match="integer"):
+        KernelParams(l=0.5, delta_t=-0.1j, cfg=cfg)
     with pytest.raises(DomainError):
-        KernelParams(j=0, l=1, mu=0.3, delta_t=-0.1j, cfg=cfg)
-    with pytest.raises(DomainError):
-        KernelParams(j=0, l=-1, mu=0.3, delta_t=+0.1j, cfg=cfg)
+        KernelParams(l=-1, delta_t=+0.1j, cfg=cfg)
 
 
 def test_series_single_term_limit():
     # large Wick time: the m = 0 state dominates the mode sum
     cfg = FieldConfig(mu=0.3)
-    p = KernelParams(j=0, l=-1, mu=0.3, delta_t=-40.0j, cfg=cfg)
+    p = KernelParams(l=-1, delta_t=-40.0j, cfg=cfg)
     from msf.landau import resolve_qnums, stationary_state, energy_nonrel
     q = resolve_qnums(0, -1, 0, cfg)
     e0 = energy_nonrel(q, cfg)
@@ -246,9 +251,10 @@ def test_series_single_term_limit():
 
 @pytest.mark.parametrize("j,l", [(0, -1), (0, -3), (1, 0), (1, 2)])
 def test_closed_equals_series_wick(j, l):
+    assert _branch_of(l) == j  # the kernels take the branch that holds l
     cfg = FieldConfig(gamma=1.0, l0=0, mu=0.3)
     for tau in (0.05, 0.1, 0.2, 0.5, 1.0):
-        p = KernelParams(j=j, l=l, mu=0.3, delta_t=-1j * tau, cfg=cfg)
+        p = KernelParams(l=l, delta_t=-1j * tau, cfg=cfg)
         a = propagator_closed(p, 0.7, 1.0, 2.0)
         b = propagator_series(p, 0.7, 1.0, 2.0)
         assert abs(a - b) / abs(a) < 1e-8
@@ -257,7 +263,7 @@ def test_closed_equals_series_wick(j, l):
 def test_closed_serial_general_complex_time():
     # off-axis complex time with negative imaginary part
     cfg = FieldConfig(gamma=1.0, l0=0, mu=0.3)
-    p = KernelParams(j=1, l=1, mu=0.3, delta_t=0.4 - 0.3j, cfg=cfg)
+    p = KernelParams(l=1, delta_t=0.4 - 0.3j, cfg=cfg)
     a = propagator_closed(p, 0.2, 1.0, 2.0)
     b = propagator_series(p, 0.2, 1.0, 2.0)
     assert abs(a - b) / abs(a) < 1e-8
@@ -265,7 +271,7 @@ def test_closed_serial_general_complex_time():
 
 def test_closed_phase_factor():
     cfg = FieldConfig(gamma=1.0, l0=2, mu=0.3)
-    p = KernelParams(j=0, l=-1, mu=0.3, delta_t=-0.2j, cfg=cfg)
+    p = KernelParams(l=-1, delta_t=-0.2j, cfg=cfg)
     a = propagator_closed(p, 0.0, 1.0, 2.0)
     b = propagator_closed(p, 0.7, 1.0, 2.0)
     # angular dependence is exactly exp(i (l - l0) dtheta)
@@ -277,7 +283,7 @@ def test_closed_phase_factor():
 def test_closed_array_equals_pointwise(l, dt):
     # one call over a whole rho' array, on and off the Wick axis
     cfg = FieldConfig(gamma=1.0, l0=0, mu=0.3)
-    p = KernelParams(j=0 if l < 0 else 1, l=l, mu=0.3, delta_t=dt, cfg=cfg)
+    p = KernelParams(l=l, delta_t=dt, cfg=cfg)
     rho_p = np.linspace(0.0, 12.0, 49)
     arr = propagator_closed(p, 0.4, 1.5, rho_p)
     pts = np.array([propagator_closed(p, 0.4, 1.5, float(x)) for x in rho_p])
@@ -288,14 +294,14 @@ def test_closed_array_equals_pointwise(l, dt):
 
 def test_closed_rejects_negative_radius():
     cfg = FieldConfig(gamma=1.0, mu=0.3)
-    p = KernelParams(j=0, l=-1, mu=0.3, delta_t=-0.2j, cfg=cfg)
+    p = KernelParams(l=-1, delta_t=-0.2j, cfg=cfg)
     with pytest.raises(DomainError):
         propagator_closed(p, 0.0, 1.0, np.array([0.5, -0.1]))
 
 
 def test_closed_rejects_real_axis_singularity():
     cfg = FieldConfig(gamma=1.0, mu=0.3)
-    p = KernelParams(j=0, l=-1, mu=0.3, delta_t=2.0 * math.pi, cfg=cfg)
+    p = KernelParams(l=-1, delta_t=2.0 * math.pi, cfg=cfg)
     with pytest.raises(DomainError):
         propagator_closed(p, 0.0, 1.0, 2.0)
 
@@ -310,7 +316,7 @@ def test_series_runs_one_recurrence(monkeypatch):
 
     monkeypatch.setattr(completeness, "laguerre_fn_rows", counted)
     cfg = FieldConfig(gamma=1.0, mu=0.3)
-    p = KernelParams(j=0, l=-1, mu=0.3, delta_t=-0.05j, cfg=cfg)
+    p = KernelParams(l=-1, delta_t=-0.05j, cfg=cfg)
     series = propagator_series(p, 0.7, 1.0, 2.0)
     assert len(calls) == 1
     closed = propagator_closed(p, 0.7, 1.0, 2.0)
@@ -334,7 +340,7 @@ def test_series_cost_linear_in_terms(monkeypatch):
     monkeypatch.setattr(completeness, "laguerre_fn_rows", rows)
     monkeypatch.setattr(completeness, "_radial_numbers", numbers)
     cfg = FieldConfig(gamma=1.0, mu=0.3)
-    p = KernelParams(j=0, l=-1, mu=0.3, delta_t=-0.05j, cfg=cfg)
+    p = KernelParams(l=-1, delta_t=-0.05j, cfg=cfg)
     series = propagator_series(p, 0.7, 1.0, 2.0)
     assert yielded[0] >= 3 * 48
     assert requested[0] == yielded[0]
@@ -347,7 +353,7 @@ def test_closed_tiny_time_raises_typed_error():
     # range, where the value was once a silent nan+nanj
     cfg = FieldConfig(gamma=1.0, mu=0.3)
     for dt in (-1e-9j, 1e-9):
-        p = KernelParams(j=1, l=2, mu=0.3, delta_t=dt, cfg=cfg)
+        p = KernelParams(l=2, delta_t=dt, cfg=cfg)
         with pytest.raises(DomainError, match="outside the range"):
             propagator_closed(p, 0.0, 1.0, 1.0)
 
@@ -356,15 +362,30 @@ def test_closed_far_out_underflows_to_zero(recwarn):
     # the kernel is about exp(-70000) here; the unscaled Bessel factor
     # would overflow, the scaled one leaves its growth in the exponent
     cfg = FieldConfig(gamma=1.0, mu=0.3)
-    p = KernelParams(j=1, l=2, mu=0.3, delta_t=3.0 - 0.1j, cfg=cfg)
+    p = KernelParams(l=2, delta_t=3.0 - 0.1j, cfg=cfg)
     val = propagator_closed(p, 0.0, 1e6, 2e6)
     assert val == 0.0
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("mu,l,tau", [
+    (0.999, 2, 1500.0),  # sinh and cosh of phi overflowed: nan
+    (0.3, -1, 1e4),      # the phase exp(tau (l + mu) / 2) overflowed alone
+    (0.3, -40, 50.0),    # that phase against a Bessel factor below the double range
+])
+def test_closed_long_wick_time_matches_series(mu, l, tau, recwarn):
+    p = KernelParams(l=l, delta_t=-1j * tau, cfg=FieldConfig(mu=mu))
+    closed = propagator_closed(p, 0.0, 1.0, 2.0)
+    series = propagator_series(p, 0.0, 1.0, 2.0)
+    assert np.isfinite(closed) and not recwarn.list
+    assert abs(closed - series) <= 1e-8 * abs(series)
+    if l == -40:
+        assert series == pytest.approx(1.7320993655328986e-54j, rel=1e-14)
+
+
 def test_series_rejects_real_time():
     cfg = FieldConfig(mu=0.3)
-    p = KernelParams(j=0, l=-1, mu=0.3, delta_t=0.5, cfg=cfg)
+    p = KernelParams(l=-1, delta_t=0.5, cfg=cfg)
     with pytest.raises(DomainError):
         propagator_series(p, 0.0, 1.0, 2.0)
 
@@ -373,7 +394,7 @@ def test_radial_delta_smearing_monotone():
     cfg = FieldConfig(gamma=1.0, mu=0.3)
     errs = []
     for tau in np.geomspace(0.2, 0.02, 6):
-        p = KernelParams(j=0, l=-1, mu=0.3, delta_t=-1j * float(tau), cfg=cfg)
+        p = KernelParams(l=-1, delta_t=-1j * float(tau), cfg=cfg)
         errs.append(radial_delta_smear(p, rho=1.5))
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 0.6 * errs[0]

@@ -48,9 +48,9 @@ def test_coefficient_formula():
 
 def test_zero_label_single_term():
     cfg = FieldConfig(mu=0.0)
-    term = cs_branch(1, 0, CSLabel(0.0, 0.0), cfg)
-    assert term.coeffs[0] == 1.0
-    assert np.all(term.coeffs[1:] == 0.0)
+    coeffs = cs_branch(0, CSLabel(0.0, 0.0), cfg)
+    assert coeffs[0] == 1.0
+    assert np.all(coeffs[1:] == 0.0)
 
 
 def test_branch_weight_matches_q_term():
@@ -59,9 +59,9 @@ def test_branch_weight_matches_q_term():
 
     cfg = FieldConfig(mu=0.5)
     lab = CSLabel(1.0, 1.0)  # |z1| = |z2| = 1
-    term = cs_branch(0, -1, lab, cfg)
+    coeffs = cs_branch(-1, lab, cfg)
     expect = q_double_series_oracle(1.0 - cfg.mu, math.sqrt(lab.u), math.sqrt(lab.v), lmax=1)
-    assert term.weight() == pytest.approx(expect, rel=1e-12)
+    assert np.sum(np.abs(coeffs) ** 2) == pytest.approx(expect, rel=1e-12)
 
 
 def test_expansion_weight_equals_normalization():
@@ -226,14 +226,14 @@ def test_reproducing_coefficients_by_quadrature():
     lab = CSLabel(0.7 + 0.2j, -0.4j)
     n0 = cs_normalization(0, lab.u, lab.v, mu)
     for (l, m) in [(-1, 0), (-1, 2), (-2, 1), (-3, 0), (-2, 3)]:
-        term = cs_branch(0, l, lab, cfg)
+        coeffs = cs_branch(l, lab, cfg)
         alpha = -l - mu
         quad = make_quadrature(alpha, 48)
-        tab = laguerre_fn_table(alpha, len(term.coeffs) - 1, quad.nodes)
-        prof = term.coeffs @ tab  # radial profile of the l block
+        tab = laguerre_fn_table(alpha, len(coeffs) - 1, quad.nodes)
+        prof = coeffs @ tab  # radial profile of the l block
         proj = quad.integrate(tab[m] * prof)
         assert proj / math.sqrt(n0) == pytest.approx(
-            term.coeffs[m] / math.sqrt(n0), rel=1e-11)
+            coeffs[m] / math.sqrt(n0), rel=1e-11)
 
 
 # ---------------------------------------------------------------------------

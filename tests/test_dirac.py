@@ -656,7 +656,7 @@ def test_kernels_reject_negative_radius(kernel, s, rho, rho_p):
     # both kernels share the radial factors, which own the radius check;
     # two negative radii make rho rho' > 0, so the factors alone stay finite
     mu = 0.37
-    p = KernelParams(j=1, l=2, mu=mu, delta_t=s, cfg=FieldConfig(mu=mu))
+    p = KernelParams(l=2, delta_t=s, cfg=FieldConfig(mu=mu))
     with pytest.raises(DomainError, match="non-negative"):
         if kernel == "green_kernel_rel":
             green_kernel_rel(1, 2, make_dc(mu=mu, vartheta=1), s, 0.0, 0.0, rho, rho_p)
@@ -681,6 +681,16 @@ def test_kernel_tiny_proper_time_raises(s):
         green_kernel_rel(1, 2, make_dc(mu=0.999), s, 0.0, 0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("sigma,l,vartheta", [(1, 2, 1), (-1, -1, 1), (1, 0, -1)])
+def test_kernel_long_proper_time_finite(sigma, l, vartheta, recwarn):
+    # sinh(gamma tau) overflowed to a silent nan+nanj at tau = 800, and the
+    # irregular channel raised where 1 / sinh underflowed; the kernel is
+    # below the double range there
+    dc = make_dc(mu=0.999, vartheta=vartheta)
+    k = green_kernel_rel(sigma, l, dc, -800j, 0.0, 0.0, 1.0, 2.0)
+    assert np.all(k == 0.0) and not recwarn.list
+
+
 @pytest.mark.parametrize("tau", [0.05, 0.7, 3.0])
 @pytest.mark.parametrize("kernel", ["green_kernel_rel", "propagator_closed"])
 def test_kernels_continuous_across_wick_axis(kernel, tau):
@@ -691,7 +701,7 @@ def test_kernels_continuous_across_wick_axis(kernel, tau):
     def at(t):
         if kernel == "green_kernel_rel":
             return green_kernel_rel(1, 2, make_dc(mu=mu, mass=0.8), t, 0.4, 0.2, 1.3, rho_p)
-        p = KernelParams(j=1, l=2, mu=mu, delta_t=t, cfg=FieldConfig(mu=mu))
+        p = KernelParams(l=2, delta_t=t, cfg=FieldConfig(mu=mu))
         return propagator_closed(p, 0.4, 1.3, rho_p)
 
     on, off = at(-1j * tau), at(1e-12 - 1j * tau)

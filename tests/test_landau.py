@@ -28,6 +28,8 @@ from msf.landau import (
     resolve_qnums,
     stationary_state,
 )
+from msf.completeness import weight_fn
+from msf.cs import cs_normalization
 from msf.radial import make_radial_grid
 from msf.specfun import DomainError, laguerre_fn_table
 
@@ -73,6 +75,12 @@ def test_field_config_validation():
         FieldConfig(gamma=0.0)
     with pytest.raises(DomainError):
         FieldConfig(mu=1.0)
+    # the weights and normalizations take mu bare and share the flux check
+    for mu in (-0.3, 1.0, 1.5):
+        for j in (0, 1):
+            for fn in (weight_fn, cs_normalization):
+                with pytest.raises(DomainError, match="mu must lie"):
+                    fn(j, 1.0, 1.0, mu)
 
 
 def test_energy_values():
