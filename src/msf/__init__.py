@@ -32,7 +32,6 @@ from .landau import (
 from .cs import (
     CSLabel,
     cs_branch,
-    cs_expansion,
     cs_normalization,
     cs_overlap,
     cs_state,

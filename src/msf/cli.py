@@ -15,8 +15,10 @@ spectrum tables on rectangular grids.  A flat key=value config file can
 be supplied through the MSF_CONFIG environment variable; its keys are
 the option names, checked like the flags, and flags win over the file.
 Every value is range-checked once, when the run configuration is built
-(mu in [0, 1), gamma > 0, mass >= 0): an invalid one exits 2 with one
-``error:`` line, whichever suite or table is asked for.
+(mu in [0, 1), finite gamma > 0, finite mass >= 0, integer l0): an
+invalid one exits 2 with one ``error:`` line, whichever suite or table
+is asked for.  A malformed grid or label and an unwritable ``--out``
+are usage errors too.
 A given ``mu`` replaces the flux values that each suite scans, and a
 given ``vartheta`` the extensions that the dirac and rel-cs suites scan
 (embed-3p1 and kernel-rel read ``vartheta`` either way, default +1).
@@ -433,7 +435,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(p) for p in spec.split(":"))
     except ValueError as exc:
         raise DomainError(f"malformed grid spec {spec!r}, expected start:stop:step") from exc
-    if step <= 0 or stop < start:
+    if not (np.isfinite([start, stop, step]).all() and step > 0 and stop >= start):
         raise DomainError(f"malformed grid spec {spec!r}")
     n = math.floor((stop - start) / step + 1e-9)  # the slack keeps exact multiples
     return start + step * np.arange(n + 1)
@@ -473,7 +475,7 @@ def tabulate(cfg: RunConfig, target: str, args) -> tuple[list[str], list[list]]:
         return header, [[r, val.real, val.imag] for r, val in zip(rho, vals)]
     if target == "cs-density":
         rho = _parse_grid(args.rhop)
-        lab = CSLabel(complex(args.z1), complex(args.z2))
+        lab = CSLabel(args.z1, args.z2)
         header = ["rho", "re", "im", "abs2"]
         vals = cs_state(args.j, lab, args.theta, rho, fc)
         return header, [[r, val.real, val.imag, abs(val) ** 2] for r, val in zip(rho, vals)]
@@ -601,8 +603,8 @@ def main(argv=None) -> int:
     pt.add_argument("--l", type=int, default=-1)
     pt.add_argument("--m", type=int, default=0)
     pt.add_argument("--j", type=int, choices=(0, 1), default=1)
-    pt.add_argument("--z1", default="0.5+0.2j")
-    pt.add_argument("--z2", default="-0.3j")
+    pt.add_argument("--z1", type=complex, default="0.5+0.2j")
+    pt.add_argument("--z2", type=complex, default="-0.3j")
     pt.add_argument("--lmax", type=int, default=5)
     pt.add_argument("--mmax", type=int, default=5)
     _add_common_flags(pt)
@@ -631,33 +633,35 @@ def main(argv=None) -> int:
             print(f"error: unknown suite {args.suite!r}; choose from {', '.join(SUITES)}",
                   file=sys.stderr)
             return 2
-        t0 = time.perf_counter()
-        try:
-            rep = verify_suite(cfg, args.suite)
-        except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        wall = time.perf_counter() - t0
-        text = report_csv(rep) if cfg.format == "csv" else report_json(rep)
-        _write_output(text, cfg.out)
-        n_fail = sum(1 for r in rep.records if r.status == "fail")
-        print(f"suite {args.suite}: {len(rep.records)} checks, {n_fail} failed, "
-              f"{wall:.1f}s", file=sys.stderr)
-        for r in rep.records:
-            if r.status == "fail":
-                print(f"  FAIL {r.name} [{r.params}]: "
-                      f"err {r.achieved_error:.3e} > tol {r.tolerance:.1e}", file=sys.stderr)
-        return 0 if rep.passed else 1
 
-    # tabulate
     try:
-        header, rows = tabulate(cfg, args.target, args)
+        if args.command == "verify":
+            t0 = time.perf_counter()
+            rep = verify_suite(cfg, args.suite)
+            wall = time.perf_counter() - t0
+            text = report_csv(rep) if cfg.format == "csv" else report_json(rep)
+        else:
+            header, rows = tabulate(cfg, args.target, args)
+            text = table_csv(header, rows) if cfg.format == "csv" else table_json(header, rows, cfg)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = table_csv(header, rows) if cfg.format == "csv" else table_json(header, rows, cfg)
-    _write_output(text, cfg.out)
-    return 0
+    try:
+        _write_output(text, cfg.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    if args.command == "tabulate":
+        return 0
+    n_fail = sum(1 for r in rep.records if r.status == "fail")
+    print(f"suite {args.suite}: {len(rep.records)} checks, {n_fail} failed, "
+          f"{wall:.1f}s", file=sys.stderr)
+    for r in rep.records:
+        if r.status == "fail":
+            print(f"  FAIL {r.name} [{r.params}]: "
+                  f"err {r.achieved_error:.3e} > tol {r.tolerance:.1e}", file=sys.stderr)
+    return 0 if rep.passed else 1
 
 
 if __name__ == "__main__":

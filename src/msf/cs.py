@@ -54,7 +54,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -66,9 +66,7 @@ from .landau import (FieldConfig, _branch_l_values, _branch_of, _laguerre_order,
 
 __all__ = [
     "CSLabel",
-    "CSExpansion",
     "cs_branch",
-    "cs_expansion",
     "cs_state",
     "cs_normalization",
     "cs_overlap",
@@ -212,40 +210,6 @@ def cs_branch(l: int, label: CSLabel, cfg: FieldConfig) -> np.ndarray:
     return np.exp(ln_c[0] + 1j * phase[0])
 
 
-@dataclass(frozen=True, eq=False)
-class CSExpansion:
-    """Truncated coherent-state series on one branch, in log space.
-
-    Row k holds angular number l[k] with Laguerre order alpha[k], column
-    m the radial number; c_lm = exp(ln_c + i phase).  ln_norm is the log
-    of the truncated sum of |c_lm|^2, which approximates ln N_j.
-    """
-
-    j: int
-    label: CSLabel
-    l: np.ndarray = field(repr=False)
-    alpha: np.ndarray = field(repr=False)
-    ln_c: np.ndarray = field(repr=False)
-    phase: np.ndarray = field(repr=False)
-    ln_norm: float
-
-    @property
-    def norm_const(self) -> float:
-        return exp_in_range(self.ln_norm, f"N_{self.j}")
-
-
-def cs_expansion(j: int, label: CSLabel, cfg: FieldConfig) -> CSExpansion:
-    """The (l, m) table of the branch-j series, grown by :func:`_grown_table`
-    to amplitude tolerance _EPS relative to sqrt(N_j)."""
-    l, alpha, ln_c, phase = _grown_table(j, _branch_l_values(j), label, cfg)
-    peak = float(np.max(ln_c))
-    ln_norm = -np.inf
-    if peak > -np.inf:
-        ln_norm = 2.0 * peak + math.log(np.sum(np.exp(2.0 * (ln_c - peak))))
-    return CSExpansion(j=j, label=label, l=l, alpha=alpha,
-                       ln_c=ln_c, phase=phase, ln_norm=ln_norm)
-
-
 def _ln_normalization(j: int, u, v, mu: float):
     """ln N_j = u + v + ln P_nu at squared label moduli (u, v), elementwise."""
     nu, x, y = _marcum_args(j, mu, u, v)
@@ -284,20 +248,20 @@ def cs_state(
     Unit norm unless disabled; the amplitudes are normalized in log
     space, exp(ln|c| - ln N_j / 2), so the value is finite wherever the
     normalized state is.  One Laguerre recurrence over m, vectorised
-    over the rows of the :func:`cs_expansion` table and the points,
+    over the rows of the :func:`_grown_table` table and the points,
     accumulates sum_m c_lm I_m(rho) per row: memory is O(rows x points).
     """
-    ex = cs_expansion(j, label, cfg)
+    l, alpha, ln_c, arg_c = _grown_table(j, _branch_l_values(j), label, cfg)
     ln_scale = _ln_half_norm(j, label, cfg.mu) if normalized else 0.0
     theta, rho = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                      np.asarray(rho, dtype=float))
     per_row = (slice(None),) + (None,) * rho.ndim
-    amp = np.exp(ex.ln_c - ln_scale + 1j * ex.phase)
+    amp = np.exp(ln_c - ln_scale + 1j * arg_c)
     radial = 0.0
-    for m, lag in enumerate(laguerre_fn_rows(ex.alpha[per_row], amp.shape[1] - 1, rho)):
+    for m, lag in enumerate(laguerre_fn_rows(alpha[per_row], amp.shape[1] - 1, rho)):
         radial = radial + amp[:, m][per_row] * lag
-    phase = np.exp(1j * np.multiply.outer(ex.l - cfg.l0, theta))
-    total = np.sum(phase * _profile_factor(j, ex.l, cfg)[per_row] * radial, axis=0)
+    phase = np.exp(1j * np.multiply.outer(l - cfg.l0, theta))
+    total = np.sum(phase * _profile_factor(j, l, cfg)[per_row] * radial, axis=0)
     return complex(total) if total.ndim == 0 else total
 
 
@@ -319,8 +283,9 @@ def cs_overlap(
     if j_a != j_b:
         return 0.0 + 0.0j
     cfg = FieldConfig(mu=mu)
-    ea, eb = cs_expansion(j_a, label_a, cfg), cs_expansion(j_b, label_b, cfg)
-    (_, ln_a, ph_a), (_, ln_b, ph_b) = _on_larger_table(j_a, ea.l, label_a, eb.l, label_b, cfg)
+    rows_a = _grown_table(j_a, _branch_l_values(j_a), label_a, cfg)[0]
+    rows_b = _grown_table(j_a, _branch_l_values(j_a), label_b, cfg)[0]
+    (_, ln_a, ph_a), (_, ln_b, ph_b) = _on_larger_table(j_a, rows_a, label_a, rows_b, label_b, cfg)
     ln_scale = _ln_half_norm(j_a, label_a, mu) + _ln_half_norm(j_a, label_b, mu)
     return complex(np.sum(np.exp(ln_a + ln_b - ln_scale + 1j * (ph_b - ph_a))))
 

@@ -114,8 +114,8 @@ class DiracConfig:
     def __post_init__(self):
         if self.vartheta not in (-1, 1):
             raise DomainError("vartheta must be +1 or -1")
-        if self.mass < 0:
-            raise DomainError("mass must be non-negative")
+        if not 0 <= self.mass < math.inf:
+            raise DomainError("mass must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -446,9 +446,6 @@ class RelCS:
     that angular sector, jointly of unit norm under the spinor product.
     """
 
-    j: int
-    charge: int
-    label: CSLabel
     states: dict
     norm_const: float
     spinors: dict
@@ -520,8 +517,7 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
                                   norm_const, missed)
         coef = np.sqrt(share) * np.exp(1j * ph_row[ms])
         spinors[block.l_up] = _superpose(block, coef * factors)
-    return RelCS(j=j, charge=charge, label=label, states=states,
-                 norm_const=norm_const, spinors=spinors, grid=grid)
+    return RelCS(states=states, norm_const=norm_const, spinors=spinors, grid=grid)
 
 
 def rel_cs_inner(a: RelCS, b: RelCS, dc: DiracConfig) -> complex:

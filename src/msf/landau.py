@@ -73,12 +73,12 @@ class FieldConfig:
     mu: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise DomainError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise DomainError("gamma must be positive and finite")
         if not (0.0 <= self.mu < 1.0):
             raise DomainError("mu must lie in [0, 1)")
-        if self.l0 != int(self.l0):
-            raise DomainError("l0 must be an integer")
+        if not (math.isfinite(self.l0) and self.l0 == int(self.l0)):
+            raise DomainError("l0 must be a finite integer")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .specfun import DomainError
+
 __all__ = ["RadialGrid", "make_radial_grid"]
 
 
@@ -99,8 +101,14 @@ def make_radial_grid(rho_max: float = 60.0, tail_step: float = 1.5) -> RadialGri
     Narrow panels carry fewer Gauss points: the derivative of the
     interpolant amplifies sample rounding by ~n^2/width, while a smooth
     factor varies so little across a narrow panel that a low order
-    already interpolates it to machine accuracy.
+    already interpolates it to machine accuracy.  Raises DomainError
+    unless rho_max is finite and at least 1 and tail_step finite and
+    positive.
     """
+    if not 1.0 <= rho_max < np.inf:
+        raise DomainError("rho_max must be finite and at least 1")
+    if not 0.0 < tail_step < np.inf:
+        raise DomainError("tail_step must be positive and finite")
     edges = [_RHO_MIN]
     while edges[-1] < 1.0:
         edges.append(min(edges[-1] * 2.0, 1.0))

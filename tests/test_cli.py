@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from msf import dirac
+from msf.specfun import DomainError
 from msf.cli import RunConfig, _parse_grid, main, report_json, verify_suite
 
 
@@ -26,10 +27,19 @@ def test_exit_code_pass():
     assert json.loads(res.stdout)["records"][0]["status"] == "pass"
 
 
-def test_exit_code_usage_error():
+def test_exit_code_usage_error(tmp_path, capsys):
     assert run_cli(["verify", "--suite", "unknown"]).returncode == 2
     assert run_cli(["bogus-command"]).returncode == 2
     assert run_cli(["tabulate", "weight", "--u", "bad"]).returncode == 2
+    # a non-finite grid bound or step, a malformed label
+    for argv in (["weight", "--u", "nan:1:0.5"], ["weight", "--u", "0:inf:0.5"],
+                 ["weight", "--u", "0:1:nan"], ["cs-density", "--z1", "abc"]):
+        assert main(["tabulate", *argv]) == 2
+    # an unwritable --out: one error line, no traceback
+    capsys.readouterr()
+    assert main(["verify", "--suite", "moments", "--out", str(tmp_path / "no" / "r.json")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
     # no tolerance or quadrature-order override: --tol 1 would pass C02
     for flag in (["--tol", "1"], ["--nodes", "200"]):
         assert main(["verify", "--suite", "all", *flag]) == 2
@@ -45,13 +55,20 @@ def test_suite_domain_error_exits_2(suite, capsys):
 
 @pytest.mark.parametrize("args", [["--suite", "moments", "--mu", "1.5"],
                                   ["--suite", "moments", "--gamma", "-1"],
-                                  ["--suite", "orthonormality", "--mass", "-2"]])
+                                  ["--suite", "orthonormality", "--mass", "-2"],
+                                  ["--suite", "rel-cs", "--mass", "nan"],
+                                  ["--suite", "propagator", "--gamma", "inf"]])
 def test_out_of_range_option_exits_2(args, capsys):
     # every suite refuses a value outside the field and Dirac ranges, even
     # one that never reads it
     assert main(["verify", *args]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_verify_suite_rejects_unknown_name():
+    with pytest.raises(DomainError, match="unknown suite"):
+        verify_suite(RunConfig(), "bogus")
 
 
 def test_exit_code_check_failure():

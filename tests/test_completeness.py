@@ -400,6 +400,16 @@ def test_radial_delta_smearing_monotone():
     assert errs[-1] < 0.6 * errs[0]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: radial_delta_smear(KernelParams(l=-1, delta_t=1.0 - 0.5j, cfg=FieldConfig(mu=0.3)),
+                               1.0),                       # off the Wick axis
+    lambda: _ln_q_grid_series(0.5, np.array([0.0, 1.0]), np.array([1.0, 1.0])),   # u = 0
+], ids=["smear-off-wick", "grid-q-at-zero"])
+def test_completeness_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_angular_delta_smearing_converges():
     e10 = angular_delta_smear(10)
     e25 = angular_delta_smear(25)

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import special as sp
 
-from msf.landau import FieldConfig, make_quadrature, resolve_qnums, stationary_state
+from msf.landau import (FieldConfig, _branch_l_values, make_quadrature, resolve_qnums,
+                        stationary_state)
 from msf.specfun import DomainError, laguerre_fn_table, ln_marcum_p
 from msf.cs import (
     CSLabel,
+    _grown_table,
     cs_branch,
-    cs_expansion,
     cs_normalization,
     cs_overlap,
     cs_state,
@@ -40,9 +41,9 @@ def test_coefficient_formula():
     manual = (cmath.exp(q.n1 * cmath.log(lab.z1))
               * cmath.exp(q.n2 * cmath.log(lab.z2))
               * math.exp(-0.5 * (sp.gammaln(1 + q.n1) + sp.gammaln(1 + q.n2))))
-    table = cs_expansion(0, lab, cfg)
-    row = list(table.l).index(-1)
-    coeff = np.exp(table.ln_c[row, 1] + 1j * table.phase[row, 1])
+    l, _, ln_c, phase = _grown_table(0, _branch_l_values(0), lab, cfg)
+    row = list(l).index(-1)
+    coeff = np.exp(ln_c[row, 1] + 1j * phase[row, 1])
     assert coeff == pytest.approx(manual, rel=1e-14)
 
 
@@ -70,9 +71,9 @@ def test_expansion_weight_equals_normalization():
     # u = 200, v = 1: branch 0 holds only the far tail of the weight
     lopsided = CSLabel(cmath.rect(math.sqrt(200.0), 0.7), cmath.rect(1.0, -2.1))
     for j, lab in ((0, lab), (1, lab), (0, lopsided)):
-        exp_ = cs_expansion(j, lab, cfg)
-        n = cs_normalization(j, lab.u, lab.v, cfg.mu)
-        assert exp_.norm_const == pytest.approx(n, rel=1e-12)
+        ln_c = _grown_table(j, _branch_l_values(j), lab, cfg)[2]
+        norm = math.exp(np.logaddexp.reduce(2 * ln_c, axis=None))
+        assert norm == pytest.approx(cs_normalization(j, lab.u, lab.v, cfg.mu), rel=1e-12)
 
 
 def test_normalization_against_exponential_rule_mu0():
@@ -207,14 +208,15 @@ def test_overlap_closed_form_vs_coefficient_contraction():
     b = CSLabel(-0.3 + 1.1j, 0.5 - 0.2j)
     for j in (0, 1):
         closed = cs_overlap(j, a, j, b, mu)
-        ea, eb = cs_expansion(j, a, cfg), cs_expansion(j, b, cfg)
+        ta, tb = (_grown_table(j, _branch_l_values(j), lab, cfg) for lab in (a, b))
         coeffs = [{(l, m): cmath.exp(ln_c + 1j * ph)
-                   for l, row, phases in zip(e.l, e.ln_c, e.phase)
+                   for l, row, phases in zip(t[0], t[2], t[3])
                    for m, (ln_c, ph) in enumerate(zip(row, phases))}
-                  for e in (ea, eb)]
+                  for t in (ta, tb)]
         contraction = sum(np.conj(ca) * coeffs[1].get(k, 0.0)
                           for k, ca in coeffs[0].items())
-        contraction /= math.sqrt(ea.norm_const * eb.norm_const)
+        norms = [math.exp(np.logaddexp.reduce(2 * t[2], axis=None)) for t in (ta, tb)]
+        contraction /= math.sqrt(norms[0] * norms[1])
         assert abs(abs(closed) - abs(contraction)) < 1e-10
 
 

@@ -65,6 +65,30 @@ def test_l_ranges_depend_on_vartheta():
         resolve_rel_qnums(0, 0, 0, -1, dc_m)
 
 
+def _spinor_on(grid):
+    return basis_spinor_component(resolve_rel_qnums(1, 1, 0, 1, make_dc()), make_dc(), grid)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: DiracConfig(FieldConfig(), vartheta=0),
+    lambda: resolve_rel_qnums(1, 1, 0, 0, make_dc()),             # sigma 0
+    lambda: resolve_rel_qnums(1, 1, -1, 1, make_dc()),            # m = -1
+    lambda: dirac_spinor(resolve_rel_qnums(1, 1, 0, 1, make_dc()), make_dc(), -1, GRID),
+    lambda: embed_3p1(1, 1, 0, 1, 0, 0.5, make_dc(), GRID),        # s = 0
+    lambda: green_kernel_rel(0, 1, make_dc(), -0.5j, 0.0, 0.0, 1.0, 2.0),
+    lambda: d_inner(_spinor_on(GRID), _spinor_on(make_radial_grid(rho_max=20.0)), make_dc()),
+], ids=["vartheta", "sigma", "m", "charge", "spin", "kernel-sigma", "two-grids"])
+def test_dirac_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("mass", [math.nan, math.inf])
+def test_dirac_config_rejects_non_finite_mass(mass):
+    with pytest.raises(DomainError):
+        make_dc(mass=mass)
+
+
 def test_spin_shifted_labels():
     dc = make_dc(mu=0.5)
     q = resolve_rel_qnums(1, 3, 1, 1, dc)

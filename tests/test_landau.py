@@ -83,6 +83,24 @@ def test_field_config_validation():
                     fn(j, 1.0, 1.0, mu)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: make_quadrature(-1.0, 10),     # weight exponent not above -1
+    lambda: make_quadrature(0.0, 1),       # node count outside [2, 250]
+    lambda: make_quadrature(0.0, 251),
+    lambda: FieldConfig(l0=0.5),
+], ids=["alpha", "one-node", "251-nodes", "l0"])
+def test_landau_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("kwargs", [{"gamma": math.inf}, {"l0": math.nan}, {"l0": math.inf}],
+                         ids=["gamma-inf", "l0-nan", "l0-inf"])
+def test_field_config_rejects_non_finite_values(kwargs):
+    with pytest.raises(DomainError):
+        FieldConfig(**kwargs)
+
+
 def test_energy_values():
     assert energy_nonrel(resolve_qnums(1, 0, 0, FieldConfig(mu=0.0)),
                          FieldConfig(mu=0.0)) == pytest.approx(0.5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from msf.radial import make_radial_grid
+from msf.specfun import DomainError
 
 
 def panels(grid):
@@ -89,3 +90,16 @@ def test_grids_compare_by_identity():
     a, b = make_radial_grid(10.0), make_radial_grid(10.0)
     assert a == a and a != b
     assert len({a, b, a}) == 2
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rho_max": 60.0, "tail_step": 0.0},   # the tail never reaches rho_max
+    {"rho_max": 60.0, "tail_step": -1.0},
+    {"rho_max": np.inf},
+    {"rho_max": 0.5},                       # the origin panels alone reach 1
+    {"rho_max": np.nan},
+    {"rho_max": 60.0, "tail_step": np.nan},
+], ids=["step-0", "step-negative", "rho-max-inf", "rho-max-below-1", "rho-max-nan", "step-nan"])
+def test_grid_arguments_checked(kwargs):
+    with pytest.raises(DomainError):
+        make_radial_grid(**kwargs)

@@ -105,6 +105,17 @@ def test_laguerre_fn_matches_scipy(m, alpha, x):
     assert ours == pytest.approx(ref, rel=1e-9, abs=1e-9 * (1 + abs(ref)))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: laguerre_fn(1.0, 0.5, 1.0),                     # non-integer degree
+    lambda: laguerre_fn(0.5, 2, 1.0),                       # order n - m <= -1
+    lambda: laguerre_fn(1.0, 0, -1.0),                      # negative rho
+    lambda: laguerre_fn_table(0.5, 3, np.array([-1.0])),
+], ids=["degree", "order", "rho", "table-rho"])
+def test_laguerre_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_laguerre_fn_ground_profile():
     rho = np.linspace(0.0, 12.0, 25)
     np.testing.assert_allclose(laguerre_fn(0, 0, rho), np.exp(-rho / 2.0), rtol=1e-14)
