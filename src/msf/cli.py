@@ -603,8 +603,8 @@ def main(argv=None) -> int:
     pt.add_argument("--l", type=int, default=-1)
     pt.add_argument("--m", type=int, default=0)
     pt.add_argument("--j", type=int, choices=(0, 1), default=1)
-    pt.add_argument("--z1", type=complex, default="0.5+0.2j")
-    pt.add_argument("--z2", type=complex, default="-0.3j")
+    pt.add_argument("--z1", type=complex, default="0.5+0.2j", help="write a leading - as --z1=-1j")
+    pt.add_argument("--z2", type=complex, default="-0.3j", help="write a leading - as --z2=-0.3j")
     pt.add_argument("--lmax", type=int, default=5)
     pt.add_argument("--mmax", type=int, default=5)
     _add_common_flags(pt)

@@ -30,8 +30,8 @@ Spinor eigenstates of H are built by the operator string
 with sigma = +1 for particles (+) and -1 for antiparticles (-), and C
 fixed by unit norm under the spinor inner product.  Pi0 acts on the
 seed as its eigenvalue E and sigma.P moves it into the other slot, so
-the string collapses to (E + M) u in the seed slot plus sigma P_sigma u
-in the other (P_{+1} = P_+, P_{-1} = P_-).
+the string is (E + M) u in the seed slot and sigma P_sigma u, a multiple
+of one Laguerre profile, in the other (P_{+1} = P_+, P_{-1} = P_-).
 
 :class:`Spinor2` holds one spinor or a block with one column per state
 and does its own arithmetic (+, -, * by a number or one per column, /);
@@ -40,23 +40,19 @@ two.  The states sharing (j, l, sigma) are built as one block, a column
 per m: a spinor is one column, a relativistic coherent state one block
 per l contracted with its amplitudes.
 
-Every such block is built in real (float64) arithmetic.  The seed slot
-is (E + M) times a real Laguerre profile and the other slot -i charge
-times its real radial ladder; the profile factor exp(-i pi l_s)
+Every such block is real (float64): the profile factor exp(-i pi l_s)
 sqrt(gamma / 2 pi) is a unit phase, which the phase convention removes,
-times a constant.  So the block holds the real profiles and their
-ladders, and one complex factor per column and slot carries E + M,
--i charge, sqrt(gamma / 2 pi) / norm and the phase (:func:`_eigenspinors`).
-A spinor applies its factors to its one column, a coherent state folds
-them into its amplitudes before one real product per slot.  On a
-742-node grid a 15-column complex block is 178 KB, above glibc's 128 KiB
-mmap threshold, so each complex temporary of the ladder, the derivative
-and the norms would be a fresh zero-filled mapping; the real blocks
-(89 KB) stay below it and are reused from the heap.
+times a constant, so one complex factor per column and slot carries
+E + M, -i charge, sqrt(gamma / 2 pi) / norm and the phase
+(:func:`_eigenspinors`).  A spinor applies its factors to its one column,
+a coherent state folds them into its amplitudes before one real product
+per slot.  A complex 15-column block on a 742-node grid (178 KB) would
+pass glibc's 128 KiB mmap threshold, a fresh zero-filled mapping per
+temporary; the real blocks (89 KB) are reused from the heap.
 
-sigma.P acts by an exact angular shift plus the first-order radial
-ladder operator, applied through numerical differentiation on a
-composite grid (see :mod:`msf.radial`).
+sigma.P on any spinor (:func:`apply_sigma_p`, behind the residual
+checks) is an exact angular shift plus the radial ladder, differentiated
+on a composite grid (:mod:`msf.radial`): a route apart from construction.
 """
 
 from __future__ import annotations
@@ -99,8 +95,7 @@ __all__ = [
 
 
 class SpectralBoundaryError(DomainError):
-    """Spinor construction collapsed to zero norm (spectral boundary): an
-    input the builder cannot serve, such as a massless zero mode."""
+    """E = 0, the massless zero mode: no eigenspinor of the operator string."""
 
 
 @dataclass(frozen=True)
@@ -375,31 +370,36 @@ def _eigenspinors(j: int, l: int, ms, dc: DiracConfig, charge: int, grid: Radial
     """(block, factors, energies, seed_nrm) of the eigenspinors (j, l, m,
     sigma = charge), one column per m in ``ms``.
 
-    The block is real: the Laguerre profiles I of the seed slot's family
-    in the seed slot and their real ladder (:func:`_ladder`) in the other.
-    ``factors`` (2, k) holds one complex number per slot (up, dn) and
-    column: E + M on the seed slot, -i charge on the other, the profile
-    normalization sqrt(gamma / 2 pi), 1/norm and the sign or unit phase
-    that makes the first nonvanishing component real and positive at the
-    smallest node; column k of :func:`_superpose` (block, factors) is then
-    a unit-norm eigenspinor.  seed_nrm are the grid norms of the unit-norm
-    seeds.
+    The real block holds two Laguerre tables, with no grid derivative: the
+    profiles I_m of the seed slot's family in the seed slot and their ladder
+    (:func:`_ladder`) in the other, by DLMF 18.9.13-18.9.14 the profile I_m'
+    of the other slot's family (:func:`_family` at -charge) times
+    charge (-1)^j sqrt(2 gamma (n1 + (1 + charge)/2)), with m' = m + charge
+    on branch 0 (charge -1, m = 0: coefficient 0) and m' = m on branch 1.
+    ``factors`` (2, k) holds one complex number per slot (up, dn) and column:
+    E + M on the seed slot, -i charge on the other, sqrt(gamma / 2 pi) / norm
+    (the column's grid norm) and the sign or unit phase that makes the first
+    nonvanishing component real and positive at the smallest node; column k
+    of :func:`_superpose` (block, factors) is then a unit-norm eigenspinor.
+    seed_nrm are the grid norms of the unit-norm seeds.  E = 0 raises
+    SpectralBoundaryError, a column that is 0 on the grid TruncationError.
     """
-    q0 = resolve_rel_qnums(j, l, 0, charge, dc)
-    energies = _energy(q0.n1 + np.asarray(ms), charge, dc)  # n1 grows by one with m
+    ms = np.asarray(ms)
+    n1 = resolve_rel_qnums(j, l, 0, charge, dc).n1 + ms  # n1 grows by one with m
+    energies = _energy(n1, charge, dc)
+    if np.any(energies == 0.0):
+        raise SpectralBoundaryError("massless zero mode: E = 0 has no eigenspinor")
     alpha = _family(charge, l, dc)[2], _family(-charge, l, dc)[2]
-    prof = laguerre_fn_table(alpha[0], max(ms), grid.nodes).T[:, ms]
-    ladder = _ladder(prof, charge, l, dc, grid)
+    prof, other = (laguerre_fn_table(a, max(r.max(), 0), grid.nodes).T[:, np.maximum(r, 0)]
+                   for a, r in ((alpha[0], ms), (alpha[1], ms + charge if j == 0 else ms)))
+    other *= charge * (-1) ** j * np.sqrt(2.0 * dc.field.gamma * (n1 + (1 + charge) / 2.0))
     seed_sq, other_sq = (grid.weights @ w + _origin_tail(w, a, grid)
-                         for w, a in ((prof * prof, alpha[0]), (ladder * ladder, alpha[1])))
+                         for w, a in ((prof * prof, alpha[0]), (other * other, alpha[1])))
     seed_nrm = np.sqrt(np.maximum(seed_sq, 0.0))
     nrm = np.sqrt(np.maximum((energies + dc.mass) ** 2 * seed_sq + other_sq, 0.0))
-    if np.any(nrm <= 1e-10 * np.maximum(seed_nrm * np.maximum(energies, max(dc.mass, 1.0)),
-                                         1e-30)):
-        raise SpectralBoundaryError(
-            "operator string annihilated the seed state (zero-norm spinor)"
-        )
-    block = _seed_block(prof, ladder, charge, l, grid)
+    if not np.all(nrm > 0.0):
+        raise TruncationError("radial grid too short for the eigenspinor", 0.0, 1.0)
+    block = _seed_block(prof, other, charge, l, grid)
     unit = np.array([[1.0], [-1j * charge]])[::charge]  # seed slot 1, other slot -i charge
     # the phase reference is the first node of the upper slot where it is
     # nonzero, else of the lower: a sign times a slot unit, undone exactly
@@ -427,7 +427,7 @@ def dirac_spinor(q: RelQuantumNumbers, dc: DiracConfig, charge: int,
     charge = +1 builds the positive-energy state from the sigma = +1
     scalar, charge = -1 the negative-energy state from sigma = -1; the
     Hamiltonian eigenvalue is charge * E.  Raises SpectralBoundaryError
-    when the operator string annihilates the seed (massless zero mode).
+    at E = 0 (massless zero mode).
     The one column of the block :func:`_eigenspinors` builds.
     """
     if q.sigma != charge:

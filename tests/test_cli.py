@@ -132,6 +132,17 @@ def test_tabulate_kernel(tmp_path):
     assert len(lines) == 122
 
 
+def test_label_with_leading_minus_takes_the_equals_form(capsys):
+    # argparse reads "-0.3j" after a space as an option, so a value with a
+    # leading minus is written --z2=-0.3j: the default label, byte for byte
+    base = ["tabulate", "cs-density", "--rhop", "0:2:0.5", "--format", "csv"]
+    assert main(base) == 0
+    default = capsys.readouterr().out
+    assert main([*base, "--z2=-0.3j"]) == 0
+    assert capsys.readouterr().out == default
+    assert main([*base, "--z2", "-0.3j"]) == 2
+
+
 def test_tabulate_cs_density_large_label():
     # |z| = 20: the linear-space series overflowed here
     res = run_cli(["tabulate", "cs-density", "--j", "1", "--z1", "10+10j", "--z2", "(-10+10j)",

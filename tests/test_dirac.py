@@ -12,7 +12,7 @@ from scipy import special as sp
 
 from msf.completeness import KernelParams, propagator_closed
 from msf.landau import FieldConfig, _branch_l_values
-from msf.radial import make_radial_grid
+from msf.radial import RadialGrid, make_radial_grid
 from msf.specfun import DomainError, TruncationError, laguerre_fn_table
 from msf.cs import CSLabel
 from msf.dirac import (
@@ -38,7 +38,7 @@ from msf.dirac import (
     resolve_rel_qnums,
     sz_apply,
 )
-from msf.dirac import _eigenspinors, _row
+from msf.dirac import _eigenspinors, _ladder, _row
 
 
 GRID = make_radial_grid(rho_max=70.0)
@@ -333,13 +333,79 @@ def test_energy_consistency():
                                                                 rel=1e-14)
 
 
-def test_massless_zero_mode_boundary_case():
-    dc = make_dc(mu=0.4, mass=0.0, vartheta=1)
-    q = resolve_rel_qnums(0, 0, 0, -1, dc)  # E_perp = 0, M = 0
-    with pytest.raises(SpectralBoundaryError) as info:
-        dirac_spinor(q, dc, -1, GRID)
-    # a massless zero mode is an input the builder cannot serve
-    assert isinstance(info.value, DomainError)
+@pytest.mark.parametrize("vt,j,l,m,sigma,zero", [
+    pytest.param(1, 0, 0, 0, -1, True, id="vt+1-zero"),
+    pytest.param(-1, 0, -1, 0, -1, True, id="vt-1-zero"),
+    pytest.param(1, 1, 1, 0, -1, False, id="nonzero"),
+])
+def test_massless_zero_mode_boundary_case(vt, j, l, m, sigma, zero):
+    # a massless zero mode (E_perp = 0, M = 0) is an input the builder
+    # cannot serve; a massless mode with E > 0 builds as any other
+    dc = make_dc(mu=0.4, mass=0.0, vartheta=vt)
+    q = resolve_rel_qnums(j, l, m, sigma, dc)
+    if zero:
+        assert e_perp_sq(q, dc) == 0.0
+        with pytest.raises(SpectralBoundaryError) as info:
+            dirac_spinor(q, dc, sigma, GRID)
+        assert isinstance(info.value, DomainError)
+        return
+    psi, e = dirac_spinor(q, dc, sigma, GRID)
+    assert e == pytest.approx(math.sqrt(2 * dc.field.gamma * q.n1), rel=1e-15)
+    assert d_norm(psi, dc) == pytest.approx(1.0, abs=1e-12)
+    resid = hamiltonian_apply(psi, dc) - sigma * e * psi
+    assert d_norm(resid, dc, origin_tail=False) / e < 1e-5
+
+
+@pytest.mark.parametrize("charge", [1, -1])
+def test_spinor_past_the_radial_grid_raises(charge):
+    # at l = 700 every profile underflows to 0 on a rho_max = 70 grid: a
+    # typed error, not a nan spinor
+    dc = make_dc(mu=0.4)
+    q = resolve_rel_qnums(1, 700, 0, charge, dc)
+    with pytest.raises(TruncationError, match="radial grid too short"):
+        dirac_spinor(q, dc, charge, make_radial_grid(rho_max=70.0))
+
+
+@pytest.mark.parametrize("vt,l", [(1, 0), (1, -2), (-1, -1)])
+def test_bottom_of_the_ladder_is_one_real_slot(vt, l):
+    # branch 0, charge -1, m = 0: sigma.P annihilates the seed, so the upper
+    # slot is exactly 0 and the phase reference is the seed, real and positive
+    dc = make_dc(mu=0.4, vartheta=vt)
+    psi, _ = dirac_spinor(resolve_rel_qnums(0, l, 0, -1, dc), dc, -1, GRID)
+    assert np.all(psi.up == 0.0)
+    assert psi.dn[0].real > 0 and np.all(psi.dn.imag == 0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.4, 1.0, 2.5])
+@pytest.mark.parametrize("mu", [0.0, 0.3, 0.85])
+def test_other_slot_is_the_ladder_of_the_seed(gamma, mu):
+    # the other slot, read from the other family's Laguerre table, is the
+    # grid ladder of the seed slot, bottom of the ladder (a zero slot) included
+    ms = [0, 1, 3]
+    for vt, charge, l in itertools.product((1, -1), (1, -1), range(-3, 4)):
+        dc = make_dc(mu=mu, vartheta=vt, gamma=gamma)
+        j = _row(charge, l, dc)[0]
+        try:
+            block = _eigenspinors(j, l, ms, dc, charge, GRID)[0]
+        except DomainError:  # a slot outside the Laguerre domain (mu = 0, l = 0)
+            assert mu == 0.0 and l == 0
+            continue
+        seed, other = (block.up, block.dn)[::charge]
+        ladder = _ladder(seed, charge, l, dc, GRID)
+        scale = np.maximum(np.max(np.abs(seed), axis=0), np.max(np.abs(other), axis=0))
+        assert np.all(np.max(np.abs(ladder - other), axis=0) <= 1e-10 * scale), (vt, charge, l)
+
+
+def test_eigenspinors_take_no_grid_derivative(monkeypatch):
+    import msf.dirac as dirac
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid differentiation in spinor construction")
+
+    monkeypatch.setattr(dirac, "_ladder", refuse)
+    monkeypatch.setattr(RadialGrid, "derivative", refuse)
+    for j, l, charge, vt in [(1, 2, 1, 1), (0, 0, -1, 1), (1, 0, 1, -1), (0, -2, -1, -1)]:
+        _eigenspinors(j, l, [0, 1, 3], make_dc(mu=0.4, vartheta=vt), charge, GRID)
 
 
 
