@@ -38,7 +38,11 @@ and does its own arithmetic (+, -, * by a number or one per column, /);
 the inner product works column by column, and :class:`Spinor4` stacks
 two.  The states sharing (j, l, sigma) are built as one block, a column
 per m: a spinor is one column, a relativistic coherent state one block
-per l contracted with its amplitudes.
+per l contracted with its amplitudes.  Both slots of every block are
+read from one Laguerre table per spinor or coherent state
+(:func:`_slot_table`), computed over the column of distinct orders of
+its rows: the other slot of row l has the order of the seed slot of row
+l + charge, so L rows take L + 1 orders.
 
 Every such block is real (float64): the profile factor exp(-i pi l_s)
 sqrt(gamma / 2 pi) is a unit phase, which the phase convention removes,
@@ -48,7 +52,10 @@ E + M, -i charge, sqrt(gamma / 2 pi) / norm and the phase
 a coherent state folds them into its amplitudes before one real product
 per slot.  A complex 15-column block on a 742-node grid (178 KB) would
 pass glibc's 128 KiB mmap threshold, a fresh zero-filled mapping per
-temporary; the real blocks (89 KB) are reused from the heap.
+temporary; the real blocks (89 KB) are reused from the heap.  The table
+of a coherent state with K columns and L rows holds at most
+(K + 1)(L + 1) profiles, 1.5 MB at K = L = 15 on 742 nodes, one mapping
+per state.
 
 sigma.P on any spinor (:func:`apply_sigma_p`, behind the residual
 checks) is an exact angular shift plus the radial ladder, differentiated
@@ -366,16 +373,39 @@ def hamiltonian_apply(s: Spinor2, dc: DiracConfig) -> Spinor2:
     return apply_sigma_p(s, dc) + dc.mass * s.sigma3()
 
 
-def _eigenspinors(j: int, l: int, ms, dc: DiracConfig, charge: int, grid: RadialGrid):
+def _slot_table(j: int, ls, m_max: int, dc: DiracConfig, charge: int, grid: RadialGrid):
+    """(column, table): the Laguerre profiles behind the eigenspinors of
+    branch j and spin charge in Dirac rows ``ls``, m = 0..m_max.
+
+    The distinct Laguerre orders of both slots of those rows (:func:`_row`
+    at charge and -charge; the other slot of row l has the order of the
+    seed slot of row l + charge) form one column, and ``table`` is one
+    :func:`laguerre_fn_table` over it, shape (rows, orders, nodes), with
+    rows up to m_max + 1 where the other slot reads m + 1 (branch 0,
+    charge +1).  ``column`` maps each order to its index on axis 1.
+    Orders outside the Laguerre domain are left out, for
+    :func:`_eigenspinors` to refuse in row order.
+    """
+    alphas = {_row(s, l, dc)[2] for l in ls for s in (charge, -charge)}
+    orders = sorted(a for a in alphas if a > -1.0)
+    shift = charge if j == 0 else 0
+    table = laguerre_fn_table(np.array(orders)[:, None], m_max + max(shift, 0), grid.nodes)
+    return {a: i for i, a in enumerate(orders)}, table
+
+
+def _eigenspinors(j: int, l: int, ms, dc: DiracConfig, charge: int, grid: RadialGrid,
+                  slots: tuple[dict, np.ndarray]):
     """(block, factors, energies, seed_nrm) of the eigenspinors (j, l, m,
     sigma = charge), one column per m in ``ms``.
 
-    The real block holds two Laguerre tables, with no grid derivative: the
-    profiles I_m of the seed slot's family in the seed slot and their ladder
-    (:func:`_ladder`) in the other, by DLMF 18.9.13-18.9.14 the profile I_m'
-    of the other slot's family (:func:`_family` at -charge) times
-    charge (-1)^j sqrt(2 gamma (n1 + (1 + charge)/2)), with m' = m + charge
-    on branch 0 (charge -1, m = 0: coefficient 0) and m' = m on branch 1.
+    The real block reads two orders of ``slots``, the (column, table) of
+    :func:`_slot_table` for a set of rows holding l, with no grid
+    derivative: the profiles I_m of the seed slot's family in the seed slot
+    and their ladder (:func:`_ladder`) in the other, by DLMF 18.9.13-18.9.14
+    the profile I_m' of the other slot's family (:func:`_family` at
+    -charge) times charge (-1)^j sqrt(2 gamma (n1 + (1 + charge)/2)), with
+    m' = m + charge on branch 0 (charge -1, m = 0: coefficient 0) and
+    m' = m on branch 1.
     ``factors`` (2, k) holds one complex number per slot (up, dn) and column:
     E + M on the seed slot, -i charge on the other, sqrt(gamma / 2 pi) / norm
     (the column's grid norm) and the sign or unit phase that makes the first
@@ -390,9 +420,12 @@ def _eigenspinors(j: int, l: int, ms, dc: DiracConfig, charge: int, grid: Radial
     if np.any(energies == 0.0):
         raise SpectralBoundaryError("massless zero mode: E = 0 has no eigenspinor")
     alpha = _family(charge, l, dc)[2], _family(-charge, l, dc)[2]
-    prof, other = (laguerre_fn_table(a, max(r.max(), 0), grid.nodes).T[:, np.maximum(r, 0)]
-                   for a, r in ((alpha[0], ms), (alpha[1], ms + charge if j == 0 else ms)))
-    other *= charge * (-1) ** j * np.sqrt(2.0 * dc.field.gamma * (n1 + (1 + charge) / 2.0))
+    column, table = slots
+    rows = ms, (np.maximum(ms + charge, 0) if j == 0 else ms)
+    # fancy indexing copies; the table, shared by neighbouring rows, is never scaled
+    prof, other = (table[r, column[a]].T for a, r in zip(alpha, rows))
+    other = other * (charge * (-1) ** j
+                     * np.sqrt(2.0 * dc.field.gamma * (n1 + (1 + charge) / 2.0)))
     seed_sq, other_sq = (grid.weights @ w + _origin_tail(w, a, grid)
                          for w, a in ((prof * prof, alpha[0]), (other * other, alpha[1])))
     seed_nrm = np.sqrt(np.maximum(seed_sq, 0.0))
@@ -432,7 +465,8 @@ def dirac_spinor(q: RelQuantumNumbers, dc: DiracConfig, charge: int,
     """
     if q.sigma != charge:
         raise DomainError("seed spin label must match the charge branch (+1 or -1)")
-    block, factors, energies, _ = _eigenspinors(q.j, q.l, [q.m], dc, charge, grid)
+    slots = _slot_table(q.j, [q.l], q.m, dc, charge, grid)
+    block, factors, energies, _ = _eigenspinors(q.j, q.l, [q.m], dc, charge, grid, slots)
     return _superpose(block, factors), float(energies[0])
 
 
@@ -488,11 +522,12 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
 
     with psihat the unit-norm spinors.  The l blocks of the grown planar
     table stop earlier by the quiet-block rule applied to the weighted
-    blocks at 1e-14; each kept block is built as one batch of
-    eigenspinors and summed by one matrix product.  Requires M > 0 (the
-    weight degenerates in the massless limit); raises TruncationError
-    as soon as the rows built so far miss more than _REL_GRID_SHARE of
-    Mcal on the radial grid.
+    blocks at 1e-14.  One Laguerre table over the orders of the kept rows
+    (:func:`_slot_table`) serves every kept block, each built from it as
+    one batch of eigenspinors and summed by one matrix product.  Requires
+    M > 0 (the weight degenerates in the massless limit); raises
+    TruncationError as soon as the rows built so far miss more than
+    _REL_GRID_SHARE of Mcal on the radial grid.
     """
     _, alpha, ln_c, phase = _rel_table(j, label, dc, charge)
     ln_w = 2.0 * ln_c + _rel_ln_weight(j, alpha, ln_c.shape[1], dc, charge)
@@ -502,12 +537,13 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
     states: dict = {}
     spinors: dict = {}
     missed = 0.0
-    for l, ln_row, ph_row, ln_w_row in zip(_branch_l_values(j, dc.vartheta), ln_c[:keep],
-                                           phase, ln_w):
+    ls = [l for l, _ in zip(_branch_l_values(j, dc.vartheta), ln_c[:keep])]
+    slots = _slot_table(j, ls, ln_c.shape[1] - 1, dc, charge, grid)
+    for l, ln_row, ph_row, ln_w_row in zip(ls, ln_c, phase, ln_w):
         ms = np.flatnonzero(ln_row > -np.inf)
         if ms.size == 0:
             continue
-        block, factors, energies, seed_nrm = _eigenspinors(j, l, ms, dc, charge, grid)
+        block, factors, energies, seed_nrm = _eigenspinors(j, l, ms, dc, charge, grid, slots)
         c = np.exp(ln_row[ms] + 1j * ph_row[ms])
         states.update({(int(l), int(m)): (cm, e) for m, cm, e in zip(ms, c.tolist(), energies)})
         share = np.exp(ln_w_row[ms] - ln_mcal)

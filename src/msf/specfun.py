@@ -142,8 +142,10 @@ def laguerre_fn_rows(alpha, m_max: int, rho):
 def laguerre_fn_table(alpha: float, m_max: int, rho) -> np.ndarray:
     """Normalized Laguerre functions I_{m+alpha,m}(rho) for m = 0..m_max.
 
-    Returns an array of shape (m_max+1, *rho.shape), the rows of
-    :func:`laguerre_fn_rows` stacked.
+    Returns an array of shape (m_max+1, *broadcast(alpha, rho).shape), rho
+    taken as at least 1-d: the rows of :func:`laguerre_fn_rows` stacked.
+    A column of orders ``alpha[:, None]`` gives one table per order along
+    axis 1, each equal to its scalar-order table.
     """
     rows = laguerre_fn_rows(alpha, m_max, rho)
     first = next(rows)

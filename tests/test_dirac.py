@@ -38,7 +38,7 @@ from msf.dirac import (
     resolve_rel_qnums,
     sz_apply,
 )
-from msf.dirac import _eigenspinors, _ladder, _row
+from msf.dirac import _eigenspinors, _ladder, _row, _slot_table
 
 
 GRID = make_radial_grid(rho_max=70.0)
@@ -264,6 +264,11 @@ def test_angular_momentum_bookkeeping():
     assert psi.l_dn == q.l      == 2
 
 
+def eigenspinors(j, l, ms, dc, charge):
+    """_eigenspinors of Dirac row l on GRID, read from the slot table of that row."""
+    return _eigenspinors(j, l, ms, dc, charge, GRID, _slot_table(j, [l], max(ms), dc, charge, GRID))
+
+
 def unit_block(built) -> Spinor2:
     """The complex block of unit-norm eigenspinors: each column of the real
     block that _eigenspinors returns times its two slot factors."""
@@ -276,7 +281,7 @@ def test_block_inner_matches_columns(j, l, charge, vt):
     # a block's inner product and norm are the values of its columns, taken
     # as dirac_spinor takes column 0; irregular l = 0 channels included
     dc = make_dc(mu=0.4, vartheta=vt)
-    block = unit_block(_eigenspinors(j, l, [0, 1, 3], dc, charge, GRID))
+    block = unit_block(eigenspinors(j, l, [0, 1, 3], dc, charge))
     cols = [replace(block, up=block.up[:, k], dn=block.dn[:, k]) for k in range(3)]
     c = np.array([1.0, 1j, -0.6 + 0.8j])
     for tail in (True, False):
@@ -306,7 +311,7 @@ def test_spinor_sums_need_one_grid_and_sector():
 
 def test_array_times_block_scales_each_column():
     dc = make_dc(mu=0.4)
-    block = unit_block(_eigenspinors(1, 2, [0, 1, 2], dc, 1, GRID))
+    block = unit_block(eigenspinors(1, 2, [0, 1, 2], dc, 1))
     c = np.array([2.0, -1j, 0.25 + 0.5j])
     for out in (c * block, block * c):
         assert isinstance(out, Spinor2) and out.l_up == block.l_up
@@ -386,7 +391,7 @@ def test_other_slot_is_the_ladder_of_the_seed(gamma, mu):
         dc = make_dc(mu=mu, vartheta=vt, gamma=gamma)
         j = _row(charge, l, dc)[0]
         try:
-            block = _eigenspinors(j, l, ms, dc, charge, GRID)[0]
+            block = eigenspinors(j, l, ms, dc, charge)[0]
         except DomainError:  # a slot outside the Laguerre domain (mu = 0, l = 0)
             assert mu == 0.0 and l == 0
             continue
@@ -405,7 +410,7 @@ def test_eigenspinors_take_no_grid_derivative(monkeypatch):
     monkeypatch.setattr(dirac, "_ladder", refuse)
     monkeypatch.setattr(RadialGrid, "derivative", refuse)
     for j, l, charge, vt in [(1, 2, 1, 1), (0, 0, -1, 1), (1, 0, 1, -1), (0, -2, -1, -1)]:
-        _eigenspinors(j, l, [0, 1, 3], make_dc(mu=0.4, vartheta=vt), charge, GRID)
+        eigenspinors(j, l, [0, 1, 3], make_dc(mu=0.4, vartheta=vt), charge)
 
 
 
@@ -459,14 +464,26 @@ def test_rel_cs_requires_mass():
         rel_cs(1, CSLabel(0.5, 0.5), dc, 1, grid=GRID)
 
 
-@pytest.mark.parametrize("j,vt", [(1, 1), (0, -1), (0, 1), (1, -1)])
+# a label with a zero component keeps one column, m = 0, in every row: at
+# charge -1 on branch 0 the other slot reads the bottom of the ladder
+ONE_COLUMN = (CSLabel(0, 0.8j), CSLabel(0.7 - 0.2j, 0))
+
+
+@pytest.mark.parametrize("j,vt,label", [
+    *(pytest.param(j, vt, CSLabel(0.6 + 0.3j, -0.2 + 0.5j), id=f"{j}-{vt}")
+      for j, vt in [(1, 1), (0, -1), (0, 1), (1, -1)]),
+    *(pytest.param(j, vt, ONE_COLUMN[j], id=f"{j}-{vt}-one-column")
+      for j, vt in [(1, 1), (0, -1), (0, 1), (1, -1)]),
+])
 @pytest.mark.parametrize("charge", [1, -1])
-def test_rel_cs_assembles_the_eigenspinor_series(j, vt, charge):
+def test_rel_cs_assembles_the_eigenspinor_series(j, vt, label, charge):
     # each angular sector is sum c sqrt(2M(E+M)) psihat / sqrt(Mcal) over
     # the one-state spinors: the real blocks, contracted once per sector,
     # against single columns; (0, +1) and (1, -1) start at the l = 0 channel
     dc = make_dc(mu=0.5, vartheta=vt)
-    state = rel_cs(j, CSLabel(0.6 + 0.3j, -0.2 + 0.5j), dc, charge, grid=GRID)
+    state = rel_cs(j, label, dc, charge, grid=GRID)
+    if label is ONE_COLUMN[j]:
+        assert {m for _, m in state.states} == {0}
     sums = {}
     for (l, m), (c, e) in state.states.items():
         psi, _ = dirac_spinor(resolve_rel_qnums(j, l, m, charge, dc), dc, charge, GRID)
@@ -490,6 +507,35 @@ def test_dirac_spinor_slots_are_real_and_imaginary(j, l, vt, charge):
     assert psi.up[0].real > 0
     assert np.all(np.abs(psi.up.imag) <= 1e-15 * np.abs(psi.up))
     assert np.all(np.abs(psi.dn.real) <= 1e-15 * np.abs(psi.dn))
+
+
+@pytest.mark.parametrize("j,vt", [(1, 1), (0, -1), (0, 1), (1, -1)])
+@pytest.mark.parametrize("charge", [1, -1])
+def test_one_laguerre_table_per_state(monkeypatch, j, vt, charge):
+    # a coherent state reads every l block, and a spinor both its slots,
+    # from one table over a column of orders; the other slot of row l has
+    # the order of the seed slot of row l + charge, so L rows need L + 1
+    import msf.dirac as dirac
+
+    columns = []
+    table = dirac.laguerre_fn_table
+
+    def counting(alpha, m_max, rho):
+        columns.append(np.shape(alpha))
+        return table(alpha, m_max, rho)
+
+    monkeypatch.setattr(dirac, "laguerre_fn_table", counting)
+    dc = make_dc(mu=0.5, vartheta=vt)
+    state = rel_cs(j, CSLabel(0.6 + 0.3j, -0.2 + 0.5j), dc, charge, grid=GRID)
+    assert columns == [(len(state.spinors) + 1, 1)]
+    l = next(iter(state.states))[0]
+    for m in (0, 2):
+        columns.clear()
+        dirac_spinor(resolve_rel_qnums(j, l, m, charge, dc), dc, charge, GRID)
+        assert columns == [(2, 1)]
+    columns.clear()
+    embed_3p1(j, l, 1, charge, 1, 0.7, dc, GRID)
+    assert columns == [(2, 1), (2, 1)]
 
 
 REL_CASES = [(j, vt, charge) for (j, vt) in ((1, 1), (0, -1)) for charge in (1, -1)]

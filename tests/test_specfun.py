@@ -188,6 +188,18 @@ def test_laguerre_fn_table_where_the_start_underflows():
     np.testing.assert_array_equal(tab[:, 1], laguerre_fn_table(alpha, max(rows), 2.0)[:, 0])
 
 
+@pytest.mark.parametrize("m_max", [0, 5, 30])
+def test_laguerre_fn_table_over_a_column_of_orders(m_max):
+    # one table over a column of orders is the scalar-order tables stacked,
+    # bit for bit: irregular orders, the scaled start near rho = 1500 included
+    alphas = np.array([-0.85, -0.15, 0.0, 0.3, 7.3])
+    rho = np.geomspace(1e-8, 1500.0, 120)
+    tab = laguerre_fn_table(alphas[:, None], m_max, rho)
+    assert tab.shape == (m_max + 1, alphas.size, rho.size)
+    np.testing.assert_array_equal(
+        tab, np.stack([laguerre_fn_table(a, m_max, rho) for a in alphas], axis=1))
+
+
 def test_laguerre_fn_large_arguments_no_overflow():
     # normalization factors for n, m around 180 must not overflow
     val = laguerre_fn(180.4, 180, 300.0)
