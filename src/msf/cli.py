@@ -330,17 +330,14 @@ def suite_embed(cfg: RunConfig, rep: VerificationReport):
     base1 = next(_branch_l_values(1, cfg.vartheta))
     worst_sz = worst_n = worst_h = 0.0
     for s in (1, -1):
-        psi = _dr.embed_3p1(1, base1, 0, 1, s, 0.0, dc, grid)
-        worst_n = max(worst_n, abs(math.sqrt(_dr.d_inner4(psi, psi, dc).real) - 1.0))
+        psi, _ = _dr.embed_3p1(1, base1, 0, 1, s, 0.0, dc, grid)
+        worst_n = max(worst_n, abs(math.sqrt(_dr.d_inner(psi, psi, dc).sum().real) - 1.0))
         diff = _dr.sz_apply(psi, 0.0, dc) - s * psi
-        worst_sz = max(worst_sz, math.sqrt(abs(_dr.d_inner4(diff, diff, dc).real)))
+        worst_sz = max(worst_sz, math.sqrt(abs(_dr.d_inner(diff, diff, dc).sum().real)))
     for p3 in (0.0, 0.7, -1.3):
-        dct = _dr._boosted(dc, p3)
-        q = _dr.resolve_rel_qnums(1, base1, 0, 1, dct)
-        et = _dr.e_energy(q, dct)
-        psi = _dr.embed_3p1(1, base1, 0, 1, 1, p3, dc, grid)
+        psi, et = _dr.embed_3p1(1, base1, 0, 1, 1, p3, dc, grid)
         diff = _dr.h3p1_apply(psi, p3, dc) - et * psi
-        worst_h = max(worst_h, math.sqrt(abs(_dr.d_inner4(diff, diff, dc).real)) / et)
+        worst_h = max(worst_h, math.sqrt(abs(_dr.d_inner(diff, diff, dc).sum().real)) / et)
     rep.add("embed-unit-norm", f"mu={mu}", worst_n, 1e-10)
     rep.add("embed-sz-eigen", f"mu={mu} p3=0", worst_sz, 1e-5)
     rep.add("embed-energy-eigen", f"mu={mu} p3 in {{0,0.7,-1.3}}", worst_h, 1e-9)
@@ -348,12 +345,11 @@ def suite_embed(cfg: RunConfig, rep: VerificationReport):
     ratios = []
     for mass in (10.0, 100.0, 1000.0):
         dcm = replace(dc, mass=mass)
-        psi = _dr.embed_3p1(1, base1, 0, 1, 1, 0.0, dcm, grid)
-        big = math.sqrt(abs(_dr.d_inner(psi.upper, psi.upper, dcm).real))
-        rest = 0.5 * (psi.upper - psi.upper.sigma3())  # (1 - sigma3)/2: the lower slot
-        small = math.sqrt(abs(_dr.d_inner(rest, rest, dcm).real
-                              + _dr.d_inner(psi.lower, psi.lower, dcm).real))
-        ratios.append(small / big)
+        psi, _ = _dr.embed_3p1(1, base1, 0, 1, 1, 0.0, dcm, grid)
+        norms = _dr.d_inner(psi, psi, dcm).real  # upper, lower column
+        rest = 0.5 * (psi - psi.sigma3())  # (1 - sigma3)/2: the lower slot of each column
+        small = math.sqrt(abs(_dr.d_inner(rest, rest, dcm)[0].real + norms[1]))
+        ratios.append(small / math.sqrt(abs(norms[0])))
     scale_err = max(abs(ratios[i] * (10.0 ** (i + 1)) / (ratios[0] * 10.0) - 1.0)
                     for i in range(3))
     rep.add("embed-1-over-m-scaling", "M in {10,100,1000}", scale_err, 0.05)
@@ -368,6 +364,11 @@ def suite_kernel_rel(cfg: RunConfig, rep: VerificationReport):
     rep.add("projector-structure", "sigma=+1", proj_err, 0.0)
     worst = 0.0
     g = fc.gamma
+
+    def prefactor(sig, l_s, tau):  # of the kernel diagonal on the Wick axis s = -i tau
+        return -(g * math.exp(-cfg.mass**2 * tau) * math.exp(-(l_s + sig + mu) * g * tau)
+                 / (8.0 * math.pi**1.5 * math.sqrt(tau)))
+
     for (sig, l, vt) in [(1, 2, 1), (-1, -1, 1), (1, 0, -1), (-1, 0, 1)]:
         dcv = _dr.DiracConfig(field=fc, mass=cfg.mass, vartheta=vt)
         tau, rho, rho_p = 0.35, 1.0, 2.0
@@ -377,23 +378,20 @@ def suite_kernel_rel(cfg: RunConfig, rep: VerificationReport):
         tab = laguerre_fn_table(nu, 70, np.array([rho, rho_p]))
         xsum = 2.0 * np.dot(np.exp(-(2 * np.arange(71) + nu + 1) * g * tau),
                             tab[:, 0] * tab[:, 1])
-        pred = -(g * math.exp(-dcv.mass**2 * tau)
-                 * math.exp(-(l_s + sig + mu) * g * tau)
-                 / (8.0 * math.pi**1.5 * math.sqrt(tau))) * xsum
+        pred = prefactor(sig, l_s, tau) * xsum
         worst = max(worst, abs(diag.real - pred) / abs(pred) + abs(diag.imag))
     rep.add("kernel-mode-sum", f"mu={mu} incl. both vartheta l=0 channels",
             worst, 1e-10)
     grid = make_radial_grid(rho_max=24.0, tail_step=0.5)
     rho0, width = 1.5, 0.35
     gvals = np.exp(-((grid.nodes - rho0) ** 2) / (2.0 * width**2))
+    l_s = _dr._row(1, 2, dc)[1]
     errs = []
     for tau in np.geomspace(0.2, 0.02, 6):
         kvals = _dr.green_kernel_rel(1, 2, dc, -1j * float(tau), 0.0, 0.0,
                                      rho0, grid.nodes)[:, 0, 0]
         sm = grid.integrate(kvals * gvals)
-        l_s = 1
-        pref = -(g * math.exp(-dc.mass**2 * tau) * math.exp(-(l_s + 1 + mu) * g * tau)
-                 / (8.0 * math.pi**1.5 * math.sqrt(tau))) * 2.0
+        pref = prefactor(1, l_s, tau) * 2.0
         errs.append(abs(sm - pref) / abs(pref))
     mono = all(a > b for a, b in zip(errs, errs[1:]))
     rep.add("rel-radial-delta-monotone", "tau 0.2 -> 0.02", 0.0 if mono else 1.0, 0.5)
@@ -418,7 +416,7 @@ SUITES = (*SUITE_FUNCS, "all")
 def verify_suite(cfg: RunConfig, suite: str) -> VerificationReport:
     """Run one named suite (or all of them) and return the report."""
     if suite not in SUITES:
-        raise DomainError(f"unknown suite: {suite}")
+        raise DomainError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     rep = VerificationReport(suite=suite, config=_config_echo(cfg))
     for name in SUITE_FUNCS if suite == "all" else [suite]:
         SUITE_FUNCS[name](cfg, rep)
@@ -629,10 +627,6 @@ def main(argv=None) -> int:
             for s in SUITES:
                 print(s)
             return 0
-        if args.suite not in SUITES:
-            print(f"error: unknown suite {args.suite!r}; choose from {', '.join(SUITES)}",
-                  file=sys.stderr)
-            return 2
 
     try:
         if args.command == "verify":

@@ -35,11 +35,13 @@ of one Laguerre profile, in the other (P_{+1} = P_+, P_{-1} = P_-).
 
 :class:`Spinor2` holds one spinor or a block with one column per state
 and does its own arithmetic (+, -, * by a number or one per column, /);
-the inner product works column by column, and :class:`Spinor4` stacks
-two.  The states sharing (j, l, sigma) are built as one block, a column
-per m: a spinor is one column, a relativistic coherent state one block
-per l contracted with its amplitudes.  Both slots of every block are
-read from one Laguerre table per spinor or coherent state
+the inner product works column by column.  A 3+1 spinor
+(:func:`embed_3p1`) is a block of two columns, the upper and lower Dirac
+blocks; its four-spinor product is the sum of the two columns of the
+inner product.  The states sharing (j, l, sigma) are built as one block,
+a column per m: a spinor is one column, a relativistic coherent state
+one block per l contracted with its amplitudes.  Both slots of every
+block are read from one Laguerre table per spinor or coherent state
 (:func:`_slot_table`), computed over the column of distinct orders of
 its rows: the other slot of row l has the order of the seed slot of row
 l + charge, so L rows take L + 1 orders.
@@ -82,7 +84,6 @@ __all__ = [
     "DiracConfig",
     "RelQuantumNumbers",
     "Spinor2",
-    "Spinor4",
     "SpectralBoundaryError",
     "resolve_rel_qnums",
     "rel_basis_fn",
@@ -96,7 +97,6 @@ __all__ = [
     "embed_3p1",
     "h3p1_apply",
     "sz_apply",
-    "d_inner4",
     "green_kernel_rel",
 ]
 
@@ -190,46 +190,26 @@ def rel_basis_fn(q: RelQuantumNumbers, dc: DiracConfig, theta, rho):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-class _SpinorArithmetic:
-    """Spinor arithmetic through ``_map`` (one array at a time) and ``_zip``
-    (matching arrays of two operands): + and - of spinors of one sector,
-    * by a number or by one number per column, from either side, and / by
-    a number."""
-
-    __array_ufunc__ = None  # ndarray * spinor reaches __rmul__
-
-    def __add__(self, other):
-        return self._zip(other, operator.add) if type(other) is type(self) else NotImplemented
-
-    def __sub__(self, other):
-        return self._zip(other, operator.sub) if type(other) is type(self) else NotImplemented
-
-    def __mul__(self, c):
-        if isinstance(c, _SpinorArithmetic):
-            return NotImplemented
-        return self._map(lambda x: c * x)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, c):
-        return self._map(lambda x: x / c)
-
-
 @dataclass(frozen=True)
-class Spinor2(_SpinorArithmetic):
+class Spinor2:
     """Two-component spinor on a shared radial grid, or a block of them.
 
     Component values are radial profiles of shape (nodes,), or (nodes, k)
     for a block with one column per state; the angular factors
     exp(i (L - l0) theta) are carried through the indices (l_up, l_dn).
-    Consistent total angular momentum requires l_dn = l_up + 1.  Sums and
-    differences need one grid and one l_up, else DomainError.
+    Consistent total angular momentum requires l_dn = l_up + 1.  A 3+1
+    spinor is a (nodes, 2) block: column 0 the upper Dirac block, column 1
+    the lower (:func:`embed_3p1`).  + and - need one grid and one l_up,
+    else DomainError; * takes a number or one number per column, from
+    either side, and / a number.
     """
 
     grid: RadialGrid
     l_up: int
     up: np.ndarray
     dn: np.ndarray
+
+    __array_ufunc__ = None  # ndarray * spinor reaches __rmul__
 
     def __post_init__(self):
         shape = self.up.shape
@@ -240,13 +220,28 @@ class Spinor2(_SpinorArithmetic):
     def l_dn(self) -> int:
         return self.l_up + 1
 
-    def _map(self, f) -> "Spinor2":
-        return Spinor2(self.grid, self.l_up, f(self.up), f(self.dn))
-
-    def _zip(self, other: "Spinor2", f) -> "Spinor2":
+    def _zip(self, other, f):
+        if not isinstance(other, Spinor2):
+            return NotImplemented
         if self.grid is not other.grid or self.l_up != other.l_up:
             raise DomainError("spinors must share one grid and one angular sector")
         return Spinor2(self.grid, self.l_up, f(self.up, other.up), f(self.dn, other.dn))
+
+    def __add__(self, other):
+        return self._zip(other, operator.add)
+
+    def __sub__(self, other):
+        return self._zip(other, operator.sub)
+
+    def __mul__(self, c):
+        if isinstance(c, Spinor2):
+            return NotImplemented
+        return Spinor2(self.grid, self.l_up, c * self.up, c * self.dn)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        return Spinor2(self.grid, self.l_up, self.up / c, self.dn / c)
 
     def sigma3(self) -> "Spinor2":
         return Spinor2(self.grid, self.l_up, self.up, -self.dn)
@@ -583,83 +578,67 @@ def rel_cs_overlap_closed(j: int, label_a: CSLabel, label_b: CSLabel,
     return complex(np.sum(np.exp(ln_terms + 1j * (ph_b - ph_a))))
 
 
-@dataclass(frozen=True)
-class Spinor4(_SpinorArithmetic):
-    """Four-component spinor: upper/lower Spinor2 blocks on one grid, with
-    the arithmetic of :class:`Spinor2` applied to both."""
-
-    upper: Spinor2
-    lower: Spinor2
-
-    def _map(self, f) -> "Spinor4":
-        return Spinor4(self.upper._map(f), self.lower._map(f))
-
-    def _zip(self, other: "Spinor4", f) -> "Spinor4":
-        return Spinor4(self.upper._zip(other.upper, f), self.lower._zip(other.lower, f))
-
-    def sigma3(self) -> "Spinor4":
-        return Spinor4(self.upper.sigma3(), self.lower.sigma3())
-
-
-def d_inner4(a: Spinor4, b: Spinor4, dc: DiracConfig) -> complex:
-    return d_inner(a.upper, b.upper, dc) + d_inner(a.lower, b.lower, dc)
-
-
 def _boosted(dc: DiracConfig, p3: float) -> DiracConfig:
     """dc with the boosted mass Mt = sqrt(M^2 + p3^2)."""
     return replace(dc, mass=math.sqrt(dc.mass**2 + p3 * p3))
 
 
 def embed_3p1(j: int, l: int, m: int, charge: int, s: int, p3: float,
-              dc: DiracConfig, grid: RadialGrid) -> Spinor4:
-    """Stationary four-spinor with longitudinal momentum p3 and spin s.
+              dc: DiracConfig, grid: RadialGrid) -> tuple[Spinor2, float]:
+    """Stationary four-spinor with longitudinal momentum p3 and spin s, and
+    its |energy| E = sqrt(Mt^2 + E_perp^2).
 
     The construction substitutes the boosted mass Mt = sqrt(M^2 + p3^2)
-    into the planar spinors and stacks
+    into the planar spinors of (j, l, m) and stacks them as the two
+    columns of one (nodes, 2) block,
 
-        upper = (p3 + s Mt + M) psi_charge(Mt),
-        lower = (p3 + s Mt - M) sigma3 psi_{-charge}(Mt),
+        column 0 (upper) = (p3 + s Mt + M) psi_charge(Mt),
+        column 1 (lower) = (p3 + s Mt - M) sigma3 psi_{-charge}(Mt),
 
-    both blocks sharing (j, l, m), then normalizes jointly (the overall
-    1/M of the textbook factors is absorbed, so M = 0 is regular).  The
-    energy is charge * sqrt(Mt^2 + E_perp^2).
+    normalized jointly under the four-spinor product, the sum of the two
+    columns of :func:`d_inner`.  The overall 1/M of the textbook factors is
+    absorbed, so M = 0 is regular at p3 != 0; at M = p3 = 0 both factors
+    vanish and SpectralBoundaryError is raised.  The energy is charge * E,
+    E that of psi_charge(Mt) from :func:`dirac_spinor`.
     """
     if s not in (-1, 1):
         raise DomainError("spin label s must be +1 or -1")
     dct = _boosted(dc, p3)
     m_tilde = dct.mass
-    q_up = resolve_rel_qnums(j, l, m, charge, dct)
-    q_dn = resolve_rel_qnums(j, l, m, -charge, dct)
-    psi_up, _ = dirac_spinor(q_up, dct, charge, grid)
-    psi_dn, _ = dirac_spinor(q_dn, dct, -charge, grid)
-    f_up = p3 + s * m_tilde + dc.mass
-    f_dn = p3 + s * m_tilde - dc.mass
-    four = Spinor4(upper=f_up * psi_up, lower=f_dn * psi_dn.sigma3())
-    nrm = math.sqrt(max(d_inner4(four, four, dc).real, 0.0))
+    psi_up, energy = dirac_spinor(resolve_rel_qnums(j, l, m, charge, dct), dct, charge, grid)
+    psi_dn = dirac_spinor(resolve_rel_qnums(j, l, m, -charge, dct), dct, -charge, grid)[0].sigma3()
+    pair = Spinor2(grid, psi_up.l_up, np.stack([psi_up.up, psi_dn.up], axis=1),
+                   np.stack([psi_up.dn, psi_dn.dn], axis=1))
+    block = np.array([p3 + s * m_tilde + dc.mass, p3 + s * m_tilde - dc.mass]) * pair
+    nrm = math.sqrt(max(d_inner(block, block, dc).sum().real, 0.0))
     if nrm == 0.0:
         raise SpectralBoundaryError("embedded spinor has zero norm")
-    return (1.0 / nrm) * four
+    return (1.0 / nrm) * block, energy
 
 
-def h3p1_apply(psi: Spinor4, p3: float, dc: DiracConfig) -> Spinor4:
+def h3p1_apply(psi: Spinor2, p3: float, dc: DiracConfig) -> Spinor2:
     """Hamiltonian in the longitudinally boosted block representation.
 
-    H = diag( sigma.P + Mt sigma3,  sigma.P - Mt sigma3 ),
-    Mt = sqrt(M^2 + p3^2).  In this representation the embedded states
-    are exact eigenstates for every p3.
+    H = sigma.P + Mt sigma3 tau3 = diag( sigma.P + Mt sigma3,
+    sigma.P - Mt sigma3 ) on the upper (column 0) and lower (column 1)
+    blocks of ``psi``, Mt = sqrt(M^2 + p3^2).  In this representation the
+    embedded states are exact eigenstates for every p3.  DomainError
+    unless ``psi`` is a (nodes, 2) block.
     """
+    if psi.up.shape[1:] != (2,):
+        raise DomainError("a 3+1 spinor is a (nodes, 2) block: upper and lower column")
     dct = _boosted(dc, p3)
-    return Spinor4(upper=hamiltonian_apply(psi.upper, dct),
-                   lower=apply_sigma_p(psi.lower, dct) - dct.mass * psi.lower.sigma3())
+    return apply_sigma_p(psi, dct) + (dct.mass * np.array([1.0, -1.0])) * psi.sigma3()
 
 
-def sz_apply(psi: Spinor4, p3: float, dc: DiracConfig) -> Spinor4:
+def sz_apply(psi: Spinor2, p3: float, dc: DiracConfig) -> Spinor2:
     """Spin operator (H Sigma_z + Sigma_z H) / (2 Mt c^2) on the grid.
 
-    Sigma_z is the standard block-diagonal spin matrix diag(s3, s3).
-    The embedded states are exact eigenstates at p3 = 0; at p3 != 0 the
-    eigenvalue property depends on the (unspecified) spin-matrix
-    convention and is not asserted.
+    Sigma_z is the standard block-diagonal spin matrix diag(s3, s3), sigma3
+    on both columns of the (nodes, 2) block ``psi`` (DomainError for any
+    other shape).  The embedded states are exact eigenstates at p3 = 0;
+    at p3 != 0 the eigenvalue property depends on the (unspecified)
+    spin-matrix convention and is not asserted.
     """
     return ((h3p1_apply(psi.sigma3(), p3, dc) + h3p1_apply(psi, p3, dc).sigma3())
             / (2 * _boosted(dc, p3).mass))

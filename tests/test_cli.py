@@ -29,6 +29,11 @@ def test_exit_code_pass():
 
 def test_exit_code_usage_error(tmp_path, capsys):
     assert run_cli(["verify", "--suite", "unknown"]).returncode == 2
+    # an unknown suite: one error line, which lists the choices
+    capsys.readouterr()
+    assert main(["verify", "--suite", "bogus"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "embed-3p1" in lines[0]
     assert run_cli(["bogus-command"]).returncode == 2
     assert run_cli(["tabulate", "weight", "--u", "bad"]).returncode == 2
     # a non-finite grid bound or step, a malformed label

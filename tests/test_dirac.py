@@ -22,7 +22,6 @@ from msf.dirac import (
     apply_sigma_p,
     basis_spinor_component,
     d_inner,
-    d_inner4,
     d_norm,
     dirac_spinor,
     e_energy,
@@ -626,29 +625,25 @@ def test_embed_unit_norm_all_p3():
     dc = make_dc(mu=0.4)
     for p3 in (0.0, 0.7, -1.3):
         for s in (1, -1):
-            psi = embed_3p1(1, 1, 0, 1, s, p3, dc, GRID)
-            assert d_inner4(psi, psi, dc).real == pytest.approx(1.0, abs=1e-12)
+            psi, _ = embed_3p1(1, 1, 0, 1, s, p3, dc, GRID)
+            assert d_inner(psi, psi, dc).sum().real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_embed_energy_eigenstate_all_p3():
     dc = make_dc(mu=0.4)
     for p3 in (0.0, 0.7, -1.3):
-        mt = math.sqrt(dc.mass ** 2 + p3 * p3)
-        dct = replace(dc, mass=mt)
-        q = resolve_rel_qnums(1, 1, 0, 1, dct)
-        et = e_energy(q, dct)
         for s in (1, -1):
-            psi = embed_3p1(1, 1, 0, 1, s, p3, dc, GRID)
+            psi, et = embed_3p1(1, 1, 0, 1, s, p3, dc, GRID)
             diff = h3p1_apply(psi, p3, dc) - et * psi
-            assert math.sqrt(abs(d_inner4(diff, diff, dc).real)) / et < 1e-9
+            assert math.sqrt(abs(d_inner(diff, diff, dc).sum().real)) / et < 1e-9
 
 
 def test_embed_spin_eigenvalue_at_zero_longitudinal_momentum():
     dc = make_dc(mu=0.4)
     for s in (1, -1):
-        psi = embed_3p1(1, 1, 0, 1, s, 0.0, dc, GRID)
+        psi, _ = embed_3p1(1, 1, 0, 1, s, 0.0, dc, GRID)
         diff = sz_apply(psi, 0.0, dc) - s * psi
-        assert math.sqrt(abs(d_inner4(diff, diff, dc).real)) < 1e-5
+        assert math.sqrt(abs(d_inner(diff, diff, dc).sum().real)) < 1e-5
 
 
 def test_embed_nonrelativistic_suppression():
@@ -656,11 +651,11 @@ def test_embed_nonrelativistic_suppression():
     ratios = []
     for mass in (10.0, 100.0, 1000.0):
         dcm = replace(dc, mass=mass)
-        psi = embed_3p1(1, 1, 0, 1, 1, 0.0, dcm, GRID)
-        big = math.sqrt(abs(d_inner(psi.upper, psi.upper, dcm).real))
-        rest = 0.5 * (psi.upper - psi.upper.sigma3())  # (1 - sigma3)/2: the lower slot
-        small = math.sqrt(abs(d_inner(rest, rest, dcm).real
-                              + d_inner(psi.lower, psi.lower, dcm).real))
+        psi, _ = embed_3p1(1, 1, 0, 1, 1, 0.0, dcm, GRID)
+        norms = d_inner(psi, psi, dcm).real  # upper, lower column
+        big = math.sqrt(abs(norms[0]))
+        rest = 0.5 * (psi - psi.sigma3())  # (1 - sigma3)/2: the lower slot of each column
+        small = math.sqrt(abs(d_inner(rest, rest, dcm)[0].real + norms[1]))
         ratios.append(small / big)
     # O(1/M): tenfold mass suppresses the small components tenfold
     assert ratios[1] == pytest.approx(ratios[0] / 10.0, rel=0.05)
@@ -669,8 +664,77 @@ def test_embed_nonrelativistic_suppression():
 
 def test_embed_massless_regular():
     dc = make_dc(mu=0.4, mass=0.0)
-    psi = embed_3p1(1, 1, 0, 1, 1, 0.8, dc, GRID)
-    assert d_inner4(psi, psi, dc).real == pytest.approx(1.0, abs=1e-12)
+    psi, _ = embed_3p1(1, 1, 0, 1, 1, 0.8, dc, GRID)
+    assert d_inner(psi, psi, dc).sum().real == pytest.approx(1.0, abs=1e-12)
+    # at M = p3 = 0 both block factors p3 + s Mt -+ M vanish
+    with pytest.raises(SpectralBoundaryError):
+        embed_3p1(1, 1, 0, 1, 1, 0.0, dc, GRID)
+
+
+def column(block: Spinor2, k: int) -> Spinor2:
+    return replace(block, up=block.up[:, k], dn=block.dn[:, k])
+
+
+def assert_rel_close(got: Spinor2, want: Spinor2, rel: float):
+    scale = max(np.max(np.abs(want.up)), np.max(np.abs(want.dn)))
+    assert got.l_up == want.l_up
+    assert np.max(np.abs(got.up - want.up)) <= rel * scale
+    assert np.max(np.abs(got.dn - want.dn)) <= rel * scale
+
+
+@pytest.mark.parametrize("vt", [1, -1])
+@pytest.mark.parametrize("charge", [1, -1])
+@pytest.mark.parametrize("s", [1, -1])
+def test_embed_columns_are_the_planar_spinors(vt, charge, s):
+    # column 0 is f_up psi_charge(Mt) / n, column 1 f_dn sigma3 psi_-charge(Mt) / n,
+    # n the joint norm; E is the energy of psi_charge(Mt)
+    dc = make_dc(mu=0.4, vartheta=vt)
+    l = next(_branch_l_values(1, vt))
+    for p3 in (0.0, 0.7, -1.3):
+        mt = math.sqrt(dc.mass ** 2 + p3 * p3)
+        dct = replace(dc, mass=mt)
+        up, e = dirac_spinor(resolve_rel_qnums(1, l, 0, charge, dct), dct, charge, GRID)
+        dn, _ = dirac_spinor(resolve_rel_qnums(1, l, 0, -charge, dct), dct, -charge, GRID)
+        f_up, f_dn = p3 + s * mt + dc.mass, p3 + s * mt - dc.mass
+        n = math.sqrt(f_up ** 2 * d_inner(up, up, dc).real + f_dn ** 2 * d_inner(dn, dn, dc).real)
+        psi, et = embed_3p1(1, l, 0, charge, s, p3, dc, GRID)
+        assert psi.up.shape == (GRID.nodes.size, 2)
+        assert et == e
+        assert_rel_close(column(psi, 0), f_up * up / n, 1e-15)
+        assert_rel_close(column(psi, 1), f_dn * dn.sigma3() / n, 1e-15)
+
+
+@pytest.mark.parametrize("vt", [1, -1])
+@pytest.mark.parametrize("charge", [1, -1])
+@pytest.mark.parametrize("s", [1, -1])
+def test_h3p1_columns_are_the_planar_hamiltonians(vt, charge, s):
+    # column 0: sigma.P + Mt sigma3; column 1: sigma.P - Mt sigma3.  The
+    # block's radial derivative is one BLAS product whose summation order
+    # differs from a single column's; the narrow panels at the origin
+    # amplify that rounding to a few 1e-15 of the spinor norm (6.5e-15 at
+    # vartheta = -1), as in the embed-energy-eigen residual itself
+    dc = make_dc(mu=0.4, vartheta=vt)
+    l = next(_branch_l_values(1, vt))
+    for p3 in (0.0, 0.7, -1.3):
+        dct = replace(dc, mass=math.sqrt(dc.mass ** 2 + p3 * p3))
+        psi, _ = embed_3p1(1, l, 0, charge, s, p3, dc, GRID)
+        got = h3p1_apply(psi, p3, dc)
+        upper, lower = column(psi, 0), column(psi, 1)
+        for k, want in ((0, hamiltonian_apply(upper, dct)),
+                        (1, apply_sigma_p(lower, dct) - dct.mass * lower.sigma3())):
+            diff = column(got, k) - want
+            assert (d_norm(diff, dc, origin_tail=False)
+                    <= 2e-14 * d_norm(want, dc, origin_tail=False)), (p3, k)
+
+
+def test_3p1_operators_need_a_two_column_block():
+    dc = make_dc(mu=0.4)
+    one, _ = dirac_spinor(resolve_rel_qnums(1, 1, 0, 1, dc), dc, 1, GRID)
+    three = unit_block(eigenspinors(1, 1, [0, 1, 2], dc, 1))
+    for bad in (one, three):
+        for apply in (h3p1_apply, sz_apply):
+            with pytest.raises(DomainError):
+                apply(bad, 0.7, dc)
 
 
 # ---------------------------------------------------------------------------
