@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .specfun import DomainError, laguerre_fn_table, ln_gamma
+from .specfun import DomainError, TruncationError, laguerre_fn_table, ln_gamma
 from .landau import (
     FieldConfig,
     _branch_l_values,
@@ -637,7 +637,7 @@ def main(argv=None) -> int:
         else:
             header, rows = tabulate(cfg, args.target, args)
             text = table_csv(header, rows) if cfg.format == "csv" else table_json(header, rows, cfg)
-    except DomainError as exc:
+    except (DomainError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -292,9 +292,12 @@ def _hille_hardy(nu: float, phi: complex, rho, rho_p, ln_pref: complex):
     exponents (Re ln_pref, the Bessel growth |Re z|, the logs of 1/sinh phi
     and of the scaled Bessel factor) meet before one exp, so long times
     stay finite.  Where the scaled factor underflows, ln I_nu = nu ln(z/2)
-    - ln Gamma(nu + 1) + ln 0F1(; nu + 1; z^2/4), with I_-n = I_n.  Raises
-    DomainError on a negative radius, where sinh phi vanishes, and where
-    the Bessel factor has no finite value.
+    - ln Gamma(nu + 1) + ln 0F1(; nu + 1; z^2/4), with I_-n = I_n.  z
+    crosses the cut of I_nu at each caustic Im phi = (2k - 1) pi; continued
+    from the Wick axis (k = 0) the factor is e^(-2 pi i nu k) I_nu(z) for
+    k = floor((Im phi + pi) / 2 pi).  Raises DomainError on a negative
+    radius, where sinh phi vanishes, and where the Bessel factor has no
+    finite value.
     """
     if _any(np.minimum(rho, rho_p) < 0.0):
         raise DomainError("rho must be non-negative")
@@ -313,7 +316,8 @@ def _hille_hardy(nu: float, phi: complex, rho, rho_p, ln_pref: complex):
     bes = bessel_i(nu, zarg if inv_sh else np.sign(rr), scaled=True)
     ln_mag = (ln_pref.real - 0.5 * (rho + rho_p) * (2.0 - one_q) / one_q
               + abs(zarg.real) + ln_inv_sh)
-    phase = cmath.exp(1j * ln_pref.imag)
+    k = math.floor((phi.imag + math.pi) / (2.0 * math.pi))  # caustics crossed
+    phase = cmath.exp(1j * ln_pref.imag) * (cmath.exp(-2j * math.pi * nu * k) if k else 1.0)
     if inv_sh and not _any(bes == 0.0):
         return np.exp(ln_mag + np.log(bes)) * phase
     lost = np.asarray(((bes == 0.0) | (not inv_sh)) & (rr > 0.0))

@@ -39,12 +39,14 @@ the inner product works column by column.  A 3+1 spinor
 (:func:`embed_3p1`) is a block of two columns, the upper and lower Dirac
 blocks; its four-spinor product is the sum of the two columns of the
 inner product.  The states sharing (j, l, sigma) are built as one block,
-a column per m: a spinor is one column, a relativistic coherent state
-one block per l contracted with its amplitudes.  Both slots of every
-block are read from one Laguerre table per spinor or coherent state
-(:func:`_slot_table`), computed over the column of distinct orders of
-its rows: the other slot of row l has the order of the seed slot of row
-l + charge, so L rows take L + 1 orders.
+a column per m: a spinor is one column, a 3+1 spinor two rows (charge
+and -charge) of one column, a relativistic coherent state one block per
+l contracted with its amplitudes.  Each of the three is one
+:func:`_eigenspinors` call: one Laguerre table over the distinct orders
+of its rows (the other slot of row l has the order of the seed slot of
+row l + charge, so L rows take L + 1 orders) and one grid-share guard,
+which refuses the state once its rows miss more than 1e-9 of its norm
+on the radial grid.
 
 Every such block is real (float64): the profile factor exp(-i pi l_s)
 sqrt(gamma / 2 pi) is a unit phase, which the phase convention removes,
@@ -368,37 +370,20 @@ def hamiltonian_apply(s: Spinor2, dc: DiracConfig) -> Spinor2:
     return apply_sigma_p(s, dc) + dc.mass * s.sigma3()
 
 
-def _slot_table(j: int, ls, m_max: int, dc: DiracConfig, charge: int, grid: RadialGrid):
-    """(column, table): the Laguerre profiles behind the eigenspinors of
-    branch j and spin charge in Dirac rows ``ls``, m = 0..m_max.
+def _eigenspinors(j: int, rows, dc: DiracConfig, grid: RadialGrid):
+    """(block, factors, energies) per row (l, ms, charge, weights) of
+    ``rows``, in row order: the eigenspinors (j, l, m, sigma = charge), one
+    column per m in ``ms``, ``weights`` the share of each in the state built.
 
-    The distinct Laguerre orders of both slots of those rows (:func:`_row`
-    at charge and -charge; the other slot of row l has the order of the
-    seed slot of row l + charge) form one column, and ``table`` is one
-    :func:`laguerre_fn_table` over it, shape (rows, orders, nodes), with
-    rows up to m_max + 1 where the other slot reads m + 1 (branch 0,
-    charge +1).  ``column`` maps each order to its index on axis 1.
-    Orders outside the Laguerre domain are left out, for
-    :func:`_eigenspinors` to refuse in row order.
-    """
-    alphas = {_row(s, l, dc)[2] for l in ls for s in (charge, -charge)}
-    orders = sorted(a for a in alphas if a > -1.0)
-    shift = charge if j == 0 else 0
-    table = laguerre_fn_table(np.array(orders)[:, None], m_max + max(shift, 0), grid.nodes)
-    return {a: i for i, a in enumerate(orders)}, table
-
-
-def _eigenspinors(j: int, l: int, ms, dc: DiracConfig, charge: int, grid: RadialGrid,
-                  slots: tuple[dict, np.ndarray]):
-    """(block, factors, energies, seed_nrm) of the eigenspinors (j, l, m,
-    sigma = charge), one column per m in ``ms``.
-
-    The real block reads two orders of ``slots``, the (column, table) of
-    :func:`_slot_table` for a set of rows holding l, with no grid
-    derivative: the profiles I_m of the seed slot's family in the seed slot
-    and their ladder (:func:`_ladder`) in the other, by DLMF 18.9.13-18.9.14
-    the profile I_m' of the other slot's family (:func:`_family` at
-    -charge) times charge (-1)^j sqrt(2 gamma (n1 + (1 + charge)/2)), with
+    One :func:`laguerre_fn_table` serves all rows, over the distinct orders
+    of both slots (:func:`_row` at charge and -charge; orders outside the
+    Laguerre domain are left out, for their rows to refuse in row order),
+    with rows up to the largest m, plus one where the other slot reads
+    m + 1 (branch 0, charge +1).  The real block takes no grid derivative:
+    the profiles I_m of the seed slot's family in the seed slot and their
+    ladder (:func:`_ladder`) in the other, by DLMF 18.9.13-18.9.14 the
+    profile I_m' of the other slot's family (:func:`_family` at -charge)
+    times charge (-1)^j sqrt(2 gamma (n1 + (1 + charge)/2)), with
     m' = m + charge on branch 0 (charge -1, m = 0: coefficient 0) and
     m' = m on branch 1.
     ``factors`` (2, k) holds one complex number per slot (up, dn) and column:
@@ -406,37 +391,45 @@ def _eigenspinors(j: int, l: int, ms, dc: DiracConfig, charge: int, grid: Radial
     (the column's grid norm) and the sign or unit phase that makes the first
     nonvanishing component real and positive at the smallest node; column k
     of :func:`_superpose` (block, factors) is then a unit-norm eigenspinor.
-    seed_nrm are the grid norms of the unit-norm seeds.  E = 0 raises
-    SpectralBoundaryError, a column that is 0 on the grid TruncationError.
+    E = 0 raises SpectralBoundaryError.  The grid-share guard raises
+    TruncationError before a row is yielded once the running sum of weights
+    |1 - seed^2| passes _GRID_SHARE (seed: the grid norm of each unit-norm
+    seed profile) or a column is 0 on the grid.
     """
-    ms = np.asarray(ms)
-    n1 = resolve_rel_qnums(j, l, 0, charge, dc).n1 + ms  # n1 grows by one with m
-    energies = _energy(n1, charge, dc)
-    if np.any(energies == 0.0):
-        raise SpectralBoundaryError("massless zero mode: E = 0 has no eigenspinor")
-    alpha = _family(charge, l, dc)[2], _family(-charge, l, dc)[2]
-    column, table = slots
-    rows = ms, (np.maximum(ms + charge, 0) if j == 0 else ms)
-    # fancy indexing copies; the table, shared by neighbouring rows, is never scaled
-    prof, other = (table[r, column[a]].T for a, r in zip(alpha, rows))
-    other = other * (charge * (-1) ** j
-                     * np.sqrt(2.0 * dc.field.gamma * (n1 + (1 + charge) / 2.0)))
-    seed_sq, other_sq = (grid.weights @ w + _origin_tail(w, a, grid)
-                         for w, a in ((prof * prof, alpha[0]), (other * other, alpha[1])))
-    seed_nrm = np.sqrt(np.maximum(seed_sq, 0.0))
-    nrm = np.sqrt(np.maximum((energies + dc.mass) ** 2 * seed_sq + other_sq, 0.0))
-    if not np.all(nrm > 0.0):
-        raise TruncationError("radial grid too short for the eigenspinor", 0.0, 1.0)
-    block = _seed_block(prof, other, charge, l, grid)
-    unit = np.array([[1.0], [-1j * charge]])[::charge]  # seed slot 1, other slot -i charge
-    # the phase reference is the first node of the upper slot where it is
-    # nonzero, else of the lower: a sign times a slot unit, undone exactly
-    up_ref = block.up[0] != 0
-    sign = np.where(np.where(up_ref, block.up[0], block.dn[0]) < 0, -1.0, 1.0)
-    phase = sign * np.where(up_ref, unit[0], unit[1]).conj()
-    factors = unit * (math.sqrt(dc.field.gamma / (2.0 * math.pi)) * phase / nrm)
-    factors[(1 - charge) // 2] *= energies + dc.mass
-    return block, factors, energies, seed_nrm
+    rows = [(l, np.asarray(ms), charge, weights) for l, ms, charge, weights in rows]
+    alphas = {_row(s, l, dc)[2] for l, _, charge, _ in rows for s in (charge, -charge)}
+    orders = sorted(a for a in alphas if a > -1.0)
+    m_max = max(int(ms.max()) + (j == 0 and charge == 1) for _, ms, charge, _ in rows)
+    table = laguerre_fn_table(np.array(orders)[:, None], m_max, grid.nodes)
+    column = {a: i for i, a in enumerate(orders)}
+    missed = 0.0
+    for l, ms, charge, weights in rows:
+        n1 = resolve_rel_qnums(j, l, 0, charge, dc).n1 + ms  # n1 grows by one with m
+        energies = _energy(n1, charge, dc)
+        if np.any(energies == 0.0):
+            raise SpectralBoundaryError("massless zero mode: E = 0 has no eigenspinor")
+        alpha = _family(charge, l, dc)[2], _family(-charge, l, dc)[2]
+        slot_rows = ms, (np.maximum(ms + charge, 0) if j == 0 else ms)
+        # fancy indexing copies; the table, shared by neighbouring rows, is never scaled
+        prof, other = (table[r, column[a]].T for a, r in zip(alpha, slot_rows))
+        other = other * (charge * (-1) ** j
+                         * np.sqrt(2.0 * dc.field.gamma * (n1 + (1 + charge) / 2.0)))
+        seed_sq, other_sq = (grid.weights @ w + _origin_tail(w, a, grid)
+                             for w, a in ((prof * prof, alpha[0]), (other * other, alpha[1])))
+        nrm = np.sqrt(np.maximum((energies + dc.mass) ** 2 * seed_sq + other_sq, 0.0))
+        missed += float(np.dot(weights, np.abs(1.0 - seed_sq)))
+        if not (missed <= _GRID_SHARE and np.all(nrm > 0.0)):
+            raise TruncationError("radial grid too short for the state", 0.0, missed)
+        block = _seed_block(prof, other, charge, l, grid)
+        unit = np.array([[1.0], [-1j * charge]])[::charge]  # seed slot 1, other slot -i charge
+        # the phase reference is the first node of the upper slot where it is
+        # nonzero, else of the lower: a sign times a slot unit, undone exactly
+        up_ref = block.up[0] != 0
+        sign = np.where(np.where(up_ref, block.up[0], block.dn[0]) < 0, -1.0, 1.0)
+        phase = sign * np.where(up_ref, unit[0], unit[1]).conj()
+        factors = unit * (math.sqrt(dc.field.gamma / (2.0 * math.pi)) * phase / nrm)
+        factors[(1 - charge) // 2] *= energies + dc.mass
+        yield block, factors, energies
 
 
 def _superpose(block: Spinor2, factors: np.ndarray) -> Spinor2:
@@ -455,13 +448,13 @@ def dirac_spinor(q: RelQuantumNumbers, dc: DiracConfig, charge: int,
     charge = +1 builds the positive-energy state from the sigma = +1
     scalar, charge = -1 the negative-energy state from sigma = -1; the
     Hamiltonian eigenvalue is charge * E.  Raises SpectralBoundaryError
-    at E = 0 (massless zero mode).
-    The one column of the block :func:`_eigenspinors` builds.
+    at E = 0 (massless zero mode), and TruncationError where the radial
+    grid misses more than 1e-9 of the seed's norm: one :func:`_eigenspinors`
+    row of one column at weight 1.
     """
     if q.sigma != charge:
         raise DomainError("seed spin label must match the charge branch (+1 or -1)")
-    slots = _slot_table(q.j, [q.l], q.m, dc, charge, grid)
-    block, factors, energies, _ = _eigenspinors(q.j, q.l, [q.m], dc, charge, grid, slots)
+    [(block, factors, energies)] = _eigenspinors(q.j, [(q.l, [q.m], charge, [1.0])], dc, grid)
     return _superpose(block, factors), float(energies[0])
 
 
@@ -483,8 +476,8 @@ class RelCS:
 
 # quiet-block tolerance on the block weights sum_m |c|^2 2M(E+M)
 _REL_LN_TOL = math.log(1e-14)
-# largest share of Mcal the radial grid may miss, sum w |1 - seed_nrm^2| / Mcal
-_REL_GRID_SHARE = 1e-9
+# largest share of a state's norm the radial grid may miss, sum w |1 - seed^2|
+_GRID_SHARE = 1e-9
 
 
 def _rel_table(j: int, label: CSLabel, dc: DiracConfig, charge: int):
@@ -517,36 +510,33 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
 
     with psihat the unit-norm spinors.  The l blocks of the grown planar
     table stop earlier by the quiet-block rule applied to the weighted
-    blocks at 1e-14.  One Laguerre table over the orders of the kept rows
-    (:func:`_slot_table`) serves every kept block, each built from it as
-    one batch of eigenspinors and summed by one matrix product.  Requires
-    M > 0 (the weight degenerates in the massless limit); raises
-    TruncationError as soon as the rows built so far miss more than
-    _REL_GRID_SHARE of Mcal on the radial grid.
+    blocks at 1e-14.  The kept rows with amplitudes go to one
+    :func:`_eigenspinors` call, one Laguerre table for the whole state,
+    each row weighted by its states' shares |c|^2 2M(E + M) / Mcal; each
+    block it yields is summed by one matrix product.  Requires M > 0 (the
+    weight degenerates in the massless limit); raises TruncationError, from
+    the guard all eigenspinors share, as soon as the rows built so far miss
+    more than 1e-9 of Mcal on the radial grid.
     """
     _, alpha, ln_c, phase = _rel_table(j, label, dc, charge)
     ln_w = 2.0 * ln_c + _rel_ln_weight(j, alpha, ln_c.shape[1], dc, charge)
     keep = _quiet_blocks(np.logaddexp.reduce(ln_w, axis=1), _REL_LN_TOL)
     ln_mcal = np.logaddexp.reduce(ln_w[:keep], axis=None)
     norm_const = exp_in_range(ln_mcal, "Mcal")
+    rows, amps = [], []
+    for l, ln_row, ph_row, ln_w_row in zip(_branch_l_values(j, dc.vartheta), ln_c[:keep],
+                                           phase, ln_w):
+        ms = np.flatnonzero(ln_row > -np.inf)
+        if ms.size:
+            share = np.exp(ln_w_row[ms] - ln_mcal)
+            rows.append((l, ms, charge, share))
+            amps.append((np.exp(ln_row[ms] + 1j * ph_row[ms]),
+                         np.sqrt(share) * np.exp(1j * ph_row[ms])))
     states: dict = {}
     spinors: dict = {}
-    missed = 0.0
-    ls = [l for l, _ in zip(_branch_l_values(j, dc.vartheta), ln_c[:keep])]
-    slots = _slot_table(j, ls, ln_c.shape[1] - 1, dc, charge, grid)
-    for l, ln_row, ph_row, ln_w_row in zip(ls, ln_c, phase, ln_w):
-        ms = np.flatnonzero(ln_row > -np.inf)
-        if ms.size == 0:
-            continue
-        block, factors, energies, seed_nrm = _eigenspinors(j, l, ms, dc, charge, grid, slots)
-        c = np.exp(ln_row[ms] + 1j * ph_row[ms])
+    for (l, ms, _, _), (c, coef), (block, factors, energies) in zip(
+            rows, amps, _eigenspinors(j, rows, dc, grid)):
         states.update({(int(l), int(m)): (cm, e) for m, cm, e in zip(ms, c.tolist(), energies)})
-        share = np.exp(ln_w_row[ms] - ln_mcal)
-        missed += float(share @ np.abs(1.0 - seed_nrm**2))
-        if not missed <= _REL_GRID_SHARE:
-            raise TruncationError("radial grid too short for the relativistic coherent state",
-                                  norm_const, missed)
-        coef = np.sqrt(share) * np.exp(1j * ph_row[ms])
         spinors[block.l_up] = _superpose(block, coef * factors)
     return RelCS(states=states, norm_const=norm_const, spinors=spinors, grid=grid)
 
@@ -599,21 +589,26 @@ def embed_3p1(j: int, l: int, m: int, charge: int, s: int, p3: float,
     columns of :func:`d_inner`.  The overall 1/M of the textbook factors is
     absorbed, so M = 0 is regular at p3 != 0; at M = p3 = 0 both factors
     vanish and SpectralBoundaryError is raised.  The energy is charge * E,
-    E that of psi_charge(Mt) from :func:`dirac_spinor`.
+    E that of psi_charge(Mt).  Both columns come from one
+    :func:`_eigenspinors` call, whose grid-share guard weighs each by its
+    share f^2 / (f_up^2 + f_dn^2) of the block.
     """
     if s not in (-1, 1):
         raise DomainError("spin label s must be +1 or -1")
     dct = _boosted(dc, p3)
-    m_tilde = dct.mass
-    psi_up, energy = dirac_spinor(resolve_rel_qnums(j, l, m, charge, dct), dct, charge, grid)
-    psi_dn = dirac_spinor(resolve_rel_qnums(j, l, m, -charge, dct), dct, -charge, grid)[0].sigma3()
-    pair = Spinor2(grid, psi_up.l_up, np.stack([psi_up.up, psi_dn.up], axis=1),
-                   np.stack([psi_up.dn, psi_dn.dn], axis=1))
-    block = np.array([p3 + s * m_tilde + dc.mass, p3 + s * m_tilde - dc.mass]) * pair
+    q = resolve_rel_qnums(j, l, m, charge, dct)
+    f = np.array([p3 + s * dct.mass + dc.mass, p3 + s * dct.mass - dc.mass])
+    # each unit column's share of the block; none where both factors vanish
+    share = (f / np.hypot(*f)) ** 2 if f.any() else f
+    rows = [(q.l, [q.m], c, w) for c, w in zip((charge, -charge), share[:, None])]
+    (up, fac_up, energy), (dn, fac_dn, _) = _eigenspinors(j, rows, dct, grid)
+    up, dn = _superpose(up, fac_up), _superpose(dn, fac_dn)
+    block = f * Spinor2(grid, up.l_up, np.stack([up.up, dn.up], axis=1),
+                        np.stack([up.dn, -dn.dn], axis=1))  # sigma3 psi_-charge below
     nrm = math.sqrt(max(d_inner(block, block, dc).sum().real, 0.0))
     if nrm == 0.0:
         raise SpectralBoundaryError("embedded spinor has zero norm")
-    return (1.0 / nrm) * block, energy
+    return (1.0 / nrm) * block, float(energy[0])
 
 
 def h3p1_apply(psi: Spinor2, p3: float, dc: DiracConfig) -> Spinor2:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from msf import dirac
-from msf.specfun import DomainError
+from msf.specfun import DomainError, TruncationError
 from msf.cli import RunConfig, _parse_grid, main, report_json, verify_suite
 
 
@@ -67,6 +67,22 @@ def test_out_of_range_option_exits_2(args, capsys):
     # every suite refuses a value outside the field and Dirac ranges, even
     # one that never reads it
     assert main(["verify", *args]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_truncation_error_exits_2(monkeypatch, capsys):
+    # a series that cannot serve an input (the Marcum lower tail at
+    # u = 1e8, v = 1e4 stops at its term cap after seconds): one error
+    # line and exit 2, not a traceback with the check-failure status
+    import msf.cli as cli
+
+    def capped(*args):
+        raise TruncationError("Poisson-gamma mixture did not converge", -1.0, 1.0)
+
+    monkeypatch.setattr(cli, "weight_fn", capped)
+    argv = ["tabulate", "weight", "--u", "1e8:1e8:1", "--v", "1e4:1e4:1", "--format", "csv"]
+    assert main(argv) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
 

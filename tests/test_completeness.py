@@ -383,6 +383,29 @@ def test_closed_long_wick_time_matches_series(mu, l, tau, recwarn):
         assert series == pytest.approx(1.7320993655328986e-54j, rel=1e-14)
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.3, 0.5, 0.85])
+@pytest.mark.parametrize("l", [-3, -1, 0, 2])
+def test_closed_equals_series_past_the_caustics(mu, l):
+    # z = sqrt(rho rho') / sinh(phi) crosses the cut of I_nu at every Re(gamma dt)
+    # = (2k - 1) 2 pi; continued from the Wick axis the Bessel factor gains
+    # e^(-2 pi i nu k).  Worst 5.4e-12 (l = 2, mu = 0.3, already 1.4e-12 at
+    # t = 6); the principal branch alone is off by up to 2.0, except at mu = 0
+    cfg = FieldConfig(mu=mu)
+    for t in (3, 6, 7, 12, 13, 19, 25, 32, -3, -7, -13, -20):
+        p = KernelParams(l=l, delta_t=t - 0.1j, cfg=cfg)
+        series = propagator_series(p, 0.4, 1.0, 2.0)
+        assert abs(propagator_closed(p, 0.4, 1.0, 2.0) - series) <= 1e-10 * abs(series), t
+
+
+@pytest.mark.parametrize("l,dt", [(-40, 9 - 50j), (-40, 15 - 50j), (-3, 7 - 600j)])
+def test_closed_past_the_caustics_at_long_times(l, dt):
+    # past the first caustic and on the underflow route: 9.4e-14, 2.4e-14 and
+    # 4e-15 with the continuation rule, 1.618 = |e^(2 pi i mu) - 1| without
+    p = KernelParams(l=l, delta_t=dt, cfg=FieldConfig(mu=0.3))
+    series = propagator_series(p, 0.0, 1.0, 2.0)
+    assert abs(propagator_closed(p, 0.0, 1.0, 2.0) - series) <= 1e-12 * abs(series)
+
+
 def test_series_rejects_real_time():
     cfg = FieldConfig(mu=0.3)
     p = KernelParams(l=-1, delta_t=0.5, cfg=cfg)
