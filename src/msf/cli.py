@@ -440,16 +440,16 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def tabulate(cfg: RunConfig, target: str, args) -> tuple[list[str], list[list]]:
-    """Build (header, rows) for a tabulation target."""
+    """Build (header, columns) for a tabulation target: one list of Python
+    scalars per column, each column of one type."""
     fc = cfg.field_config()
     if target == "weight":
         ugrid = _parse_grid(args.u)
         vgrid = _parse_grid(args.v)
         header = ["u", "v", "w0", "w1"]
         u, v = (a.ravel() for a in np.meshgrid(ugrid, vgrid, indexing="ij"))
-        w0 = weight_fn(0, u, v, fc.mu)
-        w1 = weight_fn(1, u, v, fc.mu)
-        return header, [list(row) for row in zip(u, v, w0, w1)]
+        return header, [a.tolist() for a in (u, v, weight_fn(0, u, v, fc.mu),
+                                             weight_fn(1, u, v, fc.mu))]
     if target == "spectrum":
         header = ["j", "l", "m", "n1", "energy"]
         rows = []
@@ -457,26 +457,25 @@ def tabulate(cfg: RunConfig, target: str, args) -> tuple[list[str], list[list]]:
             for m in range(0, args.mmax + 1):
                 j = _branch_of(l)
                 q = resolve_qnums(j, l, m, fc)
-                rows.append([j, l, m, q.n1, energy_nonrel(q, fc)])
-        return header, rows
+                rows.append((j, l, m, q.n1, energy_nonrel(q, fc)))
+        return header, [list(col) for col in zip(*rows)] or [[] for _ in header]
     if target == "kernel":
         rhop = _parse_grid(args.rhop)
         p = KernelParams(l=args.l, delta_t=-1j * args.tau, cfg=fc)
-        header = ["rhop", "re", "im"]
         vals = propagator_closed(p, 0.0, args.rho, rhop)
-        return header, [[rp, val.real, val.imag] for rp, val in zip(rhop, vals)]
+        return ["rhop", "re", "im"], [rhop.tolist(), vals.real.tolist(), vals.imag.tolist()]
     if target == "state":
         rho = _parse_grid(args.rhop)
         q = resolve_qnums(_branch_of(args.l), args.l, args.m, fc)
-        header = ["rho", "re", "im"]
         vals = stationary_state(q, args.theta, rho, fc)
-        return header, [[r, val.real, val.imag] for r, val in zip(rho, vals)]
+        return ["rho", "re", "im"], [rho.tolist(), vals.real.tolist(), vals.imag.tolist()]
     if target == "cs-density":
         rho = _parse_grid(args.rhop)
         lab = CSLabel(args.z1, args.z2)
-        header = ["rho", "re", "im", "abs2"]
         vals = cs_state(args.j, lab, args.theta, rho, fc)
-        return header, [[r, val.real, val.imag, abs(val) ** 2] for r, val in zip(rho, vals)]
+        # abs of each Python complex: np.abs rounds some last digits differently
+        return ["rho", "re", "im", "abs2"], [rho.tolist(), vals.real.tolist(), vals.imag.tolist(),
+                                             [abs(v) ** 2 for v in vals.tolist()]]
     raise DomainError(f"unknown tabulation target: {target}")
 
 
@@ -492,35 +491,44 @@ def _config_echo(cfg: RunConfig) -> dict:
 REPORT_COLUMNS = ["name", "parameters", "achieved_error", "tolerance", "status"]
 
 
-def _report_rows(rep: VerificationReport, comma: str = ",") -> list[list]:
-    return [[r.name, r.params.replace(",", comma), r.achieved_error, r.tolerance, r.status]
-            for r in rep.records]
+def _report_columns(rep: VerificationReport, comma: str = ",") -> list[list]:
+    recs = rep.records
+    return [[r.name for r in recs], [r.params.replace(",", comma) for r in recs],
+            [r.achieved_error for r in recs], [r.tolerance for r in recs],
+            [r.status for r in recs]]
 
 
 def report_json(rep: VerificationReport) -> str:
     return _json_table({"suite": rep.suite, "config": rep.config},
-                       REPORT_COLUMNS, _report_rows(rep))
+                       REPORT_COLUMNS, _report_columns(rep))
 
 
 def report_csv(rep: VerificationReport) -> str:
-    return table_csv(REPORT_COLUMNS, _report_rows(rep, comma=";"))
+    return table_csv(REPORT_COLUMNS, _report_columns(rep, comma=";"))
 
 
-def table_csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [f"{c:.12g}" if isinstance(c, float) else str(c) for c in row]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def table_csv(header: list[str], columns: list[list]) -> str:
+    """CSV text of a column-major table, formatted in one pass.
+
+    A float cell is written as ``%.12g``, any other cell as ``str``.  Each
+    column holds one type, so its first cell fixes the format of the whole
+    column, and one row format applied to the flattened table writes every
+    row.
+    """
+    head = ",".join(header) + "\n"
+    if not columns[0]:
+        return head
+    row_fmt = ",".join("%.12g" if isinstance(col[0], float) else "%s" for col in columns) + "\n"
+    return head + (row_fmt * len(columns[0])) % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
-def table_json(header: list[str], rows: list[list], cfg: RunConfig) -> str:
-    return _json_table({"config": _config_echo(cfg), "columns": header}, header, rows)
+def table_json(header: list[str], columns: list[list], cfg: RunConfig) -> str:
+    return _json_table({"config": _config_echo(cfg), "columns": header}, header, columns)
 
 
-def _json_table(meta: dict, header: list[str], rows: list[list]) -> str:
+def _json_table(meta: dict, header: list[str], columns: list[list]) -> str:
     # json writes each double as its shortest round-trip repr, 17 digits at most
-    obj = {"meta": meta, "records": [dict(zip(header, row)) for row in rows]}
+    obj = {"meta": meta, "records": [dict(zip(header, row)) for row in zip(*columns)]}
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -635,8 +643,9 @@ def main(argv=None) -> int:
             wall = time.perf_counter() - t0
             text = report_csv(rep) if cfg.format == "csv" else report_json(rep)
         else:
-            header, rows = tabulate(cfg, args.target, args)
-            text = table_csv(header, rows) if cfg.format == "csv" else table_json(header, rows, cfg)
+            header, columns = tabulate(cfg, args.target, args)
+            text = (table_csv(header, columns) if cfg.format == "csv"
+                    else table_json(header, columns, cfg))
     except (DomainError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

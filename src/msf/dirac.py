@@ -587,9 +587,10 @@ def embed_3p1(j: int, l: int, m: int, charge: int, s: int, p3: float,
 
     normalized jointly under the four-spinor product, the sum of the two
     columns of :func:`d_inner`.  The overall 1/M of the textbook factors is
-    absorbed, so M = 0 is regular at p3 != 0; at M = p3 = 0 both factors
-    vanish and SpectralBoundaryError is raised.  The energy is charge * E,
-    E that of psi_charge(Mt).  Both columns come from one
+    absorbed, so M = 0 is regular at p3 != 0 for the spin s = sign(p3).
+    At M = 0 both factors vanish where s = -sign(p3) (then Mt = |p3|) and
+    at p3 = 0 for either spin: SpectralBoundaryError is raised.  The
+    energy is charge * E, E that of psi_charge(Mt).  Both columns come from one
     :func:`_eigenspinors` call, whose grid-share guard weighs each by its
     share f^2 / (f_up^2 + f_dn^2) of the block.
     """

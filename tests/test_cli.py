@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from msf import dirac
 from msf.specfun import DomainError, TruncationError
-from msf.cli import RunConfig, _parse_grid, main, report_json, verify_suite
+from msf.cli import (RunConfig, TABULATE_TARGETS, _parse_grid, main, report_json,
+                     table_csv, tabulate, verify_suite)
 
 
 def run_cli(args, env=None, cwd=None):
@@ -263,3 +266,57 @@ def test_verify_suite_api():
     assert rep.passed
     text = report_json(rep)
     assert json.loads(text)["meta"]["suite"] == "moments"
+
+
+def test_table_csv_keeps_the_per_cell_rule():
+    # one format per column equals the rule applied cell by cell: %.12g
+    # for a float (np.float64 included), str for anything else
+    columns = [
+        [0, -3, 7, 12, 1, 2, 3, 4],
+        ["a", "b;c", "100%", "", "x", "y", "z", "w"],
+        list(np.array([0.1, 1.0 / 3.0, -2.5e17, 1e-5, 7.0, 0.0, -1.0, 123456789.123456789])),
+        [math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e-324, 1.0 / 3.0, 2.0**70],
+    ]
+    header = ["i", "s", "f64", "f"]
+    rows = [",".join(f"{c:.12g}" if isinstance(c, float) else str(c) for c in row)
+            for row in zip(*columns)]
+    assert table_csv(header, columns) == "\n".join(["i,s,f64,f", *rows]) + "\n"
+    # an empty table is its header line alone
+    assert table_csv(header, [[] for _ in header]) == "i,s,f64,f\n"
+
+
+TABULATE_ARGS = SimpleNamespace(u="0:1:0.5", v="0:1:0.5", rho=1.0, rhop="0:2:0.5", theta=0.3,
+                                tau=0.05, l=-2, m=1, j=1, z1=0.5 + 0.2j, z2=-0.3j, lmax=1,
+                                mmax=1)
+
+
+@pytest.mark.parametrize("target", TABULATE_TARGETS)
+def test_tabulate_returns_one_typed_column_per_header_entry(target):
+    header, columns = tabulate(RunConfig(mu=0.3), target, TABULATE_ARGS)
+    assert len(columns) == len(header)
+    assert len({len(col) for col in columns}) == 1 and len(columns[0]) > 0
+    for col in columns:  # Python scalars, one type per column
+        assert isinstance(col, list) and len({type(c) for c in col}) == 1
+        assert type(col[0]) in (int, float)
+
+
+@pytest.mark.parametrize("argv", [
+    ["weight", "--u", "0:1:0.5", "--v", "0:1:0.5"],
+    ["spectrum", "--lmax", "1", "--mmax", "1"],
+    ["spectrum", "--lmax", "-1"],
+    ["kernel", "--rhop", "0:2:0.5"],
+    ["state", "--l", "-2", "--m", "1", "--rhop", "0:2:0.5"],
+    ["cs-density", "--rhop", "0:2:0.5"],
+], ids=["weight", "spectrum", "spectrum-empty", "kernel", "state", "cs-density"])
+def test_tabulate_csv_and_json_agree(argv, capsys):
+    assert main(["tabulate", *argv, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(["tabulate", *argv, "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    header = obj["meta"]["columns"]
+    assert lines[0] == ",".join(header)
+    assert len(lines) - 1 == len(obj["records"])
+    for line, rec in zip(lines[1:], obj["records"]):
+        assert line.split(",") == [format(rec[name], ".12g") for name in header]
+    if argv[-1] == "-1":  # no angular number: the header line and no records
+        assert lines == ["j,l,m,n1,energy"] and obj["records"] == []

@@ -692,6 +692,21 @@ def test_embed_massless_regular():
         embed_3p1(1, 1, 0, 1, 1, 0.0, dc, GRID)
 
 
+@pytest.mark.parametrize("s, p3", [(1, 0.7), (-1, -0.7), (1, -0.7), (-1, 0.7)])
+def test_embed_massless_spin_against_p3(s, p3):
+    # at M = 0, Mt = |p3|: both block factors p3 + s Mt -+ M are 2 p3 when
+    # s = sign(p3) and vanish when s = -sign(p3)
+    dc = make_dc(mu=0.4, mass=0.0)
+    if s * p3 < 0:
+        with pytest.raises(SpectralBoundaryError):
+            embed_3p1(1, 1, 0, 1, s, p3, dc, GRID)
+        return
+    psi, et = embed_3p1(1, 1, 0, 1, s, p3, dc, GRID)
+    assert d_inner(psi, psi, dc).sum().real == pytest.approx(1.0, abs=1e-12)
+    diff = h3p1_apply(psi, p3, dc) - et * psi
+    assert math.sqrt(abs(d_inner(diff, diff, dc).sum().real)) / et < 1e-9
+
+
 def column(block: Spinor2, k: int) -> Spinor2:
     return replace(block, up=block.up[:, k], dn=block.dn[:, k])
 
