@@ -38,28 +38,24 @@ and does its own arithmetic (+, -, * by a number or one per column, /);
 the inner product works column by column.  A 3+1 spinor
 (:func:`embed_3p1`) is a block of two columns, the upper and lower Dirac
 blocks; its four-spinor product is the sum of the two columns of the
-inner product.  The states sharing (j, l, sigma) are built as one block,
-a column per m: a spinor is one column, a 3+1 spinor two rows (charge
-and -charge) of one column, a relativistic coherent state one block per
-l contracted with its amplitudes.  Each of the three is one
-:func:`_eigenspinors` call: one Laguerre table over the distinct orders
-of its rows (the other slot of row l has the order of the seed slot of
-row l + charge, so L rows take L + 1 orders) and one grid-share guard,
-which refuses the state once its rows miss more than 1e-9 of its norm
-on the radial grid.
+inner product.  A spinor, a 3+1 spinor (two rows, charge and -charge, of
+one column) and a relativistic coherent state (one row per l) are each
+one :func:`_eigenspinors` call: one Laguerre table over the distinct
+orders of its rows (the other slot of row l has the order of the seed
+slot of row l + charge, so L rows take L + 1 orders) and one grid-share
+guard, which refuses the state once its rows miss more than 1e-9 of its
+norm on the radial grid.
 
-Every such block is real (float64): the profile factor exp(-i pi l_s)
-sqrt(gamma / 2 pi) is a unit phase, which the phase convention removes,
-times a constant, so one complex factor per column and slot carries
-E + M, -i charge, sqrt(gamma / 2 pi) / norm and the phase
-(:func:`_eigenspinors`).  A spinor applies its factors to its one column,
-a coherent state folds them into its amplitudes before one real product
-per slot.  A complex 15-column block on a 742-node grid (178 KB) would
-pass glibc's 128 KiB mmap threshold, a fresh zero-filled mapping per
-temporary; the real blocks (89 KB) are reused from the heap.  The table
-of a coherent state with K columns and L rows holds at most
-(K + 1)(L + 1) profiles, 1.5 MB at K = L = 15 on 742 nodes, one mapping
-per state.
+The table (m, order, nodes) is real (float64) and is never copied or
+scaled: an eigenspinor is a table profile in each slot times one complex
+factor per slot (E + M, -i charge, the ladder coefficient, sqrt(gamma /
+2 pi) / norm and the phase), the norms of all profiles come from one
+weighted pass over the table, and :func:`_contract` sums the columns of
+every row at once, one real product with the table per slot kind (seed
+or other) written as complex profiles, one per order; each slot of each
+row is a view of that result.  At L = 15 rows of 15 columns on 742
+nodes the table holds 16 x 16 profiles (1.5 MB, one mapping per state)
+and the result 2 x 16.
 
 sigma.P on any spinor (:func:`apply_sigma_p`, behind the residual
 checks) is an exact angular shift plus the radial ladder, differentiated
@@ -69,6 +65,7 @@ on a composite grid (:mod:`msf.radial`): a route apart from construction.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -170,11 +167,6 @@ def e_perp_sq(q: RelQuantumNumbers, dc: DiracConfig) -> float:
     return 2.0 * dc.field.gamma * (q.n1 + (1 + q.sigma) / 2.0)
 
 
-def e_energy(q: RelQuantumNumbers, dc: DiracConfig) -> float:
-    """sqrt(M^2 + E_perp^2), the eigenvalue of Pi0."""
-    return float(_energy(q.n1, q.sigma, dc))
-
-
 def _energy(n1, sigma: int, dc: DiracConfig):
     """sqrt(M^2 + 2 gamma [n1 + (1 + sigma)/2]), elementwise over n1."""
     return np.sqrt(dc.mass**2 + 2.0 * dc.field.gamma * (n1 + (1 + sigma) / 2.0))
@@ -249,17 +241,19 @@ class Spinor2:
         return Spinor2(self.grid, self.l_up, self.up, -self.dn)
 
 
-def _origin_tail(w: np.ndarray, alpha: float, grid: RadialGrid):
-    """Integral over (0, rho_min) of the product w of two profiles of one
-    spin slot, along axis 0, from the power law rho^alpha of the slot's
-    eigenfamily (:func:`_family`): the two-term fit
-    w = (rho / rho_min)^alpha (c0 + c1 rho) through the first two nodes;
-    the ratios stay finite."""
-    (r1, r2), delta = grid.nodes[:2], grid.rho_min
-    h1, h2 = w[0] * (delta / r1) ** alpha, w[1] * (delta / r2) ** alpha
-    c1 = (h2 - h1) / (r2 - r1)
-    c0 = h1 - c1 * r1
-    return delta * (c0 / (alpha + 1.0) + c1 * delta / (alpha + 2.0))
+def _quadrature(alpha: float, grid: RadialGrid) -> np.ndarray:
+    """The grid's quadrature weights with the segment (0, rho_min) folded
+    into the first two nodes, for the product w of two profiles of one spin
+    slot: the power law rho^alpha of the slot's eigenfamily (:func:`_family`)
+    gives the two-term fit w = (rho / rho_min)^alpha (c0 + c1 rho) through
+    the first two nodes, whose integral is linear in w there; the ratios
+    stay finite."""
+    (r1, r2), delta = grid.nodes[:2].tolist(), grid.rho_min
+    q = delta * (delta / (alpha + 2.0) - r1 / (alpha + 1.0)) / (r2 - r1)
+    weights = grid.weights.copy()
+    weights[0] += (delta / r1) ** alpha * (delta / (alpha + 1.0) - q)
+    weights[1] += (delta / r2) ** alpha * q
+    return weights
 
 
 def d_inner(a: Spinor2, b: Spinor2, dc: DiracConfig, origin_tail: bool = True):
@@ -267,7 +261,7 @@ def d_inner(a: Spinor2, b: Spinor2, dc: DiracConfig, origin_tail: bool = True):
 
     The grid covers [rho_min, rho_max].  With ``origin_tail`` the
     segment (0, rho_min) is added analytically, slot by slot
-    (:func:`_origin_tail`); without it, pairs involving the irregular
+    (:func:`_quadrature`); without it, pairs involving the irregular
     vartheta profiles lose O(rho_min^(1-mu)) of orthogonality.  Residual
     fields produced by grid differentiation do not follow the family
     power law and should be measured with ``origin_tail=False``.  A
@@ -282,9 +276,8 @@ def d_inner(a: Spinor2, b: Spinor2, dc: DiracConfig, origin_tail: bool = True):
     for av, bv, sigma in ((a.up, b.up, 1), (a.dn, b.dn, -1)):
         # one contiguous row per column, so a column sums alone as in its block
         w = np.multiply(np.conj(av.T), bv.T, order="C")
-        total = total + np.vecdot(a.grid.weights, w)
-        if origin_tail:
-            total = total + _origin_tail(w.T, _family(sigma, a.l_dn, dc)[2], a.grid)
+        quad = _quadrature(_family(sigma, a.l_dn, dc)[2], a.grid) if origin_tail else a.grid.weights
+        total = total + np.vecdot(quad, w)
     total = 2.0 * math.pi / dc.field.gamma * total
     return complex(total) if np.ndim(total) == 0 else total
 
@@ -371,74 +364,117 @@ def hamiltonian_apply(s: Spinor2, dc: DiracConfig) -> Spinor2:
 
 
 def _eigenspinors(j: int, rows, dc: DiracConfig, grid: RadialGrid):
-    """(block, factors, energies) per row (l, ms, charge, weights) of
-    ``rows``, in row order: the eigenspinors (j, l, m, sigma = charge), one
-    column per m in ``ms``, ``weights`` the share of each in the state built.
+    """(table, factors, energies, index) of the eigenspinors (j, l, m,
+    sigma = charge) of the rows (l, ms, charge, weights) of ``rows``: one
+    column per m in ``ms``, columns in row order, ``weights`` the share of
+    each in the state built.
 
-    One :func:`laguerre_fn_table` serves all rows, over the distinct orders
-    of both slots (:func:`_row` at charge and -charge; orders outside the
-    Laguerre domain are left out, for their rows to refuse in row order),
-    with rows up to the largest m, plus one where the other slot reads
-    m + 1 (branch 0, charge +1).  The real block takes no grid derivative:
-    the profiles I_m of the seed slot's family in the seed slot and their
-    ladder (:func:`_ladder`) in the other, by DLMF 18.9.13-18.9.14 the
-    profile I_m' of the other slot's family (:func:`_family` at -charge)
-    times charge (-1)^j sqrt(2 gamma (n1 + (1 + charge)/2)), with
-    m' = m + charge on branch 0 (charge -1, m = 0: coefficient 0) and
-    m' = m on branch 1.
-    ``factors`` (2, k) holds one complex number per slot (up, dn) and column:
-    E + M on the seed slot, -i charge on the other, sqrt(gamma / 2 pi) / norm
-    (the column's grid norm) and the sign or unit phase that makes the first
-    nonvanishing component real and positive at the smallest node; column k
-    of :func:`_superpose` (block, factors) is then a unit-norm eigenspinor.
-    E = 0 raises SpectralBoundaryError.  The grid-share guard raises
-    TruncationError before a row is yielded once the running sum of weights
-    |1 - seed^2| passes _GRID_SHARE (seed: the grid norm of each unit-norm
-    seed profile) or a column is 0 on the grid.
+    ``table`` is one :func:`laguerre_fn_table` of shape (m, order, nodes)
+    over the distinct orders of both slots of all rows (:func:`_row` at
+    charge and -charge), with rows up to the largest m, plus one where the
+    other slot reads m + 1 (branch 0, charge +1).  ``index`` (2, 2, K) holds
+    the (m, order) index of each column's profile in the seed slot (kind 0)
+    and in the other slot (kind 1).  No grid derivative is taken: the seed
+    slot holds the profile I_m of the seed slot's family and the other slot
+    its ladder (:func:`_ladder`), by DLMF 18.9.13-18.9.14 the profile I_m'
+    of the other slot's family (:func:`_family` at -charge) times charge
+    (-1)^j sqrt(2 gamma (n1 + (1 + charge)/2)), with m' = m + charge on
+    branch 0 (charge -1, m = 0: coefficient 0) and m' = m on branch 1.
+    ``factors`` (2, K) holds one complex number per slot kind and column:
+    E + M on the seed slot, -i charge times the ladder coefficient on the
+    other, sqrt(gamma / 2 pi) / norm and the sign or unit phase that makes
+    the first nonvanishing component real and positive at the smallest
+    node.  Table profile times factor, per slot (:func:`_contract`), is a
+    unit-norm eigenspinor.
+
+    The grid norm^2 of every table profile is taken in one pass, in the
+    :func:`_quadrature` of its order, and each column's norms are read
+    from it by index.  The checks run in row order, each row's before the
+    next, and all before ``factors`` are formed: a slot family outside the
+    Laguerre domain raises DomainError, E = 0 raises SpectralBoundaryError,
+    and the grid-share guard raises TruncationError once the running sum
+    of weights |1 - seed^2| passes _GRID_SHARE (seed: the grid norm of each
+    unit-norm seed profile) or a column is 0 on the grid.  Weights are
+    >= 0 and each row holds an m.
     """
     rows = [(l, np.asarray(ms), charge, weights) for l, ms, charge, weights in rows]
-    alphas = {_row(s, l, dc)[2] for l, _, charge, _ in rows for s in (charge, -charge)}
-    orders = sorted(a for a in alphas if a > -1.0)
-    m_max = max(int(ms.max()) + (j == 0 and charge == 1) for _, ms, charge, _ in rows)
-    table = laguerre_fn_table(np.array(orders)[:, None], m_max, grid.nodes)
-    column = {a: i for i, a in enumerate(orders)}
-    missed = 0.0
-    for l, ms, charge, weights in rows:
-        n1 = resolve_rel_qnums(j, l, 0, charge, dc).n1 + ms  # n1 grows by one with m
-        energies = _energy(n1, charge, dc)
-        if np.any(energies == 0.0):
-            raise SpectralBoundaryError("massless zero mode: E = 0 has no eigenspinor")
-        alpha = _family(charge, l, dc)[2], _family(-charge, l, dc)[2]
-        slot_rows = ms, (np.maximum(ms + charge, 0) if j == 0 else ms)
-        # fancy indexing copies; the table, shared by neighbouring rows, is never scaled
-        prof, other = (table[r, column[a]].T for a, r in zip(alpha, slot_rows))
-        other = other * (charge * (-1) ** j
-                         * np.sqrt(2.0 * dc.field.gamma * (n1 + (1 + charge) / 2.0)))
-        seed_sq, other_sq = (grid.weights @ w + _origin_tail(w, a, grid)
-                             for w, a in ((prof * prof, alpha[0]), (other * other, alpha[1])))
-        nrm = np.sqrt(np.maximum((energies + dc.mass) ** 2 * seed_sq + other_sq, 0.0))
-        missed += float(np.dot(weights, np.abs(1.0 - seed_sq)))
-        if not (missed <= _GRID_SHARE and np.all(nrm > 0.0)):
-            raise TruncationError("radial grid too short for the state", 0.0, missed)
-        block = _seed_block(prof, other, charge, l, grid)
-        unit = np.array([[1.0], [-1j * charge]])[::charge]  # seed slot 1, other slot -i charge
-        # the phase reference is the first node of the upper slot where it is
-        # nonzero, else of the lower: a sign times a slot unit, undone exactly
-        up_ref = block.up[0] != 0
-        sign = np.where(np.where(up_ref, block.up[0], block.dn[0]) < 0, -1.0, 1.0)
-        phase = sign * np.where(up_ref, unit[0], unit[1]).conj()
-        factors = unit * (math.sqrt(dc.field.gamma / (2.0 * math.pi)) * phase / nrm)
-        factors[(1 - charge) // 2] *= energies + dc.mass
-        yield block, factors, energies
+    n1, energies, alphas, refused = [], [], [], None
+    for l, ms, charge, _ in rows:
+        try:
+            n1_row = resolve_rel_qnums(j, l, 0, charge, dc).n1 + ms  # n1 grows by one with m
+            e_row = _energy(n1_row, charge, dc)
+            if (e_row == 0.0).any():
+                raise SpectralBoundaryError("massless zero mode: E = 0 has no eigenspinor")
+            alphas.append((_row(charge, l, dc)[2], _family(-charge, l, dc)[2]))
+        except DomainError as exc:  # raised once the rows before it pass the guard
+            refused = exc
+            break
+        n1.append(n1_row)
+        energies.append(e_row)
+    rows = rows[:len(alphas)]
+    if not rows:
+        raise refused
+    orders = np.array(sorted({a for pair in alphas for a in pair}))
+    column = {a: i for i, a in enumerate(orders.tolist())}
+    sizes = [ms.size for _, ms, _, _ in rows]
+    m = np.concatenate([ms for _, ms, _, _ in rows])
+    charge, seed_o, other_o = np.array(
+        [(c, column[a], column[b]) for (_, _, c, _), (a, b) in zip(rows, alphas)]).T.repeat(sizes, 1)
+    n1, energies = np.concatenate(n1), np.concatenate(energies)
+    index = np.array([(m, seed_o), (np.maximum(m + charge, 0) if j == 0 else m, other_o)])
+    table = laguerre_fn_table(orders[:, None], int(index[:, 0].max()), grid.nodes)
+    # the grid norm^2 of every profile, in the quadrature of its order
+    quad = np.array([_quadrature(a, grid) for a in orders.tolist()])
+    sq = np.einsum("mon,mon,on->mo", table, table, quad)
+    ladder = charge * (-1) ** j * np.sqrt(2.0 * dc.field.gamma * (n1 + (1 + charge) / 2.0))
+    seed = energies + dc.mass  # the seed slot's factor, E + M
+    seed_sq, other_sq = sq[index[:, 0], index[:, 1]]
+    nrm = np.sqrt(np.maximum(seed ** 2 * seed_sq + ladder ** 2 * other_sq, 0.0))
+    # the running share missed, column by column, never falls: the first row
+    # with a column past _GRID_SHARE or of norm 0 fails, with the share at its end
+    missed = np.cumsum(np.concatenate([w for *_, w in rows]) * np.abs(1.0 - seed_sq))
+    if not (missed[-1] <= _GRID_SHARE and (nrm > 0.0).all()):
+        ends = np.cumsum(sizes)
+        bad = np.argmax(~(missed <= _GRID_SHARE) | ~(nrm > 0.0))
+        end = ends[np.searchsorted(ends, bad, side="right")]
+        raise TruncationError("radial grid too short for the state", 0.0, float(missed[end - 1]))
+    if refused is not None:
+        raise refused
+    # the phase reference is the first node of the upper slot (the seed slot
+    # at charge +1) where it is nonzero, else of the lower: a sign times the
+    # conjugate slot unit, 1 on the seed slot and i charge on the other
+    seed0, other0 = table[index[:, 0], index[:, 1], 0]
+    other0 = ladder * other0
+    ref_seed = np.where(charge == 1, seed0 != 0, other0 == 0)
+    phase = (np.where(np.where(ref_seed, seed0, other0) < 0, -1.0, 1.0)
+             * np.where(ref_seed, 1.0, 1j * charge))
+    scale = math.sqrt(dc.field.gamma / (2.0 * math.pi)) / nrm * phase
+    return table, np.array([seed, -1j * charge * ladder]) * scale, energies, index
 
 
-def _superpose(block: Spinor2, factors: np.ndarray) -> Spinor2:
-    """sum_k factors[:, k] times column k of a real block: per slot one real
-    product with the real and imaginary parts of its factors, so the block
-    is never copied to complex."""
-    up, dn = ((x @ np.stack([f.real, f.imag], axis=1)).view(complex)[:, 0]
-              for x, f in zip((block.up, block.dn), factors))
-    return Spinor2(grid=block.grid, l_up=block.l_up, up=up, dn=dn)
+def _contract(rows, built, coef, grid: RadialGrid) -> list[Spinor2]:
+    """One spinor per row of ``rows``: the sum over its columns k of coef[k]
+    times the unit-norm eigenspinor k of ``built`` (:func:`_eigenspinors`).
+
+    ``coef`` is a number or one per column.  coef times the factors goes
+    into a real coefficient array indexed by (slot kind, order, m,
+    real/imaginary part); columns that read one profile add up (branch 0,
+    charge -1: m = 0, of coefficient 0, and m = 1 read row 0 of the other
+    slot).  One real product per slot kind with the table, read in place
+    as (order, nodes, m), writes complex profiles through their trailing
+    (..., 2) view, one per order; the slots of each row, whose orders no
+    other row of ``rows`` shares in that kind, are views of the result.
+    """
+    table, factors, _, index = built
+    c = coef * factors
+    coeffs = np.zeros((2, table.shape[1], table.shape[0], 2))
+    np.add.at(coeffs, (np.arange(2)[:, None], index[:, 1], index[:, 0]),
+              c.view(float).reshape(c.shape + (2,)))
+    out = np.empty((2,) + table.shape[1:], dtype=complex)
+    np.matmul(table.transpose(1, 2, 0), coeffs, out=out.view(float).reshape(out.shape + (2,)))
+    first = itertools.accumulate((len(ms) for _, ms, _, _ in rows[:-1]), initial=0)
+    return [_seed_block(out[0, index[0, 1, k]], out[1, index[1, 1, k]], charge, l, grid)
+            for (l, _, charge, _), k in zip(rows, first)]
 
 
 def dirac_spinor(q: RelQuantumNumbers, dc: DiracConfig, charge: int,
@@ -450,12 +486,15 @@ def dirac_spinor(q: RelQuantumNumbers, dc: DiracConfig, charge: int,
     Hamiltonian eigenvalue is charge * E.  Raises SpectralBoundaryError
     at E = 0 (massless zero mode), and TruncationError where the radial
     grid misses more than 1e-9 of the seed's norm: one :func:`_eigenspinors`
-    row of one column at weight 1.
+    row of one column at weight 1, and one :func:`_contract` at
+    coefficient 1, whose result the two slots view.
     """
     if q.sigma != charge:
         raise DomainError("seed spin label must match the charge branch (+1 or -1)")
-    [(block, factors, energies)] = _eigenspinors(q.j, [(q.l, [q.m], charge, [1.0])], dc, grid)
-    return _superpose(block, factors), float(energies[0])
+    rows = [(q.l, [q.m], charge, [1.0])]
+    built = _eigenspinors(q.j, rows, dc, grid)
+    [psi] = _contract(rows, built, 1.0, grid)
+    return psi, float(built[2][0])
 
 
 @dataclass(frozen=True)
@@ -512,32 +551,32 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
     table stop earlier by the quiet-block rule applied to the weighted
     blocks at 1e-14.  The kept rows with amplitudes go to one
     :func:`_eigenspinors` call, one Laguerre table for the whole state,
-    each row weighted by its states' shares |c|^2 2M(E + M) / Mcal; each
-    block it yields is summed by one matrix product.  Requires M > 0 (the
-    weight degenerates in the massless limit); raises TruncationError, from
-    the guard all eigenspinors share, as soon as the rows built so far miss
-    more than 1e-9 of Mcal on the radial grid.
+    each row weighted by its states' shares |c|^2 2M(E + M) / Mcal, and
+    one :func:`_contract` of that table at the coefficients
+    sqrt(share) e^(i arg c) gives every l block; ``spinors`` holds views of
+    its result.  Requires M > 0 (the weight degenerates in the massless
+    limit); raises TruncationError, from the guard all eigenspinors share,
+    when the rows in order pass 1e-9 of Mcal missed on the radial grid,
+    before any block is summed.
     """
     _, alpha, ln_c, phase = _rel_table(j, label, dc, charge)
     ln_w = 2.0 * ln_c + _rel_ln_weight(j, alpha, ln_c.shape[1], dc, charge)
     keep = _quiet_blocks(np.logaddexp.reduce(ln_w, axis=1), _REL_LN_TOL)
     ln_mcal = np.logaddexp.reduce(ln_w[:keep], axis=None)
     norm_const = exp_in_range(ln_mcal, "Mcal")
-    rows, amps = [], []
+    rows, c, coef = [], [], []
     for l, ln_row, ph_row, ln_w_row in zip(_branch_l_values(j, dc.vartheta), ln_c[:keep],
                                            phase, ln_w):
         ms = np.flatnonzero(ln_row > -np.inf)
         if ms.size:
             share = np.exp(ln_w_row[ms] - ln_mcal)
             rows.append((l, ms, charge, share))
-            amps.append((np.exp(ln_row[ms] + 1j * ph_row[ms]),
-                         np.sqrt(share) * np.exp(1j * ph_row[ms])))
-    states: dict = {}
-    spinors: dict = {}
-    for (l, ms, _, _), (c, coef), (block, factors, energies) in zip(
-            rows, amps, _eigenspinors(j, rows, dc, grid)):
-        states.update({(int(l), int(m)): (cm, e) for m, cm, e in zip(ms, c.tolist(), energies)})
-        spinors[block.l_up] = _superpose(block, coef * factors)
+            c.append(np.exp(ln_row[ms] + 1j * ph_row[ms]))
+            coef.append(np.sqrt(share) * np.exp(1j * ph_row[ms]))
+    built = _eigenspinors(j, rows, dc, grid)
+    spinors = {psi.l_up: psi for psi in _contract(rows, built, np.concatenate(coef), grid)}
+    lm = ((l, m) for l, ms, _, _ in rows for m in ms.tolist())
+    states = dict(zip(lm, zip(np.concatenate(c).tolist(), built[2].tolist())))
     return RelCS(states=states, norm_const=norm_const, spinors=spinors, grid=grid)
 
 
@@ -592,7 +631,8 @@ def embed_3p1(j: int, l: int, m: int, charge: int, s: int, p3: float,
     at p3 = 0 for either spin: SpectralBoundaryError is raised.  The
     energy is charge * E, E that of psi_charge(Mt).  Both columns come from one
     :func:`_eigenspinors` call, whose grid-share guard weighs each by its
-    share f^2 / (f_up^2 + f_dn^2) of the block.
+    share f^2 / (f_up^2 + f_dn^2) of the block, and one :func:`_contract`
+    at coefficient 1.
     """
     if s not in (-1, 1):
         raise DomainError("spin label s must be +1 or -1")
@@ -602,14 +642,14 @@ def embed_3p1(j: int, l: int, m: int, charge: int, s: int, p3: float,
     # each unit column's share of the block; none where both factors vanish
     share = (f / np.hypot(*f)) ** 2 if f.any() else f
     rows = [(q.l, [q.m], c, w) for c, w in zip((charge, -charge), share[:, None])]
-    (up, fac_up, energy), (dn, fac_dn, _) = _eigenspinors(j, rows, dct, grid)
-    up, dn = _superpose(up, fac_up), _superpose(dn, fac_dn)
+    built = _eigenspinors(j, rows, dct, grid)
+    up, dn = _contract(rows, built, 1.0, grid)
     block = f * Spinor2(grid, up.l_up, np.stack([up.up, dn.up], axis=1),
                         np.stack([up.dn, -dn.dn], axis=1))  # sigma3 psi_-charge below
     nrm = math.sqrt(max(d_inner(block, block, dc).sum().real, 0.0))
     if nrm == 0.0:
         raise SpectralBoundaryError("embedded spinor has zero norm")
-    return (1.0 / nrm) * block, float(energy[0])
+    return (1.0 / nrm) * block, float(built[2][0])
 
 
 def h3p1_apply(psi: Spinor2, p3: float, dc: DiracConfig) -> Spinor2:

@@ -24,7 +24,6 @@ from msf.dirac import (
     d_inner,
     d_norm,
     dirac_spinor,
-    e_energy,
     e_perp_sq,
     embed_3p1,
     green_kernel_rel,
@@ -37,7 +36,7 @@ from msf.dirac import (
     resolve_rel_qnums,
     sz_apply,
 )
-from msf.dirac import _eigenspinors, _ladder, _row
+from msf.dirac import _eigenspinors, _energy, _ladder, _row
 
 
 GRID = make_radial_grid(rho_max=70.0)
@@ -46,6 +45,11 @@ GRID = make_radial_grid(rho_max=70.0)
 def make_dc(mu=0.4, vartheta=1, mass=1.0, gamma=1.0):
     return DiracConfig(field=FieldConfig(gamma=gamma, l0=0, mu=mu), mass=mass,
                        vartheta=vartheta)
+
+
+def e_energy(q, dc) -> float:
+    """sqrt(M^2 + E_perp^2), the eigenvalue of Pi0, by the library's _energy."""
+    return float(_energy(q.n1, q.sigma, dc))
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +268,23 @@ def test_angular_momentum_bookkeeping():
 
 
 def eigenspinors(j, l, ms, dc, charge):
-    """(block, factors, energies) of Dirac row l on GRID: one _eigenspinors
-    row, its columns at equal shares of the state."""
-    [built] = _eigenspinors(j, [(l, ms, charge, np.full(len(ms), 1.0 / len(ms)))], dc, GRID)
-    return built
+    """(block, energies) of Dirac row l on GRID: the unit-norm eigenspinors,
+    one column per m, of one _eigenspinors row at equal shares of the state."""
+    rows = [(l, ms, charge, np.full(len(ms), 1.0 / len(ms)))]
+    built = _eigenspinors(j, rows, dc, GRID)
+    return unit_block(rows, built), built[2]
 
 
-def unit_block(built) -> Spinor2:
-    """The complex block of unit-norm eigenspinors: each column of the real
-    block that _eigenspinors returns times its two slot factors."""
-    block, factors = built[:2]
-    return replace(block, up=block.up * factors[0], dn=block.dn * factors[1])
+def unit_block(rows, built) -> Spinor2:
+    """The complex block of the unit-norm eigenspinors of the one row of
+    ``rows``, read from the table _eigenspinors returns without the
+    contraction: column k of each slot is the table profile at the column's
+    (m, order) index times its slot factor."""
+    [(l, _, charge, _)] = rows
+    table, factors, _, index = built
+    seed, other = (factors[kind] * table[index[kind, 0], index[kind, 1]].T for kind in (0, 1))
+    up, dn = (seed, other)[::charge]
+    return Spinor2(grid=GRID, l_up=l - 1, up=up, dn=dn)
 
 
 @pytest.mark.parametrize("j,l,charge,vt", [(1, 2, 1, 1), (0, 0, -1, 1), (1, 0, 1, -1)])
@@ -282,7 +292,7 @@ def test_block_inner_matches_columns(j, l, charge, vt):
     # a block's inner product and norm are the values of its columns, taken
     # as dirac_spinor takes column 0; irregular l = 0 channels included
     dc = make_dc(mu=0.4, vartheta=vt)
-    block = unit_block(eigenspinors(j, l, [0, 1, 3], dc, charge))
+    block, _ = eigenspinors(j, l, [0, 1, 3], dc, charge)
     cols = [replace(block, up=block.up[:, k], dn=block.dn[:, k]) for k in range(3)]
     c = np.array([1.0, 1j, -0.6 + 0.8j])
     for tail in (True, False):
@@ -312,7 +322,7 @@ def test_spinor_sums_need_one_grid_and_sector():
 
 def test_array_times_block_scales_each_column():
     dc = make_dc(mu=0.4)
-    block = unit_block(eigenspinors(1, 2, [0, 1, 2], dc, 1))
+    block, _ = eigenspinors(1, 2, [0, 1, 2], dc, 1)
     c = np.array([2.0, -1j, 0.25 + 0.5j])
     for out in (c * block, block * c):
         assert isinstance(out, Spinor2) and out.l_up == block.l_up
@@ -406,12 +416,14 @@ def test_other_slot_is_the_ladder_of_the_seed(gamma, mu):
         dc = make_dc(mu=mu, vartheta=vt, gamma=gamma)
         j = _row(charge, l, dc)[0]
         try:
-            block = eigenspinors(j, l, ms, dc, charge)[0]
+            block, energies = eigenspinors(j, l, ms, dc, charge)
         except DomainError:  # a slot outside the Laguerre domain (mu = 0, l = 0)
             assert mu == 0.0 and l == 0
             continue
+        # the seed slot holds (E + M) u and the other -i charge times the ladder of u
         seed, other = (block.up, block.dn)[::charge]
-        ladder = _ladder(seed, charge, l, dc, GRID)
+        seed = seed / (energies + dc.mass)
+        ladder = -1j * charge * _ladder(seed, charge, l, dc, GRID)
         scale = np.maximum(np.max(np.abs(seed), axis=0), np.max(np.abs(other), axis=0))
         assert np.all(np.max(np.abs(ladder - other), axis=0) <= 1e-10 * scale), (vt, charge, l)
 
@@ -425,7 +437,9 @@ def test_eigenspinors_take_no_grid_derivative(monkeypatch):
     monkeypatch.setattr(dirac, "_ladder", refuse)
     monkeypatch.setattr(RadialGrid, "derivative", refuse)
     for j, l, charge, vt in [(1, 2, 1, 1), (0, 0, -1, 1), (1, 0, 1, -1), (0, -2, -1, -1)]:
-        eigenspinors(j, l, [0, 1, 3], make_dc(mu=0.4, vartheta=vt), charge)
+        dc = make_dc(mu=0.4, vartheta=vt)
+        eigenspinors(j, l, [0, 1, 3], dc, charge)
+        dirac_spinor(resolve_rel_qnums(j, l, 1, charge, dc), dc, charge, GRID)
 
 
 
@@ -484,18 +498,28 @@ def test_rel_cs_requires_mass():
 ONE_COLUMN = (CSLabel(0, 0.8j), CSLabel(0.7 - 0.2j, 0))
 
 
-@pytest.mark.parametrize("j,vt,label", [
-    *(pytest.param(j, vt, CSLabel(0.6 + 0.3j, -0.2 + 0.5j), id=f"{j}-{vt}")
+GENERAL = CSLabel(0.6 + 0.3j, -0.2 + 0.5j)
+
+
+@pytest.mark.parametrize("j,vt,mu,label", [
+    *(pytest.param(j, vt, 0.5, GENERAL, id=f"{j}-{vt}")
       for j, vt in [(1, 1), (0, -1), (0, 1), (1, -1)]),
-    *(pytest.param(j, vt, ONE_COLUMN[j], id=f"{j}-{vt}-one-column")
+    *(pytest.param(j, vt, 0.5, ONE_COLUMN[j], id=f"{j}-{vt}-one-column")
       for j, vt in [(1, 1), (0, -1), (0, 1), (1, -1)]),
+    # integer orders, each the seed order of one row and the other-slot
+    # order of its neighbour; (1, -1) leaves the Laguerre domain at mu = 0
+    *(pytest.param(j, vt, 0.0, GENERAL, id=f"{j}-{vt}-mu0")
+      for j, vt in [(1, 1), (0, -1), (0, 1)]),
+    # the irregular order mu - 1 = -0.85 in the l = 0 row of (1, -1)
+    *(pytest.param(j, -1, 0.15, GENERAL, id=f"{j}--1-mu0.15") for j in (0, 1)),
 ])
 @pytest.mark.parametrize("charge", [1, -1])
-def test_rel_cs_assembles_the_eigenspinor_series(j, vt, label, charge):
+def test_rel_cs_assembles_the_eigenspinor_series(j, vt, mu, label, charge):
     # each angular sector is sum c sqrt(2M(E+M)) psihat / sqrt(Mcal) over
-    # the one-state spinors: the real blocks, contracted once per sector,
-    # against single columns; (0, +1) and (1, -1) start at the l = 0 channel
-    dc = make_dc(mu=0.5, vartheta=vt)
+    # the one-state spinors: the state's table, contracted once, against
+    # single columns read from their own tables; (0, +1) and (1, -1) start
+    # at the l = 0 channel
+    dc = make_dc(mu=mu, vartheta=vt)
     state = rel_cs(j, label, dc, charge, grid=GRID)
     if label is ONE_COLUMN[j]:
         assert {m for _, m in state.states} == {0}
@@ -504,8 +528,8 @@ def test_rel_cs_assembles_the_eigenspinor_series(j, vt, label, charge):
         # one column at the share rel_cs gives the state; stand-alone, far
         # rows the state weights at ~1e-20 would miss ~1e-9 of their norm
         share = abs(c) ** 2 * 2.0 * dc.mass * (e + dc.mass) / state.norm_const
-        [built] = _eigenspinors(j, [(l, [m], charge, [share])], dc, GRID)
-        psi = column(unit_block(built), 0)
+        rows = [(l, [m], charge, [share])]
+        psi = column(unit_block(rows, _eigenspinors(j, rows, dc, GRID)), 0)
         term = c * math.sqrt(2.0 * dc.mass * (e + dc.mass) / state.norm_const) * psi
         sums[psi.l_up] = sums[psi.l_up] + term if psi.l_up in sums else term
     assert sums.keys() == state.spinors.keys()
@@ -611,30 +635,40 @@ def test_rel_cs_rejects_labels_past_its_radial_grid():
 
 @pytest.mark.parametrize("mu", [0.5, 0.15])
 def test_rel_cs_refuses_before_building_the_table(monkeypatch, mu):
-    # the grid share is tested as each row is built, so a label the grid
-    # cannot hold is refused by its first block of eigenspinors
+    # the grid share is checked on the table's norms, so a label the grid
+    # cannot hold is refused before any eigenspinor is contracted
     import msf.dirac as dirac
 
-    blocks = []
-    build = dirac._eigenspinors
+    calls = []
+    contract = dirac._contract
 
-    def counting(*args, **kwargs):
-        for built in build(*args, **kwargs):
-            blocks.append(built[0].l_up)
-            yield built
+    def spying(rows, *args):
+        calls.append([l for l, *_ in rows])
+        return contract(rows, *args)
 
-    monkeypatch.setattr(dirac, "_eigenspinors", counting)
+    monkeypatch.setattr(dirac, "_contract", spying)
     grid = make_radial_grid(rho_max=60.0)
     big = CSLabel(cmath.rect(3.0, 0.3), cmath.rect(3.0, -1.1))
     for vt in (1, -1):
         dc = make_dc(mu=mu, vartheta=vt)
         for j in (0, 1):
             for charge in (1, -1):
-                blocks.clear()
                 with pytest.raises(TruncationError) as err:
                     rel_cs(j, big, dc, charge, grid=grid)
-                assert len(blocks) <= 1, (vt, j, charge, blocks)
                 assert err.value.tail_bound > 1e-9
+    assert calls == []
+    # the spy sits on the route: a label the grid holds is contracted once
+    rel_cs(1, CSLabel(0.5, 0.3j), make_dc(mu=mu), 1, grid=grid)
+    assert len(calls) == 1
+
+
+def test_rel_cs_outside_the_laguerre_domain_raises():
+    # at mu = 0 the l = 0 row of branch 1 at vartheta = -1 has a slot of
+    # order -1 at either charge
+    dc = make_dc(mu=0.0, vartheta=-1)
+    for charge in (1, -1):
+        with pytest.raises(DomainError, match="outside the Laguerre domain"):
+            rel_cs(1, GENERAL, dc, charge, grid=GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +800,7 @@ def test_h3p1_columns_are_the_planar_hamiltonians(vt, charge, s):
 def test_3p1_operators_need_a_two_column_block():
     dc = make_dc(mu=0.4)
     one, _ = dirac_spinor(resolve_rel_qnums(1, 1, 0, 1, dc), dc, 1, GRID)
-    three = unit_block(eigenspinors(1, 1, [0, 1, 2], dc, 1))
+    three, _ = eigenspinors(1, 1, [0, 1, 2], dc, 1)
     for bad in (one, three):
         for apply in (h3p1_apply, sz_apply):
             with pytest.raises(DomainError):
