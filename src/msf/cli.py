@@ -439,6 +439,14 @@ def _parse_grid(spec: str) -> np.ndarray:
     return start + step * np.arange(n + 1)
 
 
+def _finite_float(raw: str) -> float:
+    """argparse type of the tabulate point values: a finite float."""
+    val = float(raw)
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"must be finite, got {raw!r}")
+    return val
+
+
 def tabulate(cfg: RunConfig, target: str, args) -> tuple[list[str], list[list]]:
     """Build (header, columns) for a tabulation target: one list of Python
     scalars per column, each column of one type."""
@@ -602,10 +610,10 @@ def main(argv=None) -> int:
     pt.add_argument("target", choices=TABULATE_TARGETS)
     pt.add_argument("--u", default="0:4:0.5", help="u grid start:stop:step")
     pt.add_argument("--v", default="0:4:0.5", help="v grid start:stop:step")
-    pt.add_argument("--rho", type=float, default=1.0)
+    pt.add_argument("--rho", type=_finite_float, default=1.0)
     pt.add_argument("--rhop", default="0:6:0.05", help="rho grid start:stop:step")
-    pt.add_argument("--theta", type=float, default=0.0)
-    pt.add_argument("--tau", type=float, default=0.05, help="Wick time")
+    pt.add_argument("--theta", type=_finite_float, default=0.0)
+    pt.add_argument("--tau", type=_finite_float, default=0.05, help="Wick time")
     pt.add_argument("--l", type=int, default=-1)
     pt.add_argument("--m", type=int, default=0)
     pt.add_argument("--j", type=int, choices=(0, 1), default=1)

@@ -282,6 +282,11 @@ def _any(mask) -> bool:
     return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
 
 
+def _all(mask) -> bool:
+    """mask.all(), with bool() on a scalar, as :func:`_any`."""
+    return mask.all() if isinstance(mask, np.ndarray) else bool(mask)
+
+
 def _hille_hardy(nu: float, phi: complex, rho, rho_p, ln_pref: complex):
     """exp(ln_pref - (rho + rho') coth(phi) / 2) I_nu(sqrt(rho rho') / sinh phi) / sinh phi.
 
@@ -295,12 +300,14 @@ def _hille_hardy(nu: float, phi: complex, rho, rho_p, ln_pref: complex):
     - ln Gamma(nu + 1) + ln 0F1(; nu + 1; z^2/4), with I_-n = I_n.  z
     crosses the cut of I_nu at each caustic Im phi = (2k - 1) pi; continued
     from the Wick axis (k = 0) the factor is e^(-2 pi i nu k) I_nu(z) for
-    k = floor((Im phi + pi) / 2 pi).  Raises DomainError on a negative
-    radius, where sinh phi vanishes, and where the Bessel factor has no
-    finite value.
+    k = floor((Im phi + pi) / 2 pi).  Raises DomainError on a non-finite
+    phi, on a negative or nan radius, where sinh phi vanishes, and where the
+    Bessel factor has no finite value.
     """
-    if _any(np.minimum(rho, rho_p) < 0.0):
-        raise DomainError("rho must be non-negative")
+    if not cmath.isfinite(phi):
+        raise DomainError("kernel time must be finite")
+    if not _all(np.minimum(rho, rho_p) >= 0.0):  # nan fails too
+        raise DomainError("rho must be non-negative, not nan")
     lib = np
     if phi.imag == 0.0:
         phi, lib = phi.real, math  # math: nanoseconds a call on a float

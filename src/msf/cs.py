@@ -131,8 +131,13 @@ def _m_last(label: CSLabel) -> int:
     first drops below _EPS, and the rest of the row is a geometric tail
     of ratio below one.  The irregular Dirac row (order in (-1, 0)) steps
     up to sqrt(1 + 1/m) past that bound, so it ends below sqrt(M) _EPS.
+    DomainError where s >= _MAX_CELLS (s = inf included): M > s, so that
+    row alone would pass the table limit of :func:`_grown_table`.
     """
     s = abs(label.z1 * label.z2)
+    if not s < _MAX_CELLS:
+        raise DomainError(
+            f"label too large: the coherent-state table exceeds {_MAX_CELLS} amplitudes")
     m0 = math.ceil(s)
     i = np.arange(m0, m0 + 32 + int(12.0 * math.sqrt(s)))
     with np.errstate(divide="ignore"):

@@ -38,24 +38,28 @@ and does its own arithmetic (+, -, * by a number or one per column, /);
 the inner product works column by column.  A 3+1 spinor
 (:func:`embed_3p1`) is a block of two columns, the upper and lower Dirac
 blocks; its four-spinor product is the sum of the two columns of the
-inner product.  A spinor, a 3+1 spinor (two rows, charge and -charge, of
-one column) and a relativistic coherent state (one row per l) are each
-one :func:`_eigenspinors` call: one Laguerre table over the distinct
-orders of its rows (the other slot of row l has the order of the seed
-slot of row l + charge, so L rows take L + 1 orders) and one grid-share
-guard, which refuses the state once its rows miss more than 1e-9 of its
-norm on the radial grid.
+inner product.  Every Dirac state is one :func:`_eigenspinors` call,
+sum_k coef_k psi_k over columns k = (l, m, charge), psi_k the unit-norm
+eigenspinors: a spinor is one column at coefficient 1, a 3+1 spinor two
+columns (charge and -charge) at f / |f| (its block factors), and a
+relativistic coherent state one column per (l, m) at sqrt(share) e^(i arg
+c).  The call checks every column before any table, builds one Laguerre
+table over the distinct orders of its rows, the runs of columns of one
+(l, charge) (the other slot of row l has the order of the seed slot of
+row l + charge, so L rows take L + 1 orders), and holds one grid-share
+guard, which refuses the state once its columns miss more than 1e-9 of
+its norm on the radial grid in total, sum |coef|^2 |1 - seed^2|.
 
 The table (m, order, nodes) is real (float64) and is never copied or
 scaled: an eigenspinor is a table profile in each slot times one complex
 factor per slot (E + M, -i charge, the ladder coefficient, sqrt(gamma /
 2 pi) / norm and the phase), the norms of all profiles come from one
-weighted pass over the table, and :func:`_contract` sums the columns of
-every row at once, one real product with the table per slot kind (seed
-or other) written as complex profiles, one per order; each slot of each
-row is a view of that result.  At L = 15 rows of 15 columns on 742
-nodes the table holds 16 x 16 profiles (1.5 MB, one mapping per state)
-and the result 2 x 16.
+weighted pass over the table, and the coefficients times the factors go
+into one real product with the table per slot kind (seed or other),
+written as complex profiles, one per order; each slot of each row is a
+view of that result.  At L = 15 rows of 15 columns on 742 nodes the
+table holds 16 x 16 profiles (1.5 MB, one mapping per state) and the
+result 2 x 16.
 
 sigma.P on any spinor (:func:`apply_sigma_p`, behind the residual
 checks) is an exact angular shift plus the radial ladder, differentiated
@@ -363,83 +367,74 @@ def hamiltonian_apply(s: Spinor2, dc: DiracConfig) -> Spinor2:
     return apply_sigma_p(s, dc) + dc.mass * s.sigma3()
 
 
-def _eigenspinors(j: int, rows, dc: DiracConfig, grid: RadialGrid):
-    """(table, factors, energies, index) of the eigenspinors (j, l, m,
-    sigma = charge) of the rows (l, ms, charge, weights) of ``rows``: one
-    column per m in ``ms``, columns in row order, ``weights`` the share of
-    each in the state built.
+def _eigenspinors(j: int, ls, ms, charges, coef, dc: DiracConfig,
+                  grid: RadialGrid) -> tuple[list[Spinor2], np.ndarray]:
+    """(spinors, energies) of sum_k coef_k psi_k over the columns k, the
+    unit-norm eigenspinors psi_k = (j, l_k, m_k, sigma = charge_k);
+    ``ls``, ``ms``, ``charges`` and ``coef`` broadcast over the columns.  A
+    row is a run of columns of one (l, charge): ``spinors`` holds one
+    Spinor2 per row, the sum of its columns, and ``energies`` E per column.
 
-    ``table`` is one :func:`laguerre_fn_table` of shape (m, order, nodes)
-    over the distinct orders of both slots of all rows (:func:`_row` at
-    charge and -charge), with rows up to the largest m, plus one where the
-    other slot reads m + 1 (branch 0, charge +1).  ``index`` (2, 2, K) holds
-    the (m, order) index of each column's profile in the seed slot (kind 0)
-    and in the other slot (kind 1).  No grid derivative is taken: the seed
-    slot holds the profile I_m of the seed slot's family and the other slot
-    its ladder (:func:`_ladder`), by DLMF 18.9.13-18.9.14 the profile I_m'
-    of the other slot's family (:func:`_family` at -charge) times charge
-    (-1)^j sqrt(2 gamma (n1 + (1 + charge)/2)), with m' = m + charge on
-    branch 0 (charge -1, m = 0: coefficient 0) and m' = m on branch 1.
-    ``factors`` (2, K) holds one complex number per slot kind and column:
-    E + M on the seed slot, -i charge times the ladder coefficient on the
-    other, sqrt(gamma / 2 pi) / norm and the sign or unit phase that makes
-    the first nonvanishing component real and positive at the smallest
-    node.  Table profile times factor, per slot (:func:`_contract`), is a
-    unit-norm eigenspinor.
+    The checks run row by row, all before the table: a slot family outside
+    the Laguerre domain raises DomainError (:func:`resolve_rel_qnums` on
+    the seed slot at the row's least m, :func:`_family` on the other) and
+    E = 0 raises SpectralBoundaryError (E grows with m, so the least m
+    decides), in the order seed slot, E, other slot.  One
+    :func:`laguerre_fn_table` of shape (m, order, nodes) then covers the
+    distinct orders of both slots of all rows (:func:`_row` at charge and
+    -charge), with rows up to the largest m, plus one where the other slot
+    reads m + 1 (branch 0, charge +1).  No grid derivative is taken: the
+    seed slot holds the profile I_m of the seed slot's family and the other
+    slot its ladder (:func:`_ladder`), by DLMF 18.9.13-18.9.14 the profile
+    I_m' of the other slot's family times charge (-1)^j sqrt(2 gamma (n1 +
+    (1 + charge)/2)), with m' = m + charge on branch 0 (charge -1, m = 0:
+    coefficient 0) and m' = m on branch 1.  Each column has one complex
+    factor per slot: E + M on the seed slot, -i charge times the ladder
+    coefficient on the other, sqrt(gamma / 2 pi) / norm and the sign or
+    unit phase that makes the first nonvanishing component real and
+    positive at the smallest node.
 
     The grid norm^2 of every table profile is taken in one pass, in the
     :func:`_quadrature` of its order, and each column's norms are read
-    from it by index.  The checks run in row order, each row's before the
-    next, and all before ``factors`` are formed: a slot family outside the
-    Laguerre domain raises DomainError, E = 0 raises SpectralBoundaryError,
-    and the grid-share guard raises TruncationError once the running sum
-    of weights |1 - seed^2| passes _GRID_SHARE (seed: the grid norm of each
-    unit-norm seed profile) or a column is 0 on the grid.  Weights are
-    >= 0 and each row holds an m.
+    from it by index.  The grid-share guard refuses the state with
+    TruncationError, tail_bound the total share missed sum |coef|^2 |1 -
+    seed^2| (seed: the grid norm of each unit-norm seed profile), when that
+    total passes _GRID_SHARE or a column is 0 on the grid.  coef times the
+    factors then goes into a real coefficient array indexed by (slot kind,
+    order, m, real/imaginary part); columns that read one profile add up
+    (branch 0, charge -1: m = 0, of coefficient 0, and m = 1 read row 0 of
+    the other slot).  One real product per slot kind with the table, read
+    in place as (order, nodes, m), writes complex profiles through their
+    trailing (..., 2) view, one per order; the slots of each row, whose
+    orders no other row shares in that kind, are views of the result.
     """
-    rows = [(l, np.asarray(ms), charge, weights) for l, ms, charge, weights in rows]
-    n1, energies, alphas, refused = [], [], [], None
-    for l, ms, charge, _ in rows:
-        try:
-            n1_row = resolve_rel_qnums(j, l, 0, charge, dc).n1 + ms  # n1 grows by one with m
-            e_row = _energy(n1_row, charge, dc)
-            if (e_row == 0.0).any():
-                raise SpectralBoundaryError("massless zero mode: E = 0 has no eigenspinor")
-            alphas.append((_row(charge, l, dc)[2], _family(-charge, l, dc)[2]))
-        except DomainError as exc:  # raised once the rows before it pass the guard
-            refused = exc
-            break
-        n1.append(n1_row)
-        energies.append(e_row)
-    rows = rows[:len(alphas)]
-    if not rows:
-        raise refused
-    orders = np.array(sorted({a for pair in alphas for a in pair}))
-    column = {a: i for i, a in enumerate(orders.tolist())}
-    sizes = [ms.size for _, ms, _, _ in rows]
-    m = np.concatenate([ms for _, ms, _, _ in rows])
-    charge, seed_o, other_o = np.array(
-        [(c, column[a], column[b]) for (_, _, c, _), (a, b) in zip(rows, alphas)]).T.repeat(sizes, 1)
-    n1, energies = np.concatenate(n1), np.concatenate(energies)
+    l, m, charge, coef = (a.ravel() for a in np.broadcast_arrays(ls, ms, charges, coef))
+    new_row = (l[1:] != l[:-1]) | (charge[1:] != charge[:-1])
+    bounds = [0, *(new_row.nonzero()[0] + 1).tolist(), m.size]
+    alphas = []
+    for lo, m0 in zip(bounds, np.minimum.reduceat(m, bounds[:-1]).tolist()):
+        q = resolve_rel_qnums(j, int(l[lo]), m0, int(charge[lo]), dc)
+        if _energy(q.n1, q.sigma, dc) == 0.0:  # E grows with m: the row's least m
+            raise SpectralBoundaryError("massless zero mode: E = 0 has no eigenspinor")
+        alphas.append((_row(q.sigma, q.l, dc)[2], _family(-q.sigma, q.l, dc)[2]))
+    orders = sorted({a for pair in alphas for a in pair})
+    column = {a: i for i, a in enumerate(orders)}
+    sizes = [hi - lo for lo, hi in itertools.pairwise(bounds)]
+    seed_o, other_o = np.repeat([(column[a], column[b]) for a, b in alphas], sizes, axis=0).T
+    n1 = _radial_numbers(j, np.repeat([a for a, _ in alphas], sizes), m)[0]
+    energies = _energy(n1, charge, dc)
     index = np.array([(m, seed_o), (np.maximum(m + charge, 0) if j == 0 else m, other_o)])
-    table = laguerre_fn_table(orders[:, None], int(index[:, 0].max()), grid.nodes)
+    table = laguerre_fn_table(np.array(orders)[:, None], int(index[:, 0].max()), grid.nodes)
     # the grid norm^2 of every profile, in the quadrature of its order
-    quad = np.array([_quadrature(a, grid) for a in orders.tolist()])
+    quad = np.array([_quadrature(a, grid) for a in orders])
     sq = np.einsum("mon,mon,on->mo", table, table, quad)
     ladder = charge * (-1) ** j * np.sqrt(2.0 * dc.field.gamma * (n1 + (1 + charge) / 2.0))
     seed = energies + dc.mass  # the seed slot's factor, E + M
     seed_sq, other_sq = sq[index[:, 0], index[:, 1]]
     nrm = np.sqrt(np.maximum(seed ** 2 * seed_sq + ladder ** 2 * other_sq, 0.0))
-    # the running share missed, column by column, never falls: the first row
-    # with a column past _GRID_SHARE or of norm 0 fails, with the share at its end
-    missed = np.cumsum(np.concatenate([w for *_, w in rows]) * np.abs(1.0 - seed_sq))
-    if not (missed[-1] <= _GRID_SHARE and (nrm > 0.0).all()):
-        ends = np.cumsum(sizes)
-        bad = np.argmax(~(missed <= _GRID_SHARE) | ~(nrm > 0.0))
-        end = ends[np.searchsorted(ends, bad, side="right")]
-        raise TruncationError("radial grid too short for the state", 0.0, float(missed[end - 1]))
-    if refused is not None:
-        raise refused
+    missed = float(np.abs(coef) ** 2 @ np.abs(1.0 - seed_sq))
+    if not (missed <= _GRID_SHARE and (nrm > 0.0).all()):
+        raise TruncationError("radial grid too short for the state", 0.0, missed)
     # the phase reference is the first node of the upper slot (the seed slot
     # at charge +1) where it is nonzero, else of the lower: a sign times the
     # conjugate slot unit, 1 on the seed slot and i charge on the other
@@ -449,32 +444,15 @@ def _eigenspinors(j: int, rows, dc: DiracConfig, grid: RadialGrid):
     phase = (np.where(np.where(ref_seed, seed0, other0) < 0, -1.0, 1.0)
              * np.where(ref_seed, 1.0, 1j * charge))
     scale = math.sqrt(dc.field.gamma / (2.0 * math.pi)) / nrm * phase
-    return table, np.array([seed, -1j * charge * ladder]) * scale, energies, index
-
-
-def _contract(rows, built, coef, grid: RadialGrid) -> list[Spinor2]:
-    """One spinor per row of ``rows``: the sum over its columns k of coef[k]
-    times the unit-norm eigenspinor k of ``built`` (:func:`_eigenspinors`).
-
-    ``coef`` is a number or one per column.  coef times the factors goes
-    into a real coefficient array indexed by (slot kind, order, m,
-    real/imaginary part); columns that read one profile add up (branch 0,
-    charge -1: m = 0, of coefficient 0, and m = 1 read row 0 of the other
-    slot).  One real product per slot kind with the table, read in place
-    as (order, nodes, m), writes complex profiles through their trailing
-    (..., 2) view, one per order; the slots of each row, whose orders no
-    other row of ``rows`` shares in that kind, are views of the result.
-    """
-    table, factors, _, index = built
-    c = coef * factors
+    c = np.array([seed, -1j * charge * ladder]) * scale * coef
     coeffs = np.zeros((2, table.shape[1], table.shape[0], 2))
     np.add.at(coeffs, (np.arange(2)[:, None], index[:, 1], index[:, 0]),
               c.view(float).reshape(c.shape + (2,)))
     out = np.empty((2,) + table.shape[1:], dtype=complex)
     np.matmul(table.transpose(1, 2, 0), coeffs, out=out.view(float).reshape(out.shape + (2,)))
-    first = itertools.accumulate((len(ms) for _, ms, _, _ in rows[:-1]), initial=0)
-    return [_seed_block(out[0, index[0, 1, k]], out[1, index[1, 1, k]], charge, l, grid)
-            for (l, _, charge, _), k in zip(rows, first)]
+    spinors = [_seed_block(out[0, seed_o[k]], out[1, other_o[k]], int(charge[k]), int(l[k]), grid)
+               for k in bounds[:-1]]
+    return spinors, energies
 
 
 def dirac_spinor(q: RelQuantumNumbers, dc: DiracConfig, charge: int,
@@ -486,15 +464,12 @@ def dirac_spinor(q: RelQuantumNumbers, dc: DiracConfig, charge: int,
     Hamiltonian eigenvalue is charge * E.  Raises SpectralBoundaryError
     at E = 0 (massless zero mode), and TruncationError where the radial
     grid misses more than 1e-9 of the seed's norm: one :func:`_eigenspinors`
-    row of one column at weight 1, and one :func:`_contract` at
-    coefficient 1, whose result the two slots view.
+    column at coefficient 1, whose one row the two slots view.
     """
     if q.sigma != charge:
         raise DomainError("seed spin label must match the charge branch (+1 or -1)")
-    rows = [(q.l, [q.m], charge, [1.0])]
-    built = _eigenspinors(q.j, rows, dc, grid)
-    [psi] = _contract(rows, built, 1.0, grid)
-    return psi, float(built[2][0])
+    [psi], energies = _eigenspinors(q.j, q.l, q.m, charge, 1.0, dc, grid)
+    return psi, float(energies[0])
 
 
 @dataclass(frozen=True)
@@ -549,35 +524,29 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
 
     with psihat the unit-norm spinors.  The l blocks of the grown planar
     table stop earlier by the quiet-block rule applied to the weighted
-    blocks at 1e-14.  The kept rows with amplitudes go to one
-    :func:`_eigenspinors` call, one Laguerre table for the whole state,
-    each row weighted by its states' shares |c|^2 2M(E + M) / Mcal, and
-    one :func:`_contract` of that table at the coefficients
-    sqrt(share) e^(i arg c) gives every l block; ``spinors`` holds views of
-    its result.  Requires M > 0 (the weight degenerates in the massless
+    blocks at 1e-14.  Every kept (l, m) of nonzero amplitude is one
+    column of one :func:`_eigenspinors` call, one Laguerre table for the
+    whole state, at the coefficient sqrt(share) e^(i arg c), share = |c|^2
+    2M(E + M) / Mcal; ``spinors`` holds its rows, one per l, views of its
+    result.  Requires M > 0 (the weight degenerates in the massless
     limit); raises TruncationError, from the guard all eigenspinors share,
-    when the rows in order pass 1e-9 of Mcal missed on the radial grid,
-    before any block is summed.
+    when the columns miss more than 1e-9 of Mcal on the radial grid in
+    total, before any block is summed.
     """
     _, alpha, ln_c, phase = _rel_table(j, label, dc, charge)
     ln_w = 2.0 * ln_c + _rel_ln_weight(j, alpha, ln_c.shape[1], dc, charge)
     keep = _quiet_blocks(np.logaddexp.reduce(ln_w, axis=1), _REL_LN_TOL)
     ln_mcal = np.logaddexp.reduce(ln_w[:keep], axis=None)
     norm_const = exp_in_range(ln_mcal, "Mcal")
-    rows, c, coef = [], [], []
-    for l, ln_row, ph_row, ln_w_row in zip(_branch_l_values(j, dc.vartheta), ln_c[:keep],
-                                           phase, ln_w):
-        ms = np.flatnonzero(ln_row > -np.inf)
-        if ms.size:
-            share = np.exp(ln_w_row[ms] - ln_mcal)
-            rows.append((l, ms, charge, share))
-            c.append(np.exp(ln_row[ms] + 1j * ph_row[ms]))
-            coef.append(np.sqrt(share) * np.exp(1j * ph_row[ms]))
-    built = _eigenspinors(j, rows, dc, grid)
-    spinors = {psi.l_up: psi for psi in _contract(rows, built, np.concatenate(coef), grid)}
-    lm = ((l, m) for l, ms, _, _ in rows for m in ms.tolist())
-    states = dict(zip(lm, zip(np.concatenate(c).tolist(), built[2].tolist())))
-    return RelCS(states=states, norm_const=norm_const, spinors=spinors, grid=grid)
+    r, m = np.nonzero(ln_c[:keep] > -np.inf)
+    l = np.fromiter(itertools.islice(_branch_l_values(j, dc.vartheta), len(ln_c)), int)[r]
+    share = np.exp(ln_w[r, m] - ln_mcal)
+    coef = np.sqrt(share) * np.exp(1j * phase[r, m])
+    spinors, energies = _eigenspinors(j, l, m, charge, coef, dc, grid)
+    c = np.exp(ln_c[r, m] + 1j * phase[r, m])
+    states = dict(zip(zip(l.tolist(), m.tolist()), zip(c.tolist(), energies.tolist())))
+    return RelCS(states=states, norm_const=norm_const, grid=grid,
+                 spinors={psi.l_up: psi for psi in spinors})
 
 
 def rel_cs_inner(a: RelCS, b: RelCS, dc: DiracConfig) -> complex:
@@ -629,27 +598,25 @@ def embed_3p1(j: int, l: int, m: int, charge: int, s: int, p3: float,
     absorbed, so M = 0 is regular at p3 != 0 for the spin s = sign(p3).
     At M = 0 both factors vanish where s = -sign(p3) (then Mt = |p3|) and
     at p3 = 0 for either spin: SpectralBoundaryError is raised.  The
-    energy is charge * E, E that of psi_charge(Mt).  Both columns come from one
-    :func:`_eigenspinors` call, whose grid-share guard weighs each by its
-    share f^2 / (f_up^2 + f_dn^2) of the block, and one :func:`_contract`
-    at coefficient 1.
+    energy is charge * E, E that of psi_charge(Mt).  Both columns are the
+    rows of one :func:`_eigenspinors` call at the coefficients f / |f|, so
+    the block has unit norm with no second pass, and its grid-share guard
+    weighs each unit column by its share f^2 / |f|^2.
     """
     if s not in (-1, 1):
         raise DomainError("spin label s must be +1 or -1")
     dct = _boosted(dc, p3)
     q = resolve_rel_qnums(j, l, m, charge, dct)
     f = np.array([p3 + s * dct.mass + dc.mass, p3 + s * dct.mass - dc.mass])
-    # each unit column's share of the block; none where both factors vanish
-    share = (f / np.hypot(*f)) ** 2 if f.any() else f
-    rows = [(q.l, [q.m], c, w) for c, w in zip((charge, -charge), share[:, None])]
-    built = _eigenspinors(j, rows, dct, grid)
-    up, dn = _contract(rows, built, 1.0, grid)
-    block = f * Spinor2(grid, up.l_up, np.stack([up.up, dn.up], axis=1),
-                        np.stack([up.dn, -dn.dn], axis=1))  # sigma3 psi_-charge below
-    nrm = math.sqrt(max(d_inner(block, block, dc).sum().real, 0.0))
-    if nrm == 0.0:
+    # no share where both factors vanish: refused after the build, so E = 0
+    # is reported first
+    coef = f / np.hypot(*f) if f.any() else f
+    (up, dn), energies = _eigenspinors(j, q.l, q.m, [charge, -charge], coef, dct, grid)
+    if not f.any():
         raise SpectralBoundaryError("embedded spinor has zero norm")
-    return (1.0 / nrm) * block, float(built[2][0])
+    block = Spinor2(grid, up.l_up, np.stack([up.up, dn.up], axis=1),
+                    np.stack([up.dn, -dn.dn], axis=1))  # sigma3 psi_-charge below
+    return block, float(energies[0])
 
 
 def h3p1_apply(psi: Spinor2, p3: float, dc: DiracConfig) -> Spinor2:

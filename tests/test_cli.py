@@ -53,6 +53,25 @@ def test_exit_code_usage_error(tmp_path, capsys):
         assert main(["verify", "--suite", "all", *flag]) == 2
 
 
+@pytest.mark.parametrize("argv", [["state", "--theta", "inf"], ["cs-density", "--theta", "nan"],
+                                  ["kernel", "--rho", "inf"], ["kernel", "--tau", "nan"],
+                                  ["kernel", "--tau=-inf"]])
+def test_non_finite_point_value_exits_2(argv, capsys):
+    # --rho, --theta and --tau take finite floats; a non-finite one printed
+    # a table of nan and exited 0
+    assert main(["tabulate", *argv, "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be finite" in captured.err
+
+
+def test_huge_label_exits_2(capsys):
+    # |z1 z2| = 1e200 is past the coherent-state table limit: one error
+    # line, not a traceback from the row length
+    assert main(["tabulate", "cs-density", "--z1", "1e200", "--format", "csv"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "label too large" in lines[0]
+
+
 @pytest.mark.parametrize("suite", ["dirac", "kernel-rel"])
 def test_suite_domain_error_exits_2(suite, capsys):
     # at zero flux the vartheta = -1 row l = 0 needs Laguerre order -1

@@ -358,6 +358,26 @@ def test_closed_tiny_time_raises_typed_error():
             propagator_closed(p, 0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_closed_non_finite_time_raises_typed_error(tau, recwarn):
+    # the caustic count floor((Im phi + pi) / 2 pi) raised a bare ValueError
+    # on a nan or inf time, after RuntimeWarnings
+    cfg = FieldConfig(mu=0.3)
+    for dt in (-1j * tau, tau - 0.1j):
+        p = KernelParams(l=2, delta_t=dt, cfg=cfg)
+        with pytest.raises(DomainError, match="kernel time must be finite"):
+            propagator_closed(p, 0.0, 1.0, 1.0)
+    assert not recwarn.list
+
+
+def test_closed_nan_radius_raises_typed_error():
+    # a nan radius passed the negative-radius check and returned nan
+    p = KernelParams(l=2, delta_t=-0.05j, cfg=FieldConfig(mu=0.3))
+    for rho, rho_p in ((math.nan, 1.0), (1.0, np.array([0.5, math.nan]))):
+        with pytest.raises(DomainError, match="not nan"):
+            propagator_closed(p, 0.0, rho, rho_p)
+
+
 def test_closed_far_out_underflows_to_zero(recwarn):
     # the kernel is about exp(-70000) here; the unscaled Bessel factor
     # would overflow, the scaled one leaves its growth in the exponent

@@ -19,7 +19,9 @@ from msf.landau import (FieldConfig, _branch_l_values, make_quadrature, resolve_
 from msf.specfun import DomainError, laguerre_fn_table, ln_marcum_p
 from msf.cs import (
     CSLabel,
+    _MAX_CELLS,
     _grown_table,
+    _m_last,
     cs_branch,
     cs_normalization,
     cs_overlap,
@@ -32,6 +34,34 @@ from msf.cs import (
 def test_label_validation():
     with pytest.raises(DomainError):
         CSLabel(complex("inf"), 0.0)
+
+
+@pytest.mark.parametrize("label", [CSLabel(1e200, 1.0), CSLabel(1e200, 1e200j),
+                                   CSLabel(2e3, 1e3)])
+def test_labels_past_the_table_limit_raise_domain_error(label):
+    # at |z1 z2| >= _MAX_CELLS one row alone passes the table limit; the row
+    # length came from np.arange (a bare ValueError) and, where |z1 z2|
+    # overflows to inf, from math.ceil (an OverflowError)
+    from msf.dirac import DiracConfig, rel_cs, rel_cs_overlap_closed
+    from msf.radial import make_radial_grid
+
+    cfg = FieldConfig(mu=0.5)
+    dc = DiracConfig(field=cfg)
+    small = CSLabel(0.5, 0.3j)
+    for build in (lambda: cs_state(1, label, 0.0, 1.0, cfg),
+                  lambda: cs_overlap(1, label, 1, small, cfg.mu),
+                  lambda: rel_cs(1, label, dc, 1, make_radial_grid(rho_max=60.0)),
+                  lambda: rel_cs_overlap_closed(1, label, small, dc, 1)):
+        with pytest.raises(DomainError, match="label too large"):
+            build()
+
+
+def test_row_length_just_inside_the_table_limit():
+    # the label check sits at |z1 z2| = _MAX_CELLS; below it the row length
+    # is the bound of _m_last, past |z1 z2|
+    assert _m_last(CSLabel(_MAX_CELLS - 1.0, 1.0)) > _MAX_CELLS - 1
+    with pytest.raises(DomainError, match="label too large"):
+        _m_last(CSLabel(float(_MAX_CELLS), 1.0))
 
 
 def test_coefficient_formula():

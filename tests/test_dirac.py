@@ -269,22 +269,13 @@ def test_angular_momentum_bookkeeping():
 
 def eigenspinors(j, l, ms, dc, charge):
     """(block, energies) of Dirac row l on GRID: the unit-norm eigenspinors,
-    one column per m, of one _eigenspinors row at equal shares of the state."""
-    rows = [(l, ms, charge, np.full(len(ms), 1.0 / len(ms)))]
-    built = _eigenspinors(j, rows, dc, GRID)
-    return unit_block(rows, built), built[2]
-
-
-def unit_block(rows, built) -> Spinor2:
-    """The complex block of the unit-norm eigenspinors of the one row of
-    ``rows``, read from the table _eigenspinors returns without the
-    contraction: column k of each slot is the table profile at the column's
-    (m, order) index times its slot factor."""
-    [(l, _, charge, _)] = rows
-    table, factors, _, index = built
-    seed, other = (factors[kind] * table[index[kind, 0], index[kind, 1]].T for kind in (0, 1))
-    up, dn = (seed, other)[::charge]
-    return Spinor2(grid=GRID, l_up=l - 1, up=up, dn=dn)
+    one column per m, each the one row of a one-column _eigenspinors call
+    at coefficient 1."""
+    built = [_eigenspinors(j, l, m, charge, 1.0, dc, GRID) for m in ms]
+    cols = [psi for [psi], _ in built]
+    block = Spinor2(GRID, l - 1, np.stack([psi.up for psi in cols], axis=1),
+                    np.stack([psi.dn for psi in cols], axis=1))
+    return block, np.concatenate([e for _, e in built])
 
 
 @pytest.mark.parametrize("j,l,charge,vt", [(1, 2, 1, 1), (0, 0, -1, 1), (1, 0, 1, -1)])
@@ -525,13 +516,12 @@ def test_rel_cs_assembles_the_eigenspinor_series(j, vt, mu, label, charge):
         assert {m for _, m in state.states} == {0}
     sums = {}
     for (l, m), (c, e) in state.states.items():
-        # one column at the share rel_cs gives the state; stand-alone, far
-        # rows the state weights at ~1e-20 would miss ~1e-9 of their norm
-        share = abs(c) ** 2 * 2.0 * dc.mass * (e + dc.mass) / state.norm_const
-        rows = [(l, [m], charge, [share])]
-        psi = column(unit_block(rows, _eigenspinors(j, rows, dc, GRID)), 0)
-        term = c * math.sqrt(2.0 * dc.mass * (e + dc.mass) / state.norm_const) * psi
-        sums[psi.l_up] = sums[psi.l_up] + term if psi.l_up in sums else term
+        # one column at the coefficient rel_cs gives it, whose share the
+        # guard weighs; at coefficient 1, far rows the state weights at
+        # ~1e-20 would miss ~1e-9 of their norm
+        coef = c * math.sqrt(2.0 * dc.mass * (e + dc.mass) / state.norm_const)
+        [term], _ = _eigenspinors(j, l, m, charge, coef, dc, GRID)
+        sums[term.l_up] = sums[term.l_up] + term if term.l_up in sums else term
     assert sums.keys() == state.spinors.keys()
     for lu, want in sums.items():
         diff = state.spinors[lu] - want
@@ -636,17 +626,17 @@ def test_rel_cs_rejects_labels_past_its_radial_grid():
 @pytest.mark.parametrize("mu", [0.5, 0.15])
 def test_rel_cs_refuses_before_building_the_table(monkeypatch, mu):
     # the grid share is checked on the table's norms, so a label the grid
-    # cannot hold is refused before any eigenspinor is contracted
+    # cannot hold is refused before any spinor block is formed
     import msf.dirac as dirac
 
     calls = []
-    contract = dirac._contract
+    seed_block = dirac._seed_block
 
-    def spying(rows, *args):
-        calls.append([l for l, *_ in rows])
-        return contract(rows, *args)
+    def spying(seed, other, sigma, l, grid):
+        calls.append(l)
+        return seed_block(seed, other, sigma, l, grid)
 
-    monkeypatch.setattr(dirac, "_contract", spying)
+    monkeypatch.setattr(dirac, "_seed_block", spying)
     grid = make_radial_grid(rho_max=60.0)
     big = CSLabel(cmath.rect(3.0, 0.3), cmath.rect(3.0, -1.1))
     for vt in (1, -1):
@@ -657,9 +647,52 @@ def test_rel_cs_refuses_before_building_the_table(monkeypatch, mu):
                     rel_cs(j, big, dc, charge, grid=grid)
                 assert err.value.tail_bound > 1e-9
     assert calls == []
-    # the spy sits on the route: a label the grid holds is contracted once
-    rel_cs(1, CSLabel(0.5, 0.3j), make_dc(mu=mu), 1, grid=grid)
-    assert len(calls) == 1
+    # the spy sits on the route: a label the grid holds forms one block per l
+    state = rel_cs(1, CSLabel(0.5, 0.3j), make_dc(mu=mu), 1, grid=grid)
+    assert len(calls) == len(state.spinors)
+
+
+@pytest.mark.parametrize("j,vt", [(1, 1), (0, -1)])
+@pytest.mark.parametrize("charge", [1, -1])
+def test_rel_cs_tail_bound_is_the_total_share(j, vt, charge):
+    # the guard refuses on the share the whole state misses, sum over its
+    # columns of share |1 - seed^2|, recomputed here from the states a long
+    # grid holds and the grid norms of the seed profiles on the short one
+    dc = make_dc(mu=0.5, vartheta=vt)
+    big = CSLabel(cmath.rect(3.0, 0.3), cmath.rect(3.0, -1.1))
+    short = make_radial_grid(rho_max=60.0)
+    state = rel_cs(j, big, dc, charge, grid=make_radial_grid(rho_max=120.0))
+    total = 0.0
+    for (l, m), (c, e) in state.states.items():
+        share = abs(c) ** 2 * 2.0 * dc.mass * (e + dc.mass) / state.norm_const
+        seed = basis_spinor_component(resolve_rel_qnums(j, l, m, charge, dc), dc, short)
+        total += share * abs(1.0 - d_norm(seed, dc) ** 2)
+    with pytest.raises(TruncationError) as err:
+        rel_cs(j, big, dc, charge, grid=short)
+    assert err.value.tail_bound == pytest.approx(total, rel=1e-10)
+
+
+@pytest.mark.parametrize("build,error", [
+    # mu = 0, vartheta = -1: the l = 0 row of branch 1 has a slot of order -1
+    pytest.param(lambda: rel_cs(1, GENERAL, make_dc(mu=0.0, vartheta=-1), 1, grid=GRID),
+                 DomainError, id="rel-cs-order-minus-one"),
+    pytest.param(lambda: dirac_spinor(resolve_rel_qnums(0, 0, 0, -1, make_dc(mass=0.0)),
+                                      make_dc(mass=0.0), -1, GRID),
+                 SpectralBoundaryError, id="spinor-massless-zero-mode"),
+    # M = p3 = 0: the first row builds, the second (charge -1) is the zero mode
+    pytest.param(lambda: embed_3p1(0, 0, 0, 1, 1, 0.0, make_dc(mass=0.0), GRID),
+                 SpectralBoundaryError, id="embed-massless-zero-mode"),
+])
+def test_refused_columns_raise_before_the_table(monkeypatch, build, error):
+    import msf.dirac as dirac
+
+    def refuse(*args):
+        raise AssertionError("Laguerre table built for a refused state")
+
+    monkeypatch.setattr(dirac, "laguerre_fn_table", refuse)
+    with pytest.raises(error) as info:
+        build()
+    assert "zero mode" in str(info.value) or "Laguerre domain" in str(info.value)
 
 
 def test_rel_cs_outside_the_laguerre_domain_raises():
@@ -677,10 +710,12 @@ def test_rel_cs_outside_the_laguerre_domain_raises():
 
 
 def test_embed_unit_norm_all_p3():
-    dc = make_dc(mu=0.4)
-    for p3 in (0.0, 0.7, -1.3):
-        for s in (1, -1):
-            psi, _ = embed_3p1(1, 1, 0, 1, s, p3, dc, GRID)
+    # the block is unit-norm by its coefficients f / |f|, with no second
+    # pass; also in the l = 0 row of the irregular order -0.15 and off M = 1
+    for dc, l in ((make_dc(mu=0.4), 1), (make_dc(mu=0.85, vartheta=-1), 0),
+                  (make_dc(mu=0.4, mass=0.5), 1)):
+        for p3, s, charge in itertools.product((0.0, 0.7, -1.3), (1, -1), (1, -1)):
+            psi, _ = embed_3p1(1, l, 0, charge, s, p3, dc, GRID)
             assert d_inner(psi, psi, dc).sum().real == pytest.approx(1.0, abs=1e-12)
 
 
