@@ -301,13 +301,17 @@ def _hille_hardy(nu: float, phi: complex, rho, rho_p, ln_pref: complex):
     crosses the cut of I_nu at each caustic Im phi = (2k - 1) pi; continued
     from the Wick axis (k = 0) the factor is e^(-2 pi i nu k) I_nu(z) for
     k = floor((Im phi + pi) / 2 pi).  Raises DomainError on a non-finite
-    phi, on a negative or nan radius, where sinh phi vanishes, and where the
-    Bessel factor has no finite value.
+    phi or ln_pref, on a negative, nan or infinite radius, where sinh phi
+    vanishes, and where the Bessel factor has no finite value.
     """
     if not cmath.isfinite(phi):
         raise DomainError("kernel time must be finite")
-    if not _all(np.minimum(rho, rho_p) >= 0.0):  # nan fails too
+    # no ufunc on the scalar path: np.minimum there took a microsecond
+    if not (_all(0.0 <= rho) and _all(0.0 <= rho_p)):  # nan fails too
         raise DomainError("rho must be non-negative, not nan")
+    r_sum = rho + rho_p  # inf at an infinite radius, with no inf * 0
+    if not (_all(r_sum < math.inf) and cmath.isfinite(ln_pref)):
+        raise DomainError("kernel inputs must be finite: radii, angle and time")
     lib = np
     if phi.imag == 0.0:
         phi, lib = phi.real, math  # math: nanoseconds a call on a float
@@ -321,7 +325,7 @@ def _hille_hardy(nu: float, phi: complex, rho, rho_p, ln_pref: complex):
     rr = rho * rho_p
     zarg = np.sqrt(rr) * inv_sh
     bes = bessel_i(nu, zarg if inv_sh else np.sign(rr), scaled=True)
-    ln_mag = (ln_pref.real - 0.5 * (rho + rho_p) * (2.0 - one_q) / one_q
+    ln_mag = (ln_pref.real - 0.5 * r_sum * (2.0 - one_q) / one_q
               + abs(zarg.real) + ln_inv_sh)
     k = math.floor((phi.imag + math.pi) / (2.0 * math.pi))  # caustics crossed
     phase = cmath.exp(1j * ln_pref.imag) * (cmath.exp(-2j * math.pi * nu * k) if k else 1.0)

@@ -34,13 +34,15 @@ apply them as exp(ln|c| - ln N_j / 2), so normalized values stay finite
 far past the double range of N_j itself.
 
 The overlap of two states is the contraction
-sum conj(c_a) c_b / sqrt(N_a N_b) over the table: the exact inner
-product of the states :func:`cs_state` evaluates, in its phase
-convention.  (Summing the Q series at the label products
-conj(z1) z1', conj(z2) z2' instead gives the same modulus, but a phase
-that can differ by a constant unimodular factor, because the principal
-logarithm of a product is not always the sum of the principal
-logarithms.)
+sum conj(c_a) c_b / sqrt(N_a N_b) of the two states' own tables over
+their common (l, m) prefix, where each term past it is zero in one of
+the two: the exact inner product of the states :func:`cs_state`
+evaluates, in its phase convention.  The relativistic overlap of
+:mod:`msf.dirac` contracts its two kept series the same way.  (Summing
+the Q series at the label products conj(z1) z1', conj(z2) z2' instead
+gives the same modulus, but a phase that can differ by a constant
+unimodular factor, because the principal logarithm of a product is not
+always the sum of the principal logarithms.)
 
 The exponential sum rule N_0 + N_1 = exp(u + v) is exact at mu = 0
 (integer Bessel orders, where the bilateral generating function
@@ -183,13 +185,15 @@ def _grown_table(j: int, rows, label: CSLabel, cfg: FieldConfig):
             *(np.concatenate(arrays)[:keep] for arrays in zip(*parts)))
 
 
-def _on_larger_table(j: int, rows_a, label_a: CSLabel, rows_b, label_b: CSLabel,
-                     cfg: FieldConfig):
-    """(alpha, ln|c|, arg c) of both labels over the larger of their tables,
-    whose rows are prefixes of one branch sequence."""
-    ls = max(rows_a, rows_b, key=len)
-    m_last = max(_m_last(label_a), _m_last(label_b))
-    return _table(j, ls, label_a, cfg, m_last), _table(j, ls, label_b, cfg, m_last)
+def _contract(ln_a: np.ndarray, arg_a: np.ndarray, ln_b: np.ndarray,
+              arg_b: np.ndarray) -> complex:
+    """sum exp(ln_a + ln_b + i (arg_b - arg_a)) over the common (l, m) prefix
+    of two tables: the rows of both are prefixes of one branch sequence and
+    their columns run m = 0..M, so a term past that prefix is zero in one
+    of the two states and the sum is their exact inner product."""
+    common = np.s_[:min(len(ln_a), len(ln_b)), :min(ln_a.shape[1], ln_b.shape[1])]
+    return complex(np.sum(np.exp(ln_a[common] + ln_b[common]
+                                 + 1j * (arg_b[common] - arg_a[common]))))
 
 
 def _quiet_blocks(ln_w: np.ndarray, ln_tol: float) -> int | None:
@@ -255,11 +259,14 @@ def cs_state(
     normalized state is.  One Laguerre recurrence over m, vectorised
     over the rows of the :func:`_grown_table` table and the points,
     accumulates sum_m c_lm I_m(rho) per row: memory is O(rows x points).
+    DomainError at a non-finite theta or rho.
     """
-    l, alpha, ln_c, arg_c = _grown_table(j, _branch_l_values(j), label, cfg)
-    ln_scale = _ln_half_norm(j, label, cfg.mu) if normalized else 0.0
     theta, rho = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                      np.asarray(rho, dtype=float))
+    if not np.isfinite(theta).all():
+        raise DomainError("theta must be finite")
+    l, alpha, ln_c, arg_c = _grown_table(j, _branch_l_values(j), label, cfg)
+    ln_scale = _ln_half_norm(j, label, cfg.mu) if normalized else 0.0
     per_row = (slice(None),) + (None,) * rho.ndim
     amp = np.exp(ln_c - ln_scale + 1j * arg_c)
     radial = 0.0
@@ -281,18 +288,19 @@ def cs_overlap(
 
     Cross-branch overlaps vanish exactly (disjoint angular ranges).  On
     one branch it is the contraction sum conj(c_a) c_b / sqrt(N_a N_b)
-    over the larger of the two tables, each term formed in log space;
-    by Cauchy-Schwarz it never exceeds one in modulus.  Conjugate
-    symmetric, in the phase convention of :func:`cs_state`.
+    of the two grown tables :func:`cs_state` evaluates, over their common
+    prefix (:func:`_contract`), each term formed in log space: the exact
+    inner product of the two states as built, so by Cauchy-Schwarz it
+    never exceeds one in modulus.  Conjugate symmetric, in the phase
+    convention of :func:`cs_state`.
     """
     if j_a != j_b:
         return 0.0 + 0.0j
     cfg = FieldConfig(mu=mu)
-    rows_a = _grown_table(j_a, _branch_l_values(j_a), label_a, cfg)[0]
-    rows_b = _grown_table(j_a, _branch_l_values(j_a), label_b, cfg)[0]
-    (_, ln_a, ph_a), (_, ln_b, ph_b) = _on_larger_table(j_a, rows_a, label_a, rows_b, label_b, cfg)
+    _, _, ln_a, ph_a = _grown_table(j_a, _branch_l_values(j_a), label_a, cfg)
+    _, _, ln_b, ph_b = _grown_table(j_a, _branch_l_values(j_a), label_b, cfg)
     ln_scale = _ln_half_norm(j_a, label_a, mu) + _ln_half_norm(j_a, label_b, mu)
-    return complex(np.sum(np.exp(ln_a + ln_b - ln_scale + 1j * (ph_b - ph_a))))
+    return _contract(ln_a, ph_a, ln_b - ln_scale, ph_b)
 
 
 def mm_superpose(

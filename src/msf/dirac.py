@@ -77,10 +77,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .specfun import DomainError, TruncationError, exp_in_range, laguerre_fn_table
-from .landau import (FieldConfig, _branch_l_values, _branch_of, _laguerre_order,
-                     _profiles as _row_profiles, _radial_numbers)
+from .landau import (FieldConfig, QuantumNumbers, _branch_l_values, _branch_of,
+                     _laguerre_order, _profiles, _radial_numbers, stationary_state)
 from .radial import RadialGrid
-from .cs import CSLabel, _grown_table, _on_larger_table, _quiet_blocks
+from .cs import CSLabel, _contract, _grown_table, _quiet_blocks
 from .completeness import _hille_hardy
 
 __all__ = [
@@ -177,15 +177,14 @@ def _energy(n1, sigma: int, dc: DiracConfig):
 
 
 def rel_basis_fn(q: RelQuantumNumbers, dc: DiracConfig, theta, rho):
-    """Scalar component function, including sqrt(gamma/2 pi) and phases.
+    """Scalar component function, including sqrt(gamma/2 pi) and phases:
+    the planar stationary state of the slot's row (j, l_sigma).
 
     Supports the irregular-at-origin l = 0 profiles selected by
     vartheta (order alpha in (-1, 0)); these are square integrable but
     unbounded as rho -> 0.
     """
-    phase = np.exp(1j * (q.l_sigma - dc.field.l0) * np.asarray(theta, dtype=float))
-    out = phase * _profiles(q.sigma, q.l, q.m, dc, rho)[q.m]
-    return complex(out) if np.ndim(out) == 0 else out
+    return stationary_state(QuantumNumbers(q.j, q.l_sigma, q.m, q.n1, q.n2), theta, rho, dc.field)
 
 
 @dataclass(frozen=True)
@@ -302,7 +301,7 @@ def _seed_block(seed: np.ndarray, other: np.ndarray, sigma: int, l: int,
 
 def basis_spinor_component(q: RelQuantumNumbers, dc: DiracConfig, grid: RadialGrid) -> Spinor2:
     """u = phi_sigma v_sigma: the scalar profile in the sigma slot."""
-    prof = _profiles(q.sigma, q.l, q.m, dc, grid.nodes)[q.m]
+    prof = _profiles(q.j, q.l_sigma, q.m, grid.nodes, dc.field)[q.m]
     return _seed_block(prof, np.zeros_like(prof), q.sigma, q.l, grid)
 
 
@@ -352,14 +351,6 @@ def apply_sigma_p(s: Spinor2, dc: DiracConfig) -> Spinor2:
     new_up = -1j * _ladder(s.dn, -1, s.l_dn, dc, s.grid)
     new_dn = -1j * _ladder(s.up, 1, s.l_dn, dc, s.grid)
     return Spinor2(grid=s.grid, l_up=s.l_up, up=new_up, dn=new_dn)
-
-
-def _profiles(sigma: int, l: int, m_max: int, dc: DiracConfig, rho) -> np.ndarray:
-    """Radial profiles of spin slot sigma of Dirac row l, rows m = 0..m_max:
-    the planar profiles of the slot's :func:`_family` row, behind the scalar
-    component functions and the eigenspinor seeds."""
-    j, l_s, _ = _family(sigma, l, dc)
-    return _row_profiles(j, l_s, m_max, rho, dc.field)
 
 
 def hamiltonian_apply(s: Spinor2, dc: DiracConfig) -> Spinor2:
@@ -494,22 +485,29 @@ _REL_LN_TOL = math.log(1e-14)
 _GRID_SHARE = 1e-9
 
 
-def _rel_table(j: int, label: CSLabel, dc: DiracConfig, charge: int):
-    """(l_s, alpha, ln|c|, arg c) of the planar table grown over the
-    :func:`_row` rows l_s of spin charge for the branch-j Dirac rows."""
+def _rel_series(j: int, label: CSLabel, dc: DiracConfig, charge: int):
+    """(l, ln|c|, arg c, ln share, ln Mcal) of the relativistic series over
+    its kept Dirac rows l, m = 0..M: the one series behind :func:`rel_cs`
+    and :func:`rel_cs_overlap_closed`.
+
+    The planar table is grown over the :func:`_row` rows l_s of spin
+    charge for the branch-j Dirac rows; the l blocks weighted by 2M(E + M)
+    then stop by the quiet-block rule at 1e-14, Mcal is the sum of the kept
+    weights |c|^2 2M(E + M), and share is each weight over Mcal.  Requires
+    M > 0 and a nonzero amplitude, else DomainError.
+    """
     if dc.mass <= 0.0:
         raise DomainError("relativistic coherent states require M > 0")
-    table = _grown_table(j, (_row(charge, l, dc)[1] for l in _branch_l_values(j, dc.vartheta)),
-                         label, dc.field)
-    if np.all(table[2] == -np.inf):
+    l_s, alpha, ln_c, phase = _grown_table(
+        j, (_row(charge, l, dc)[1] for l in _branch_l_values(j, dc.vartheta)), label, dc.field)
+    if np.all(ln_c == -np.inf):
         raise DomainError("relativistic coherent state undefined: zero normalization")
-    return table
-
-
-def _rel_ln_weight(j: int, alpha: np.ndarray, cols: int, dc: DiracConfig, charge: int):
-    """ln 2M(E + M) over rows of order alpha and m = 0..cols-1."""
-    n1, _ = _radial_numbers(j, alpha[:, None], np.arange(cols, dtype=float))
-    return np.log(2.0 * dc.mass * (_energy(n1, charge, dc) + dc.mass))
+    n1, _ = _radial_numbers(j, alpha[:, None], np.arange(ln_c.shape[1], dtype=float))
+    ln_w = 2.0 * ln_c + np.log(2.0 * dc.mass * (_energy(n1, charge, dc) + dc.mass))
+    keep = _quiet_blocks(np.logaddexp.reduce(ln_w, axis=1), _REL_LN_TOL)
+    ln_mcal = np.logaddexp.reduce(ln_w[:keep], axis=None)
+    return (l_s[:keep] + (1 + charge) // 2, ln_c[:keep], phase[:keep],
+            ln_w[:keep] - ln_mcal, ln_mcal)
 
 
 def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
@@ -522,25 +520,22 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
         sum c_{lm} sqrt(2 M (E_lm + M)) psihat_{lm} / sqrt(Mcal),
         Mcal = sum |c_{lm}|^2 2 M (E_lm + M),
 
-    with psihat the unit-norm spinors.  The l blocks of the grown planar
-    table stop earlier by the quiet-block rule applied to the weighted
-    blocks at 1e-14.  Every kept (l, m) of nonzero amplitude is one
-    column of one :func:`_eigenspinors` call, one Laguerre table for the
-    whole state, at the coefficient sqrt(share) e^(i arg c), share = |c|^2
-    2M(E + M) / Mcal; ``spinors`` holds its rows, one per l, views of its
-    result.  Requires M > 0 (the weight degenerates in the massless
+    with psihat the unit-norm spinors, over the kept rows of
+    :func:`_rel_series`: the l blocks of the grown planar table stop
+    earlier by the quiet-block rule applied to the weighted blocks at
+    1e-14, and :func:`rel_cs_overlap_closed` contracts the same kept
+    series.  Every kept (l, m) of nonzero amplitude is one column of one
+    :func:`_eigenspinors` call, one Laguerre table for the whole state,
+    at the coefficient sqrt(share) e^(i arg c), share = |c|^2 2M(E + M) /
+    Mcal; ``spinors`` holds its rows, one per l, views of its result.  Requires M > 0 (the weight degenerates in the massless
     limit); raises TruncationError, from the guard all eigenspinors share,
     when the columns miss more than 1e-9 of Mcal on the radial grid in
     total, before any block is summed.
     """
-    _, alpha, ln_c, phase = _rel_table(j, label, dc, charge)
-    ln_w = 2.0 * ln_c + _rel_ln_weight(j, alpha, ln_c.shape[1], dc, charge)
-    keep = _quiet_blocks(np.logaddexp.reduce(ln_w, axis=1), _REL_LN_TOL)
-    ln_mcal = np.logaddexp.reduce(ln_w[:keep], axis=None)
+    rows, ln_c, phase, ln_share, ln_mcal = _rel_series(j, label, dc, charge)
     norm_const = exp_in_range(ln_mcal, "Mcal")
-    r, m = np.nonzero(ln_c[:keep] > -np.inf)
-    l = np.fromiter(itertools.islice(_branch_l_values(j, dc.vartheta), len(ln_c)), int)[r]
-    share = np.exp(ln_w[r, m] - ln_mcal)
+    r, m = np.nonzero(ln_c > -np.inf)
+    l, share = rows[r], np.exp(ln_share[r, m])
     coef = np.sqrt(share) * np.exp(1j * phase[r, m])
     spinors, energies = _eigenspinors(j, l, m, charge, coef, dc, grid)
     c = np.exp(ln_c[r, m] + 1j * phase[r, m])
@@ -564,16 +559,15 @@ def rel_cs_inner(a: RelCS, b: RelCS, dc: DiracConfig) -> complex:
 def rel_cs_overlap_closed(j: int, label_a: CSLabel, label_b: CSLabel,
                           dc: DiracConfig, charge: int) -> complex:
     """Overlap via the scalar route, with no grid: 2M sum conj(c) c' (E + M)
-    / sqrt(Mcal Mcal'), in log space over the larger of the two tables, on
-    which both Mcal are summed too (so the modulus never exceeds one)."""
-    rows_a = _rel_table(j, label_a, dc, charge)[0]
-    rows_b = _rel_table(j, label_b, dc, charge)[0]
-    (alpha, ln_a, ph_a), (_, ln_b, ph_b) = _on_larger_table(
-        j, rows_a, label_a, rows_b, label_b, dc.field)
-    ln_weight = _rel_ln_weight(j, alpha, ln_a.shape[1], dc, charge)
-    ln_mcal = [np.logaddexp.reduce(2.0 * ln + ln_weight, axis=None) for ln in (ln_a, ln_b)]
-    ln_terms = ln_a + ln_b + ln_weight - 0.5 * (ln_mcal[0] + ln_mcal[1])
-    return complex(np.sum(np.exp(ln_terms + 1j * (ph_b - ph_a))))
+    / sqrt(Mcal Mcal') = sum sqrt(share share') e^(i (arg c' - arg c)), in
+    log space over the two kept series of :func:`_rel_series`, contracted
+    on their common prefix (:func:`msf.cs._contract`).  That is the exact
+    inner product of the two :func:`rel_cs` states, whose columns are
+    orthonormal eigenspinors at these coefficients, so the modulus never
+    exceeds one."""
+    _, _, ph_a, sh_a, _ = _rel_series(j, label_a, dc, charge)
+    _, _, ph_b, sh_b, _ = _rel_series(j, label_b, dc, charge)
+    return _contract(0.5 * sh_a, ph_a, 0.5 * sh_b, ph_b)
 
 
 def _boosted(dc: DiracConfig, p3: float) -> DiracConfig:

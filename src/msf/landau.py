@@ -162,8 +162,12 @@ def energy_nonrel(q: QuantumNumbers, cfg: FieldConfig) -> float:
 
 
 def stationary_state(q: QuantumNumbers, theta, rho, cfg: FieldConfig):
-    """Wave function phi^(j)_{n1,n2}(theta, rho), broadcast over inputs."""
-    phase = np.exp(1j * (q.l - cfg.l0) * np.asarray(theta, dtype=float))
+    """Wave function phi^(j)_{n1,n2}(theta, rho), broadcast over inputs;
+    DomainError at a non-finite theta or rho."""
+    theta = np.asarray(theta, dtype=float)
+    if not np.isfinite(theta).all():
+        raise DomainError("theta must be finite")
+    phase = np.exp(1j * (q.l - cfg.l0) * theta)
     out = phase * _profiles(q.j, q.l, q.m, rho, cfg)[q.m]
     return complex(out) if np.ndim(out) == 0 else out
 

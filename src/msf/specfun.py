@@ -112,8 +112,8 @@ def laguerre_fn_rows(alpha, m_max: int, rho):
     if not (alpha > -1.0 if scalar else np.all(alpha > -1.0)):
         raise DomainError("alpha must exceed -1")
     rho_min = rho.min()
-    if rho_min < 0:
-        raise DomainError("rho must be non-negative")
+    if not 0 <= rho_min <= rho.max() < math.inf:  # nan fails too
+        raise DomainError("rho must be finite and non-negative")
     if rho_min == 0 and np.min(alpha) < 0:
         raise IrregularOriginError("profile diverges at rho = 0 for order alpha < 0")
     ln_start = -rho / 2 + _sp.xlogy(alpha / 2, rho) - _sp.gammaln(alpha + 1.0) / 2
@@ -165,13 +165,7 @@ def laguerre_fn(n: float, m: int, rho):
     """
     if m < 0 or m != int(m):
         raise DomainError("degree m must be a non-negative integer")
-    alpha = float(n) - int(m)
-    if not alpha > -1.0:
-        raise DomainError("requires n - m > -1")
-    rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    if np.any(rho_arr < 0):
-        raise DomainError("rho must be non-negative")
-    val = laguerre_fn_table(alpha, int(m), rho_arr)[int(m)]
+    val = laguerre_fn_table(float(n) - int(m), int(m), rho)[int(m)]
     return val if np.ndim(rho) else float(val[0])
 
 

@@ -11,10 +11,10 @@ import pytest
 from scipy import special as sp
 
 from msf.completeness import KernelParams, propagator_closed
-from msf.landau import FieldConfig, _branch_l_values
+from msf.landau import FieldConfig, _branch_l_values, resolve_qnums, stationary_state
 from msf.radial import RadialGrid, make_radial_grid
-from msf.specfun import DomainError, TruncationError, laguerre_fn_table
-from msf.cs import CSLabel
+from msf.specfun import DomainError, TruncationError, laguerre_fn, laguerre_fn_table
+from msf.cs import CSLabel, cs_state
 from msf.dirac import (
     DiracConfig,
     SpectralBoundaryError,
@@ -587,6 +587,21 @@ def test_rel_cs_past_the_old_fixed_grid(j, vt, charge):
     assert abs(rel_cs_inner(a, b, dc) - closed) < 1e-7
 
 
+@pytest.mark.parametrize("j,vt,charge", REL_CASES)
+def test_rel_cs_overlap_closed_is_the_inner_product_of_the_built_states(j, vt, charge):
+    # the closed overlap contracts the two kept series rel_cs builds, so
+    # it matches their grid inner product to rounding; contracting the
+    # larger planar table instead left up to 2e-13 at unequal labels
+    dc = make_dc(mu=0.5, vartheta=vt)
+    for r_a, r_b in itertools.product((0.01, 0.5, 1.0), (1.5, 2.0)):
+        lab_a = CSLabel(cmath.rect(r_a, 0.3), cmath.rect(r_a, -1.1))
+        lab_b = CSLabel(cmath.rect(r_b, -0.7), cmath.rect(r_b, 2.0))
+        a = rel_cs(j, lab_a, dc, charge, grid=GRID)
+        b = rel_cs(j, lab_b, dc, charge, grid=GRID)
+        closed = rel_cs_overlap_closed(j, lab_a, lab_b, dc, charge)
+        assert abs(rel_cs_inner(a, b, dc) - closed) < 1e-14
+
+
 @pytest.mark.parametrize("vt", [1, -1])
 @pytest.mark.parametrize("j", [0, 1])
 @pytest.mark.parametrize("charge", [1, -1])
@@ -981,6 +996,47 @@ def test_kernels_reject_negative_radius(kernel, s, rho, rho_p):
             green_kernel_rel(1, 2, make_dc(mu=mu, vartheta=1), s, 0.0, 0.0, rho, rho_p)
         else:
             propagator_closed(p, 0.0, rho, rho_p)
+
+
+_NON_FINITE = {
+    "laguerre_fn_table nan rho": lambda: laguerre_fn_table(0.3, 2, [1.0, math.nan]),
+    "laguerre_fn_table inf rho": lambda: laguerre_fn_table(0.3, 2, [1.0, math.inf]),
+    "laguerre_fn inf rho": lambda: laguerre_fn(1.3, 1, math.inf),
+    "stationary_state inf theta": lambda: stationary_state(
+        resolve_qnums(1, 2, 1, FieldConfig(mu=0.3)), math.inf, 1.0, FieldConfig(mu=0.3)),
+    "stationary_state nan rho": lambda: stationary_state(
+        resolve_qnums(1, 2, 1, FieldConfig(mu=0.3)), 0.2, math.nan, FieldConfig(mu=0.3)),
+    "cs_state inf theta": lambda: cs_state(
+        1, CSLabel(0.5, 0.2), math.inf, [1.0], FieldConfig(mu=0.3)),
+    "cs_state nan theta": lambda: cs_state(
+        0, CSLabel(0.5, 0.2), np.array([0.1, math.nan]), 1.0, FieldConfig(mu=0.3)),
+    "cs_state inf rho": lambda: cs_state(
+        1, CSLabel(0.5, 0.2), 0.4, [1.0, math.inf], FieldConfig(mu=0.3)),
+    "rel_basis_fn inf theta": lambda: rel_basis_fn(
+        resolve_rel_qnums(1, 1, 0, 1, make_dc()), make_dc(), math.inf, 1.0),
+    "propagator_closed inf rho": lambda: propagator_closed(
+        KernelParams(l=2, delta_t=-0.05j, cfg=FieldConfig(mu=0.3)), 0.0, math.inf, 1.0),
+    "propagator_closed inf rho_p at rho 0": lambda: propagator_closed(
+        KernelParams(l=2, delta_t=-0.05j, cfg=FieldConfig(mu=0.3)), 0.0, 0.0,
+        np.array([1.0, math.inf])),
+    "propagator_closed nan dtheta": lambda: propagator_closed(
+        KernelParams(l=2, delta_t=-0.05j, cfg=FieldConfig(mu=0.3)), math.nan, 1.0, 2.0),
+    "green_kernel_rel inf dtheta": lambda: green_kernel_rel(
+        1, 2, make_dc(mu=0.3), -0.3j, math.inf, 0.0, 1.0, 2.0),
+    "green_kernel_rel nan dt": lambda: green_kernel_rel(
+        1, 2, make_dc(mu=0.3), -0.3j, 0.4, math.nan, 1.0, 2.0),
+    "green_kernel_rel inf dt": lambda: green_kernel_rel(
+        1, 2, make_dc(mu=0.3), 0.3 - 0.2j, 0.4, math.inf, 1.0, 2.0),
+    "green_kernel_rel inf rho": lambda: green_kernel_rel(
+        -1, 2, make_dc(mu=0.3), -0.3j, 0.4, 0.0, math.inf, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE))
+def test_non_finite_state_and_kernel_inputs_raise(case):
+    # each gave nan, nan+nanj or a RuntimeWarning before its check
+    with pytest.raises(DomainError, match="finite"):
+        _NON_FINITE[case]()
 
 
 @pytest.mark.parametrize("s", [-0.3j, 0.3 - 0.2j])
