@@ -22,6 +22,7 @@ Fourier modes in the angle).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,6 +68,8 @@ _MODE_MAX_TERMS = 10**6
 _RADIAL_SMEAR_WIDTH = 0.35
 _ANGULAR_SMEAR_WIDTH = 0.5
 _ANGULAR_SMEAR_POINTS = 801
+# ratio grids kept by _unity_ratio; one verify pass uses one at mu = 1/2, two otherwise
+_UNITY_CACHE_SIZE = 8
 
 
 def weight_fn(j: int, u, v, mu: float):
@@ -214,6 +217,24 @@ def _unity_grid(mu: float, j: int, n_nodes: int):
     return qu, qv, U, V
 
 
+@functools.lru_cache(maxsize=_UNITY_CACHE_SIZE)
+def _unity_ratio(nu: float, alpha_x: float, alpha_y: float, n_nodes: int) -> np.ndarray:
+    """pi^2 W exp(x + y) / N on the Gauss nodes of weights x^alpha_x e^-x
+    and y^alpha_y e^-y, in the Marcum coordinates (x, y) of the branch.
+
+    The weight comes from the Marcum-P kernel and the normalization from
+    the independent diagonal power series; their ratio is the exponential
+    density, reproduced numerically rather than by construction.  Built
+    once per argument set and cached read-only: at mu = 1/2 both branches
+    read one grid.
+    """
+    x, y = np.meshgrid(make_quadrature(alpha_x, n_nodes).nodes,
+                       make_quadrature(alpha_y, n_nodes).nodes, indexing="ij")
+    ratio = np.exp(ln_marcum_p(nu, x, y) + x + y - _ln_q_grid_series(nu, x, y))
+    ratio.setflags(write=False)
+    return ratio
+
+
 def unity_reconstruction(
     basis_pairs: list[tuple[int, int]],
     mu: float,
@@ -235,15 +256,15 @@ def unity_reconstruction(
     """
     cfg = FieldConfig(mu=mu)
     qnums = [resolve_qnums(j, l, m, cfg) for (l, m) in basis_pairs]
-    qu, qv, U, V = _unity_grid(mu, j, n_nodes)
+    qu, qv, _, _ = _unity_grid(mu, j, n_nodes)
     frac_u, frac_v = qu.alpha, qv.alpha
-    # pi^2 W_j exp(u+v) through the Marcum-P kernel and N_j through the
-    # independent diagonal power series; their ratio is the exponential
-    # density, reproduced numerically rather than by construction.
-    nu, x, y = _marcum_args(j, mu, U, V)
-    ln_w = ln_marcum_p(nu, x, y) + x + y
-    ln_n = _ln_q_grid_series(nu, x, y)
-    ratio = np.exp(ln_w - ln_n)
+    # the rules of (x, y) are those of (u, v) on branch 0 and of (v, u) on
+    # branch 1, whose transpose is copied: einsum sums a strided view in
+    # another order
+    nu, qx, qy = _marcum_args(j, mu, qu, qv)
+    ratio = _unity_ratio(nu, qx.alpha, qy.alpha, n_nodes)
+    if j == 1:
+        ratio = np.ascontiguousarray(ratio.T)
     n1 = np.array([q.n1 for q in qnums])
     n2 = np.array([q.n2 for q in qnums])
     pu = qu.weights * qu.nodes ** (n1[:, None] - frac_u)

@@ -6,8 +6,11 @@ are sampled without ever touching rho = 0) and linearly in the tail.
 Each panel carries a Gauss-Legendre rule; derivatives use the exact
 derivative of the panel's polynomial interpolant (barycentric
 differentiation matrix), which is spectrally accurate for functions
-smooth on the panel.  The panels of the origin cluster share one
-least-squares derivative block instead.
+smooth on the panel.  Under the affine map onto [-1, 1] that matrix is
+the reference matrix of the rule divided by the half width, so each
+rule and its reference matrix are built once per point count.  The
+panels of the origin cluster, the same on every grid, share one
+least-squares derivative block instead, also built once.
 
 The operator is stored as stacked runs: consecutive panels with the same
 point count form one (count, n, n) stack, so a derivative costs one
@@ -17,6 +20,7 @@ cluster, the 8-point panels, the 12-point panels), not one per panel.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -89,60 +93,89 @@ class RadialGrid:
         return float(self.nodes[-1])
 
 
-# innermost grid edge, and Gauss points of a full-width panel
+# innermost grid edge, Gauss points of a full-width panel, and the top of
+# the origin cluster: panels ending below it are differentiated jointly
 _RHO_MIN = 1e-8
 _PANEL_POINTS = 12
+_CLUSTER_EDGE = 0.012
+
+
+@functools.cache
+def _panel_rule(n: int):
+    """Nodes, weights and differentiation matrix of the n-point
+    Gauss-Legendre rule on [-1, 1]; built once per n, read-only."""
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    rule = (xg, wg, _diff_matrix(xg))
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+def _panel_runs(edges: list):
+    """(n, nodes, weights, halves) per run of consecutive panels between
+    edges that carry n Gauss points; nodes and weights are (count, n).
+
+    Narrow panels carry fewer points: the derivative of the interpolant
+    amplifies sample rounding by ~n^2/width, while a smooth factor varies
+    so little across a narrow panel that a low order already
+    interpolates it to machine accuracy.
+    """
+    a, b = np.array(edges[:-1]), np.array(edges[1:])
+    width = b - a
+    half, mid = 0.5 * width, 0.5 * (b + a)
+    counts = np.where(width < 1e-3, 6, np.where(width < 0.2, 8, _PANEL_POINTS))
+    start = 0
+    for n, run in itertools.groupby(counts.tolist()):
+        sl = slice(start, start + len(list(run)))
+        xg, wg, _ = _panel_rule(n)
+        yield n, mid[sl, None] + half[sl, None] * xg, half[sl, None] * wg, half[sl]
+        start = sl.stop
+
+
+@functools.cache
+def _cluster():
+    """(top edge, nodes, weights, least-squares derivative block) of the
+    origin cluster: the geometric panels from _RHO_MIN that end by
+    _CLUSTER_EDGE, the same on every grid.  Built once, read-only."""
+    edges = [_RHO_MIN]
+    while edges[-1] * 2.0 <= _CLUSTER_EDGE:
+        edges.append(edges[-1] * 2.0)
+    runs = list(_panel_runs(edges))
+    nodes = np.concatenate([xn.ravel() for _, xn, _, _ in runs])
+    weights = np.concatenate([wn.ravel() for _, _, wn, _ in runs])
+    block = _lsq_cheb_diff(nodes, degree=12)
+    for a in (nodes, weights, block):
+        a.setflags(write=False)
+    return edges[-1], nodes, weights, block
 
 
 def make_radial_grid(rho_max: float = 60.0, tail_step: float = 1.5) -> RadialGrid:
     """Build the composite grid: geometric panels on [_RHO_MIN, 1], then
     uniform panels of width tail_step up to rho_max.
 
-    Narrow panels carry fewer Gauss points: the derivative of the
-    interpolant amplifies sample rounding by ~n^2/width, while a smooth
-    factor varies so little across a narrow panel that a low order
-    already interpolates it to machine accuracy.  Raises DomainError
-    unless rho_max is finite and at least 1 and tail_step finite and
-    positive.
+    The origin cluster is one run of one shared block; every other run
+    of n-point panels stacks the reference matrix of the n-point rule,
+    divided by each panel's half width.  Raises DomainError unless
+    rho_max is finite and at least 1 and tail_step finite and positive.
     """
     if not 1.0 <= rho_max < np.inf:
         raise DomainError("rho_max must be finite and at least 1")
     if not 0.0 < tail_step < np.inf:
         raise DomainError("tail_step must be positive and finite")
-    edges = [_RHO_MIN]
+    top, cluster_nodes, cluster_weights, cluster_block = _cluster()
+    edges = [top]
     while edges[-1] < 1.0:
         edges.append(min(edges[-1] * 2.0, 1.0))
     while edges[-1] < rho_max:
         edges.append(min(edges[-1] + tail_step, rho_max))
-    rules = {n: np.polynomial.legendre.leggauss(n) for n in (6, 8, _PANEL_POINTS)}
-    cluster_edge = 0.012  # panels below this are differentiated jointly
-    nodes, weights, cluster_nodes, tail_blocks = [], [], [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        width = b - a
-        if width < 1e-3:
-            n_p = 6
-        elif width < 0.2:
-            n_p = 8
-        else:
-            n_p = _PANEL_POINTS
-        xg, wg = rules[n_p]
-        half = 0.5 * width
-        mid = 0.5 * (b + a)
-        xn = mid + half * xg
-        nodes.append(xn)
-        weights.append(half * wg)
-        if b <= cluster_edge:
-            cluster_nodes.append(xn)
-        else:
-            tail_blocks.append(_diff_matrix(xn))
-    # the cluster is one run of one block; the tail groups by panel size
-    stacks = [_lsq_cheb_diff(np.concatenate(cluster_nodes), degree=12)[None]]
-    stacks += [np.stack(list(run)) for _, run in itertools.groupby(tail_blocks, key=len)]
-    runs, start = [], 0
-    for stack in stacks:
-        count, n, _ = stack.shape
-        runs.append((slice(start, start + count * n), stack))
-        start += count * n
+    nodes, weights = [cluster_nodes], [cluster_weights]
+    runs, start = [(slice(0, cluster_nodes.size), cluster_block[None])], cluster_nodes.size
+    for n, xn, wn, halves in _panel_runs(edges):
+        nodes.append(xn.ravel())
+        weights.append(wn.ravel())
+        stack = _panel_rule(n)[2][None] / halves[:, None, None]
+        runs.append((slice(start, start + xn.size), stack))
+        start += xn.size
     return RadialGrid(
         nodes=np.concatenate(nodes),
         weights=np.concatenate(weights),

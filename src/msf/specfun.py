@@ -109,6 +109,8 @@ def laguerre_fn_rows(alpha, m_max: int, rho):
     alpha = float(alpha) if scalar else np.asarray(alpha, dtype=float)
     sqrt = math.sqrt if scalar else np.sqrt
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    if not rho.size:
+        raise DomainError("rho must be non-empty")
     if not (alpha > -1.0 if scalar else np.all(alpha > -1.0)):
         raise DomainError("alpha must exceed -1")
     rho_min = rho.min()

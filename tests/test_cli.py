@@ -141,6 +141,17 @@ def test_report_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_report_all_deterministic_with_warm_caches(tmp_path):
+    # the second in-process pass reads the rules, panel blocks and unity
+    # grids the first one cached; a fresh process builds them anew
+    paths = [tmp_path / f"{k}.json" for k in range(3)]
+    args = ["verify", "--suite", "all", "--format", "json", "--out"]
+    for p in paths[:2]:
+        main([*args, str(p)])
+    run_cli([*args, str(paths[2])])
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
 def test_tabulate_weight_csv(tmp_path):
     out = tmp_path / "w.csv"
     res = run_cli(["tabulate", "weight", "--mu", "0.5", "--u", "0:4:0.5",

@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import special as sp
 
 from msf import completeness
-from msf.landau import FieldConfig, _branch_of, _radial_numbers
+from msf.landau import FieldConfig, _branch_of, _radial_numbers, resolve_qnums
 from msf.specfun import DomainError, erf, laguerre_fn_rows, ln_gamma, ln_marcum_p
 from msf.completeness import (
     KernelParams,
     _ln_q_grid_series,
     _logaddexp_finite,
     _unity_grid,
+    _unity_ratio,
     angular_delta_smear,
     g_matrix,
     moment_check,
@@ -172,6 +174,37 @@ def test_unity_grid_weight_matches_series_at_every_node(mu, n_nodes, j):
     ref = _ln_q_grid_series(nu, x, y) - x - y
     assert np.all(np.isfinite(ln_p))
     assert np.max(np.abs(ln_p - ref)) <= 1e-10
+
+
+def _unity_diagonal_direct(pairs, mu, j, n_nodes):
+    """The Gram diagonal from the Marcum kernel and the series on the branch's own grid."""
+    cfg = FieldConfig(mu=mu)
+    qnums = [resolve_qnums(j, l, m, cfg) for l, m in pairs]
+    qu, qv, U, V = _unity_grid(mu, j, n_nodes)
+    nu, x, y = (1.0 - mu, U, V) if j == 0 else (mu, V, U)
+    ratio = np.exp(ln_marcum_p(nu, x, y) + x + y - _ln_q_grid_series(nu, x, y))
+    n1 = np.array([q.n1 for q in qnums])
+    n2 = np.array([q.n2 for q in qnums])
+    pu = qu.weights * qu.nodes ** (n1[:, None] - qu.alpha)
+    pv = qv.weights * qv.nodes ** (n2[:, None] - qv.alpha)
+    return np.einsum("ku,uv,kv->k", pu, ratio, pv) * np.exp(
+        -(sp.gammaln(1.0 + n1) + sp.gammaln(1.0 + n2)))
+
+
+@pytest.mark.parametrize("mu", [0.5, 0.25])
+def test_unity_ratio_cache_gives_the_direct_values(mu):
+    # at mu = 1/2 both branches read one cached grid, branch 1 its transpose;
+    # the values are bitwise those of each branch's own grid, cold and warm
+    _unity_ratio.cache_clear()
+    for j, pairs in ((0, [(l, m) for l in range(-4, 0) for m in range(5)]),
+                     (1, [(l, m) for l in range(5) for m in range(5)])):
+        direct = np.diag(_unity_diagonal_direct(pairs, mu, j, 100))
+        for _ in range(2):
+            assert np.array_equal(unity_reconstruction(pairs, mu=mu, j=j, n_nodes=100), direct)
+    assert _unity_ratio.cache_info().currsize == (1 if mu == 0.5 else 2)
+    ratio = _unity_ratio(1.0 - mu, 0.0, 1.0 - mu, 100)
+    with pytest.raises(ValueError):
+        ratio[0, 0] = 1.0
 
 
 _LOG_MAGNITUDE = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)

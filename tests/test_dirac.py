@@ -1039,6 +1039,24 @@ def test_non_finite_state_and_kernel_inputs_raise(case):
         _NON_FINITE[case]()
 
 
+_EMPTY_RHO = {
+    "laguerre_fn_table": lambda rho: laguerre_fn_table(0.5, 3, rho),
+    "laguerre_fn": lambda rho: laguerre_fn(1.5, 1, rho),
+    "stationary_state": lambda rho: stationary_state(
+        resolve_qnums(1, 2, 1, FieldConfig(mu=0.3)), 0.2, rho, FieldConfig(mu=0.3)),
+    "cs_state": lambda rho: cs_state(1, CSLabel(0.5, 0.2), 0.4, rho, FieldConfig(mu=0.3)),
+    "rel_basis_fn": lambda rho: rel_basis_fn(
+        resolve_rel_qnums(1, 1, 0, 1, make_dc()), make_dc(), 0.2, rho),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EMPTY_RHO))
+def test_empty_radius_array_raises(case):
+    # numpy's bare ValueError from rho.min() once escaped here
+    with pytest.raises(DomainError, match="non-empty"):
+        _EMPTY_RHO[case](np.array([]))
+
+
 @pytest.mark.parametrize("s", [-0.3j, 0.3 - 0.2j])
 def test_kernel_irregular_origin_raises(s):
     # sigma = +1, vartheta = -1, l = 0 has order -(1 - mu): I_nu(0) is

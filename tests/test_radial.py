@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from msf.radial import make_radial_grid
+from msf.radial import _diff_matrix, make_radial_grid
 from msf.specfun import DomainError
 
 
@@ -37,6 +37,32 @@ def test_diff_blocks_exact_on_scaled_monomials(rho_max, tail_step):
             exact = k * t ** max(k - 1, 0) / half
             err = np.max(np.abs(d @ t**k - exact))
             assert err <= 1e-12 * max(np.max(np.abs(exact)), 1.0 / half), (sl, k)
+
+
+@pytest.mark.parametrize("rho_max,tail_step", [
+    (1.0, 1.5), (10.0, 1.5), (12.4, 0.5), (24.0, 0.5), (70.0, 1.5), (160.0, 1.5)])
+def test_reference_blocks_match_each_panels_own_matrix(rho_max, tail_step):
+    # every panel past the cluster stacks the matrix of the rule on [-1, 1]
+    # over its half width; the matrix of its own mapped nodes sees their
+    # rounding, eps |x| against gaps of about half / 10, as a relative
+    # change of 8 eps |x| / half at most, past 1e-13 on far, narrow panels
+    eps = np.finfo(float).eps
+    grid = make_radial_grid(rho_max=rho_max, tail_step=tail_step)
+    _, *tail = panels(grid)
+    for sl, d in tail:
+        x = grid.nodes[sl]
+        own = _diff_matrix(x)
+        half = 0.5 * (x[-1] - x[0]) / abs(np.polynomial.legendre.leggauss(x.size)[0][0])
+        tol = max(1e-13, 8 * eps * x[-1] / half)
+        assert np.max(np.abs(d - own)) <= tol * np.max(np.abs(own)), sl
+
+
+def test_cluster_block_is_shared_and_read_only():
+    a, b = make_radial_grid(10.0), make_radial_grid(70.0, tail_step=0.5)
+    (sl_a, block_a), (sl_b, block_b) = a.runs[0], b.runs[0]
+    assert sl_a == sl_b and np.shares_memory(block_a, block_b)
+    with pytest.raises(ValueError):
+        block_a[0, 0, 0] = 1.0
 
 
 def test_runs_cover_the_grid_in_order():
