@@ -202,24 +202,55 @@ class Quadrature:
         return np.sum(self.weights * np.asarray(values))
 
 
+def _gauss_laguerre(n: int, alpha: float):
+    """Nodes, weights and log weights of the n-point rule for rho^alpha e^-rho.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the Laguerre recurrence, polished by one Newton step on
+    L_n^alpha; the weights go as 1 / (L_{n-1}^alpha L_n^alpha'), each
+    factor scaled by the geometric midpoint of its range, normalized to
+    sum to Gamma(alpha + 1).  numpy's dense eigensolver stands in for a
+    banded one so that no linear-algebra module beyond numpy's loads.
+    Where a weight underflows the double range its log is taken from
+    the factors' own logs; everywhere else it is the log of the weight.
+    """
+    k = np.arange(n, dtype=float)
+    off = -np.sqrt(k[1:] * (k[1:] + alpha))
+    x = np.linalg.eigvalsh(np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1))
+    f = _sp.eval_genlaguerre(n, alpha, x)
+    df = (n * f - (n + alpha) * _sp.eval_genlaguerre(n - 1, alpha, x)) / x
+    x -= f / df
+    fm = _sp.eval_genlaguerre(n - 1, alpha, x)
+    log_fm, log_df = np.log(np.abs(fm)), np.log(np.abs(df))
+    shift_fm = (log_fm.max() + log_fm.min()) / 2.0
+    shift_df = (log_df.max() + log_df.min()) / 2.0
+    w = 1.0 / ((fm / np.exp(shift_fm)) * (df / np.exp(shift_df)))
+    scale = _sp.gamma(alpha + 1.0) / w.sum()
+    w *= scale
+    tiny = w < np.finfo(float).tiny
+    lw = np.log(np.where(tiny, 1.0, w))
+    lw[tiny] = shift_fm + shift_df + np.log(abs(scale)) - log_fm[tiny] - log_df[tiny]
+    return x, w, lw
+
+
 @functools.lru_cache(maxsize=_QUADRATURE_CACHE_SIZE)
 def make_quadrature(alpha: float, n_nodes: int) -> Quadrature:
     """Gauss rule with weight rho^alpha exp(-rho), alpha > -1, n >= 2.
 
     Built once per (alpha, n_nodes) and cached; repeated calls return
-    the same read-only rule.
+    the same read-only rule.  At the largest nodes of large rules the
+    weights may underflow to zero; the plain weights stay exact there.
     """
     if not alpha > -1.0:
         raise DomainError("quadrature weight exponent must exceed -1")
     if not 2 <= n_nodes <= 250:
         raise DomainError("node count must lie in [2, 250]")
-    x, w = _sp.roots_genlaguerre(n_nodes, alpha)
-    if not (np.isfinite(x).all() and np.isfinite(w).all() and (w > 0).all()):
+    x, w, lw = _gauss_laguerre(n_nodes, alpha)
+    if not (np.isfinite(x).all() and np.isfinite(lw).all() and (w >= 0).all()):
         raise DomainError(f"quadrature construction failed for alpha={alpha}, n={n_nodes}")
     # plain weights w * exp(x) * x^(-alpha), assembled in log space since
     # w underflows at the largest nodes while the product stays moderate
-    lw = np.log(w) + x - alpha * np.log(x)
-    arrays = (x, w, np.exp(lw))
+    arrays = (x, w, np.exp(lw + x - alpha * np.log(x)))
     for a in arrays:
         a.setflags(write=False)
     return Quadrature(float(alpha), *arrays)

@@ -98,6 +98,10 @@ class RadialGrid:
 _RHO_MIN = 1e-8
 _PANEL_POINTS = 12
 _CLUSTER_EDGE = 0.012
+# a tail gap below this fraction of tail_step is rounding left by the
+# accumulated edges: the last edge moves to rho_max instead of opening
+# a sliver panel of coincident nodes
+_SLIVER = 1e-6
 
 
 @functools.cache
@@ -151,7 +155,8 @@ def _cluster():
 
 def make_radial_grid(rho_max: float = 60.0, tail_step: float = 1.5) -> RadialGrid:
     """Build the composite grid: geometric panels on [_RHO_MIN, 1], then
-    uniform panels of width tail_step up to rho_max.
+    uniform panels of width tail_step up to rho_max (a last gap below
+    _SLIVER tail_step widens the panel before it).
 
     The origin cluster is one run of one shared block; every other run
     of n-point panels stacks the reference matrix of the n-point rule,
@@ -167,7 +172,8 @@ def make_radial_grid(rho_max: float = 60.0, tail_step: float = 1.5) -> RadialGri
     while edges[-1] < 1.0:
         edges.append(min(edges[-1] * 2.0, 1.0))
     while edges[-1] < rho_max:
-        edges.append(min(edges[-1] + tail_step, rho_max))
+        edge = edges[-1] + tail_step
+        edges.append(rho_max if rho_max - edge <= _SLIVER * tail_step else edge)
     nodes, weights = [cluster_nodes], [cluster_weights]
     runs, start = [(slice(0, cluster_nodes.size), cluster_block[None])], cluster_nodes.size
     for n, xn, wn, halves in _panel_runs(edges):

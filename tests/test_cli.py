@@ -30,6 +30,22 @@ def test_exit_code_pass():
     assert json.loads(res.stdout)["records"][0]["status"] == "pass"
 
 
+def test_verify_all_never_loads_scipy_linalg():
+    # msf builds its Gauss-Laguerre rules on numpy's eigensolver, so a
+    # whole verify pass leaves scipy's linear algebra unimported (scipy
+    # releases that import it at module level load it with scipy.special)
+    def fresh(code):
+        return subprocess.run([sys.executable, "-c", "import sys; " + code],
+                              capture_output=True, text=True)
+
+    if fresh("import scipy.special; print('scipy.linalg' in sys.modules)").stdout.strip() != "False":
+        pytest.skip("this scipy loads scipy.linalg with scipy.special")
+    res = fresh("from msf.cli import main; rc = main(['verify', '--suite', 'all']); "
+                "print('scipy.linalg' in sys.modules); sys.exit(rc)")
+    assert res.returncode == 1  # the three C02 exp-sum-rule records
+    assert res.stdout.splitlines()[-1] == "False"
+
+
 def test_exit_code_usage_error(tmp_path, capsys):
     assert run_cli(["verify", "--suite", "unknown"]).returncode == 2
     # an unknown suite: one error line, which lists the choices

@@ -21,6 +21,7 @@ from msf.landau import (
     FieldConfig,
     _branch_l_values,
     _branch_of,
+    _gauss_laguerre,
     _laguerre_order,
     energy_nonrel,
     gram_matrix,
@@ -141,6 +142,39 @@ def test_quadrature_is_cached_and_read_only():
     for arr in (quad.nodes, quad.weights, quad.plain_weights):
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 22, 48, 80, 100, 160, 250])
+def test_gauss_laguerre_matches_scipy(n):
+    # the same Jacobi matrix, Newton step and weight formula as scipy's
+    # banded route; both eigensolvers reduce it to the same tridiagonal
+    # for LAPACK's dsterf, so on one LAPACK build the rules agree bit for
+    # bit.  Another build may round the eigenvalues differently: moving
+    # them by up to 4 ulps moves the polished nodes by at most 3 ulps and
+    # the weights by at most about 7e3 ulps, which the bounds cover.
+    for alpha in (-0.995, -0.95, -0.7, -0.5, -0.15, 0.0, 0.05, 0.3, 0.85,
+                  1.0, 2.3, 5.5, 10.0, 30.0, 60.0):
+        xs, ws = sp.roots_genlaguerre(n, alpha)
+        if not (np.isfinite(ws).all() and (ws > 0).all()):
+            continue
+        x, w, _ = _gauss_laguerre(n, alpha)
+        assert np.all(np.abs(x - xs) <= 4 * np.spacing(xs)), alpha
+        assert np.all(np.abs(w - ws) <= 2**14 * np.spacing(ws)), alpha
+
+
+@pytest.mark.parametrize("alpha", [-0.7, 0.0, 2.3])
+def test_gram_identity_on_largest_rules(alpha):
+    # gram_matrix blocks with m >= 99 take rules of 200 nodes and more,
+    # whose weights underflow at the largest nodes while the plain
+    # weights stay moderate; their logs come from the builder.  The
+    # identity holds to 2.9e-13 at m = 124 (250 nodes), inside the 1e-12
+    # bound of the 60-node unit norms below
+    for m in (99, 110, 124):
+        quad = make_quadrature(alpha, 2 * (m + 1))
+        rows = laguerre_fn_table(alpha, m, quad.nodes)
+        gram = (rows * quad.plain_weights) @ rows.T
+        assert np.max(np.abs(gram - np.eye(m + 1))) <= 1e-12, m
+    assert (make_quadrature(alpha, 250).weights == 0.0).any()
 
 
 def test_gram_matrix_blocks_equal_pairwise_quadrature():

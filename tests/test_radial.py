@@ -112,6 +112,21 @@ def test_derivative_acts_column_by_column():
     assert np.max(np.abs(block - single)) <= 1e-10 * np.max(np.abs(single))
 
 
+@pytest.mark.parametrize("rho_max,tail_step", [(5.0, 0.1), (7.0, 0.3), (9.0, 0.1)])
+def test_tail_ends_without_a_sliver_panel(rho_max, tail_step):
+    # the accumulated tail edges fall a few ulps short of rho_max on these
+    # grids; the last edge moves to rho_max instead of opening a panel of
+    # coincident nodes, so each tail panel spans a full step
+    grid = make_radial_grid(rho_max=rho_max, tail_step=tail_step)
+    for sl, _ in panels(grid):
+        if grid.nodes[sl][0] > 1.0:
+            assert np.ptp(grid.nodes[sl]) > 0.5 * tail_step, sl
+    rho = grid.nodes[grid.nodes > 1.0]
+    f = np.exp(-grid.nodes / 3)
+    got = grid.derivative(f)[grid.nodes > 1.0]
+    assert np.max(np.abs(got + np.exp(-rho / 3) / 3)) <= 1e-12
+
+
 def test_grids_compare_by_identity():
     a, b = make_radial_grid(10.0), make_radial_grid(10.0)
     assert a == a and a != b
