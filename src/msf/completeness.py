@@ -148,64 +148,62 @@ def g_matrix(m: int, n: int, l: int, k: int, mu: float) -> float:
     return moment_check(q.n1).quadrature_value * moment_check(q.n2).quadrature_value
 
 
-def _logaddexp_finite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ln(e^a + e^b); a and b must be finite (at a = b = -inf, a - b is nan).
-
-    np.logaddexp with the infinities left out: the same value within an
-    ulp, from ufuncs that numpy runs with SIMD, where np.logaddexp is a
-    scalar libm loop (about 31 against 5 ns per element on a 2-core
-    x86-64 Xeon).  The diagonal Q series spends most of its time in
-    these log-adds.
-    """
-    return np.maximum(a, b) + np.log1p(np.exp(-np.abs(a - b)))
-
-
-def _ln_q_grid_series(nu: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Elementwise ln Q_nu(sqrt u, sqrt v) via the truncated-exponential form.
+def _ln_q_grid_series(nu: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """ln Q_nu(sqrt x_i, sqrt y_j) on the tensor grid of two node vectors.
 
     Collapsing the double power series along diagonals l + m = k gives
 
-        Q_nu = sum_k  v^(nu+k) e_k(u) / Gamma(nu+k+1),
-        e_k(u) = sum_{m<=k} u^m / m!,
+        Q_nu = sum_k  y^(nu+k) e_k(x) / Gamma(nu+k+1),
+        e_k(x) = sum_{m<=k} x^m / m!,
 
-    with e_k accumulated iteratively in log space; every log is finite
-    (u, v > 0), so the log-adds take :func:`_logaddexp_finite`.  A node
-    retires once its own latest term is below _GRID_REL_TOL of its sum;
-    the terms are log-concave in k, so the rest of its series is smaller
-    still.
-    Independent of the Marcum-P kernel, used as its cross-check on
-    grids; u, v > 0.
+    which factors over the grid: with the x factor
+    C[i, k] = e^(s_i - x_i) e_k(x_i), a cumulative sum of Poisson terms,
+    and the y factor A[j, k] = y_j^(nu+k) e^(-y_j) / Gamma(nu+k+1), the
+    series of every node is one entry of C @ A.T, and
+    ln Q = ln (C @ A.T) + x_i - s_i + y_j.  The row shift
+    s_i = max(0, x_i - 600) keeps C and the product in the double range
+    up to the largest Gauss nodes (x ~ 965 at n = 250), where e^-x alone
+    underflows.  The terms are log-concave in k, so a node has converged
+    once its last term falls, is below _GRID_REL_TOL of its sum, and
+    bounds the rest, last * r / (1 - r) with r the ratio of the last two
+    terms, by the same fraction.  The first product takes
+    max y + 9 sqrt(max y) + 40 terms, enough for every node of the
+    Gauss grids of make_quadrature, and the count doubles until every
+    node has converged, up to _GRID_MAX_TERMS.  Independent of the
+    Marcum-P kernel, used as its cross-check on grids.  x and y are 1-d;
+    DomainError where a node is not positive and finite, or where the
+    sum leaves the double range (x > 600 with y near 0).
     """
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    if np.any(u <= 0) or np.any(v <= 0):
-        raise DomainError("grid Q evaluation requires positive arguments")
-    ln_a, ln_b = np.log(u).ravel(), np.log(v).ravel()
-    ln_ek = np.zeros(ln_a.shape)
-    ln_total = nu * ln_b - _sp.gammaln(nu + 1.0)
-    out = np.empty(ln_a.shape)
-    live = np.arange(ln_a.size)
-    ln_tol = math.log(_GRID_REL_TOL)
-    k = 0
-    while live.size:
-        k += 1
-        ln_ek = _logaddexp_finite(ln_ek, k * ln_a - _sp.gammaln(k + 1.0))
-        ln_term = (nu + k) * ln_b - _sp.gammaln(nu + k + 1.0) + ln_ek
-        ln_total = _logaddexp_finite(ln_total, ln_term)
-        if k > 4:
-            done = ln_term - ln_total < ln_tol
-            if np.any(done):
-                out[live[done]] = ln_total[done]
-                keep = ~done
-                live, ln_a, ln_b = live[keep], ln_a[keep], ln_b[keep]
-                ln_ek, ln_total = ln_ek[keep], ln_total[keep]
-        if live.size and k >= _GRID_MAX_TERMS:
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.all((0.0 < x) & (x < math.inf)) and np.all((0.0 < y) & (y < math.inf))):
+        raise DomainError("grid Q evaluation requires positive, finite arguments")
+    x_shifted = np.minimum(x, 600.0)  # x_i - s_i
+    n_terms = math.ceil(y.max() + 9.0 * math.sqrt(y.max()) + 40.0)
+    while True:
+        k = np.arange(n_terms, dtype=float)
+        ln_a = np.outer(np.log(y), nu + k) - y[:, None] - _sp.gammaln(nu + k + 1.0)
+        # past the Gauss range C overflows or the product underflows, which
+        # the check below catches; r = 1 gives an infinite tail bound
+        with np.errstate(all="ignore"):
+            c = np.cumsum(np.exp(np.outer(np.log(x), k) - x_shifted[:, None]
+                                 - _sp.gammaln(k + 1.0)), axis=1)
+            ln_total = np.log(c @ np.exp(ln_a).T)
+            ln_prev, ln_last = (np.log(c[:, [t]]) + ln_a[:, t] for t in (-2, -1))
+            ln_r = ln_last - ln_prev
+            ln_tail = ln_last + ln_r - np.log(-np.expm1(np.minimum(ln_r, 0.0)))
+        if not np.all(np.isfinite(ln_total)):
+            raise DomainError("grid Q series leaves the double range")
+        done = (ln_r < 0.0) & (np.maximum(ln_last, ln_tail) - ln_total < math.log(_GRID_REL_TOL))
+        if done.all():
+            return ln_total + x_shifted[:, None] + y
+        if n_terms >= _GRID_MAX_TERMS:
             raise TruncationError("grid Q series did not converge",
-                                  float(np.max(ln_total)), float(np.max(ln_term)))
-    return out.reshape(u.shape)
+                                  float(np.max(ln_total)), float(np.max(ln_tail)))
+        n_terms = min(2 * n_terms, _GRID_MAX_TERMS)
 
 
 def _unity_grid(mu: float, j: int, n_nodes: int):
-    """Tensor Gauss grid (qu, qv, U, V) of the branch-j measure integral.
+    """Gauss rules (qu, qv) of the branch-j measure integral's tensor grid.
 
     The fractional parts of the exponents, shared within one branch, sit
     in the rule weights: on branch 0 the v-exponents are m - l - mu =
@@ -213,8 +211,7 @@ def _unity_grid(mu: float, j: int, n_nodes: int):
     """
     qu = make_quadrature(0.0 if j == 0 else mu, n_nodes)
     qv = make_quadrature((1.0 - mu if mu > 0 else 0.0) if j == 0 else 0.0, n_nodes)
-    U, V = np.meshgrid(qu.nodes, qv.nodes, indexing="ij")
-    return qu, qv, U, V
+    return qu, qv
 
 
 @functools.lru_cache(maxsize=_UNITY_CACHE_SIZE)
@@ -228,9 +225,9 @@ def _unity_ratio(nu: float, alpha_x: float, alpha_y: float, n_nodes: int) -> np.
     once per argument set and cached read-only: at mu = 1/2 both branches
     read one grid.
     """
-    x, y = np.meshgrid(make_quadrature(alpha_x, n_nodes).nodes,
-                       make_quadrature(alpha_y, n_nodes).nodes, indexing="ij")
-    ratio = np.exp(ln_marcum_p(nu, x, y) + x + y - _ln_q_grid_series(nu, x, y))
+    xs, ys = make_quadrature(alpha_x, n_nodes).nodes, make_quadrature(alpha_y, n_nodes).nodes
+    x, y = np.meshgrid(xs, ys, indexing="ij")
+    ratio = np.exp(ln_marcum_p(nu, x, y) + x + y - _ln_q_grid_series(nu, xs, ys))
     ratio.setflags(write=False)
     return ratio
 
@@ -256,7 +253,7 @@ def unity_reconstruction(
     """
     cfg = FieldConfig(mu=mu)
     qnums = [resolve_qnums(j, l, m, cfg) for (l, m) in basis_pairs]
-    qu, qv, _, _ = _unity_grid(mu, j, n_nodes)
+    qu, qv = _unity_grid(mu, j, n_nodes)
     frac_u, frac_v = qu.alpha, qv.alpha
     # the rules of (x, y) are those of (u, v) on branch 0 and of (v, u) on
     # branch 1, whose transpose is copied: einsum sums a strided view in

@@ -4,16 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 from scipy import special as sp
 
 from msf import completeness
-from msf.landau import FieldConfig, _branch_of, _radial_numbers, resolve_qnums
+from msf.landau import (FieldConfig, _branch_of, _radial_numbers, make_quadrature,
+                        resolve_qnums)
 from msf.specfun import DomainError, erf, laguerre_fn_rows, ln_gamma, ln_marcum_p
 from msf.completeness import (
     KernelParams,
     _ln_q_grid_series,
-    _logaddexp_finite,
     _unity_grid,
     _unity_ratio,
     angular_delta_smear,
@@ -160,6 +159,7 @@ def test_unity_reconstruction_identity():
     (0.5, 100, 0), (0.5, 100, 1),   # the C07 grid
     (0.5, 120, 0), (0.5, 120, 1),   # the CLI's node maximum
     (0.0, 100, 0), (0.0, 100, 1),   # zero order on branch 1
+    (0.5, 250, 0), (0.5, 250, 1),   # the largest rule: nodes up to 965, rows shifted past 600
 ])
 def test_unity_grid_weight_matches_series_at_every_node(mu, n_nodes, j):
     """ln P from the Marcum kernel against the diagonal series, no weights.
@@ -168,21 +168,63 @@ def test_unity_grid_weight_matches_series_at_every_node(mu, n_nodes, j):
     reconstructed Gram matrix cannot see a wrong value there; compare
     the two routes node by node instead.
     """
-    _, _, U, V = _unity_grid(mu, j, n_nodes)
-    nu, x, y = (1.0 - mu, U, V) if j == 0 else (mu, V, U)
+    qu, qv = _unity_grid(mu, j, n_nodes)
+    nu, xs, ys = (1.0 - mu, qu.nodes, qv.nodes) if j == 0 else (mu, qv.nodes, qu.nodes)
+    x, y = np.meshgrid(xs, ys, indexing="ij")
     ln_p = ln_marcum_p(nu, x, y)
-    ref = _ln_q_grid_series(nu, x, y) - x - y
+    ref = _ln_q_grid_series(nu, xs, ys) - x - y
     assert np.all(np.isfinite(ln_p))
     assert np.max(np.abs(ln_p - ref)) <= 1e-10
+
+
+def _ln_q_diagonal_oracle(nu: float, x: float, y: float) -> float:
+    """ln sum_k y^(nu+k) e_k(x) / Gamma(nu+k+1) in 30-digit arithmetic.
+
+    The ratio of consecutive terms is at most y (1 + x/(k+1)) / (nu+k+1),
+    since e_(k+1) / e_k = 1 + x^(k+1) / ((k+1)! e_k) <= 1 + x/(k+1); the sum
+    stops where that bound is below 1/2 and the term below 1e-32 of the
+    total, so the tail adds less than the term itself.
+    """
+    import mpmath as mp
+
+    with mp.workdps(30):
+        nu, x, y = mp.mpf(nu), mp.mpf(x), mp.mpf(y)
+        x_term, e_k = mp.mpf(1), mp.mpf(0)             # x^k / k!, e_k(x)
+        y_term = mp.power(y, nu) / mp.gamma(nu + 1)   # y^(nu+k) / Gamma(nu+k+1)
+        total, k = mp.mpf(0), 0
+        while True:
+            e_k += x_term
+            term = y_term * e_k
+            total += term
+            k += 1
+            if y * (1 + x / k) / (nu + k) < 0.5 and term < mp.mpf("1e-32") * total:
+                return float(mp.log(total))
+            x_term *= x / k
+            y_term *= y / (nu + k)
+
+
+@pytest.mark.parametrize("n_nodes", [100, 250])
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 1.0])
+def test_grid_series_against_mpmath_at_corners_and_centre(nu, n_nodes):
+    """The tensor series at the four corner nodes and the centre of the
+    grid of the rules x^0 e^-x and y^nu e^-y, against the 30-digit sum."""
+    xs, ys = make_quadrature(0.0, n_nodes).nodes, make_quadrature(nu, n_nodes).nodes
+    ln_q = _ln_q_grid_series(nu, xs, ys)
+    mid = n_nodes // 2
+    for i, j in ((0, 0), (0, -1), (-1, 0), (-1, -1), (mid, mid)):
+        assert abs(ln_q[i, j] - _ln_q_diagonal_oracle(nu, xs[i], ys[j])) <= 5e-12
 
 
 def _unity_diagonal_direct(pairs, mu, j, n_nodes):
     """The Gram diagonal from the Marcum kernel and the series on the branch's own grid."""
     cfg = FieldConfig(mu=mu)
     qnums = [resolve_qnums(j, l, m, cfg) for l, m in pairs]
-    qu, qv, U, V = _unity_grid(mu, j, n_nodes)
-    nu, x, y = (1.0 - mu, U, V) if j == 0 else (mu, V, U)
-    ratio = np.exp(ln_marcum_p(nu, x, y) + x + y - _ln_q_grid_series(nu, x, y))
+    qu, qv = _unity_grid(mu, j, n_nodes)
+    nu, xs, ys = (1.0 - mu, qu.nodes, qv.nodes) if j == 0 else (mu, qv.nodes, qu.nodes)
+    x, y = np.meshgrid(xs, ys, indexing="ij")
+    ratio = np.exp(ln_marcum_p(nu, x, y) + x + y - _ln_q_grid_series(nu, xs, ys))
+    if j == 1:  # (x, y) = (v, u): back to (u, v) as unity_reconstruction does
+        ratio = np.ascontiguousarray(ratio.T)
     n1 = np.array([q.n1 for q in qnums])
     n2 = np.array([q.n2 for q in qnums])
     pu = qu.weights * qu.nodes ** (n1[:, None] - qu.alpha)
@@ -205,29 +247,6 @@ def test_unity_ratio_cache_gives_the_direct_values(mu):
     ratio = _unity_ratio(1.0 - mu, 0.0, 1.0 - mu, 100)
     with pytest.raises(ValueError):
         ratio[0, 0] = 1.0
-
-
-_LOG_MAGNITUDE = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
-
-
-@given(a=_LOG_MAGNITUDE, b=_LOG_MAGNITUDE, shift=st.sampled_from([None, 0.0, 40.5, -75.0]))
-@settings(max_examples=300, deadline=None)
-@example(a=-math.log(2.0), b=0.0, shift=0.0)      # a == b: the sum is exactly 0
-@example(a=1e4, b=0.0, shift=-41.0)               # |a - b| > 40: the smaller adds nothing
-@example(a=-1e4, b=0.0, shift=700.0)              # the larger argument second
-def test_logaddexp_finite_matches_numpy(a, b, shift):
-    """The Q series' log-add agrees with np.logaddexp within one ulp.
-
-    shift None draws b freely; otherwise b = a + shift, covering a == b
-    and gaps past 40.  Both add log1p(e^-|a-b|) <= ln 2 to max(a, b), so
-    where that sum cancels to near 0 the ulp is taken at 1, the scale of
-    its operands, instead of at the result.
-    """
-    if shift is not None:
-        b = a + shift
-    ours = float(_logaddexp_finite(np.array([a]), np.array([b]))[0])
-    ref = float(np.logaddexp(a, b))
-    assert abs(ours - ref) <= np.spacing(max(abs(ref), 1.0))
 
 
 def test_unity_reconstruction_offdiagonal_zero():
@@ -480,7 +499,11 @@ def test_radial_delta_smearing_monotone():
     lambda: radial_delta_smear(KernelParams(l=-1, delta_t=1.0 - 0.5j, cfg=FieldConfig(mu=0.3)),
                                1.0),                       # off the Wick axis
     lambda: _ln_q_grid_series(0.5, np.array([0.0, 1.0]), np.array([1.0, 1.0])),   # u = 0
-], ids=["smear-off-wick", "grid-q-at-zero"])
+    lambda: _ln_q_grid_series(0.5, np.array([np.nan, 1.0]), np.array([1.0, 2.0])),
+    lambda: _ln_q_grid_series(0.5, np.array([1.0, 2.0]), np.array([1.0, np.inf])),
+    lambda: _ln_q_grid_series(0.5, np.array([965.0]), np.array([1e-300])),  # underflows
+], ids=["smear-off-wick", "grid-q-at-zero", "grid-q-at-nan", "grid-q-at-inf",
+        "grid-q-underflow"])
 def test_completeness_domain_errors(call):
     with pytest.raises(DomainError):
         call()
