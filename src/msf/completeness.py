@@ -38,6 +38,8 @@ from .specfun import (
     laguerre_fn_rows,
     ln_gamma,
     ln_marcum_p,
+    _DOUBLE_TINY,
+    _LN_DOUBLE_MAX,
 )
 from .landau import (FieldConfig, _branch_of, _laguerre_order, _marcum_args,
                      _radial_numbers, make_quadrature, resolve_qnums)
@@ -305,27 +307,63 @@ def _all(mask) -> bool:
     return mask.all() if isinstance(mask, np.ndarray) else bool(mask)
 
 
+# exp(x) is a finite normal double, at full precision, for
+# _LN_NORMAL_MIN < x < _LN_DOUBLE_MAX
+_LN_NORMAL_MIN = math.log(_DOUBLE_TINY)
+
+
+def _exp_times(ln_mag, bes):
+    """exp(ln_mag) bes, elementwise: the plain product wherever exp(ln_mag)
+    is a normal double, else exp(ln_mag + ln bes), which may still be one.
+    A float ln_mag runs in math and raises DomainError past the double range.
+    """
+    if isinstance(ln_mag, np.ndarray):
+        inside = (_LN_NORMAL_MIN < ln_mag.real) & (ln_mag.real < _LN_DOUBLE_MAX)
+        if inside.all():
+            return np.exp(ln_mag) * bes
+        far = ~inside
+        out = np.empty(inside.shape, dtype=np.result_type(ln_mag, bes))
+        out[inside] = np.exp(ln_mag[inside]) * bes[inside]
+        out[far] = np.exp(ln_mag[far] + np.log(bes[far]))
+        return out
+    inside = _LN_NORMAL_MIN < ln_mag.real < _LN_DOUBLE_MAX
+    if not isinstance(ln_mag, float):  # a complex time, in numpy scalars
+        return np.exp(ln_mag) * bes if inside else np.exp(ln_mag + np.log(bes))
+    if inside:
+        out = math.exp(ln_mag) * bes
+    else:
+        ln = ln_mag + math.log(bes)
+        out = math.exp(ln) if ln < _LN_DOUBLE_MAX else math.inf
+    if out == math.inf:  # the product too can pass the range
+        raise DomainError("kernel value exceeds the double range")
+    return out
+
+
 def _hille_hardy(nu: float, phi: complex, rho, rho_p, ln_pref: complex):
     """exp(ln_pref - (rho + rho') coth(phi) / 2) I_nu(sqrt(rho rho') / sinh phi) / sinh phi.
 
     The radial factor of both Hille-Hardy kernels (Erdelyi et al.,
     Higher Transcendental Functions vol. 2, 10.12), elementwise over rho
     and rho', Re phi >= 0; the Wick axis is real phi, which runs in
-    float64.  coth phi and 1 / sinh phi come from 1 - e^(-2 phi), and all
-    exponents (Re ln_pref, the Bessel growth |Re z|, the logs of 1/sinh phi
-    and of the scaled Bessel factor) meet before one exp, so long times
-    stay finite.  Where the scaled factor underflows, ln I_nu = nu ln(z/2)
-    - ln Gamma(nu + 1) + ln 0F1(; nu + 1; z^2/4), with I_-n = I_n.  z
-    crosses the cut of I_nu at each caustic Im phi = (2k - 1) pi; continued
-    from the Wick axis (k = 0) the factor is e^(-2 pi i nu k) I_nu(z) for
+    float64, and a float rho rho' there in Python floats with one scipy
+    call.  coth phi and 1 / sinh phi come from 1 - e^(-2 phi), and all
+    exponents (Re ln_pref, the Bessel growth |Re z|, the log of 1/sinh phi)
+    meet in ln_mag; the scaled Bessel factor multiplies exp(ln_mag), or
+    joins the exponent as its log where exp(ln_mag) alone would leave the
+    double range (:func:`_exp_times`), so long times stay finite.  Where
+    the scaled factor underflows, ln I_nu = nu ln(z/2) - ln Gamma(nu + 1)
+    + ln 0F1(; nu + 1; z^2/4), with I_-n = I_n.  z crosses the cut of I_nu
+    at each caustic Im phi = (2k - 1) pi; continued from the Wick axis
+    (k = 0) the factor is e^(-2 pi i nu k) I_nu(z) for
     k = floor((Im phi + pi) / 2 pi).  Raises DomainError on a non-finite
     phi or ln_pref, on a negative, nan or infinite radius, where sinh phi
-    vanishes, and where the Bessel factor has no finite value.
+    vanishes, where the Bessel factor has no finite value, and where a
+    Python-float value leaves the double range.
     """
     if not cmath.isfinite(phi):
         raise DomainError("kernel time must be finite")
     # no ufunc on the scalar path: np.minimum there took a microsecond
-    if not (_all(0.0 <= rho) and _all(0.0 <= rho_p)):  # nan fails too
+    if not _all((0.0 <= rho) & (0.0 <= rho_p)):  # nan fails too
         raise DomainError("rho must be non-negative, not nan")
     r_sum = rho + rho_p  # inf at an infinite radius, with no inf * 0
     if not (_all(r_sum < math.inf) and cmath.isfinite(ln_pref)):
@@ -341,25 +379,30 @@ def _hille_hardy(nu: float, phi: complex, rho, rho_p, ln_pref: complex):
     # comes from the series at the end
     inv_sh = 2.0 * lib.exp(-phi) / one_q
     rr = rho * rho_p
-    zarg = np.sqrt(rr) * inv_sh
+    # a float rho rho' on the Wick axis stays in Python floats throughout
+    zarg = (math.sqrt(rr) if lib is math and isinstance(rr, float) else np.sqrt(rr)) * inv_sh
     bes = bessel_i(nu, zarg if inv_sh else np.sign(rr), scaled=True)
     ln_mag = (ln_pref.real - 0.5 * r_sum * (2.0 - one_q) / one_q
               + abs(zarg.real) + ln_inv_sh)
     k = math.floor((phi.imag + math.pi) / (2.0 * math.pi))  # caustics crossed
-    phase = cmath.exp(1j * ln_pref.imag) * (cmath.exp(-2j * math.pi * nu * k) if k else 1.0)
+    phase = cmath.exp(1j * ln_pref.imag)
+    if k:
+        phase *= cmath.exp(-2j * math.pi * nu * k)
     if inv_sh and not _any(bes == 0.0):
-        return np.exp(ln_mag + np.log(bes)) * phase
+        return _exp_times(ln_mag, bes) * phase
     lost = np.asarray(((bes == 0.0) | (not inv_sh)) & (rr > 0.0))
-    ln_bes = np.full(lost.shape, -np.inf, dtype=np.result_type(bes, ln_inv_sh))
-    ok = ~lost & (bes != 0.0)  # I_nu(0) = 0 stays -inf at rho rho' = 0
-    ln_bes[ok] = np.log(np.asarray(bes)[ok])
+    ok = ~lost & (bes != 0.0)  # I_nu(0) = 0 stays 0 at rho rho' = 0
     arg = np.angle(np.exp(1j * np.imag(ln_inv_sh)))  # Arg z on the principal branch
     ln_h = 0.5 * np.log(np.asarray(rr)[lost] / 4.0) + np.real(ln_inv_sh)  # ln |z/2|
     ln_h = ln_h + 1j * arg if arg else ln_h
     a = abs(nu) if nu == round(nu) else nu
-    ln_bes[lost] = (a * ln_h - _sp.gammaln(a + 1.0) - abs(np.asarray(zarg)[lost].real)
-                    + np.log(_sp.hyp0f1(a + 1.0, np.exp(2.0 * ln_h))))
-    return np.exp(ln_mag + ln_bes) * phase
+    ln_bes = (a * ln_h - _sp.gammaln(a + 1.0) - abs(np.asarray(zarg)[lost].real)
+              + np.log(_sp.hyp0f1(a + 1.0, np.exp(2.0 * ln_h))))
+    ln_mag, bes = np.asarray(ln_mag), np.asarray(bes)
+    out = np.zeros(lost.shape, dtype=np.result_type(ln_mag, bes, ln_bes))
+    out[ok] = _exp_times(ln_mag[ok], bes[ok])
+    out[lost] = np.exp(ln_mag[lost] + ln_bes)
+    return out * phase
 
 
 def propagator_closed(p: KernelParams, dtheta: float, rho, rho_p):
@@ -373,9 +416,10 @@ def propagator_closed(p: KernelParams, dtheta: float, rho, rho_p):
     factor is i :func:`_hille_hardy` at phi = i gamma dt / 2 for every
     time, real on the Wick axis, with the phase as its exponent (which
     grows at long Wick times when l + mu < 0).  Raises DomainError on a negative
-    radius, at the zeros of sin(gamma dt / 2), and where the Bessel factor
-    has no finite value (tau <= 1e-9 at rho = rho' = 1).  Elementwise over
-    rho and rho'; scalar radii give a complex.
+    radius, at the zeros of sin(gamma dt / 2), where the Bessel factor
+    has no finite value (tau <= 1e-9 at rho = rho' = 1), and where a value
+    at float radii on the Wick axis leaves the double range.  Elementwise
+    over rho and rho'; scalar radii give a complex.
     """
     g, mu = p.cfg.gamma, p.cfg.mu
     dt = complex(p.delta_t)

@@ -641,6 +641,9 @@ def sz_apply(psi: Spinor2, p3: float, dc: DiracConfig) -> Spinor2:
             / (2 * _boosted(dc, p3).mass))
 
 
+_8PI_32 = 8.0 * math.pi**1.5  # the amplitude denominator of green_kernel_rel
+
+
 def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
                      dtheta: float, dt: float, rho, rho_p) -> np.ndarray:
     """Proper-time kernel block f_{sigma,l}(x, x', s), a 2x2 matrix.
@@ -660,8 +663,9 @@ def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
     :func:`msf.completeness._hille_hardy` at phi = i gamma s, which is
     real on the Wick axis s = -i tau, with the exponent of A as its
     phase.  Raises DomainError on a negative radius, near the singular
-    real points s_k = k pi / gamma, and at rho = 0 in the irregular
-    channel, where I_nu is infinite.
+    real points s_k = k pi / gamma (s = 0 included), at rho = 0 in the
+    irregular channel, where I_nu is infinite, and where a value at float
+    radii on the Wick axis leaves the double range.
     Elementwise over rho and rho', with the 2x2 block in the last two
     axes.
     """
@@ -670,11 +674,18 @@ def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
     g = dc.field.gamma
     mu = dc.field.mu
     sc = complex(s)
+    if not sc:  # s_0 = 0, where 1 / s would raise ZeroDivisionError first
+        raise DomainError("kernel singular: sinh(phi) vanishes")
     _, l_s, nu = _row(sigma, l, dc)
     ln_phase = (1j * (l_s - dc.field.l0) * dtheta - 1j * dc.mass**2 * sc
                 - 1j * (l_s + sigma + mu) * g * sc + 0.25j * math.pi - 1j * dt * dt / (4.0 * sc))
-    amp = (g / (8.0 * math.pi**1.5)) * 1j / cmath.sqrt(sc)
+    amp = (g / _8PI_32) * 1j / cmath.sqrt(sc)
     diag = amp * _hille_hardy(nu, 1j * g * sc, rho, rho_p, ln_phase)
-    out = np.zeros(np.shape(diag) + (2, 2), dtype=complex)  # diag Xi_sigma
-    out[..., (1 - sigma) // 2, (1 - sigma) // 2] = diag
+    k = (1 - sigma) // 2  # diag Xi_sigma
+    if isinstance(diag, complex):  # np.shape and [..., k, k] took a microsecond
+        out = np.zeros((2, 2), dtype=complex)
+        out[k, k] = diag
+        return out
+    out = np.zeros(diag.shape + (2, 2), dtype=complex)
+    out[..., k, k] = diag
     return out

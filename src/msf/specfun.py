@@ -187,6 +187,10 @@ def bessel_i(nu: float, z, scaled: bool = False):
     if abs(nu) < _DOUBLE_TINY:
         nu = 0.0  # scipy's iv returns nan at subnormal orders with complex z
     fn = _sp.ive if scaled else _sp.iv
+    if isinstance(z, float):  # np.float64 too: one ufunc call, no 0-d array
+        out = fn(nu, z)
+        if math.isfinite(out):
+            return float(out)
     cplx = np.iscomplexobj(z) or isinstance(z, complex)
     zarr = np.asarray(z, dtype=complex if cplx else float)
     out = fn(nu, zarr)

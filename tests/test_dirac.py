@@ -950,14 +950,69 @@ def test_kernel_delta_limit_smearing_monotone():
 @pytest.mark.parametrize("s", [-0.35j, 0.3 - 0.2j, 0.7])
 @pytest.mark.parametrize("sig,l,vt", [(1, 0, 1), (-1, 0, 1), (1, 0, -1), (-1, 0, -1), (1, 2, 1)])
 def test_kernel_array_equals_pointwise(sig, l, vt, s):
+    # Python-float and np.float64 radii: on the Wick axis the first stay in
+    # Python floats, the second in numpy scalars
     dc = make_dc(mu=0.3, mass=0.8, vartheta=vt)
     rho_p = np.linspace(0.05, 6.0, 9)
     k = green_kernel_rel(sig, l, dc, s, 0.4, 0.2, 1.5, rho_p)
     assert k.shape == (9, 2, 2)
     for x, kx in zip(rho_p, k):
-        one = green_kernel_rel(sig, l, dc, s, 0.4, 0.2, 1.5, float(x))
-        assert one.shape == (2, 2)
-        np.testing.assert_allclose(kx, one, rtol=1e-13, atol=0.0)
+        for rho, x_one in ((1.5, float(x)), (np.float64(1.5), np.float64(x))):
+            one = green_kernel_rel(sig, l, dc, s, 0.4, 0.2, rho, x_one)
+            assert one.shape == (2, 2)
+            np.testing.assert_allclose(kx, one, rtol=1e-13, atol=0.0)
+
+
+def _green(sig, l, mu, mass, s, dt):
+    dc = make_dc(mu=mu, mass=mass)
+    return lambda rho, rho_p: green_kernel_rel(sig, l, dc, s, 0.4, dt, rho, rho_p)
+
+
+def _closed(l, dt):
+    p = KernelParams(l=l, delta_t=dt, cfg=FieldConfig(mu=0.3))
+    return lambda rho, rho_p: propagator_closed(p, 0.4, rho, rho_p)
+
+
+# kernel, rho, rho' values; every value is finite and the rows with rho' > 0
+# are nonzero
+_KERNEL_ROUTES = {
+    # I_1.3(0) = 0 and I_0(0) = 1 at rho' = 0
+    "green rho'=0": (_green(1, 2, 0.3, 0.8, -0.35j, 0.2), 1.5, [0.0, 0.7, 3.0]),
+    "green rho'=0 order 0": (_green(1, 1, 0.0, 0.8, -0.35j, 0.2), 1.5, [0.0, 0.7, 3.0]),
+    "green complex s": (_green(1, 2, 0.3, 0.8, 0.3 - 0.2j, 0.2), 1.5, [0.0, 0.7, 3.0]),
+    # order 19.7 at tau = 40: the scaled I_nu underflows to 0 (the series route)
+    "green lost Bessel": (_green(-1, -20, 0.3, 0.2, -40j, 66.0), 20.0, [15.0, 20.0, 25.0]),
+    # tau = 36: exp(ln_mag) passes the double range (ln_mag 716 to 721),
+    # the value (about -2e9) does not
+    "green exponent past 709": (_green(-1, -20, 0.3, 0.2, -36j, 66.0), 20.0, [15.0, 20.0, 25.0]),
+    "green int radii": (_green(1, 2, 0.3, 0.8, -0.35j, 0.2), 2, [0, 1, 3]),
+    "closed rho'=0": (_closed(2, -0.35j), 1.5, [0.0, 0.7, 3.0]),
+    "closed complex time": (_closed(2, 0.4 - 0.3j), 1.5, [0.0, 0.7, 3.0]),
+    "closed lost Bessel": (_closed(-40, -80j), 1.0, [0.5, 1.0, 2.0]),
+    "closed int radii": (_closed(2, -0.35j), 2, [0, 1, 3]),
+}
+
+
+@pytest.mark.parametrize("radius", ["as given", "np.float64"])
+@pytest.mark.parametrize("case", sorted(_KERNEL_ROUTES))
+def test_kernel_array_equals_pointwise_on_every_route(case, radius):
+    # each branch of the radial factor: scalar calls against one array call
+    kernel, rho, rho_p = _KERNEL_ROUTES[case]
+    arr = kernel(rho, np.array(rho_p))
+    assert np.all(np.isfinite(arr))
+    assert all(np.any(a != 0.0) for x, a in zip(rho_p, arr) if x > 0)
+    kind = np.float64 if radius == "np.float64" else (lambda v: v)
+    for x, ax in zip(rho_p, arr):
+        np.testing.assert_allclose(ax, kernel(kind(rho), kind(x)), rtol=1e-13, atol=0.0)
+
+
+def test_scalar_kernel_past_the_double_range_raises():
+    # dt^2 / 4 tau = 729 lifts the value to about e^730: math.exp would raise
+    # OverflowError, the kernel raises DomainError
+    kernel = _green(-1, -20, 0.3, 0.2, -36j, 324.0)
+    for rho_p in (20.0, np.float64(20.0)):
+        with pytest.raises(DomainError, match="double range"):
+            kernel(20.0, rho_p)
 
 
 @pytest.mark.parametrize("mu", [0.3, 0.85])
@@ -978,6 +1033,10 @@ def test_kernel_singularity_rejected():
     dc = make_dc(mu=0.3)
     with pytest.raises(DomainError):
         green_kernel_rel(1, 2, dc, math.pi / dc.field.gamma, 0.0, 0.0, 1.0, 2.0)
+    # s = 0 gave a bare ZeroDivisionError from 1 / s
+    for s in (0.0, 0j):
+        with pytest.raises(DomainError, match="singular"):
+            green_kernel_rel(1, 2, dc, s, 0.0, 0.0, 1.0, 2.0)
 
 
 @pytest.mark.parametrize("rho,rho_p", [
@@ -1029,6 +1088,11 @@ _NON_FINITE = {
         1, 2, make_dc(mu=0.3), 0.3 - 0.2j, 0.4, math.inf, 1.0, 2.0),
     "green_kernel_rel inf rho": lambda: green_kernel_rel(
         -1, 2, make_dc(mu=0.3), -0.3j, 0.4, 0.0, math.inf, 2.0),
+    "green_kernel_rel inf rho_p float64": lambda: green_kernel_rel(
+        1, 2, make_dc(mu=0.3), -0.3j, 0.4, 0.0, np.float64(1.0), np.float64(math.inf)),
+    "propagator_closed inf rho float64": lambda: propagator_closed(
+        KernelParams(l=2, delta_t=-0.05j, cfg=FieldConfig(mu=0.3)), 0.0, np.float64(math.inf),
+        np.float64(1.0)),
 }
 
 
@@ -1037,6 +1101,40 @@ def test_non_finite_state_and_kernel_inputs_raise(case):
     # each gave nan, nan+nanj or a RuntimeWarning before its check
     with pytest.raises(DomainError, match="finite"):
         _NON_FINITE[case]()
+
+
+# each takes the form of one input (float, np.float64 or a 0-d array)
+_SCALAR_ERRORS = {
+    "green_kernel_rel nan rho": lambda x: green_kernel_rel(
+        1, 2, make_dc(mu=0.3), -0.3j, 0.4, 0.0, x(math.nan), 2.0),
+    "green_kernel_rel inf rho_p": lambda x: green_kernel_rel(
+        1, 2, make_dc(mu=0.3), -0.3j, 0.4, 0.0, 1.0, x(math.inf)),
+    "green_kernel_rel negative rho_p": lambda x: green_kernel_rel(
+        1, 2, make_dc(mu=0.3), -0.3j, 0.4, 0.0, 1.0, x(-1.0)),
+    "green_kernel_rel singular s": lambda x: green_kernel_rel(
+        1, 2, make_dc(mu=0.3), x(math.pi), 0.4, 0.0, 1.0, 2.0),
+    "green_kernel_rel s = 0": lambda x: green_kernel_rel(
+        1, 2, make_dc(mu=0.3), x(0.0), 0.4, 0.0, 1.0, 2.0),
+    "propagator_closed nan rho_p": lambda x: propagator_closed(
+        KernelParams(l=2, delta_t=-0.3j, cfg=FieldConfig(mu=0.3)), 0.0, 1.0, x(math.nan)),
+    "propagator_closed inf rho": lambda x: propagator_closed(
+        KernelParams(l=2, delta_t=-0.3j, cfg=FieldConfig(mu=0.3)), 0.0, x(math.inf), 1.0),
+    "propagator_closed negative rho": lambda x: propagator_closed(
+        KernelParams(l=2, delta_t=-0.3j, cfg=FieldConfig(mu=0.3)), 0.0, x(-0.5), 1.0),
+    "propagator_closed singular dt": lambda x: propagator_closed(
+        KernelParams(l=2, delta_t=x(2.0 * math.pi), cfg=FieldConfig(mu=0.3)), 0.0, 1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCALAR_ERRORS))
+def test_scalar_kernel_inputs_raise_as_0d_arrays(case):
+    # the Python-float route keeps every check, with the same message
+    msgs = set()
+    for kind in (float, np.float64, np.array):
+        with pytest.raises(DomainError) as err:
+            _SCALAR_ERRORS[case](kind)
+        msgs.add(str(err.value))
+    assert len(msgs) == 1
 
 
 _EMPTY_RHO = {

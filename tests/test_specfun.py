@@ -278,6 +278,15 @@ def test_bessel_singular_points_raise():
     with pytest.raises(DomainError, match="scaled=True"):
         bessel_i(0.3, np.array([1.0, 900.0]))
     assert np.all(np.isfinite(bessel_i(0.3, np.array([1.0, 900.0]), scaled=True)))
+    # a Python float and an np.float64 take one ufunc call; each raises as a
+    # 0-d array does
+    for z, scaled in ((2e9, True), (2e9, False), (-1.0, True), (-1.0, False), (800.0, False)):
+        msgs = set()
+        for kind in (float, np.float64, np.array):
+            with pytest.raises(DomainError) as err:
+                bessel_i(0.3, kind(z), scaled=scaled)
+            msgs.add(str(err.value))
+        assert len(msgs) == 1
 
 
 # ---------------------------------------------------------------------------
