@@ -38,7 +38,6 @@ from .specfun import (
     laguerre_fn_rows,
     ln_gamma,
     ln_marcum_p,
-    _DOUBLE_TINY,
     _LN_DOUBLE_MAX,
 )
 from .landau import (FieldConfig, _branch_of, _laguerre_order, _marcum_args,
@@ -307,36 +306,17 @@ def _all(mask) -> bool:
     return mask.all() if isinstance(mask, np.ndarray) else bool(mask)
 
 
-# exp(x) is a finite normal double, at full precision, for
-# _LN_NORMAL_MIN < x < _LN_DOUBLE_MAX
-_LN_NORMAL_MIN = math.log(_DOUBLE_TINY)
-
-
-def _exp_times(ln_mag, bes):
-    """exp(ln_mag) bes, elementwise: the plain product wherever exp(ln_mag)
-    is a normal double, else exp(ln_mag + ln bes), which may still be one.
-    A float ln_mag runs in math and raises DomainError past the double range.
-    """
-    if isinstance(ln_mag, np.ndarray):
-        inside = (_LN_NORMAL_MIN < ln_mag.real) & (ln_mag.real < _LN_DOUBLE_MAX)
-        if inside.all():
-            return np.exp(ln_mag) * bes
-        far = ~inside
-        out = np.empty(inside.shape, dtype=np.result_type(ln_mag, bes))
-        out[inside] = np.exp(ln_mag[inside]) * bes[inside]
-        out[far] = np.exp(ln_mag[far] + np.log(bes[far]))
-        return out
-    inside = _LN_NORMAL_MIN < ln_mag.real < _LN_DOUBLE_MAX
-    if not isinstance(ln_mag, float):  # a complex time, in numpy scalars
-        return np.exp(ln_mag) * bes if inside else np.exp(ln_mag + np.log(bes))
-    if inside:
-        out = math.exp(ln_mag) * bes
-    else:
-        ln = ln_mag + math.log(bes)
-        out = math.exp(ln) if ln < _LN_DOUBLE_MAX else math.inf
-    if out == math.inf:  # the product too can pass the range
-        raise DomainError("kernel value exceeds the double range")
-    return out
+def _exp(ln):
+    """exp(ln), elementwise, in math for a float.  Raises DomainError where
+    the value leaves the double range (np.exp gives inf, math.exp raises)."""
+    try:
+        if isinstance(ln, float):
+            return math.exp(ln)
+        if not _any(ln.real > _LN_DOUBLE_MAX):
+            return np.exp(ln)
+    except OverflowError:
+        pass
+    raise DomainError("kernel value exceeds the double range")
 
 
 def _hille_hardy(nu: float, phi: complex, rho, rho_p, ln_pref: complex):
@@ -347,18 +327,16 @@ def _hille_hardy(nu: float, phi: complex, rho, rho_p, ln_pref: complex):
     and rho', Re phi >= 0; the Wick axis is real phi, which runs in
     float64, and a float rho rho' there in Python floats with one scipy
     call.  coth phi and 1 / sinh phi come from 1 - e^(-2 phi), and all
-    exponents (Re ln_pref, the Bessel growth |Re z|, the log of 1/sinh phi)
-    meet in ln_mag; the scaled Bessel factor multiplies exp(ln_mag), or
-    joins the exponent as its log where exp(ln_mag) alone would leave the
-    double range (:func:`_exp_times`), so long times stay finite.  Where
-    the scaled factor underflows, ln I_nu = nu ln(z/2) - ln Gamma(nu + 1)
-    + ln 0F1(; nu + 1; z^2/4), with I_-n = I_n.  z crosses the cut of I_nu
-    at each caustic Im phi = (2k - 1) pi; continued from the Wick axis
-    (k = 0) the factor is e^(-2 pi i nu k) I_nu(z) for
+    exponents (Re ln_pref, the Bessel growth |Re z|, the logs of 1/sinh phi
+    and of the scaled Bessel factor) meet before one exp, so long times
+    stay finite.  Where the scaled factor underflows, ln I_nu = nu ln(z/2)
+    - ln Gamma(nu + 1) + ln 0F1(; nu + 1; z^2/4), with I_-n = I_n.  z
+    crosses the cut of I_nu at each caustic Im phi = (2k - 1) pi; continued
+    from the Wick axis (k = 0) the factor is e^(-2 pi i nu k) I_nu(z) for
     k = floor((Im phi + pi) / 2 pi).  Raises DomainError on a non-finite
     phi or ln_pref, on a negative, nan or infinite radius, where sinh phi
-    vanishes, where the Bessel factor has no finite value, and where a
-    Python-float value leaves the double range.
+    vanishes, where the Bessel factor has no finite value, and where the
+    value leaves the double range.
     """
     if not cmath.isfinite(phi):
         raise DomainError("kernel time must be finite")
@@ -379,7 +357,7 @@ def _hille_hardy(nu: float, phi: complex, rho, rho_p, ln_pref: complex):
     # comes from the series at the end
     inv_sh = 2.0 * lib.exp(-phi) / one_q
     rr = rho * rho_p
-    # a float rho rho' on the Wick axis stays in Python floats throughout
+    # a float rho rho' on the Wick axis stays in Python floats to the end
     zarg = (math.sqrt(rr) if lib is math and isinstance(rr, float) else np.sqrt(rr)) * inv_sh
     bes = bessel_i(nu, zarg if inv_sh else np.sign(rr), scaled=True)
     ln_mag = (ln_pref.real - 0.5 * r_sum * (2.0 - one_q) / one_q
@@ -389,20 +367,19 @@ def _hille_hardy(nu: float, phi: complex, rho, rho_p, ln_pref: complex):
     if k:
         phase *= cmath.exp(-2j * math.pi * nu * k)
     if inv_sh and not _any(bes == 0.0):
-        return _exp_times(ln_mag, bes) * phase
+        log = math.log if isinstance(ln_mag, float) else np.log
+        return _exp(ln_mag + log(bes)) * phase
     lost = np.asarray(((bes == 0.0) | (not inv_sh)) & (rr > 0.0))
-    ok = ~lost & (bes != 0.0)  # I_nu(0) = 0 stays 0 at rho rho' = 0
+    ln_bes = np.full(lost.shape, -np.inf, dtype=np.result_type(bes, ln_inv_sh))
+    ok = ~lost & (bes != 0.0)  # I_nu(0) = 0 stays -inf at rho rho' = 0
+    ln_bes[ok] = np.log(np.asarray(bes)[ok])
     arg = np.angle(np.exp(1j * np.imag(ln_inv_sh)))  # Arg z on the principal branch
     ln_h = 0.5 * np.log(np.asarray(rr)[lost] / 4.0) + np.real(ln_inv_sh)  # ln |z/2|
     ln_h = ln_h + 1j * arg if arg else ln_h
     a = abs(nu) if nu == round(nu) else nu
-    ln_bes = (a * ln_h - _sp.gammaln(a + 1.0) - abs(np.asarray(zarg)[lost].real)
-              + np.log(_sp.hyp0f1(a + 1.0, np.exp(2.0 * ln_h))))
-    ln_mag, bes = np.asarray(ln_mag), np.asarray(bes)
-    out = np.zeros(lost.shape, dtype=np.result_type(ln_mag, bes, ln_bes))
-    out[ok] = _exp_times(ln_mag[ok], bes[ok])
-    out[lost] = np.exp(ln_mag[lost] + ln_bes)
-    return out * phase
+    ln_bes[lost] = (a * ln_h - _sp.gammaln(a + 1.0) - abs(np.asarray(zarg)[lost].real)
+                    + np.log(_sp.hyp0f1(a + 1.0, np.exp(2.0 * ln_h))))
+    return _exp(ln_mag + ln_bes) * phase
 
 
 def propagator_closed(p: KernelParams, dtheta: float, rho, rho_p):
@@ -417,9 +394,9 @@ def propagator_closed(p: KernelParams, dtheta: float, rho, rho_p):
     time, real on the Wick axis, with the phase as its exponent (which
     grows at long Wick times when l + mu < 0).  Raises DomainError on a negative
     radius, at the zeros of sin(gamma dt / 2), where the Bessel factor
-    has no finite value (tau <= 1e-9 at rho = rho' = 1), and where a value
-    at float radii on the Wick axis leaves the double range.  Elementwise
-    over rho and rho'; scalar radii give a complex.
+    has no finite value (tau <= 1e-9 at rho = rho' = 1), and where the
+    value leaves the double range.  Elementwise over rho and rho'; scalar
+    radii give a complex.
     """
     g, mu = p.cfg.gamma, p.cfg.mu
     dt = complex(p.delta_t)

@@ -641,9 +641,6 @@ def sz_apply(psi: Spinor2, p3: float, dc: DiracConfig) -> Spinor2:
             / (2 * _boosted(dc, p3).mass))
 
 
-_8PI_32 = 8.0 * math.pi**1.5  # the amplitude denominator of green_kernel_rel
-
-
 def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
                      dtheta: float, dt: float, rho, rho_p) -> np.ndarray:
     """Proper-time kernel block f_{sigma,l}(x, x', s), a 2x2 matrix.
@@ -664,8 +661,8 @@ def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
     real on the Wick axis s = -i tau, with the exponent of A as its
     phase.  Raises DomainError on a negative radius, near the singular
     real points s_k = k pi / gamma (s = 0 included), at rho = 0 in the
-    irregular channel, where I_nu is infinite, and where a value at float
-    radii on the Wick axis leaves the double range.
+    irregular channel, where I_nu is infinite, and where the value leaves
+    the double range.
     Elementwise over rho and rho', with the 2x2 block in the last two
     axes.
     """
@@ -679,7 +676,7 @@ def green_kernel_rel(sigma: int, l: int, dc: DiracConfig, s: complex,
     _, l_s, nu = _row(sigma, l, dc)
     ln_phase = (1j * (l_s - dc.field.l0) * dtheta - 1j * dc.mass**2 * sc
                 - 1j * (l_s + sigma + mu) * g * sc + 0.25j * math.pi - 1j * dt * dt / (4.0 * sc))
-    amp = (g / _8PI_32) * 1j / cmath.sqrt(sc)
+    amp = (g / (8.0 * math.pi**1.5)) * 1j / cmath.sqrt(sc)
     diag = amp * _hille_hardy(nu, 1j * g * sc, rho, rho_p, ln_phase)
     k = (1 - sigma) // 2  # diag Xi_sigma
     if isinstance(diag, complex):  # np.shape and [..., k, k] took a microsecond

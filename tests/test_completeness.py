@@ -9,10 +9,11 @@ from scipy import special as sp
 from msf import completeness
 from msf.landau import (FieldConfig, _branch_of, _radial_numbers, make_quadrature,
                         resolve_qnums)
-from msf.specfun import DomainError, erf, laguerre_fn_rows, ln_gamma, ln_marcum_p
+from msf.specfun import (_LN_DOUBLE_MAX, DomainError, erf, laguerre_fn_rows, ln_gamma,
+                         ln_marcum_p)
 from msf.completeness import (
     KernelParams,
-    _exp_times,
+    _exp,
     _ln_q_grid_series,
     _unity_grid,
     _unity_ratio,
@@ -345,21 +346,16 @@ def test_closed_array_equals_pointwise(l, dt):
     assert np.all(np.abs(arr - pts) <= 1e-13 * np.abs(pts))
 
 
-def test_exp_times_takes_the_log_only_outside_the_range():
-    # exp(ln_mag) bes: the plain product where exp(ln_mag) is a normal
-    # double, else exp(ln_mag + ln bes), in math for a float ln_mag
-    ln_mag = [-3.0, 718.7, -720.0]
-    bes = [0.25, 4.3e-301, 1e10]
-    want = [math.exp(-3.0) * 0.25, math.exp(718.7 + math.log(4.3e-301)),
-            math.exp(-720.0 + math.log(1e10))]
-    got = [_exp_times(a, b) for a, b in zip(ln_mag, bes)]
-    assert got == want and all(type(v) is float for v in got)
-    np.testing.assert_allclose(_exp_times(np.array(ln_mag), np.array(bes)), want,
-                               rtol=1e-15, atol=0.0)
-    # past the double range a float raises, in either form, never OverflowError
-    for a, b in ((720.0, 0.5), (709.0, 1e10)):
+def test_exp_raises_past_the_double_range_in_every_form():
+    # math.exp raises OverflowError where np.exp gives inf; both raise
+    # DomainError, and a float stays a float
+    assert type(_exp(-3.0)) is float and _exp(-3.0) == math.exp(-3.0)
+    assert _exp(_LN_DOUBLE_MAX) < math.inf
+    for ln in (math.nextafter(_LN_DOUBLE_MAX, math.inf), np.float64(720.0),
+               np.array([1.0, 720.0]), np.complex128(720.0 + 1.0j)):
         with pytest.raises(DomainError, match="double range"):
-            _exp_times(a, b)
+            _exp(ln)
+    np.testing.assert_array_equal(_exp(np.array([0.0, -800.0])), [1.0, 0.0])
 
 
 def test_closed_rejects_negative_radius():

@@ -1006,11 +1006,11 @@ def test_kernel_array_equals_pointwise_on_every_route(case, radius):
         np.testing.assert_allclose(ax, kernel(kind(rho), kind(x)), rtol=1e-13, atol=0.0)
 
 
-def test_scalar_kernel_past_the_double_range_raises():
-    # dt^2 / 4 tau = 729 lifts the value to about e^730: math.exp would raise
-    # OverflowError, the kernel raises DomainError
+def test_kernel_past_the_double_range_raises():
+    # dt^2 / 4 tau = 729 lifts the value to about e^730: np.exp would give
+    # inf and math.exp raise OverflowError; every radius form raises DomainError
     kernel = _green(-1, -20, 0.3, 0.2, -36j, 324.0)
-    for rho_p in (20.0, np.float64(20.0)):
+    for rho_p in (20.0, np.float64(20.0), np.array(20.0), np.array([15.0, 20.0])):
         with pytest.raises(DomainError, match="double range"):
             kernel(20.0, rho_p)
 
