@@ -377,8 +377,12 @@ def _hille_hardy(nu: float, phi: complex, rho, rho_p, ln_pref: complex):
     ln_h = 0.5 * np.log(np.asarray(rr)[lost] / 4.0) + np.real(ln_inv_sh)  # ln |z/2|
     ln_h = ln_h + 1j * arg if arg else ln_h
     a = abs(nu) if nu == round(nu) else nu
+    series = _sp.hyp0f1(a + 1.0, np.exp(2.0 * ln_h))
+    if not np.all(np.isfinite(series)):  # at large z, where the scaled factor underflows
+        raise DomainError("kernel Bessel factor has no finite value: the scaled I_nu "
+                          "underflows and its series overflows")
     ln_bes[lost] = (a * ln_h - _sp.gammaln(a + 1.0) - abs(np.asarray(zarg)[lost].real)
-                    + np.log(_sp.hyp0f1(a + 1.0, np.exp(2.0 * ln_h))))
+                    + np.log(series))
     return _exp(ln_mag + ln_bes) * phase
 
 

@@ -176,9 +176,9 @@ def bessel_i(nu: float, z, scaled: bool = False):
 
     Real order nu (any sign), real or complex argument; principal
     branch.  With ``scaled=True`` returns exp(-|Re z|) I_nu(z), which
-    stays finite where the plain value would overflow.  At a finite
-    argument both forms return a finite value or raise DomainError that
-    names the cause: past the double range (plain form, about
+    stays finite where the plain value would overflow.  Both forms return
+    a finite value or raise DomainError that names the cause: a nan or
+    infinite argument, past the double range (plain form, about
     |Re z| > 700; points to ``scaled=True``), infinite or not real (z = 0
     at negative non-integer order, real z < 0 at non-integer order), or
     outside the range of scipy's routines (such as |z| = 2e9).
@@ -197,16 +197,16 @@ def bessel_i(nu: float, z, scaled: bool = False):
     # one check on the success path; on a scalar cmath.isfinite is about
     # 60 times cheaper than np.isfinite(out).all()
     if not (cmath.isfinite(out) if zarr.ndim == 0 else np.isfinite(out).all()):
-        bad = ~np.isfinite(out) & np.isfinite(zarr)
-        if np.any(bad):
-            zb = zarr[bad][0]
-            if not scaled and np.isfinite(_sp.ive(nu, zb)):
-                why = "exceeds the double range; scaled=True gives exp(-|Re z|) I_nu(z)"
-            elif (zb == 0 and nu < 0 and nu != math.floor(nu)) or (not cplx and zb < 0):
-                why = "is infinite or not real"
-            else:
-                why = "lies outside the range of scipy's Bessel routines"
-            raise DomainError(f"I_{nu}(z) at z = {zb} {why}")
+        zb = zarr[~np.isfinite(out)][0]  # scipy gives nan at every non-finite z
+        if not cmath.isfinite(zb):
+            why = "is not a finite argument"
+        elif not scaled and np.isfinite(_sp.ive(nu, zb)):
+            why = "exceeds the double range; scaled=True gives exp(-|Re z|) I_nu(z)"
+        elif (zb == 0 and nu < 0 and nu != math.floor(nu)) or (not cplx and zb < 0):
+            why = "is infinite or not real"
+        else:
+            why = "lies outside the range of scipy's Bessel routines"
+        raise DomainError(f"I_{nu}(z) at z = {zb} {why}")
     if zarr.ndim == 0:
         return complex(out) if cplx else float(out)
     return out
@@ -228,7 +228,6 @@ def _ln_gammainc(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     Below the double range P is taken from its Kummer form
     x^a e^-x M(1, a+1, x) / Gamma(a+1); there x << a, so M stays near 1.
     """
-    a, x = np.broadcast_arrays(a, x)
     g = _sp.gammainc(a, x)
     with np.errstate(divide="ignore"):
         out = np.log(g)
@@ -240,39 +239,146 @@ def _ln_gammainc(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ln_poisson_gamma_mixture(nu: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """ln sum_m exp(-u + m ln u - lnGamma(m+1)) P(nu+m, v) over 1-d u, v > 0.
+# rows of one block: one incomplete gamma value at its top serves them all
+_MIX_BLOCK = 16
+# row offsets 1..15 above the first row of a block
+_MIX_ROWS = np.arange(1.0, _MIX_BLOCK)[:, None]
+# terms summed per point before the mixture gives up
+_MIX_MAX_TERMS = 1_000_000
+# terms of one round, past which the points run in groups
+_MIX_ROUND_SIZE = 1 << 18
 
-    Summed in blocks of 16 m with a running logaddexp; short blocks keep
-    the (m x points) temporaries small.  The terms are log-concave in m,
-    so once a block ends on a decreasing step the rest is bounded by the
-    geometric series of that step.  A point retires, with its total, at
-    the end of the first block where that bound falls below 1e-17 of its
-    own total; the later blocks are summed over the live points only.
+
+def _ln_poisson_gamma_mixture(nu: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """ln sum_m exp(-u + m ln u - lnGamma(m+1)) P(nu+m, v) over 1-d u >= 0, v > 0.
+
+    The terms are log-concave in m, with their peak near the root m* of
+    (m+1)(m+1+nu) = uv, capped at u, and fall off within a few
+    sqrt(m*+1) of it.  Each point's first round sums the blocks of 16 m
+    that meet m* - 6 sqrt(m*+1) .. m* + 8 sqrt(m*+1); each further round
+    adds one block on each side whose edge does not yet bound the terms
+    beyond it, by the geometric series of its last step, below 1e-17 of
+    the point's own total.  A point retires once both sides hold.  Every
+    point is summed on its own, so a set of points gives bitwise the
+    values of its parts.  Raises TruncationError once a point has summed
+    1e6 terms without meeting its bounds.
     """
-    block, ln_tol = 16, math.log(1e-17)
+    root = (np.hypot(nu, 2.0 * np.sqrt(u) * np.sqrt(v)) - nu) / 2.0  # u v may overflow
+    peak = np.minimum(u, np.maximum(root - 1.0, 0.0))
+    width = np.minimum(np.sqrt(peak + 1.0), _MIX_MAX_TERMS / 14.0)
+    lo = np.floor(np.maximum(peak - 6.0 * width, 0.0) / _MIX_BLOCK)
+    hi = np.floor((peak + 8.0 * width) / _MIX_BLOCK)
+    blocks = hi - lo + 1.0
+    if blocks.sum() * _MIX_BLOCK <= _MIX_ROUND_SIZE:
+        return _ln_mixture_sum(nu, u, v, lo, hi)
+    out = np.empty(u.shape)  # keep each round's arrays to about 2^18 terms
+    first = np.cumsum(blocks) * _MIX_BLOCK // _MIX_ROUND_SIZE
+    for idx in np.split(np.arange(u.size), np.flatnonzero(np.diff(first)) + 1):
+        out[idx] = _ln_mixture_sum(nu, u[idx], v[idx], lo[idx], hi[idx])
+    return out
+
+
+def _ln_mixture_sum(nu, u, v, lo, hi):
+    """The mixture over points whose first round spans the blocks lo..hi."""
+    ln_tol = math.log(1e-17)
     out = np.empty(u.shape)
     live = np.arange(u.size)
+    # at u = 0 the terms past m = 0 then fall below e^-744 of the first, not to 0
+    u = np.maximum(u, _DOUBLE_TRUE_MIN)
     total = np.full(u.shape, -np.inf)
-    m0 = 0
+    side = np.ones((2, u.size), dtype=bool)  # a block below and a block above this round
+    counts = (hi - lo + 1.0).astype(int)
+    starts = np.cumsum(counts) - counts
+    pt = np.repeat(live, counts)
+    blk = lo[pt] + (np.arange(pt.size) - starts[pt])
+    summed = _MIX_BLOCK * counts
     while True:
-        m = np.arange(m0, m0 + block, dtype=float)[:, None]
-        ln_t = -u + _sp.xlogy(m, u) - _sp.gammaln(m + 1.0) + _ln_gammainc(nu + m, v)
-        total = np.logaddexp(total, np.logaddexp.reduce(ln_t, axis=0))
-        with np.errstate(invalid="ignore"):
-            step = ln_t[-1] - ln_t[-2]
-            ln_tail = ln_t[-1] + step - np.log1p(-np.exp(step))
-            done = (ln_t[-1] == -np.inf) | ((step < 0) & (ln_tail - total < ln_tol))
-        if np.any(done):
-            out[live[done]] = total[done]
+        ends = starts + counts - 1
+        ln_t, bound = _ln_mixture_rows(nu, u[pt], v[pt], blk, starts, ends)
+        shift = np.maximum.reduceat(ln_t.max(axis=0), starts)
+        # each point's terms in one run: reduceat sums it alike in any set of points
+        terms = np.subtract(ln_t.T, shift[pt, None], order="C")
+        point_sum = np.add.reduceat(np.exp(terms, out=terms).ravel(), _MIX_BLOCK * starts)
+        total = np.logaddexp(total, shift + np.log(point_sum))
+        tail = bound if side.all() else np.where(side, bound, tail)
+        held = tail - total < ln_tol
+        done = held.all(axis=0)
+        if done.any():
+            out[live[done]] = total[done] - u[done]
             keep = ~done
-            live, u, v, total, ln_tail = live[keep], u[keep], v[keep], total[keep], ln_tail[keep]
-        if not live.size:
-            return out
-        m0 += block
-        if m0 > 1_000_000:
+            live, u, v, lo, hi = live[keep], u[keep], v[keep], lo[keep], hi[keep]
+            total, summed, tail, held = total[keep], summed[keep], tail[:, keep], held[:, keep]
+            if not live.size:
+                return out
+        if summed.max() >= _MIX_MAX_TERMS:
             raise TruncationError("Poisson-gamma mixture did not converge (logarithms)",
-                                  float(np.max(total)), float(np.max(ln_tail)))
+                                  float(np.max(total - u)), float(np.max(np.logaddexp(*tail) - u)))
+        side = ~held
+        lo, hi = lo - side[0], hi + side[1]
+        counts = side.sum(axis=0)
+        starts = np.cumsum(counts) - counts
+        summed += _MIX_BLOCK * counts
+        pt = np.nonzero(side.T)[0]
+        blk = np.stack([lo, hi], axis=1)[side.T]
+
+
+def _ln_mixture_rows(nu, u, v, blk, starts, ends):
+    """ln u^m / m! P(nu+m, v), the terms without e^-u, over the 16 rows m of each block.
+
+    Rows are m and columns blocks; u and v hold each block's point, and
+    the blocks of each point sit side by side from ``starts`` to ``ends``.  Also
+    returns, per point, the ln of the bound on the terms below its first
+    row (-inf at m = 0) and above its last: the geometric series of the
+    edge step, inf where that step does not fall.  P at the top of a
+    block is one incomplete gamma value, and P below it comes from the
+    backward recurrence P(a, v) = P(a+1, v) + v^a e^-v / Gamma(a+1),
+    whose terms are all positive: a reverse cumulative sum in exp
+    space, shifted by the block maximum.  The log factorials are one
+    gammaln per block plus cumulative logs.
+    """
+    ln_u, ln_v = np.log(u), np.log(v)
+    m0 = blk * _MIX_BLOCK
+    ln_p_top = _ln_gammainc(nu + m0 + (_MIX_BLOCK - 1), v)
+    # ln u^m / m! and ln v^(nu+m) e^-v / Gamma(nu+m+1), accumulated down the rows
+    acc = np.empty((_MIX_BLOCK, 2, blk.size))
+    ln_pois, ln_d = acc.transpose(1, 0, 2)
+    ln_pois[0] = m0 * ln_u - _sp.gammaln(m0 + 1.0)
+    ln_d[0] = (nu + m0) * ln_v - v - _sp.gammaln(nu + m0 + 1.0)
+    ln_m = np.log(np.add(m0, _MIX_ROWS, out=ln_pois[1:]), out=ln_pois[1:])
+    if nu:
+        np.log(np.add(nu + m0, _MIX_ROWS, out=ln_d[1:]), out=ln_d[1:])
+        np.subtract(ln_v, ln_d[1:], out=ln_d[1:])
+    else:
+        np.subtract(ln_v, ln_m, out=ln_d[1:])
+    np.subtract(ln_u, ln_m, out=ln_m)
+    _accumulate(acc)
+    ln_top2 = ln_pois[-2, ends] + np.logaddexp(ln_p_top[ends], ln_d[-2, ends])
+    ln_d[-1] = ln_p_top
+    shift = ln_d.max(axis=0)
+    p = ln_d[::-1]  # P from the top row down
+    _accumulate(np.exp(np.subtract(p, shift, out=p), out=p))
+    with np.errstate(divide="ignore"):
+        ln_t = np.log(ln_d)  # -inf in rows far below the block maximum, which add nothing
+    ln_t += shift
+    ln_t[-1] = ln_p_top
+    ln_t += ln_pois
+    edge = np.stack([ln_t[0, starts], ln_t[-1, ends]])
+    step = np.minimum(edge - np.stack([ln_t[1, starts], ln_top2]), 0.0)
+    with np.errstate(divide="ignore"):  # a step of 0 bounds nothing: inf
+        bound = edge + step - np.log1p(-np.exp(step))
+    bound[0, blk[starts] == 0.0] = -np.inf  # no terms below m = 0
+    return ln_t, bound
+
+
+def _accumulate(x):
+    """Cumulative sum down the rows of x, in place, row after row in every
+    column.  Past a few hundred columns one vector add per row is several
+    times faster than cumsum along the rows, with the same additions."""
+    if x[0].size < 256:
+        return np.cumsum(x, axis=0, out=x)
+    for r in range(1, len(x)):
+        x[r] += x[r - 1]
+    return x
 
 
 def ln_marcum_p(nu: float, u, v):
@@ -291,8 +397,13 @@ def ln_marcum_p(nu: float, u, v):
     is nan as well, takes this limit.  Where P falls below 1e-30,
     where chndtr loses accuracy and then underflows, the Poisson-gamma
     mixture is summed in log space, so ln P stays finite far past the
-    double range of P.  Edges: P_nu(u, 0) = 0 for nu > 0 (ln P = -inf)
-    and P_0(u, 0) = exp(-u).
+    double range of P: from the peak term near m = sqrt(uv) outwards,
+    with one incomplete gamma value per block of 16 terms and the rest
+    from its backward recurrence, so its cost grows with the width
+    sqrt(m+1) of the peak, not with u.
+    Edges: P_nu(u, 0) = 0 for nu > 0 (ln P = -inf) and P_0(u, 0) = exp(-u).
+    Raises TruncationError where the mixture needs more than 1e6 terms
+    (uv past about 1e19).
     """
     nu = float(nu)
     if not nu >= 0.0:
@@ -324,6 +435,7 @@ def ln_marcum_p(nu: float, u, v):
 
 _LN_DOUBLE_MAX = math.log(np.finfo(float).max)
 _DOUBLE_TINY = np.finfo(float).tiny  # smallest normal double
+_DOUBLE_TRUE_MIN = np.finfo(float).smallest_subnormal
 
 
 def exp_in_range(ln_x, what: str):

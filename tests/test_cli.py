@@ -110,8 +110,8 @@ def test_out_of_range_option_exits_2(args, capsys):
 
 
 def test_truncation_error_exits_2(monkeypatch, capsys):
-    # a series that cannot serve an input (the Marcum lower tail at
-    # u = 1e8, v = 1e4 stops at its term cap after seconds): one error
+    # a series that cannot serve an input stops at its term cap (forced
+    # here: the Marcum lower tail now serves u = 1e8, v = 1e4): one error
     # line and exit 2, not a traceback with the check-failure status
     import msf.cli as cli
 
@@ -123,6 +123,15 @@ def test_truncation_error_exits_2(monkeypatch, capsys):
     assert main(argv) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_weight_far_in_the_lower_tail_exits_0(capsys):
+    # the mixture once summed from m = 0 and hit its term cap here; its peak
+    # term sits near m = 1e6, and w0 = exp(-1e8 + ...) / pi^2 prints as 0
+    argv = ["tabulate", "weight", "--u", "1e8:1e8:1", "--v", "1e4:1e4:1", "--format", "csv"]
+    assert main(argv) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "u,v,w0,w1" and float(row.split(",")[2]) == 0.0
 
 
 def test_verify_suite_rejects_unknown_name():

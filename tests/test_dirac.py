@@ -1015,6 +1015,17 @@ def test_kernel_past_the_double_range_raises():
             kernel(20.0, rho_p)
 
 
+def test_kernel_lost_bessel_series_past_the_double_range_raises():
+    # l = -2000 at tau = 1.4: the scaled I_1999.7(2636.5) underflows to 0 and
+    # the series 0F1 that stands in for it overflows; scalar radii gave
+    # nan+nanj and array radii the overflow error, each form now names the
+    # Bessel factor
+    p = KernelParams(l=-2000, delta_t=-1.4j, cfg=FieldConfig(mu=0.3))
+    for rho_p in (2000.0, np.float64(2000.0), np.array(2000.0), np.array([1999.0, 2000.0])):
+        with pytest.raises(DomainError, match="Bessel factor"):
+            propagator_closed(p, 0.0, 2000.0, rho_p)
+
+
 @pytest.mark.parametrize("mu", [0.3, 0.85])
 @pytest.mark.parametrize("sig,l", [(1, 2), (-1, -1), (1, -3)])
 def test_kernel_continuous_past_the_caustics(sig, l, mu):

@@ -5,6 +5,7 @@ arithmetic or with the explicit brute-force oracles defined below.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from msf.landau import make_quadrature
 from msf.specfun import (
     DomainError,
     IrregularOriginError,
+    TruncationError,
     bessel_i,
     erf,
     laguerre_fn,
@@ -266,6 +268,18 @@ def test_bessel_finite_or_points_to_scaled(nu, re, im, cplx):
         assert np.isfinite(val)
 
 
+def test_bessel_non_finite_argument_raises():
+    # scipy gives nan at a nan or infinite z: each form raises instead, for a
+    # scalar, a 0-d array and an array element
+    for scaled in (False, True):
+        for z in (math.nan, math.inf, -math.inf, complex(math.inf, 0.0), complex(1.0, math.nan)):
+            forms = [z, np.array(z), np.array([1.0, z])]
+            forms += [np.float64(z)] if isinstance(z, float) else [np.complex128(z)]
+            for arg in forms:
+                with pytest.raises(DomainError, match="not a finite argument"):
+                    bessel_i(0.3, arg, scaled=scaled)
+
+
 def test_bessel_singular_points_raise():
     # one finiteness rule for both forms; the message names the cause
     for scaled in (False, True):
@@ -479,3 +493,84 @@ def test_mixture_retires_each_point_at_its_own_bound(monkeypatch):
         counts.append(evaluated[0])
     assert counts[2] == counts[0] + counts[1]
     np.testing.assert_array_equal(values[2], np.r_[values[0], values[1]])
+
+
+def test_mixture_in_groups_gives_the_same_values(monkeypatch):
+    # past 2^18 terms in one round the points run in groups, each summed on
+    # its own: a round size of one block splits the C07 lower tail into one
+    # group per point, with bitwise the values of one round over all of them
+    u, v = np.meshgrid(make_quadrature(0.0, 100).nodes, make_quadrature(0.5, 100).nodes,
+                       indexing="ij")
+    tail = sp.chndtr(2.0 * v, 1.0, 2.0 * u) < 1e-30
+    together = ln_marcum_p(0.5, u[tail], v[tail])
+    monkeypatch.setattr(specfun, "_MIX_ROUND_SIZE", 16)
+    np.testing.assert_array_equal(ln_marcum_p(0.5, u[tail], v[tail]), together)
+
+
+def ln_marcum_p_window_oracle(nu: float, u: float, v: float) -> float:
+    """ln P_nu(u, v) from a window of the Poisson-gamma sum about its peak, at 30 digits.
+
+    The terms are log-concave in m, with their peak near the root m* of
+    (m+1)(m+1+nu) = uv, so the window m* -+ (12 sqrt(m*+1) + 40) leaves
+    out only a geometric tail on each side; both are checked to stay
+    below 1e-25 of the sum.  P(nu+m, v) is mpmath's value at the top of
+    the window, carried down by P(a, v) = P(a+1, v) + v^a e^-v /
+    Gamma(a+1).  The oracle above starts at m = 0, out of reach at u = 1e8.
+    """
+    import mpmath as mp
+
+    with mp.workdps(30):
+        nu, u, v = mp.mpf(nu), mp.mpf(u), mp.mpf(v)
+        peak = int(min(u, max(0, (mp.sqrt(nu * nu + 4 * u * v) - nu) / 2 - 1)))
+        half = int(12 * math.sqrt(peak + 1)) + 40
+        lo, hi = max(0, peak - half), peak + half
+        p = mp.gammainc(nu + hi, 0, v, regularized=True)
+        d = mp.exp((nu + hi - 1) * mp.log(v) - v - mp.loggamma(nu + hi))
+        pois = mp.exp(-u + hi * mp.log(u) - mp.loggamma(hi + 1))
+        terms = []  # from m = hi down to lo
+        for m in range(hi, lo - 1, -1):
+            terms.append(pois * p)
+            p += d
+            d *= (nu + m - 1) / v
+            pois *= m / u
+        total = mp.fsum(terms)
+        for edge, inner in ((terms[0], terms[1]), (terms[-1], terms[-2]) if lo else (0, 1)):
+            r = edge / inner
+            assert r < 1 and edge * r / (1 - r) < mp.mpf(10) ** -25 * total
+        return float(mp.log(total))
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("u, v", [(1e5, 1e3), (1e7, 1e3), (1e8, 1e4)])
+def test_ln_marcum_p_far_lower_tail_against_mpmath(nu, u, v):
+    # the peak term sits near m = sqrt(u v) = 1e4, 1e5 and 1e6; summed from
+    # m = 0 the last point ran into the term cap
+    expect = ln_marcum_p_window_oracle(nu, u, v)
+    assert ln_marcum_p(nu, u, v) == pytest.approx(expect, rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.15, 0.5, 0.85, 1.0])
+def test_ln_marcum_p_log_grid_is_finite(nu):
+    # bulk and lower tail alike: a finite ln P <= 0 with no warning, point by
+    # point and as one array call with bitwise the same values
+    grid = [1e-3, 1e-1, 10.0, 1e3, 1e5, 1e7, 1e8]
+    u, v = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = np.array([ln_marcum_p(nu, a, b) for a, b in zip(u, v)])
+        together = ln_marcum_p(nu, u, v)
+    assert np.all(np.isfinite(points)) and np.all(points <= 0.0)
+    np.testing.assert_array_equal(together, points)
+
+
+def test_mixture_term_cap_reports_partial_sum_and_tail(monkeypatch):
+    # past the cap the error carries ln of the partial sum, which bounds
+    # ln P below, and ln of the bound on the terms left, which with it
+    # bounds ln P above
+    expect = ln_marcum_p(0.5, 1e5, 1e3)
+    monkeypatch.setattr(specfun, "_MIX_MAX_TERMS", 16)
+    with pytest.raises(TruncationError) as err:
+        ln_marcum_p(0.5, 1e5, 1e3)
+    partial, tail = err.value.partial, err.value.tail_bound
+    assert math.isfinite(partial) and math.isfinite(tail)
+    assert partial < expect < np.logaddexp(partial, tail)
