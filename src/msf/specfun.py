@@ -265,7 +265,7 @@ def _ln_poisson_gamma_mixture(nu: float, u: np.ndarray, v: np.ndarray) -> np.nda
     """
     root = (np.hypot(nu, 2.0 * np.sqrt(u) * np.sqrt(v)) - nu) / 2.0  # u v may overflow
     peak = np.minimum(u, np.maximum(root - 1.0, 0.0))
-    width = np.minimum(np.sqrt(peak + 1.0), _MIX_MAX_TERMS / 14.0)
+    width = np.minimum(np.sqrt(peak + 1.0), _MIX_MAX_TERMS / 14.0)  # 14 widths: the first round
     lo = np.floor(np.maximum(peak - 6.0 * width, 0.0) / _MIX_BLOCK)
     hi = np.floor((peak + 8.0 * width) / _MIX_BLOCK)
     blocks = hi - lo + 1.0
