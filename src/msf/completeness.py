@@ -38,7 +38,6 @@ from .specfun import (
     laguerre_fn_rows,
     ln_gamma,
     ln_marcum_p,
-    _LN_DOUBLE_MAX,
 )
 from .landau import (FieldConfig, _branch_of, _laguerre_order, _marcum_args,
                      _radial_numbers, make_quadrature, resolve_qnums)
@@ -89,15 +88,15 @@ def weight_fn(j: int, u, v, mu: float):
 
 
 def weight_half_closed(j: int, u, v):
-    """Closed form of the weight at mu = 1/2, elementwise over u, v >= 0.
+    """Closed form of the weight at mu = 1/2, elementwise over finite u, v >= 0.
 
     W_j = [erf(sqrt u + sqrt v) -+ erf(sqrt u - sqrt v)] / (2 pi^2),
     minus sign for j = 0.  Scalar inputs give a float, arrays an array.
     """
     if j not in (0, 1):
         raise DomainError("branch j must be 0 or 1")
-    if np.any(np.less(u, 0.0)) or np.any(np.less(v, 0.0)):
-        raise DomainError("weight_half_closed requires u, v >= 0")
+    if not all(np.all(np.less_equal(0.0, x) & np.less(x, math.inf)) for x in (u, v)):
+        raise DomainError("weight_half_closed requires finite u, v >= 0")
     su, sv = np.sqrt(u), np.sqrt(v)
     sign = -1.0 if j == 0 else 1.0
     return (erf(su + sv) + sign * erf(su - sv)) / (2.0 * math.pi**2)
@@ -111,14 +110,14 @@ class MomentCheck:
 
 
 def moment_check(n: float) -> MomentCheck:
-    """Moment of exp(-x) on (0, inf): quadrature vs Gamma(1+n), n > -1.
+    """Moment of exp(-x) on (0, inf): quadrature vs Gamma(1+n), finite n > -1.
 
     The fractional part of the exponent is moved into the quadrature
     weight so the remaining integrand is a polynomial and the Gauss rule
     is exact up to rounding.
     """
-    if not n > -1.0:
-        raise DomainError("moment exponent must exceed -1")
+    if not -1.0 < n < math.inf:
+        raise DomainError("moment exponent must be finite and exceed -1")
     k = max(0, math.floor(n))
     frac = n - k
     quad = make_quadrature(frac, max(_MOMENT_NODES, k + 2))
@@ -306,19 +305,6 @@ def _all(mask) -> bool:
     return mask.all() if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def _exp(ln):
-    """exp(ln), elementwise, in math for a float.  Raises DomainError where
-    the value leaves the double range (np.exp gives inf, math.exp raises)."""
-    try:
-        if isinstance(ln, float):
-            return math.exp(ln)
-        if not _any(ln.real > _LN_DOUBLE_MAX):
-            return np.exp(ln)
-    except OverflowError:
-        pass
-    raise DomainError("kernel value exceeds the double range")
-
-
 def _hille_hardy(nu: float, phi: complex, rho, rho_p, ln_pref: complex):
     """exp(ln_pref - (rho + rho') coth(phi) / 2) I_nu(sqrt(rho rho') / sinh phi) / sinh phi.
 
@@ -368,7 +354,7 @@ def _hille_hardy(nu: float, phi: complex, rho, rho_p, ln_pref: complex):
         phase *= cmath.exp(-2j * math.pi * nu * k)
     if inv_sh and not _any(bes == 0.0):
         log = math.log if isinstance(ln_mag, float) else np.log
-        return _exp(ln_mag + log(bes)) * phase
+        return exp_in_range(ln_mag + log(bes), "kernel value") * phase
     lost = np.asarray(((bes == 0.0) | (not inv_sh)) & (rr > 0.0))
     ln_bes = np.full(lost.shape, -np.inf, dtype=np.result_type(bes, ln_inv_sh))
     ok = ~lost & (bes != 0.0)  # I_nu(0) = 0 stays -inf at rho rho' = 0
@@ -383,7 +369,7 @@ def _hille_hardy(nu: float, phi: complex, rho, rho_p, ln_pref: complex):
                           "underflows and its series overflows")
     ln_bes[lost] = (a * ln_h - _sp.gammaln(a + 1.0) - abs(np.asarray(zarg)[lost].real)
                     + np.log(series))
-    return _exp(ln_mag + ln_bes) * phase
+    return exp_in_range(ln_mag + ln_bes, "kernel value") * phase
 
 
 def propagator_closed(p: KernelParams, dtheta: float, rho, rho_p):
@@ -413,11 +399,14 @@ def propagator_closed(p: KernelParams, dtheta: float, rho, rho_p):
 def propagator_series(p: KernelParams, dtheta: float, rho: float, rho_p: float) -> complex:
     """Spectral mode sum i sum_m exp(-i E_m dt) phi(x) conj(phi(x')).
 
-    Absolutely convergent only for Im(dt) < 0; rejected otherwise.  One
+    Absolutely convergent only for Im(dt) < 0; rejected otherwise, and at a
+    non-finite angle or time before the first term.  One
     Laguerre recurrence feeds blocks of 48 terms into one running sum;
     the tail is bounded geometrically by |exp(-i gamma dt)| per step.
     """
     dt = complex(p.delta_t)
+    if not (cmath.isfinite(dt) and cmath.isfinite(dtheta)):
+        raise DomainError("mode sum requires a finite angle and time")
     if not dt.imag < 0.0:
         raise DomainError("mode sum requires Im(delta_t) < 0")
     g = p.cfg.gamma

@@ -74,8 +74,10 @@ def ln_gamma(x):
 
     Real input x > 0 returns a float; complex input off the non-positive
     real axis returns the principal branch (scipy's ``loggamma``).
-    Raises DomainError at the poles.
+    Raises DomainError at the poles and at a nan or infinite argument.
     """
+    if not cmath.isfinite(x):
+        raise DomainError(f"ln_gamma requires a finite argument, not {x}")
     if np.iscomplexobj(x) or isinstance(x, complex):
         z = complex(x)
         if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
@@ -345,11 +347,8 @@ def _ln_mixture_rows(nu, u, v, blk, starts, ends):
     ln_pois[0] = m0 * ln_u - _sp.gammaln(m0 + 1.0)
     ln_d[0] = (nu + m0) * ln_v - v - _sp.gammaln(nu + m0 + 1.0)
     ln_m = np.log(np.add(m0, _MIX_ROWS, out=ln_pois[1:]), out=ln_pois[1:])
-    if nu:
-        np.log(np.add(nu + m0, _MIX_ROWS, out=ln_d[1:]), out=ln_d[1:])
-        np.subtract(ln_v, ln_d[1:], out=ln_d[1:])
-    else:
-        np.subtract(ln_v, ln_m, out=ln_d[1:])
+    np.log(np.add(nu + m0, _MIX_ROWS, out=ln_d[1:]), out=ln_d[1:])
+    np.subtract(ln_v, ln_d[1:], out=ln_d[1:])
     np.subtract(ln_u, ln_m, out=ln_m)
     _accumulate(acc)
     ln_top2 = ln_pois[-2, ends] + np.logaddexp(ln_p_top[ends], ln_d[-2, ends])
@@ -371,11 +370,9 @@ def _ln_mixture_rows(nu, u, v, blk, starts, ends):
 
 
 def _accumulate(x):
-    """Cumulative sum down the rows of x, in place, row after row in every
-    column.  Past a few hundred columns one vector add per row is several
-    times faster than cumsum along the rows, with the same additions."""
-    if x[0].size < 256:
-        return np.cumsum(x, axis=0, out=x)
+    """Cumulative sum down the rows of x, in place, one vector add per row:
+    past a few hundred columns several times faster than cumsum along the
+    rows, with the same additions."""
     for r in range(1, len(x)):
         x[r] += x[r - 1]
     return x
@@ -416,8 +413,9 @@ def ln_marcum_p(nu: float, u, v):
     if not (np.all(u >= 0.0) and np.all(v >= 0.0) and np.all(np.isfinite(u + v))):
         raise DomainError("ln_marcum_p requires finite u, v >= 0")
     if nu == 0.0:
-        p = (_sp.chndtr(2.0 * v, 2.0, 2.0 * u)
-             + np.exp(-((np.sqrt(u) - np.sqrt(v)) ** 2)) * _sp.i0e(2.0 * np.sqrt(u * v)))
+        with np.errstate(over="ignore"):  # u v past the double range: chndtr gives nan
+            p = (_sp.chndtr(2.0 * v, 2.0, 2.0 * u)
+                 + np.exp(-((np.sqrt(u) - np.sqrt(v)) ** 2)) * _sp.i0e(2.0 * np.sqrt(u * v)))
     else:
         p = _sp.chndtr(2.0 * v, 2.0 * nu, 2.0 * u)
     with np.errstate(divide="ignore"):
@@ -429,7 +427,7 @@ def ln_marcum_p(nu: float, u, v):
         out[tail] = _ln_poisson_gamma_mixture(nu, u[tail], v[tail])
     if np.any(np.isnan(out)):
         # chndtr gives nan once u or v reach about 1e15
-        raise DomainError("ln_marcum_p: arguments beyond the range of chndtr")
+        raise DomainError("ln_marcum_p: no finite value beyond the range of chndtr")
     return float(out[0]) if scalar else out
 
 
@@ -439,13 +437,21 @@ _DOUBLE_TRUE_MIN = np.finfo(float).smallest_subnormal
 
 
 def exp_in_range(ln_x, what: str):
-    """exp(ln_x) elementwise (a float for scalar input), or DomainError if
-    any element exceeds the double range."""
-    ln_max = np.max(ln_x, initial=-np.inf)
-    if ln_max > _LN_DOUBLE_MAX:
-        raise DomainError(f"{what} = exp({ln_max:.6g}) exceeds the double range")
-    out = np.exp(ln_x)
-    return float(out) if np.ndim(out) == 0 else out
+    """exp(ln_x) elementwise, real or complex, or DomainError where a real
+    part exceeds the double range.  A float, np.float64 too, runs through
+    math.exp; other scalar or 0-d input gives a Python float or complex."""
+    try:
+        if isinstance(ln_x, float):
+            return math.exp(ln_x)
+        ln_max = np.real(ln_x)
+        if isinstance(ln_max, np.ndarray):  # fmax skips nan; a scalar compares as it is
+            ln_max = np.fmax.reduce(ln_max, axis=None, initial=-np.inf)
+        if not ln_max > _LN_DOUBLE_MAX:  # a nan scalar passes, as np.exp passes it on
+            out = np.exp(ln_x)
+            return out if isinstance(out, np.ndarray) else out.item()
+    except OverflowError:  # math.exp raises where np.exp gives inf
+        ln_max = ln_x
+    raise DomainError(f"{what} = exp({ln_max:.6g}) exceeds the double range")
 
 
 def q_sum(nu: float, u: float, v: float) -> float:

@@ -9,11 +9,10 @@ from scipy import special as sp
 from msf import completeness
 from msf.landau import (FieldConfig, _branch_of, _radial_numbers, make_quadrature,
                         resolve_qnums)
-from msf.specfun import (_LN_DOUBLE_MAX, DomainError, erf, laguerre_fn_rows, ln_gamma,
-                         ln_marcum_p)
+from msf.specfun import (_LN_DOUBLE_MAX, DomainError, erf, exp_in_range, laguerre_fn_rows,
+                         ln_gamma, ln_marcum_p)
 from msf.completeness import (
     KernelParams,
-    _exp,
     _ln_q_grid_series,
     _unity_grid,
     _unity_ratio,
@@ -44,6 +43,8 @@ def test_weight_half_closed_spot_values():
     # u = 0: odd error function doubles
     assert weight_half_closed(0, 0.0, 1.7) == pytest.approx(
         erf(math.sqrt(1.7)) / math.pi ** 2, rel=1e-14)
+    # u + v past the double range: the finiteness check adds nothing up
+    assert weight_half_closed(0, 1e308, 1e308) == pytest.approx(1.0 / (2.0 * math.pi ** 2))
 
 
 def test_weight_half_closed_elementwise_over_mesh():
@@ -348,14 +349,17 @@ def test_closed_array_equals_pointwise(l, dt):
 
 def test_exp_raises_past_the_double_range_in_every_form():
     # math.exp raises OverflowError where np.exp gives inf; both raise
-    # DomainError, and a float stays a float
-    assert type(_exp(-3.0)) is float and _exp(-3.0) == math.exp(-3.0)
-    assert _exp(_LN_DOUBLE_MAX) < math.inf
+    # DomainError, and a float or a 0-d input gives a Python scalar
+    assert type(exp_in_range(-3.0, "x")) is float and exp_in_range(-3.0, "x") == math.exp(-3.0)
+    assert exp_in_range(_LN_DOUBLE_MAX, "x") < math.inf
+    assert type(exp_in_range(np.array(1j), "x")) is complex
+    assert exp_in_range(np.array(1j), "x") == np.exp(1j)
     for ln in (math.nextafter(_LN_DOUBLE_MAX, math.inf), np.float64(720.0),
-               np.array([1.0, 720.0]), np.complex128(720.0 + 1.0j)):
+               np.array([1.0, 720.0]), np.complex128(720.0 + 1.0j), np.array(720.0 + 1.0j),
+               np.array([0.0, 720.0 - 2.0j]), np.array([math.nan, 720.0])):
         with pytest.raises(DomainError, match="double range"):
-            _exp(ln)
-    np.testing.assert_array_equal(_exp(np.array([0.0, -800.0])), [1.0, 0.0])
+            exp_in_range(ln, "kernel value")
+    np.testing.assert_array_equal(exp_in_range(np.array([0.0, -800.0]), "x"), [1.0, 0.0])
 
 
 def test_closed_rejects_negative_radius():

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from msf.completeness import KernelParams, propagator_closed
+from msf.completeness import (KernelParams, moment_check, propagator_closed,
+                              propagator_series, weight_half_closed)
 from msf.landau import FieldConfig, _branch_l_values, resolve_qnums, stationary_state
 from msf.radial import RadialGrid, make_radial_grid
-from msf.specfun import DomainError, TruncationError, laguerre_fn, laguerre_fn_table
+from msf.specfun import (DomainError, TruncationError, laguerre_fn, laguerre_fn_table,
+                         ln_gamma, ln_marcum_p)
 from msf.cs import CSLabel, cs_state
 from msf.dirac import (
     DiracConfig,
@@ -1104,12 +1106,27 @@ _NON_FINITE = {
     "propagator_closed inf rho float64": lambda: propagator_closed(
         KernelParams(l=2, delta_t=-0.05j, cfg=FieldConfig(mu=0.3)), 0.0, np.float64(math.inf),
         np.float64(1.0)),
+    # the mode sum ran all 1e6 terms before it raised TruncationError(partial=nan)
+    "propagator_series nan dtheta": lambda: propagator_series(
+        KernelParams(l=0, delta_t=-0.1j, cfg=FieldConfig(mu=0.3)), math.nan, 1.0, 2.0),
+    "propagator_series nan dt": lambda: propagator_series(
+        KernelParams(l=0, delta_t=complex(math.nan, -0.1), cfg=FieldConfig(mu=0.3)),
+        0.0, 1.0, 2.0),
+    "ln_gamma nan": lambda: ln_gamma(math.nan),
+    "ln_gamma inf": lambda: ln_gamma(math.inf),
+    "ln_gamma -inf": lambda: ln_gamma(-math.inf),  # a bare OverflowError from int(-inf)
+    "ln_gamma complex nan": lambda: ln_gamma(complex(math.nan, 1.0)),
+    "moment_check inf": lambda: moment_check(math.inf),  # OverflowError from math.floor
+    "weight_half_closed nan u": lambda: weight_half_closed(1, math.nan, 1.0),
+    # u v overflows: a RuntimeWarning from the nu = 0 bulk came before the DomainError
+    "ln_marcum_p u v past the double range": lambda: ln_marcum_p(0.0, 1e300, 1e10),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_NON_FINITE))
 def test_non_finite_state_and_kernel_inputs_raise(case):
-    # each gave nan, nan+nanj or a RuntimeWarning before its check
+    # each gave nan, nan+nanj, a RuntimeWarning or a bare OverflowError
+    # before its check, or a mode sum over every term
     with pytest.raises(DomainError, match="finite"):
         _NON_FINITE[case]()
 
