@@ -32,6 +32,7 @@ from scipy import special as _sp
 from .specfun import (
     DomainError,
     TruncationError,
+    _integer,
     bessel_i,
     erf,
     exp_in_range,
@@ -289,8 +290,7 @@ class KernelParams:
     cfg: FieldConfig
 
     def __post_init__(self):
-        if self.l != int(self.l):
-            raise DomainError("angular number l must be an integer")
+        _integer(self.l, "angular number l")
         if complex(self.delta_t).imag > 1e-15:
             raise DomainError("delta_t must have non-positive imaginary part")
 

@@ -76,7 +76,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .specfun import DomainError, TruncationError, exp_in_range, laguerre_fn_table
+from .specfun import DomainError, TruncationError, _integer, laguerre_fn_table
 from .landau import (FieldConfig, QuantumNumbers, _branch_l_values, _branch_of,
                      _laguerre_order, _profiles, _radial_numbers, stationary_state)
 from .radial import RadialGrid
@@ -156,14 +156,13 @@ def resolve_rel_qnums(j: int, l: int, m: int, sigma: int, dc: DiracConfig) -> Re
     """Validate (j, l, m, sigma) against the vartheta-dependent ranges."""
     if sigma not in (-1, 1):
         raise DomainError("sigma must be +1 or -1")
-    if m < 0 or m != int(m):
-        raise DomainError("m must be a non-negative integer")
+    m = _integer(m, "m", non_negative=True)
+    l = _integer(l, "l")
     if _branch_of(l, dc.vartheta) != j:
         raise DomainError(f"l = {l} is not on branch {j} for vartheta = {dc.vartheta}")
     _, l_s, alpha = _family(sigma, l, dc)
     n1, n2 = _radial_numbers(j, alpha, float(m))
-    return RelQuantumNumbers(j=j, l=int(l), m=int(m), sigma=sigma, l_sigma=int(l_s),
-                             n1=n1, n2=n2)
+    return RelQuantumNumbers(j=j, l=l, m=m, sigma=sigma, l_sigma=int(l_s), n1=n1, n2=n2)
 
 
 def e_perp_sq(q: RelQuantumNumbers, dc: DiracConfig) -> float:
@@ -463,22 +462,6 @@ def dirac_spinor(q: RelQuantumNumbers, dc: DiracConfig, charge: int,
     return psi, float(energies[0])
 
 
-@dataclass(frozen=True)
-class RelCS:
-    """Truncated relativistic coherent state on one branch.
-
-    states maps (l, m) to (coefficient, energy); norm_const is the
-    numerically accumulated normalization (diagonal of the overlap
-    form), and spinors maps l_up to the assembled grid representation of
-    that angular sector, jointly of unit norm under the spinor product.
-    """
-
-    states: dict
-    norm_const: float
-    spinors: dict
-    grid: RadialGrid
-
-
 # quiet-block tolerance on the block weights sum_m |c|^2 2M(E+M)
 _REL_LN_TOL = math.log(1e-14)
 # largest share of a state's norm the radial grid may miss, sum w |1 - seed^2|
@@ -486,9 +469,9 @@ _GRID_SHARE = 1e-9
 
 
 def _rel_series(j: int, label: CSLabel, dc: DiracConfig, charge: int):
-    """(l, ln|c|, arg c, ln share, ln Mcal) of the relativistic series over
-    its kept Dirac rows l, m = 0..M: the one series behind :func:`rel_cs`
-    and :func:`rel_cs_overlap_closed`.
+    """(l, ln|c|, arg c, ln share) of the relativistic series over its kept
+    Dirac rows l, m = 0..M: the one series behind :func:`rel_cs` and
+    :func:`rel_cs_overlap_closed`.
 
     The planar table is grown over the :func:`_row` rows l_s of spin
     charge for the branch-j Dirac rows; the l blocks weighted by 2M(E + M)
@@ -506,13 +489,12 @@ def _rel_series(j: int, label: CSLabel, dc: DiracConfig, charge: int):
     ln_w = 2.0 * ln_c + np.log(2.0 * dc.mass * (_energy(n1, charge, dc) + dc.mass))
     keep = _quiet_blocks(np.logaddexp.reduce(ln_w, axis=1), _REL_LN_TOL)
     ln_mcal = np.logaddexp.reduce(ln_w[:keep], axis=None)
-    return (l_s[:keep] + (1 + charge) // 2, ln_c[:keep], phase[:keep],
-            ln_w[:keep] - ln_mcal, ln_mcal)
+    return l_s[:keep] + (1 + charge) // 2, ln_c[:keep], phase[:keep], ln_w[:keep] - ln_mcal
 
 
 def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
-           grid: RadialGrid) -> RelCS:
-    """Relativistic coherent state: the (l, m) series of eigenspinors.
+           grid: RadialGrid) -> dict[int, Spinor2]:
+    """Relativistic coherent state: its angular sectors {l_up: Spinor2}.
 
     Per-state weights follow the convention that fixes the overlap form
     to 2 M (E + M) on the diagonal, i.e. the series is
@@ -527,30 +509,25 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
     series.  Every kept (l, m) of nonzero amplitude is one column of one
     :func:`_eigenspinors` call, one Laguerre table for the whole state,
     at the coefficient sqrt(share) e^(i arg c), share = |c|^2 2M(E + M) /
-    Mcal; ``spinors`` holds its rows, one per l, views of its result.  Requires M > 0 (the weight degenerates in the massless
-    limit); raises TruncationError, from the guard all eigenspinors share,
-    when the columns miss more than 1e-9 of Mcal on the radial grid in
-    total, before any block is summed.
+    Mcal; the sectors, jointly of unit norm, are its rows, one per l.
+    Requires M > 0 (the weight degenerates in the massless limit); raises
+    TruncationError, from the guard all eigenspinors share, when the
+    columns miss more than 1e-9 of Mcal on the radial grid in total,
+    before any block is summed.
     """
-    rows, ln_c, phase, ln_share, ln_mcal = _rel_series(j, label, dc, charge)
-    norm_const = exp_in_range(ln_mcal, "Mcal")
+    rows, ln_c, phase, ln_share = _rel_series(j, label, dc, charge)
     r, m = np.nonzero(ln_c > -np.inf)
-    l, share = rows[r], np.exp(ln_share[r, m])
-    coef = np.sqrt(share) * np.exp(1j * phase[r, m])
-    spinors, energies = _eigenspinors(j, l, m, charge, coef, dc, grid)
-    c = np.exp(ln_c[r, m] + 1j * phase[r, m])
-    states = dict(zip(zip(l.tolist(), m.tolist()), zip(c.tolist(), energies.tolist())))
-    return RelCS(states=states, norm_const=norm_const, grid=grid,
-                 spinors={psi.l_up: psi for psi in spinors})
+    coef = np.sqrt(np.exp(ln_share[r, m])) * np.exp(1j * phase[r, m])
+    spinors, _ = _eigenspinors(j, rows[r], m, charge, coef, dc, grid)
+    return {psi.l_up: psi for psi in spinors}
 
 
-def rel_cs_inner(a: RelCS, b: RelCS, dc: DiracConfig) -> complex:
-    """Spinor-quadrature overlap of two assembled coherent states."""
-    if a.grid is not b.grid:
-        raise DomainError("states must share one grid")
+def rel_cs_inner(a: dict[int, Spinor2], b: dict[int, Spinor2], dc: DiracConfig) -> complex:
+    """Spinor-quadrature overlap of two :func:`rel_cs` states: :func:`d_inner`
+    summed over the sectors of ``a`` that ``b`` also holds, in their order in ``a``."""
     total = 0.0 + 0.0j
-    for lu, sa in a.spinors.items():
-        sb = b.spinors.get(lu)
+    for lu, sa in a.items():
+        sb = b.get(lu)
         if sb is not None:
             total += d_inner(sa, sb, dc)
     return complex(total)
@@ -565,8 +542,8 @@ def rel_cs_overlap_closed(j: int, label_a: CSLabel, label_b: CSLabel,
     inner product of the two :func:`rel_cs` states, whose columns are
     orthonormal eigenspinors at these coefficients, so the modulus never
     exceeds one."""
-    _, _, ph_a, sh_a, _ = _rel_series(j, label_a, dc, charge)
-    _, _, ph_b, sh_b, _ = _rel_series(j, label_b, dc, charge)
+    _, _, ph_a, sh_a = _rel_series(j, label_a, dc, charge)
+    _, _, ph_b, sh_b = _rel_series(j, label_b, dc, charge)
     return _contract(0.5 * sh_a, ph_a, 0.5 * sh_b, ph_b)
 
 

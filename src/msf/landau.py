@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import DomainError, laguerre_fn_table
+from .specfun import DomainError, _integer, laguerre_fn_table
 
 __all__ = [
     "FieldConfig",
@@ -77,8 +77,7 @@ class FieldConfig:
             raise DomainError("gamma must be positive and finite")
         if not (0.0 <= self.mu < 1.0):
             raise DomainError("mu must lie in [0, 1)")
-        if not (math.isfinite(self.l0) and self.l0 == int(self.l0)):
-            raise DomainError("l0 must be a finite integer")
+        _integer(self.l0, "l0")
 
 
 @dataclass(frozen=True)
@@ -146,14 +145,12 @@ def _profiles(j: int, l: int, m_max: int, rho, cfg: FieldConfig) -> np.ndarray:
 
 def resolve_qnums(j: int, l: int, m: int, cfg: FieldConfig) -> QuantumNumbers:
     """Validate a given (j, l, m) against the branch domains and derive (n1, n2)."""
-    if m < 0 or m != int(m):
-        raise DomainError("radial number m must be a non-negative integer")
-    if l != int(l):
-        raise DomainError("angular number l must be an integer")
+    m = _integer(m, "radial number m", non_negative=True)
+    l = _integer(l, "angular number l")
     if _branch_of(l) != j:
         raise DomainError(f"l = {l} is not on branch {j}")
     n1, n2 = _radial_numbers(j, _laguerre_order(j, l, cfg.mu), float(m))
-    return QuantumNumbers(j=j, l=int(l), m=int(m), n1=n1, n2=n2)
+    return QuantumNumbers(j=j, l=l, m=m, n1=n1, n2=n2)
 
 
 def energy_nonrel(q: QuantumNumbers, cfg: FieldConfig) -> float:
@@ -241,8 +238,8 @@ def make_quadrature(alpha: float, n_nodes: int) -> Quadrature:
     the same read-only rule.  At the largest nodes of large rules the
     weights may underflow to zero; the plain weights stay exact there.
     """
-    if not alpha > -1.0:
-        raise DomainError("quadrature weight exponent must exceed -1")
+    if not -1.0 < alpha < math.inf:
+        raise DomainError("quadrature weight exponent must be finite and exceed -1")
     if not 2 <= n_nodes <= 250:
         raise DomainError("node count must lie in [2, 250]")
     x, w, lw = _gauss_laguerre(n_nodes, alpha)

@@ -161,7 +161,8 @@ def make_radial_grid(rho_max: float = 60.0, tail_step: float = 1.5) -> RadialGri
     The origin cluster is one run of one shared block; every other run
     of n-point panels stacks the reference matrix of the n-point rule,
     divided by each panel's half width.  Raises DomainError unless
-    rho_max is finite and at least 1 and tail_step finite and positive.
+    rho_max is finite and at least 1 and tail_step finite, positive and
+    not lost in rounding at an edge.
     """
     if not 1.0 <= rho_max < np.inf:
         raise DomainError("rho_max must be finite and at least 1")
@@ -173,6 +174,8 @@ def make_radial_grid(rho_max: float = 60.0, tail_step: float = 1.5) -> RadialGri
         edges.append(min(edges[-1] * 2.0, 1.0))
     while edges[-1] < rho_max:
         edge = edges[-1] + tail_step
+        if not edge > edges[-1]:  # the step is lost in rounding: the loop would never end
+            raise DomainError(f"tail_step {tail_step} does not advance the edge {edges[-1]}")
         edges.append(rho_max if rho_max - edge <= _SLIVER * tail_step else edge)
     nodes, weights = [cluster_nodes], [cluster_weights]
     runs, start = [(slice(0, cluster_nodes.size), cluster_block[None])], cluster_nodes.size

@@ -69,12 +69,21 @@ class TruncationError(RuntimeError):
         self.tail_bound = tail_bound
 
 
+def _integer(x, what: str, non_negative: bool = False) -> int:
+    """int(x), or DomainError unless x is a finite integer, >= 0 with ``non_negative``."""
+    if not (math.isfinite(x) and x == int(x) and (x >= 0 or not non_negative)):
+        raise DomainError(f"{what} must be a finite{' non-negative' * non_negative} integer")
+    return int(x)
+
+
 def ln_gamma(x):
     """Principal-branch log-Gamma.
 
     Real input x > 0 returns a float; complex input off the non-positive
     real axis returns the principal branch (scipy's ``loggamma``).
-    Raises DomainError at the poles and at a nan or infinite argument.
+    Raises DomainError at the poles, at a nan or infinite argument and
+    where the real part of the result leaves the double range (real x
+    past about 2.5e305).
     """
     if not cmath.isfinite(x):
         raise DomainError(f"ln_gamma requires a finite argument, not {x}")
@@ -82,13 +91,16 @@ def ln_gamma(x):
         z = complex(x)
         if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
             raise DomainError(f"ln_gamma pole at {z}")
-        return complex(_sp.loggamma(z))
-    xf = float(x)
-    if xf <= 0.0:
-        if xf == int(xf):
-            raise DomainError(f"ln_gamma pole at {xf}")
-        return complex(_sp.loggamma(complex(xf)))
-    return float(_sp.gammaln(xf))
+        out = complex(_sp.loggamma(z))
+    elif (xf := float(x)) > 0.0:
+        out = float(_sp.gammaln(xf))
+    elif xf == int(xf):
+        raise DomainError(f"ln_gamma pole at {xf}")
+    else:
+        out = complex(_sp.loggamma(complex(xf)))
+    if math.isinf(out.real):
+        raise DomainError(f"ln_gamma at {x} has no finite value in the double range")
+    return out
 
 
 # below exp(-600) the start of the Laguerre recurrence runs scaled
@@ -113,8 +125,8 @@ def laguerre_fn_rows(alpha, m_max: int, rho):
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if not rho.size:
         raise DomainError("rho must be non-empty")
-    if not (alpha > -1.0 if scalar else np.all(alpha > -1.0)):
-        raise DomainError("alpha must exceed -1")
+    if not (-1.0 < alpha < math.inf if scalar else np.all((alpha > -1.0) & (alpha < math.inf))):
+        raise DomainError("alpha must be finite and exceed -1")
     rho_min = rho.min()
     if not 0 <= rho_min <= rho.max() < math.inf:  # nan fails too
         raise DomainError("rho must be finite and non-negative")
@@ -167,9 +179,8 @@ def laguerre_fn(n: float, m: int, rho):
     degree and alpha = n - m the order; the normalization makes the
     family orthonormal in rho on (0, inf).
     """
-    if m < 0 or m != int(m):
-        raise DomainError("degree m must be a non-negative integer")
-    val = laguerre_fn_table(float(n) - int(m), int(m), rho)[int(m)]
+    m = _integer(m, "degree m", non_negative=True)
+    val = laguerre_fn_table(float(n) - m, m, rho)[m]
     return val if np.ndim(rho) else float(val[0])
 
 
@@ -215,8 +226,10 @@ def bessel_i(nu: float, z, scaled: bool = False):
 
 
 def erf(x):
-    """Error function, elementwise."""
+    """Error function, elementwise; DomainError at nan (erf(+-inf) = +-1)."""
     out = _sp.erf(np.asarray(x, dtype=float))
+    if np.isnan(out).any():
+        raise DomainError("erf requires finite or infinite arguments, not nan")
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -410,14 +423,15 @@ def ln_marcum_p(nu: float, u, v):
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
     u, v = np.broadcast_arrays(np.atleast_1d(np.asarray(u, dtype=float)),
                                np.atleast_1d(np.asarray(v, dtype=float)))
-    if not (np.all(u >= 0.0) and np.all(v >= 0.0) and np.all(np.isfinite(u + v))):
+    if not (np.all((0.0 <= u) & (u < np.inf)) and np.all((0.0 <= v) & (v < np.inf))):
         raise DomainError("ln_marcum_p requires finite u, v >= 0")
-    if nu == 0.0:
-        with np.errstate(over="ignore"):  # u v past the double range: chndtr gives nan
+    # 2u, 2v or u v past the double range: chndtr gives nan, 0 or 1
+    with np.errstate(over="ignore"):
+        if nu == 0.0:
             p = (_sp.chndtr(2.0 * v, 2.0, 2.0 * u)
                  + np.exp(-((np.sqrt(u) - np.sqrt(v)) ** 2)) * _sp.i0e(2.0 * np.sqrt(u * v)))
-    else:
-        p = _sp.chndtr(2.0 * v, 2.0 * nu, 2.0 * u)
+        else:
+            p = _sp.chndtr(2.0 * v, 2.0 * nu, 2.0 * u)
     with np.errstate(divide="ignore"):
         out = np.log(p)
     if nu == 0.0:

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from msf.completeness import (KernelParams, moment_check, propagator_closed,
+from msf.completeness import (KernelParams, g_matrix, moment_check, propagator_closed,
                               propagator_series, weight_half_closed)
-from msf.landau import FieldConfig, _branch_l_values, resolve_qnums, stationary_state
+from msf.landau import (FieldConfig, _branch_l_values, make_quadrature, resolve_qnums,
+                        stationary_state)
 from msf.radial import RadialGrid, make_radial_grid
-from msf.specfun import (DomainError, TruncationError, laguerre_fn, laguerre_fn_table,
+from msf.specfun import (DomainError, TruncationError, erf, laguerre_fn, laguerre_fn_table,
                          ln_gamma, ln_marcum_p)
-from msf.cs import CSLabel, cs_state
+from msf.cs import CSLabel, cs_branch, cs_state
 from msf.dirac import (
     DiracConfig,
     SpectralBoundaryError,
@@ -38,7 +39,7 @@ from msf.dirac import (
     resolve_rel_qnums,
     sz_apply,
 )
-from msf.dirac import _eigenspinors, _energy, _ladder, _row
+from msf.dirac import _eigenspinors, _energy, _ladder, _rel_series, _row
 
 
 GRID = make_radial_grid(rho_max=70.0)
@@ -456,15 +457,15 @@ def test_spinor_finite_at_high_angular_number(l, charge):
 def test_rel_cs_series_coefficients_match_bookkeeping():
     dc = make_dc(mu=0.5)
     lab = CSLabel(0.6 + 0.3j, -0.2 + 0.5j)
-    state = rel_cs(1, lab, dc, 1, grid=GRID)
+    rows, ln_c, phase, _ = _rel_series(1, lab, dc, 1)
     for (l, m) in [(1, 0), (2, 1), (3, 0)]:
         q = resolve_rel_qnums(1, l, m, 1, dc)
-        c, e = state.states[(l, m)]
+        [r] = np.flatnonzero(rows == l)
+        c = complex(np.exp(ln_c[r, m] + 1j * phase[r, m]))
         manual = (cmath.exp(q.n1 * cmath.log(lab.z1))
                   * cmath.exp(q.n2 * cmath.log(lab.z2))
                   * math.exp(-0.5 * (sp.gammaln(1 + q.n1) + sp.gammaln(1 + q.n2))))
         assert c == pytest.approx(manual, rel=1e-13)
-        assert e == pytest.approx(e_energy(q, dc), rel=1e-14)
 
 
 def test_rel_cs_cross_branch_orthogonal():
@@ -475,8 +476,8 @@ def test_rel_cs_cross_branch_orthogonal():
     a = rel_cs(1, lab, dc, 1, grid=GRID)
     dcm = make_dc(mu=0.5, vartheta=-1)
     b = rel_cs(0, lab, dcm, 1, grid=GRID)
-    common = set(a.spinors) & set(b.spinors)
-    total = sum(d_inner(a.spinors[lu], b.spinors[lu], dc) for lu in common)
+    common = set(a) & set(b)
+    total = sum(d_inner(a[lu], b[lu], dc) for lu in common)
     assert abs(total) < 1e-9
 
 
@@ -514,19 +515,21 @@ def test_rel_cs_assembles_the_eigenspinor_series(j, vt, mu, label, charge):
     # at the l = 0 channel
     dc = make_dc(mu=mu, vartheta=vt)
     state = rel_cs(j, label, dc, charge, grid=GRID)
+    rows, ln_c, phase, ln_share = _rel_series(j, label, dc, charge)
+    r, ms = np.nonzero(ln_c > -np.inf)
     if label is ONE_COLUMN[j]:
-        assert {m for _, m in state.states} == {0}
+        assert set(ms.tolist()) == {0}
     sums = {}
-    for (l, m), (c, e) in state.states.items():
-        # one column at the coefficient rel_cs gives it, whose share the
-        # guard weighs; at coefficient 1, far rows the state weights at
-        # ~1e-20 would miss ~1e-9 of their norm
-        coef = c * math.sqrt(2.0 * dc.mass * (e + dc.mass) / state.norm_const)
+    for l, m, ln_s, ph in zip(rows[r].tolist(), ms.tolist(), ln_share[r, ms], phase[r, ms]):
+        # one column at the coefficient sqrt(share) e^(i arg c) of the
+        # series, whose share the guard weighs; at coefficient 1, far rows
+        # the state weights at ~1e-20 would miss ~1e-9 of their norm
+        coef = cmath.exp(0.5 * ln_s + 1j * ph)
         [term], _ = _eigenspinors(j, l, m, charge, coef, dc, GRID)
         sums[term.l_up] = sums[term.l_up] + term if term.l_up in sums else term
-    assert sums.keys() == state.spinors.keys()
+    assert sums.keys() == state.keys()
     for lu, want in sums.items():
-        diff = state.spinors[lu] - want
+        diff = state[lu] - want
         scale = max(np.max(np.abs(want.up)), np.max(np.abs(want.dn)))
         assert np.max(np.abs(diff.up)) <= 1e-13 * scale
         assert np.max(np.abs(diff.dn)) <= 1e-13 * scale
@@ -562,8 +565,8 @@ def test_one_laguerre_table_per_state(monkeypatch, j, vt, charge):
     monkeypatch.setattr(dirac, "laguerre_fn_table", counting)
     dc = make_dc(mu=0.5, vartheta=vt)
     state = rel_cs(j, CSLabel(0.6 + 0.3j, -0.2 + 0.5j), dc, charge, grid=GRID)
-    assert columns == [(len(state.spinors) + 1, 1)]
-    l = next(iter(state.states))[0]
+    assert columns == [(len(state) + 1, 1)]
+    l = next(iter(state.values())).l_dn  # the first kept row
     for m in (0, 2):
         columns.clear()
         dirac_spinor(resolve_rel_qnums(j, l, m, charge, dc), dc, charge, GRID)
@@ -608,8 +611,9 @@ def test_rel_cs_overlap_closed_is_the_inner_product_of_the_built_states(j, vt, c
 @pytest.mark.parametrize("j", [0, 1])
 @pytest.mark.parametrize("charge", [1, -1])
 def test_rel_cs_norm_const_matches_brute_force_sum(j, vt, charge):
-    # Mcal = sum |c|^2 2M(E + M) over an 80 x 80 (l, m) grid of the Dirac
-    # quantum numbers, irregular l = 0 rows included (mu = 0.15)
+    # every kept share is |c|^2 2M(E + M) / Mcal, Mcal summed over an 80 x 80
+    # (l, m) grid of the Dirac quantum numbers, irregular l = 0 rows
+    # included (mu = 0.15)
     mu, mass = 0.15, 1.3
     dc = make_dc(mu=mu, vartheta=vt, mass=mass)
     lab = CSLabel(cmath.rect(1.5, 0.4), cmath.rect(1.2, -2.0))
@@ -621,9 +625,11 @@ def test_rel_cs_norm_const_matches_brute_force_sum(j, vt, charge):
     ln_c2 = (2 * n1 * math.log(abs(lab.z1)) + 2 * n2 * math.log(abs(lab.z2))
              - sp.gammaln(1 + n1) - sp.gammaln(1 + n2))
     energy = np.sqrt(mass ** 2 + 2.0 * (n1 + (1 + charge) / 2))
-    brute = np.sum(np.exp(ln_c2) * 2 * mass * (energy + mass))
-    state = rel_cs(j, lab, dc, charge, grid=GRID)
-    assert state.norm_const == pytest.approx(brute, rel=1e-12)
+    weight = np.exp(ln_c2) * 2 * mass * (energy + mass)
+    rows, ln_c, _, ln_share = _rel_series(j, lab, dc, charge)
+    r, ms = np.nonzero(ln_c > -np.inf)
+    want = weight[np.abs(rows[r] - first), ms] / weight.sum()
+    assert np.exp(ln_share[r, ms]) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_rel_cs_rejects_labels_past_its_radial_grid():
@@ -666,24 +672,24 @@ def test_rel_cs_refuses_before_building_the_table(monkeypatch, mu):
     assert calls == []
     # the spy sits on the route: a label the grid holds forms one block per l
     state = rel_cs(1, CSLabel(0.5, 0.3j), make_dc(mu=mu), 1, grid=grid)
-    assert len(calls) == len(state.spinors)
+    assert len(calls) == len(state)
 
 
 @pytest.mark.parametrize("j,vt", [(1, 1), (0, -1)])
 @pytest.mark.parametrize("charge", [1, -1])
 def test_rel_cs_tail_bound_is_the_total_share(j, vt, charge):
     # the guard refuses on the share the whole state misses, sum over its
-    # columns of share |1 - seed^2|, recomputed here from the states a long
-    # grid holds and the grid norms of the seed profiles on the short one
+    # columns of share |1 - seed^2|, recomputed here from the kept series
+    # and the grid norms of the seed profiles on the short grid
     dc = make_dc(mu=0.5, vartheta=vt)
     big = CSLabel(cmath.rect(3.0, 0.3), cmath.rect(3.0, -1.1))
     short = make_radial_grid(rho_max=60.0)
-    state = rel_cs(j, big, dc, charge, grid=make_radial_grid(rho_max=120.0))
+    rows, ln_c, _, ln_share = _rel_series(j, big, dc, charge)
     total = 0.0
-    for (l, m), (c, e) in state.states.items():
-        share = abs(c) ** 2 * 2.0 * dc.mass * (e + dc.mass) / state.norm_const
-        seed = basis_spinor_component(resolve_rel_qnums(j, l, m, charge, dc), dc, short)
-        total += share * abs(1.0 - d_norm(seed, dc) ** 2)
+    for r, m in zip(*np.nonzero(ln_c > -np.inf)):
+        seed = basis_spinor_component(resolve_rel_qnums(j, int(rows[r]), int(m), charge, dc),
+                                      dc, short)
+        total += math.exp(ln_share[r, m]) * abs(1.0 - d_norm(seed, dc) ** 2)
     with pytest.raises(TruncationError) as err:
         rel_cs(j, big, dc, charge, grid=short)
     assert err.value.tail_bound == pytest.approx(total, rel=1e-10)
@@ -1120,6 +1126,26 @@ _NON_FINITE = {
     "weight_half_closed nan u": lambda: weight_half_closed(1, math.nan, 1.0),
     # u v overflows: a RuntimeWarning from the nu = 0 bulk came before the DomainError
     "ln_marcum_p u v past the double range": lambda: ln_marcum_p(0.0, 1e300, 1e10),
+    # a finite argument whose log-Gamma leaves the double range returned inf
+    "ln_gamma 1e307": lambda: ln_gamma(1e307),
+    "ln_gamma 1.7e308": lambda: ln_gamma(1.7e308),
+    "ln_gamma complex 1e307": lambda: ln_gamma(complex(1e307, 1.0)),
+    # u + v overflowed in the finiteness check, which warned and refused finite input
+    "ln_marcum_p u and v at 1e308": lambda: ln_marcum_p(0.5, 1e308, 1e308),
+    # integers: a bare ValueError or OverflowError from int()
+    "resolve_qnums nan m": lambda: resolve_qnums(1, 1, math.nan, FieldConfig(mu=0.3)),
+    "resolve_qnums inf l": lambda: resolve_qnums(1, math.inf, 0, FieldConfig(mu=0.3)),
+    "resolve_rel_qnums nan m": lambda: resolve_rel_qnums(1, 1, math.nan, 1, make_dc()),
+    "resolve_rel_qnums inf l": lambda: resolve_rel_qnums(1, math.inf, 0, 1, make_dc()),
+    "KernelParams nan l": lambda: KernelParams(l=math.nan, delta_t=-0.1j, cfg=FieldConfig()),
+    "KernelParams inf l": lambda: KernelParams(l=math.inf, delta_t=-0.1j, cfg=FieldConfig()),
+    "laguerre_fn nan m": lambda: laguerre_fn(0.5, math.nan, 1.0),
+    "cs_branch inf l": lambda: cs_branch(math.inf, CSLabel(0.5, 0.2), FieldConfig(mu=0.3)),
+    "g_matrix nan m": lambda: g_matrix(math.nan, 0, 1, 1, 0.3),
+    # an infinite order passed alpha > -1: nan, or a bare LinAlgError
+    "laguerre_fn inf order": lambda: laguerre_fn(math.inf, 0, 1.0),
+    "make_quadrature inf order": lambda: make_quadrature(math.inf, 10),
+    "erf nan": lambda: erf(math.nan),
 }
 
 

@@ -140,7 +140,9 @@ def test_grids_compare_by_identity():
     {"rho_max": 0.5},                       # the origin panels alone reach 1
     {"rho_max": np.nan},
     {"rho_max": 60.0, "tail_step": np.nan},
-], ids=["step-0", "step-negative", "rho-max-inf", "rho-max-below-1", "rho-max-nan", "step-nan"])
+    {"rho_max": 2.0, "tail_step": 1e-300},  # 1 + 1e-300 == 1: the tail appended 1 forever
+], ids=["step-0", "step-negative", "rho-max-inf", "rho-max-below-1", "rho-max-nan", "step-nan",
+        "step-lost-in-rounding"])
 def test_grid_arguments_checked(kwargs):
     with pytest.raises(DomainError):
         make_radial_grid(**kwargs)

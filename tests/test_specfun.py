@@ -450,6 +450,11 @@ def test_ln_marcum_p_edges_and_shapes():
     grid = ln_marcum_p(0.5, np.array([[1.0], [2.0]]), np.array([1.0, 3.0, 5.0]))
     assert grid.shape == (2, 3)
     assert grid[1, 2] == ln_marcum_p(0.5, 2.0, 5.0)
+    # 2u or 2v past the double range, with no overflow warning: chndtr gives
+    # 1 at v = 1e308, and 0 at u = 1e308, where the mixture cannot converge
+    assert ln_marcum_p(0.5, 1.0, 1e308) == 0.0
+    with pytest.raises(TruncationError):
+        ln_marcum_p(0.5, 1e308, 1.0)
     for bad in ((-0.1, 1.0, 1.0), (0.5, -1.0, 1.0), (0.5, 1.0, np.nan), (0.5, np.inf, 1.0),
                 (0.5, 1e15, 1e15)):
         with pytest.raises(DomainError):
