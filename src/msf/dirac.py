@@ -43,23 +43,29 @@ sum_k coef_k psi_k over columns k = (l, m, charge), psi_k the unit-norm
 eigenspinors: a spinor is one column at coefficient 1, a 3+1 spinor two
 columns (charge and -charge) at f / |f| (its block factors), and a
 relativistic coherent state one column per (l, m) at sqrt(share) e^(i arg
-c).  The call checks every column before any table, builds one Laguerre
-table over the distinct orders of its rows, the runs of columns of one
-(l, charge) (the other slot of row l has the order of the seed slot of
-row l + charge, so L rows take L + 1 orders), and holds one grid-share
-guard, which refuses the state once its columns miss more than 1e-9 of
-its norm on the radial grid in total, sum |coef|^2 |1 - seed^2|.
+c).  The call checks every column before any table, reads the distinct
+Laguerre orders of its rows, the runs of columns of one (l, charge) (the
+other slot of row l has the order of the seed slot of row l + charge, so
+L rows take L + 1 orders), from the grid's store, and holds one
+grid-share guard, which refuses the state once its columns miss more
+than 1e-9 of its norm on the radial grid in total, sum |coef|^2 |1 -
+seed^2|.
 
-The table (m, order, nodes) is real (float64) and is never copied or
-scaled: an eigenspinor is a table profile in each slot times one complex
-factor per slot (E + M, -i charge, the ladder coefficient, sqrt(gamma /
-2 pi) / norm and the phase), the norms of all profiles come from one
-weighted pass over the table, and the coefficients times the factors go
-into one real product with the table per slot kind (seed or other),
-written as complex profiles, one per order; each slot of each row is a
-view of that result.  At L = 15 rows of 15 columns on 742 nodes the
-table holds 16 x 16 profiles (1.5 MB, one mapping per state) and the
-result 2 x 16.
+Each radial grid keeps, for its own life, one entry per Laguerre order
+(:func:`_orders`): the folded quadrature of the order, its real (float64)
+profiles I_m on the nodes up to the tallest m asked of it so far, and
+their grid norms^2, read-only arrays set in one assignment.  A call
+builds at most one :func:`laguerre_fn_table`, over the orders the grid
+lacks or holds too short, and none where it holds them all (the two
+labels of an overlap, the m of one row, the slots of a 3+1 block).  The
+profiles are never copied or scaled: an eigenspinor is a stored profile
+in each slot times one complex factor per slot (E + M, -i charge, the
+ladder coefficient, sqrt(gamma / 2 pi) / norm and the phase), and the
+coefficients times the factors go into one real product with the stored
+rows of each order, written as complex profiles, one per slot kind (seed
+or other) and order; each slot of each row is a view of that result.
+At L = 15 rows of 15 columns on 742 nodes a state reads 16 x 16
+profiles (1.5 MB) and its result is 2 x 16.
 
 sigma.P on any spinor (:func:`apply_sigma_p`, behind the residual
 checks) is an exact angular shift plus the radial ladder, differentiated
@@ -249,7 +255,8 @@ def _quadrature(alpha: float, grid: RadialGrid) -> np.ndarray:
     slot: the power law rho^alpha of the slot's eigenfamily (:func:`_family`)
     gives the two-term fit w = (rho / rho_min)^alpha (c0 + c1 rho) through
     the first two nodes, whose integral is linear in w there; the ratios
-    stay finite."""
+    stay finite.  Built once per order and grid, by :func:`_orders`, which
+    keeps it in the grid's store."""
     (r1, r2), delta = grid.nodes[:2].tolist(), grid.rho_min
     q = delta * (delta / (alpha + 2.0) - r1 / (alpha + 1.0)) / (r2 - r1)
     weights = grid.weights.copy()
@@ -258,12 +265,46 @@ def _quadrature(alpha: float, grid: RadialGrid) -> np.ndarray:
     return weights
 
 
+def _orders(orders, rows: int, grid: RadialGrid) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(quadrature, profiles, norms^2) of each Laguerre order on the grid,
+    read from the grid's store.
+
+    The store keeps per order alpha the :func:`_quadrature` of alpha, the
+    profiles I_m^alpha (:func:`laguerre_fn_table`) on the nodes for m below
+    the most rows asked of that order so far, shape (rows, nodes), and
+    their grid norms^2 in that quadrature, shape (rows,): three read-only
+    arrays, set in one assignment, that live as long as the grid.  The
+    orders the store lacks, or holds with fewer than ``rows`` profiles,
+    come from one table over just those orders, their norms from one
+    weighted pass over it; at rows = 0 no table is built.  A profile does
+    not depend on the other orders or rows of its table, so every value
+    is the same however the store was filled.
+    """
+    store = grid._orders
+    entries = [store.get(a) for a in orders]
+    short = [i for i, e in enumerate(entries) if e is None or len(e[1]) < rows]
+    if short:
+        quad = np.array([_quadrature(orders[i], grid) if entries[i] is None else entries[i][0]
+                         for i in short])
+        table = (laguerre_fn_table(np.array([orders[i] for i in short])[:, None], rows - 1,
+                                   grid.nodes) if rows else np.empty((0,) + quad.shape))
+        sq = np.einsum("mon,mon,on->mo", table, table, quad)
+        for k, i in enumerate(short):
+            entry = (quad[k], table[:, k], sq[:, k])
+            for arr in entry:
+                arr.setflags(write=False)
+            store[orders[i]] = entries[i] = entry
+    return entries
+
+
 def d_inner(a: Spinor2, b: Spinor2, dc: DiracConfig, origin_tail: bool = True):
     """Spinor inner product (1/gamma) int drho dtheta a^dag b.
 
     The grid covers [rho_min, rho_max].  With ``origin_tail`` the
-    segment (0, rho_min) is added analytically, slot by slot
-    (:func:`_quadrature`); without it, pairs involving the irregular
+    segment (0, rho_min) is added analytically, slot by slot, by the
+    :func:`_quadrature` of the slot's order, read from the grid's store
+    (:func:`_orders`, which builds it on the first call of the order on
+    the grid); without it, pairs involving the irregular
     vartheta profiles lose O(rho_min^(1-mu)) of orthogonality.  Residual
     fields produced by grid differentiation do not follow the family
     power law and should be measured with ``origin_tail=False``.  A
@@ -278,7 +319,10 @@ def d_inner(a: Spinor2, b: Spinor2, dc: DiracConfig, origin_tail: bool = True):
     for av, bv, sigma in ((a.up, b.up, 1), (a.dn, b.dn, -1)):
         # one contiguous row per column, so a column sums alone as in its block
         w = np.multiply(np.conj(av.T), bv.T, order="C")
-        quad = _quadrature(_family(sigma, a.l_dn, dc)[2], a.grid) if origin_tail else a.grid.weights
+        if origin_tail:
+            [(quad, _, _)] = _orders([_family(sigma, a.l_dn, dc)[2]], 0, a.grid)
+        else:
+            quad = a.grid.weights
         total = total + np.vecdot(quad, w)
     total = 2.0 * math.pi / dc.field.gamma * total
     return complex(total) if np.ndim(total) == 0 else total
@@ -369,11 +413,13 @@ def _eigenspinors(j: int, ls, ms, charges, coef, dc: DiracConfig,
     the Laguerre domain raises DomainError (:func:`resolve_rel_qnums` on
     the seed slot at the row's least m, :func:`_family` on the other) and
     E = 0 raises SpectralBoundaryError (E grows with m, so the least m
-    decides), in the order seed slot, E, other slot.  One
-    :func:`laguerre_fn_table` of shape (m, order, nodes) then covers the
-    distinct orders of both slots of all rows (:func:`_row` at charge and
-    -charge), with rows up to the largest m, plus one where the other slot
-    reads m + 1 (branch 0, charge +1).  No grid derivative is taken: the
+    decides), in the order seed slot, E, other slot.  The profiles then
+    come from the grid's store (:func:`_orders`): the distinct orders of
+    both slots of all rows (:func:`_row` at charge and -charge), each with
+    rows up to the largest m, plus one where the other slot reads m + 1
+    (branch 0, charge +1).  That is at most one :func:`laguerre_fn_table`
+    call, over the orders the grid lacks or holds too short, and none
+    where the grid already holds them.  No grid derivative is taken: the
     seed slot holds the profile I_m of the seed slot's family and the other
     slot its ladder (:func:`_ladder`), by DLMF 18.9.13-18.9.14 the profile
     I_m' of the other slot's family times charge (-1)^j sqrt(2 gamma (n1 +
@@ -384,19 +430,20 @@ def _eigenspinors(j: int, ls, ms, charges, coef, dc: DiracConfig,
     unit phase that makes the first nonvanishing component real and
     positive at the smallest node.
 
-    The grid norm^2 of every table profile is taken in one pass, in the
-    :func:`_quadrature` of its order, and each column's norms are read
-    from it by index.  The grid-share guard refuses the state with
+    Each column's grid norms^2, in the :func:`_quadrature` of its order,
+    are read by index from the norms the store keeps beside the profiles.
+    The grid-share guard refuses the state with
     TruncationError, tail_bound the total share missed sum |coef|^2 |1 -
     seed^2| (seed: the grid norm of each unit-norm seed profile), when that
     total passes _GRID_SHARE or a column is 0 on the grid.  coef times the
     factors then goes into a real coefficient array indexed by (slot kind,
     order, m, real/imaginary part); columns that read one profile add up
     (branch 0, charge -1: m = 0, of coefficient 0, and m = 1 read row 0 of
-    the other slot).  One real product per slot kind with the table, read
-    in place as (order, nodes, m), writes complex profiles through their
-    trailing (..., 2) view, one per order; the slots of each row, whose
-    orders no other row shares in that kind, are views of the result.
+    the other slot).  One real product per order, of its stored rows read
+    in place as (nodes, m) with both slot kinds of coefficients, writes
+    complex profiles through their trailing (..., 2) view, one per slot
+    kind and order; the slots of each row, whose orders no other row
+    shares in that kind, are views of the result.
     """
     l, m, charge, coef = (a.ravel() for a in np.broadcast_arrays(ls, ms, charges, coef))
     new_row = (l[1:] != l[:-1]) | (charge[1:] != charge[:-1])
@@ -414,10 +461,11 @@ def _eigenspinors(j: int, ls, ms, charges, coef, dc: DiracConfig,
     n1 = _radial_numbers(j, np.repeat([a for a, _ in alphas], sizes), m)[0]
     energies = _energy(n1, charge, dc)
     index = np.array([(m, seed_o), (np.maximum(m + charge, 0) if j == 0 else m, other_o)])
-    table = laguerre_fn_table(np.array(orders)[:, None], int(index[:, 0].max()), grid.nodes)
-    # the grid norm^2 of every profile, in the quadrature of its order
-    quad = np.array([_quadrature(a, grid) for a in orders])
-    sq = np.einsum("mon,mon,on->mo", table, table, quad)
+    rows = int(index[:, 0].max()) + 1
+    entries = _orders(orders, rows, grid)
+    # the grid norm^2 and first node of every profile, (m, order)
+    sq = np.stack([e[2][:rows] for e in entries], axis=1)
+    first = np.stack([e[1][:rows, 0] for e in entries], axis=1)
     ladder = charge * (-1) ** j * np.sqrt(2.0 * dc.field.gamma * (n1 + (1 + charge) / 2.0))
     seed = energies + dc.mass  # the seed slot's factor, E + M
     seed_sq, other_sq = sq[index[:, 0], index[:, 1]]
@@ -428,18 +476,20 @@ def _eigenspinors(j: int, ls, ms, charges, coef, dc: DiracConfig,
     # the phase reference is the first node of the upper slot (the seed slot
     # at charge +1) where it is nonzero, else of the lower: a sign times the
     # conjugate slot unit, 1 on the seed slot and i charge on the other
-    seed0, other0 = table[index[:, 0], index[:, 1], 0]
+    seed0, other0 = first[index[:, 0], index[:, 1]]
     other0 = ladder * other0
     ref_seed = np.where(charge == 1, seed0 != 0, other0 == 0)
     phase = (np.where(np.where(ref_seed, seed0, other0) < 0, -1.0, 1.0)
              * np.where(ref_seed, 1.0, 1j * charge))
     scale = math.sqrt(dc.field.gamma / (2.0 * math.pi)) / nrm * phase
     c = np.array([seed, -1j * charge * ladder]) * scale * coef
-    coeffs = np.zeros((2, table.shape[1], table.shape[0], 2))
+    coeffs = np.zeros((2, len(orders), rows, 2))
     np.add.at(coeffs, (np.arange(2)[:, None], index[:, 1], index[:, 0]),
               c.view(float).reshape(c.shape + (2,)))
-    out = np.empty((2,) + table.shape[1:], dtype=complex)
-    np.matmul(table.transpose(1, 2, 0), coeffs, out=out.view(float).reshape(out.shape + (2,)))
+    out = np.empty((2, len(orders), grid.nodes.size), dtype=complex)
+    out_re = out.view(float).reshape(out.shape + (2,))
+    for o, (_, prof, _) in enumerate(entries):  # (nodes, m) @ (m, 2) per slot kind, in place
+        np.matmul(prof[:rows].T, coeffs[:, o], out=out_re[:, o])
     spinors = [_seed_block(out[0, seed_o[k]], out[1, other_o[k]], int(charge[k]), int(l[k]), grid)
                for k in bounds[:-1]]
     return spinors, energies
@@ -507,9 +557,10 @@ def rel_cs(j: int, label: CSLabel, dc: DiracConfig, charge: int,
     earlier by the quiet-block rule applied to the weighted blocks at
     1e-14, and :func:`rel_cs_overlap_closed` contracts the same kept
     series.  Every kept (l, m) of nonzero amplitude is one column of one
-    :func:`_eigenspinors` call, one Laguerre table for the whole state,
-    at the coefficient sqrt(share) e^(i arg c), share = |c|^2 2M(E + M) /
-    Mcal; the sectors, jointly of unit norm, are its rows, one per l.
+    :func:`_eigenspinors` call, at most one Laguerre table for the whole
+    state (none where the grid holds its orders and rows), at the
+    coefficient sqrt(share) e^(i arg c), share = |c|^2 2M(E + M) / Mcal;
+    the sectors, jointly of unit norm, are its rows, one per l.
     Requires M > 0 (the weight degenerates in the massless limit); raises
     TruncationError, from the guard all eigenspinors share, when the
     columns miss more than 1e-9 of Mcal on the radial grid in total,

@@ -276,25 +276,32 @@ def _ln_poisson_gamma_mixture(nu: float, u: np.ndarray, v: np.ndarray) -> np.nda
     the point's own total.  A point retires once both sides hold.  Every
     point is summed on its own, so a set of points gives bitwise the
     values of its parts.  Raises TruncationError once a point has summed
-    1e6 terms without meeting its bounds.
+    1e6 terms without meeting its bounds.  A first round capped at 1e6 / 14
+    widths counts as all 1e6 terms, so its point raises right after it:
+    its bounds cannot hold there, and past m* of about 1e17 its blocks no
+    longer move apart in double precision, so further rounds would add
+    one block at a time.
     """
     root = (np.hypot(nu, 2.0 * np.sqrt(u) * np.sqrt(v)) - nu) / 2.0  # u v may overflow
     peak = np.minimum(u, np.maximum(root - 1.0, 0.0))
-    width = np.minimum(np.sqrt(peak + 1.0), _MIX_MAX_TERMS / 14.0)  # 14 widths: the first round
+    width = np.sqrt(peak + 1.0)
+    capped = width >= _MIX_MAX_TERMS / 14.0
+    width = np.minimum(width, _MIX_MAX_TERMS / 14.0)  # 14 widths: the first round
     lo = np.floor(np.maximum(peak - 6.0 * width, 0.0) / _MIX_BLOCK)
     hi = np.floor((peak + 8.0 * width) / _MIX_BLOCK)
     blocks = hi - lo + 1.0
     if blocks.sum() * _MIX_BLOCK <= _MIX_ROUND_SIZE:
-        return _ln_mixture_sum(nu, u, v, lo, hi)
+        return _ln_mixture_sum(nu, u, v, lo, hi, capped)
     out = np.empty(u.shape)  # keep each round's arrays to about 2^18 terms
     first = np.cumsum(blocks) * _MIX_BLOCK // _MIX_ROUND_SIZE
     for idx in np.split(np.arange(u.size), np.flatnonzero(np.diff(first)) + 1):
-        out[idx] = _ln_mixture_sum(nu, u[idx], v[idx], lo[idx], hi[idx])
+        out[idx] = _ln_mixture_sum(nu, u[idx], v[idx], lo[idx], hi[idx], capped[idx])
     return out
 
 
-def _ln_mixture_sum(nu, u, v, lo, hi):
-    """The mixture over points whose first round spans the blocks lo..hi."""
+def _ln_mixture_sum(nu, u, v, lo, hi, capped):
+    """The mixture over points whose first round spans the blocks lo..hi,
+    counted as all the terms allowed where ``capped``."""
     ln_tol = math.log(1e-17)
     out = np.empty(u.shape)
     live = np.arange(u.size)
@@ -306,7 +313,7 @@ def _ln_mixture_sum(nu, u, v, lo, hi):
     starts = np.cumsum(counts) - counts
     pt = np.repeat(live, counts)
     blk = lo[pt] + (np.arange(pt.size) - starts[pt])
-    summed = _MIX_BLOCK * counts
+    summed = np.where(capped, _MIX_MAX_TERMS, _MIX_BLOCK * counts)
     while True:
         ends = starts + counts - 1
         ln_t, bound = _ln_mixture_rows(nu, u[pt], v[pt], blk, starts, ends)

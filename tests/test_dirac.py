@@ -2,8 +2,12 @@
 and the proper-time kernel."""
 
 import cmath
+import gc
 import itertools
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +43,7 @@ from msf.dirac import (
     resolve_rel_qnums,
     sz_apply,
 )
-from msf.dirac import _eigenspinors, _energy, _ladder, _rel_series, _row
+from msf.dirac import _eigenspinors, _energy, _ladder, _orders, _quadrature, _rel_series, _row
 
 
 GRID = make_radial_grid(rho_max=70.0)
@@ -551,8 +555,10 @@ def test_dirac_spinor_slots_are_real_and_imaginary(j, l, vt, charge):
 @pytest.mark.parametrize("charge", [1, -1])
 def test_one_laguerre_table_per_state(monkeypatch, j, vt, charge):
     # a coherent state reads every l block, and a spinor both its slots,
-    # from one table over a column of orders; the other slot of row l has
-    # the order of the seed slot of row l + charge, so L rows need L + 1
+    # from at most one table over a column of orders; the other slot of row
+    # l has the order of the seed slot of row l + charge, so L rows need
+    # L + 1.  The grid keeps the profiles it has built, so a state whose
+    # orders and rows it already holds builds no table at all
     import msf.dirac as dirac
 
     columns = []
@@ -564,16 +570,112 @@ def test_one_laguerre_table_per_state(monkeypatch, j, vt, charge):
 
     monkeypatch.setattr(dirac, "laguerre_fn_table", counting)
     dc = make_dc(mu=0.5, vartheta=vt)
-    state = rel_cs(j, CSLabel(0.6 + 0.3j, -0.2 + 0.5j), dc, charge, grid=GRID)
+    grid = make_radial_grid(rho_max=70.0)
+    label = CSLabel(0.6 + 0.3j, -0.2 + 0.5j)
+    state = rel_cs(j, label, dc, charge, grid=grid)
     assert columns == [(len(state) + 1, 1)]
+    # labels of the same moduli keep the same rows, which the grid holds
+    turned = CSLabel(1j * label.z1, -label.z2)
+    assert rel_cs(j, turned, dc, charge, grid=grid).keys() == state.keys()
     l = next(iter(state.values())).l_dn  # the first kept row
     for m in (0, 2):
+        dirac_spinor(resolve_rel_qnums(j, l, m, charge, dc), dc, charge, grid)
+    embed_3p1(j, l, 1, charge, 1, 0.7, dc, grid)
+    assert columns == [(len(state) + 1, 1)]
+    # on a fresh grid each is one table over the two orders of its row
+    for build in [lambda g, m=m: dirac_spinor(resolve_rel_qnums(j, l, m, charge, dc), dc, charge, g)
+                  for m in (0, 2)] + [lambda g: embed_3p1(j, l, 1, charge, 1, 0.7, dc, g)]:
         columns.clear()
-        dirac_spinor(resolve_rel_qnums(j, l, m, charge, dc), dc, charge, GRID)
+        build(make_radial_grid(rho_max=70.0))
         assert columns == [(2, 1)]
-    columns.clear()
-    embed_3p1(j, l, 1, charge, 1, 0.7, dc, GRID)
-    assert columns == [(2, 1)]
+
+
+def test_grid_store_holds_the_table_rows_read_only():
+    # a taller request rebuilds a short order; the rows stay those of the
+    # order's own table, and a shorter request reads the stored entry
+    grid = make_radial_grid(rho_max=30.0)
+    assert grid._orders == {}
+    _orders([0.5, -0.4], 2, grid)
+    _orders([2.5, -0.4, 0.5], 6, grid)
+    for a in (0.5, -0.4, 2.5):
+        quad, prof, sq = entry = grid._orders[a]
+        np.testing.assert_array_equal(prof, laguerre_fn_table(a, 5, grid.nodes))
+        np.testing.assert_array_equal(quad, _quadrature(a, grid))
+        np.testing.assert_allclose(sq, np.einsum("mn,mn,n->m", prof, prof, quad), rtol=1e-15)
+        for arr in entry:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert _orders([a], 3, grid)[0] is entry
+
+
+@pytest.mark.parametrize("j,vt,charge", [(1, 1, 1), (0, -1, -1), (0, 1, 1), (1, -1, -1)])
+def test_warm_grid_gives_the_values_of_a_fresh_one(j, vt, charge):
+    # states and inner products read from a store filled by other states,
+    # some orders held taller and some too short, are bitwise those of a
+    # fresh grid with the same nodes
+    dc = make_dc(mu=0.5, vartheta=vt)
+    warm, fresh = make_radial_grid(rho_max=70.0), make_radial_grid(rho_max=70.0)
+    np.testing.assert_array_equal(warm.nodes, fresh.nodes)
+    label = CSLabel(cmath.rect(0.6, 0.3), cmath.rect(0.6, -1.1))
+    rel_cs(j, CSLabel(0.2, 0.1j), dc, charge, grid=warm)  # short rows
+    l = next(_branch_l_values(j, vt))
+    with pytest.raises(TruncationError):  # refused, yet its taller rows are kept
+        dirac_spinor(resolve_rel_qnums(j, l, 18, charge, dc), dc, charge, warm)
+    # an order first met by d_inner: a quadrature and no rows
+    far = resolve_rel_qnums(j, l + 12 * (2 * j - 1), 0, charge, dc)
+    seed = basis_spinor_component(far, dc, warm)
+    d_inner(seed, seed, dc)
+    assert len(warm._orders[_row(charge, far.l, dc)[2]][1]) == 0
+    a, b = (rel_cs(j, label, dc, charge, grid=g) for g in (warm, fresh))
+    assert a.keys() == b.keys()
+    for lu in a:
+        np.testing.assert_array_equal(a[lu].up, b[lu].up)
+        np.testing.assert_array_equal(a[lu].dn, b[lu].dn)
+        assert d_inner(a[lu], a[lu], dc) == d_inner(b[lu], b[lu], dc)
+    q = resolve_rel_qnums(j, l, 3, charge, dc)
+    (pa, ea), (pb, eb) = (dirac_spinor(q, dc, charge, g) for g in (warm, fresh))
+    assert ea == eb
+    np.testing.assert_array_equal(pa.up, pb.up)
+    np.testing.assert_array_equal(pa.dn, pb.dn)
+    assert d_inner(pa, pa, dc) == d_inner(pb, pb, dc)
+
+
+def test_grid_store_shared_across_threads():
+    # threads that fill one fresh grid's store at once, taller and shorter
+    # rows of shared orders in any order, each read complete entries of
+    # the rows they asked for: their states are bitwise those of a grid
+    # of their own
+    dc = make_dc(mu=0.5)
+    labels = [CSLabel(cmath.rect(r, 0.3), cmath.rect(r, -1.1)) for r in (0.8, 0.2, 0.5)]
+    jobs = [(lab, charge) for lab in labels for charge in (1, -1)]
+    want = [rel_cs(1, lab, dc, charge, grid=make_radial_grid(rho_max=70.0)) for lab, charge in jobs]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            for _ in range(20):
+                shared = make_radial_grid(rho_max=70.0)
+                futures = [pool.submit(rel_cs, 1, lab, dc, charge, shared) for lab, charge in jobs]
+                for future, expect in zip(futures, want):
+                    got = future.result(timeout=60)
+                    assert got.keys() == expect.keys()
+                    for lu in expect:
+                        np.testing.assert_array_equal(got[lu].up, expect[lu].up)
+                        np.testing.assert_array_equal(got[lu].dn, expect[lu].dn)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_grid_store_is_freed_with_its_grid():
+    grid = make_radial_grid(rho_max=70.0)
+    dc = make_dc()
+    dirac_spinor(resolve_rel_qnums(1, 2, 3, 1, dc), dc, 1, grid)
+    assert grid._orders
+    ref = weakref.ref(grid)
+    del grid
+    gc.collect()
+    assert ref() is None
 
 
 REL_CASES = [(j, vt, charge) for (j, vt) in ((1, 1), (0, -1)) for charge in (1, -1)]

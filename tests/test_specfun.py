@@ -579,3 +579,25 @@ def test_mixture_term_cap_reports_partial_sum_and_tail(monkeypatch):
     partial, tail = err.value.partial, err.value.tail_bound
     assert math.isfinite(partial) and math.isfinite(tail)
     assert partial < expect < np.logaddexp(partial, tail)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5])
+@pytest.mark.parametrize("u, v", [(1e308, 1.0), (1e308, 1e100), (1e12, 1e9)])
+def test_mixture_capped_first_round_raises_after_it(monkeypatch, nu, u, v):
+    # a first round capped at 1e6 / 14 widths counts as the 1e6 terms, so
+    # the point raises with its partial sum after that one round; at
+    # u = 1e308 its blocks no longer move apart in double precision, and
+    # the sum used to go on one block a side per round, 31,250 rounds
+    rows = specfun._ln_mixture_rows
+    rounds = []
+
+    def counting(*args):
+        rounds.append(args[3].size)
+        return rows(*args)
+
+    monkeypatch.setattr(specfun, "_ln_mixture_rows", counting)
+    with pytest.raises(TruncationError) as err:
+        ln_marcum_p(nu, u, v)
+    assert len(rounds) == 1 and not math.isnan(err.value.partial)
+    with pytest.raises(TruncationError):  # and refuses any array that holds it
+        ln_marcum_p(nu, np.array([1e5, u]), np.array([1e3, v]))
