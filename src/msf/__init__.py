@@ -35,7 +35,6 @@ from .cs import (
     cs_normalization,
     cs_overlap,
     cs_state,
-    mm_superpose,
     mm_weight_sum,
 )
 from .completeness import (

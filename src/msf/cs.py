@@ -48,7 +48,7 @@ The exponential sum rule N_0 + N_1 = exp(u + v) is exact at mu = 0
 (integer Bessel orders, where the bilateral generating function
 applies).  For mu in (0, 1) the order lattice is shifted and the sum
 acquires a Bessel-K correction; at mu = 1/2 it evaluates in closed form
-to exp(u+v) erf(sqrt u + sqrt v).  See the zero-flux helpers below.
+to exp(u+v) erf(sqrt u + sqrt v).  See :func:`mm_weight_sum` below.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ __all__ = [
     "cs_state",
     "cs_normalization",
     "cs_overlap",
-    "mm_superpose",
     "mm_weight_sum",
 ]
 
@@ -250,12 +249,11 @@ def cs_state(
     theta,
     rho,
     cfg: FieldConfig,
-    normalized: bool = True,
 ):
     """Coherent-state value, elementwise over theta and rho.
 
-    Unit norm unless disabled; the amplitudes are normalized in log
-    space, exp(ln|c| - ln N_j / 2), so the value is finite wherever the
+    Unit norm; the amplitudes are normalized in log space,
+    exp(ln|c| - ln N_j / 2), so the value is finite wherever the
     normalized state is.  One Laguerre recurrence over m, vectorised
     over the rows of the :func:`_grown_table` table and the points,
     accumulates sum_m c_lm I_m(rho) per row: memory is O(rows x points).
@@ -266,7 +264,7 @@ def cs_state(
     if not np.isfinite(theta).all():
         raise DomainError("theta must be finite")
     l, alpha, ln_c, arg_c = _grown_table(j, _branch_l_values(j), label, cfg)
-    ln_scale = _ln_half_norm(j, label, cfg.mu) if normalized else 0.0
+    ln_scale = _ln_half_norm(j, label, cfg.mu)
     per_row = (slice(None),) + (None,) * rho.ndim
     amp = np.exp(ln_c - ln_scale + 1j * arg_c)
     radial = 0.0
@@ -301,34 +299,6 @@ def cs_overlap(
     _, _, ln_b, ph_b = _grown_table(j_a, _branch_l_values(j_a), label_b, cfg)
     ln_scale = _ln_half_norm(j_a, label_a, mu) + _ln_half_norm(j_a, label_b, mu)
     return _contract(ln_a, ph_a, ln_b - ln_scale, ph_b)
-
-
-def mm_superpose(
-    label: CSLabel,
-    theta: float,
-    rho: float,
-    cfg: FieldConfig,
-) -> complex:
-    """Zero-flux coherent state: both branches superposed, unnormalized.
-
-    Requires mu = 0 and l0 = 0.  Both branch series carry the uniform
-    amplitudes z1^n1 z2^n2 / sqrt(n1! n2!); with that convention the
-    (l, m) double sum is a free sum over the (n1, n2) lattice, equals
-    the uniform-field coherent state
-
-        sqrt(gamma/2 pi) exp(-rho/2) exp(z1 z2 - z1 w + z2 conj(w)),
-        w = sqrt(rho) exp(i theta),
-
-    and its squared norm is exp(|z1|^2 + |z2|^2).
-    """
-    if cfg.mu != 0.0 or cfg.l0 != 0:
-        raise DomainError("zero-flux superposition requires mu = 0 and l0 = 0")
-    total = 0.0 + 0.0j
-    for j in (0, 1):
-        # sqrt(N_j) times the normalized state = the bare branch series;
-        # assembling it unnormalized avoids the 0/0 at zero labels
-        total += cs_state(j, label, theta, rho, cfg, normalized=False)
-    return total
 
 
 def mm_weight_sum(u, v):

@@ -54,10 +54,11 @@ seed^2|.
 Each radial grid keeps, for its own life, one entry per Laguerre order
 (:func:`_orders`): the folded quadrature of the order, its real (float64)
 profiles I_m on the nodes up to the tallest m asked of it so far, and
-their grid norms^2, read-only arrays set in one assignment.  A call
-builds at most one :func:`laguerre_fn_table`, over the orders the grid
-lacks or holds too short, and none where it holds them all (the two
-labels of an overlap, the m of one row, the slots of a 3+1 block).  The
+their grid norms^2, read-only arrays set in one assignment, and stored
+only once the state that built them passes its guard.  A call builds
+at most one :func:`laguerre_fn_table`, over the orders the grid lacks
+or holds too short, and none where it holds them all (the two labels
+of an overlap, the m of one row, the slots of a 3+1 block).  The
 profiles are never copied or scaled: an eigenspinor is a stored profile
 in each slot times one complex factor per slot (E + M, -i charge, the
 ladder coefficient, sqrt(gamma / 2 pi) / norm and the phase), and the
@@ -255,8 +256,8 @@ def _quadrature(alpha: float, grid: RadialGrid) -> np.ndarray:
     slot: the power law rho^alpha of the slot's eigenfamily (:func:`_family`)
     gives the two-term fit w = (rho / rho_min)^alpha (c0 + c1 rho) through
     the first two nodes, whose integral is linear in w there; the ratios
-    stay finite.  Built once per order and grid, by :func:`_orders`, which
-    keeps it in the grid's store."""
+    stay finite.  Built once per order and grid, by :func:`_orders`, and
+    kept in the grid's store."""
     (r1, r2), delta = grid.nodes[:2].tolist(), grid.rho_min
     q = delta * (delta / (alpha + 2.0) - r1 / (alpha + 1.0)) / (r2 - r1)
     weights = grid.weights.copy()
@@ -265,9 +266,9 @@ def _quadrature(alpha: float, grid: RadialGrid) -> np.ndarray:
     return weights
 
 
-def _orders(orders, rows: int, grid: RadialGrid) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _orders(orders, rows: int, grid: RadialGrid) -> tuple[list[tuple], dict]:
     """(quadrature, profiles, norms^2) of each Laguerre order on the grid,
-    read from the grid's store.
+    read from the grid's store, and the entries this call built.
 
     The store keeps per order alpha the :func:`_quadrature` of alpha, the
     profiles I_m^alpha (:func:`laguerre_fn_table`) on the nodes for m below
@@ -276,13 +277,16 @@ def _orders(orders, rows: int, grid: RadialGrid) -> list[tuple[np.ndarray, np.nd
     arrays, set in one assignment, that live as long as the grid.  The
     orders the store lacks, or holds with fewer than ``rows`` profiles,
     come from one table over just those orders, their norms from one
-    weighted pass over it; at rows = 0 no table is built.  A profile does
-    not depend on the other orders or rows of its table, so every value
-    is the same however the store was filled.
+    weighted pass over it; at rows = 0 no table is built.  The entries
+    built come back as an {order: entry} dict, not yet stored: the caller
+    stores them (``grid._orders.update(built)``) once it accepts them.  A
+    profile does not depend on the other orders or rows of its table, so
+    every value is the same however the store was filled.
     """
     store = grid._orders
     entries = [store.get(a) for a in orders]
     short = [i for i, e in enumerate(entries) if e is None or len(e[1]) < rows]
+    built = {}
     if short:
         quad = np.array([_quadrature(orders[i], grid) if entries[i] is None else entries[i][0]
                          for i in short])
@@ -293,8 +297,8 @@ def _orders(orders, rows: int, grid: RadialGrid) -> list[tuple[np.ndarray, np.nd
             entry = (quad[k], table[:, k], sq[:, k])
             for arr in entry:
                 arr.setflags(write=False)
-            store[orders[i]] = entries[i] = entry
-    return entries
+            built[orders[i]] = entries[i] = entry
+    return entries, built
 
 
 def d_inner(a: Spinor2, b: Spinor2, dc: DiracConfig, origin_tail: bool = True):
@@ -320,7 +324,8 @@ def d_inner(a: Spinor2, b: Spinor2, dc: DiracConfig, origin_tail: bool = True):
         # one contiguous row per column, so a column sums alone as in its block
         w = np.multiply(np.conj(av.T), bv.T, order="C")
         if origin_tail:
-            [(quad, _, _)] = _orders([_family(sigma, a.l_dn, dc)[2]], 0, a.grid)
+            [(quad, _, _)], built = _orders([_family(sigma, a.l_dn, dc)[2]], 0, a.grid)
+            a.grid._orders.update(built)
         else:
             quad = a.grid.weights
         total = total + np.vecdot(quad, w)
@@ -435,9 +440,11 @@ def _eigenspinors(j: int, ls, ms, charges, coef, dc: DiracConfig,
     The grid-share guard refuses the state with
     TruncationError, tail_bound the total share missed sum |coef|^2 |1 -
     seed^2| (seed: the grid norm of each unit-norm seed profile), when that
-    total passes _GRID_SHARE or a column is 0 on the grid.  coef times the
-    factors then goes into a real coefficient array indexed by (slot kind,
-    order, m, real/imaginary part); columns that read one profile add up
+    total passes _GRID_SHARE or a column is 0 on the grid; only a state it
+    accepts stores the entries it built, so a refused one leaves the store
+    as it found it.  coef times the factors then goes into a real
+    coefficient array indexed by (slot kind, order, m, real/imaginary
+    part); columns that read one profile add up
     (branch 0, charge -1: m = 0, of coefficient 0, and m = 1 read row 0 of
     the other slot).  One real product per order, of its stored rows read
     in place as (nodes, m) with both slot kinds of coefficients, writes
@@ -462,7 +469,7 @@ def _eigenspinors(j: int, ls, ms, charges, coef, dc: DiracConfig,
     energies = _energy(n1, charge, dc)
     index = np.array([(m, seed_o), (np.maximum(m + charge, 0) if j == 0 else m, other_o)])
     rows = int(index[:, 0].max()) + 1
-    entries = _orders(orders, rows, grid)
+    entries, built = _orders(orders, rows, grid)
     # the grid norm^2 and first node of every profile, (m, order)
     sq = np.stack([e[2][:rows] for e in entries], axis=1)
     first = np.stack([e[1][:rows, 0] for e in entries], axis=1)
@@ -473,6 +480,7 @@ def _eigenspinors(j: int, ls, ms, charges, coef, dc: DiracConfig,
     missed = float(np.abs(coef) ** 2 @ np.abs(1.0 - seed_sq))
     if not (missed <= _GRID_SHARE and (nrm > 0.0).all()):
         raise TruncationError("radial grid too short for the state", 0.0, missed)
+    grid._orders.update(built)
     # the phase reference is the first node of the upper slot (the seed slot
     # at charge +1) where it is nonzero, else of the lower: a sign times the
     # conjugate slot unit, 1 on the seed slot and i charge on the other

@@ -105,6 +105,11 @@ _CLUSTER_EDGE = 0.012
 # accumulated edges: the last edge moves to rho_max instead of opening
 # a sliver panel of coincident nodes
 _SLIVER = 1e-6
+# most tail panels of one grid, counted as (rho_max - 1) / tail_step
+# before any edge is appended (at most 12 nodes and a 12 x 12 block
+# each: 120k nodes and 12 MB of blocks at the bound); msf's grids take
+# up to 138 (rho_max 70 at tail_step 0.5)
+_MAX_TAIL_PANELS = 10_000
 
 
 @functools.cache
@@ -165,12 +170,16 @@ def make_radial_grid(rho_max: float = 60.0, tail_step: float = 1.5) -> RadialGri
     of n-point panels stacks the reference matrix of the n-point rule,
     divided by each panel's half width.  Raises DomainError unless
     rho_max is finite and at least 1 and tail_step finite, positive and
-    not lost in rounding at an edge.
+    not lost in rounding at an edge, and unless the tail takes at most
+    _MAX_TAIL_PANELS panels of tail_step.
     """
     if not 1.0 <= rho_max < np.inf:
         raise DomainError("rho_max must be finite and at least 1")
     if not 0.0 < tail_step < np.inf:
         raise DomainError("tail_step must be positive and finite")
+    if (rho_max - 1.0) / tail_step > _MAX_TAIL_PANELS:  # the tail runs from 1 to rho_max
+        raise DomainError(f"tail_step {tail_step} takes more than {_MAX_TAIL_PANELS} panels "
+                          f"to reach rho_max {rho_max}")
     top, cluster_nodes, cluster_weights, cluster_block = _cluster()
     edges = [top]
     while edges[-1] < 1.0:

@@ -19,7 +19,9 @@ values; this is a property of the mathematics, not of the code.
 
 import cmath
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +29,8 @@ from scipy import special as sp
 
 from msf.cli import RunConfig, verify_suite
 from msf.landau import FieldConfig, resolve_qnums
-from msf.specfun import erf
-from msf.cs import CSLabel, cs_normalization, mm_superpose
+from msf.specfun import erf, ln_marcum_p
+from msf.cs import CSLabel, cs_normalization, cs_state
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +98,30 @@ def test_verify_all_report_shape(records):
     assert runs == REPORT_RUNS
     assert [(r.name, r.params) for r in records if r.status == "fail"] == [
         ("exp-sum-rule", f"mu={mu} u,v in [0,9]") for mu in (0.25, 0.5, 0.75)]
+
+
+# the default `msf verify --suite all --format json` report, checked in
+GOLDEN = Path(__file__).with_name("verify_all_golden.json")
+# an achieved error may move by this fraction of its tolerance, far less
+# than a 1e-6 fault in any route moves the records it feeds
+GOLDEN_BAND = 1e-3
+
+
+def test_verify_all_matches_golden_report(records):
+    # names, parameters, statuses and tolerances exactly; the computed
+    # angular-delta-smear tolerance and every achieved error within the
+    # band, exactly where the tolerance is 0.  A change that moves a record
+    # updates the golden file and states the move
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["records"]
+    assert [(r.name, r.params, r.status) for r in records] == [
+        (g["name"], g["parameters"], g["status"]) for g in golden]
+    for r, g in zip(records, golden):
+        tol = g["tolerance"]
+        if r.name == "angular-delta-smear":
+            assert abs(r.tolerance - tol) <= GOLDEN_BAND * tol, r
+        else:
+            assert r.tolerance == tol, r
+        assert abs(r.achieved_error - g["achieved_error"]) <= GOLDEN_BAND * tol, r
 
 
 def test_c01_orthonormality(records):
@@ -191,13 +217,24 @@ def test_c09_zero_flux_coherent_state(rng):
                 total += c * stationary_state(q, theta, rho, cfg)
         return total
 
+    def branch_form(lab, theta, rho):
+        # sum_j sqrt(N_j) Phi_j, ln N_j = u + v + ln P_j; no term where
+        # N_j = 0 (branch 0 at z2 = 0)
+        total = 0.0 + 0.0j
+        for j, ln_p in enumerate((ln_marcum_p(1.0, lab.u, lab.v),
+                                  ln_marcum_p(0.0, lab.v, lab.u))):
+            if ln_p > -math.inf:
+                total += (math.exp((lab.u + lab.v + ln_p) / 2.0)
+                          * cs_state(j, lab, theta, rho, cfg))
+        return total
+
     worst = 0.0
     for _ in range(20):
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         rho = float(rng.uniform(0.05, 8.0))
         lab = CSLabel(complex(*rng.uniform(-1.5, 1.5, 2)),
                       complex(*rng.uniform(-1.5, 1.5, 2)))
-        a = mm_superpose(lab, theta, rho, cfg)
+        a = branch_form(lab, theta, rho)
         b = lattice_series(lab, theta, rho)
         w = math.sqrt(rho) * cmath.exp(1j * theta)
         closed = (math.sqrt(cfg.gamma / (2 * math.pi)) * cmath.exp(-rho / 2)

@@ -26,7 +26,6 @@ from msf.cs import (
     cs_normalization,
     cs_overlap,
     cs_state,
-    mm_superpose,
     mm_weight_sum,
 )
 
@@ -301,18 +300,23 @@ def mm_closed_form_oracle(lab, theta, rho, cfg):
             * cmath.exp(lab.z1 * lab.z2 - lab.z1 * w + lab.z2 * np.conj(w)))
 
 
-def test_mm_superpose_requires_zero_flux():
-    with pytest.raises(DomainError):
-        mm_superpose(CSLabel(0.1, 0.1), 0.0, 1.0, FieldConfig(mu=0.2))
-    with pytest.raises(DomainError):
-        mm_superpose(CSLabel(0.1, 0.1), 0.0, 1.0, FieldConfig(mu=0.0, l0=2))
+def mm_branch_form(lab, theta, rho, cfg):
+    """Zero-flux state as its two branches: sum_j sqrt(N_j) Phi_j, with
+    ln N_j = u + v + ln P_j; the uniform amplitudes z1^n1 z2^n2 / sqrt(n1! n2!)
+    on both branches.  A branch with N_j = 0 (branch 0 at z2 = 0) has no
+    state and no term."""
+    total = 0.0 + 0.0j
+    for j, ln_p in enumerate((ln_marcum_p(1.0, lab.u, lab.v), ln_marcum_p(0.0, lab.v, lab.u))):
+        if ln_p > -math.inf:
+            total += math.exp((lab.u + lab.v + ln_p) / 2.0) * cs_state(j, lab, theta, rho, cfg)
+    return total
 
 
 def test_mm_superpose_ground_state_at_zero_labels():
     cfg = FieldConfig(mu=0.0)
     q = resolve_qnums(1, 0, 0, cfg)
     for rho in (0.3, 1.5):
-        assert mm_superpose(CSLabel(0.0, 0.0), 0.4, rho, cfg) == pytest.approx(
+        assert mm_branch_form(CSLabel(0.0, 0.0), 0.4, rho, cfg) == pytest.approx(
             stationary_state(q, 0.4, rho, cfg), rel=1e-12)
 
 
@@ -323,7 +327,7 @@ def test_mm_superpose_pointwise_against_both_oracles(rng):
         rho = float(rng.uniform(0.05, 8.0))
         lab = CSLabel(complex(*rng.uniform(-1.5, 1.5, 2)),
                       complex(*rng.uniform(-1.5, 1.5, 2)))
-        val = mm_superpose(lab, theta, rho, cfg)
+        val = mm_branch_form(lab, theta, rho, cfg)
         lattice = mm_lattice_series_oracle(lab, theta, rho, cfg)
         closed = mm_closed_form_oracle(lab, theta, rho, cfg)
         assert abs(val - lattice) / abs(closed) < 1e-10
@@ -366,7 +370,7 @@ def test_cs_state_over_rho_array_matches_pointwise():
 
 
 def test_mm_superpose_norm_is_exponential():
-    # squared norm of the unnormalized superposition = e^{u+v}
+    # squared norm of the branch form, N_0 + N_1, = e^{u+v}
     for lab in (CSLabel(0.7 + 0.2j, -0.4j), CSLabel(1.2, 0.9j)):
         n0 = cs_normalization(0, lab.u, lab.v, 0.0)
         n1 = cs_normalization(1, lab.u, lab.v, 0.0)

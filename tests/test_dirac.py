@@ -595,8 +595,8 @@ def test_grid_store_holds_the_table_rows_read_only():
     # order's own table, and a shorter request reads the stored entry
     grid = make_radial_grid(rho_max=30.0)
     assert grid._orders == {}
-    _orders([0.5, -0.4], 2, grid)
-    _orders([2.5, -0.4, 0.5], 6, grid)
+    grid._orders.update(_orders([0.5, -0.4], 2, grid)[1])
+    grid._orders.update(_orders([2.5, -0.4, 0.5], 6, grid)[1])
     for a in (0.5, -0.4, 2.5):
         quad, prof, sq = entry = grid._orders[a]
         np.testing.assert_array_equal(prof, laguerre_fn_table(a, 5, grid.nodes))
@@ -606,7 +606,8 @@ def test_grid_store_holds_the_table_rows_read_only():
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        assert _orders([a], 3, grid)[0] is entry
+        [stored], built = _orders([a], 3, grid)
+        assert stored is entry and built == {}
 
 
 @pytest.mark.parametrize("j,vt,charge", [(1, 1, 1), (0, -1, -1), (0, 1, 1), (1, -1, -1)])
@@ -620,8 +621,7 @@ def test_warm_grid_gives_the_values_of_a_fresh_one(j, vt, charge):
     label = CSLabel(cmath.rect(0.6, 0.3), cmath.rect(0.6, -1.1))
     rel_cs(j, CSLabel(0.2, 0.1j), dc, charge, grid=warm)  # short rows
     l = next(_branch_l_values(j, vt))
-    with pytest.raises(TruncationError):  # refused, yet its taller rows are kept
-        dirac_spinor(resolve_rel_qnums(j, l, 18, charge, dc), dc, charge, warm)
+    dirac_spinor(resolve_rel_qnums(j, l, 8, charge, dc), dc, charge, warm)  # taller rows
     # an order first met by d_inner: a quadrature and no rows
     far = resolve_rel_qnums(j, l + 12 * (2 * j - 1), 0, charge, dc)
     seed = basis_spinor_component(far, dc, warm)
@@ -639,6 +639,19 @@ def test_warm_grid_gives_the_values_of_a_fresh_one(j, vt, charge):
     np.testing.assert_array_equal(pa.up, pb.up)
     np.testing.assert_array_equal(pa.dn, pb.dn)
     assert d_inner(pa, pa, dc) == d_inner(pb, pb, dc)
+
+
+def test_refused_state_leaves_the_grid_store_as_it_found_it():
+    # the grid-share guard refuses this state after its table is built; the
+    # store keeps the entries it held before, and none of the new ones
+    dc = make_dc(mu=0.5)
+    grid = make_radial_grid(rho_max=60.0)
+    rel_cs(1, CSLabel(0.2, 0.1j), dc, 1, grid=grid)
+    before = dict(grid._orders)
+    with pytest.raises(TruncationError):
+        rel_cs(1, CSLabel(cmath.rect(3.0, 0.3), cmath.rect(3.0, -1.1)), dc, 1, grid=grid)
+    assert grid._orders.keys() == before.keys()
+    assert all(grid._orders[a] is entry for a, entry in before.items())
 
 
 def test_grid_store_shared_across_threads():

@@ -140,9 +140,14 @@ def test_grids_compare_by_identity():
     {"rho_max": 0.5},                       # the origin panels alone reach 1
     {"rho_max": np.nan},
     {"rho_max": 60.0, "tail_step": np.nan},
-    {"rho_max": 2.0, "tail_step": 1e-300},  # 1 + 1e-300 == 1: the tail appended 1 forever
+    {"rho_max": 2.0, "tail_step": 1e-300},  # 1 + 1e-300 == 1; the panel bound refuses it first
+    {"rho_max": 60.0, "tail_step": 1e-12},  # 6e13 panels: refused before any edge
+    {"rho_max": 70.0, "tail_step": 1e-15},  # past 16 the step is lost, after 1.5e16 edges
+    # 256 panels pass the panel bound, but 1 + 2^-60 == 1: the rounding check refuses
+    {"rho_max": 1.0 + 2.0**-52, "tail_step": 2.0**-60},
 ], ids=["step-0", "step-negative", "rho-max-inf", "rho-max-below-1", "rho-max-nan", "step-nan",
-        "step-lost-in-rounding"])
+        "step-lost-in-rounding", "too-many-panels", "too-many-panels-then-lost",
+        "step-lost-under-the-panel-bound"])
 def test_grid_arguments_checked(kwargs):
     with pytest.raises(DomainError):
         make_radial_grid(**kwargs)
