@@ -52,21 +52,22 @@ than 1e-9 of its norm on the radial grid in total, sum |coef|^2 |1 -
 seed^2|.
 
 Each radial grid keeps, for its own life, one entry per Laguerre order
-(:func:`_orders`): the folded quadrature of the order, its real (float64)
-profiles I_m on the nodes up to the tallest m asked of it so far, and
-their grid norms^2, read-only arrays set in one assignment, and stored
-only once the state that built them passes its guard.  A call builds
-at most one :func:`laguerre_fn_table`, over the orders the grid lacks
-or holds too short, and none where it holds them all (the two labels
-of an overlap, the m of one row, the slots of a 3+1 block).  The
-profiles are never copied or scaled: an eigenspinor is a stored profile
-in each slot times one complex factor per slot (E + M, -i charge, the
-ladder coefficient, sqrt(gamma / 2 pi) / norm and the phase), and the
-coefficients times the factors go into one real product with the stored
-rows of each order, written as complex profiles, one per slot kind (seed
-or other) and order; each slot of each row is a view of that result.
-At L = 15 rows of 15 columns on 742 nodes a state reads 16 x 16
-profiles (1.5 MB) and its result is 2 x 16.
+(:func:`_orders`), written by :func:`_eigenspinors` alone and only once
+the state that built it passes its guard: the order's real (float64)
+profiles I_m on the nodes up to the tallest m asked of it so far and
+their grid norms^2 in its folded :func:`_quadrature`, two read-only
+arrays set in one assignment.  A call builds at most one
+:func:`laguerre_fn_table`, over the orders the grid lacks or holds too
+short, and none where it holds them all (the two labels of an overlap,
+the m of one row, the slots of a 3+1 block).  The profiles are never
+copied or scaled: an eigenspinor is a stored profile in each slot times
+one complex factor per slot (E + M, -i charge, the ladder coefficient,
+sqrt(gamma / 2 pi) / norm and the phase), and the coefficients times the
+factors go into one real product with the stored rows of each order,
+written as complex profiles, one per slot kind (seed or other) and
+order; each slot of each row is a view of that result.  At L = 15 rows
+of 15 columns on 742 nodes a state reads 16 x 16 profiles (1.5 MB) and
+its result is 2 x 16.
 
 sigma.P on any spinor (:func:`apply_sigma_p`, behind the residual
 checks) is an exact angular shift plus the radial ladder, differentiated
@@ -172,14 +173,19 @@ def resolve_rel_qnums(j: int, l: int, m: int, sigma: int, dc: DiracConfig) -> Re
     return RelQuantumNumbers(j=j, l=l, m=m, sigma=sigma, l_sigma=int(l_s), n1=n1, n2=n2)
 
 
+def _e_perp_sq(n1, sigma, dc: DiracConfig):
+    """Transverse energy squared 2 gamma [n1 + (1 + sigma)/2], elementwise."""
+    return 2.0 * dc.field.gamma * (n1 + (1 + sigma) / 2.0)
+
+
 def e_perp_sq(q: RelQuantumNumbers, dc: DiracConfig) -> float:
-    """Transverse energy squared 2 gamma [n1 + (1 + sigma)/2]."""
-    return 2.0 * dc.field.gamma * (q.n1 + (1 + q.sigma) / 2.0)
+    """Transverse energy squared of the state q."""
+    return _e_perp_sq(q.n1, q.sigma, dc)
 
 
 def _energy(n1, sigma: int, dc: DiracConfig):
-    """sqrt(M^2 + 2 gamma [n1 + (1 + sigma)/2]), elementwise over n1."""
-    return np.sqrt(dc.mass**2 + 2.0 * dc.field.gamma * (n1 + (1 + sigma) / 2.0))
+    """sqrt(M^2 + E_perp^2), elementwise over n1."""
+    return np.sqrt(dc.mass**2 + _e_perp_sq(n1, sigma, dc))
 
 
 def rel_basis_fn(q: RelQuantumNumbers, dc: DiracConfig, theta, rho):
@@ -256,8 +262,8 @@ def _quadrature(alpha: float, grid: RadialGrid) -> np.ndarray:
     slot: the power law rho^alpha of the slot's eigenfamily (:func:`_family`)
     gives the two-term fit w = (rho / rho_min)^alpha (c0 + c1 rho) through
     the first two nodes, whose integral is linear in w there; the ratios
-    stay finite.  Built once per order and grid, by :func:`_orders`, and
-    kept in the grid's store."""
+    stay finite.  Built where it is used, by :func:`_orders` for the norms
+    it stores and by :func:`d_inner` for each slot; never stored."""
     (r1, r2), delta = grid.nodes[:2].tolist(), grid.rho_min
     q = delta * (delta / (alpha + 2.0) - r1 / (alpha + 1.0)) / (r2 - r1)
     weights = grid.weights.copy()
@@ -267,34 +273,33 @@ def _quadrature(alpha: float, grid: RadialGrid) -> np.ndarray:
 
 
 def _orders(orders, rows: int, grid: RadialGrid) -> tuple[list[tuple], dict]:
-    """(quadrature, profiles, norms^2) of each Laguerre order on the grid,
-    read from the grid's store, and the entries this call built.
+    """(profiles, norms^2) of each Laguerre order on the grid, read from
+    the grid's store, and the entries this call built.
 
-    The store keeps per order alpha the :func:`_quadrature` of alpha, the
-    profiles I_m^alpha (:func:`laguerre_fn_table`) on the nodes for m below
-    the most rows asked of that order so far, shape (rows, nodes), and
-    their grid norms^2 in that quadrature, shape (rows,): three read-only
-    arrays, set in one assignment, that live as long as the grid.  The
-    orders the store lacks, or holds with fewer than ``rows`` profiles,
-    come from one table over just those orders, their norms from one
-    weighted pass over it; at rows = 0 no table is built.  The entries
-    built come back as an {order: entry} dict, not yet stored: the caller
-    stores them (``grid._orders.update(built)``) once it accepts them.  A
-    profile does not depend on the other orders or rows of its table, so
-    every value is the same however the store was filled.
+    The store keeps per order alpha the profiles I_m^alpha
+    (:func:`laguerre_fn_table`) on the nodes for m below the most rows
+    asked of that order so far, shape (rows, nodes), and their grid
+    norms^2 in the :func:`_quadrature` of alpha, shape (rows,): two
+    read-only arrays, set in one assignment, that live as long as the
+    grid.  The orders the store lacks, or holds with fewer than ``rows``
+    profiles, come from one table over just those orders, their norms from
+    one weighted pass over it.  The entries built come back as an {order:
+    entry} dict, not yet stored: the caller stores them
+    (``grid._orders.update(built)``) once it accepts them.  A profile does
+    not depend on the other orders or rows of its table, so every value is
+    the same however the store was filled.
     """
     store = grid._orders
     entries = [store.get(a) for a in orders]
-    short = [i for i, e in enumerate(entries) if e is None or len(e[1]) < rows]
+    short = [i for i, e in enumerate(entries) if e is None or len(e[0]) < rows]
     built = {}
     if short:
-        quad = np.array([_quadrature(orders[i], grid) if entries[i] is None else entries[i][0]
-                         for i in short])
-        table = (laguerre_fn_table(np.array([orders[i] for i in short])[:, None], rows - 1,
-                                   grid.nodes) if rows else np.empty((0,) + quad.shape))
+        alphas = [orders[i] for i in short]
+        quad = np.array([_quadrature(a, grid) for a in alphas])
+        table = laguerre_fn_table(np.array(alphas)[:, None], rows - 1, grid.nodes)
         sq = np.einsum("mon,mon,on->mo", table, table, quad)
         for k, i in enumerate(short):
-            entry = (quad[k], table[:, k], sq[:, k])
+            entry = (table[:, k], sq[:, k])
             for arr in entry:
                 arr.setflags(write=False)
             built[orders[i]] = entries[i] = entry
@@ -306,12 +311,11 @@ def d_inner(a: Spinor2, b: Spinor2, dc: DiracConfig, origin_tail: bool = True):
 
     The grid covers [rho_min, rho_max].  With ``origin_tail`` the
     segment (0, rho_min) is added analytically, slot by slot, by the
-    :func:`_quadrature` of the slot's order, read from the grid's store
-    (:func:`_orders`, which builds it on the first call of the order on
-    the grid); without it, pairs involving the irregular
-    vartheta profiles lose O(rho_min^(1-mu)) of orthogonality.  Residual
-    fields produced by grid differentiation do not follow the family
-    power law and should be measured with ``origin_tail=False``.  A
+    :func:`_quadrature` of the slot's order, built on each call: the
+    product writes nothing to the grid.  Without it, pairs involving the
+    irregular vartheta profiles lose O(rho_min^(1-mu)) of orthogonality.
+    Residual fields produced by grid differentiation do not follow the
+    family power law and should be measured with ``origin_tail=False``.  A
     complex for two spinors; for two blocks an array, column k of a
     against column k of b.
     """
@@ -323,11 +327,7 @@ def d_inner(a: Spinor2, b: Spinor2, dc: DiracConfig, origin_tail: bool = True):
     for av, bv, sigma in ((a.up, b.up, 1), (a.dn, b.dn, -1)):
         # one contiguous row per column, so a column sums alone as in its block
         w = np.multiply(np.conj(av.T), bv.T, order="C")
-        if origin_tail:
-            [(quad, _, _)], built = _orders([_family(sigma, a.l_dn, dc)[2]], 0, a.grid)
-            a.grid._orders.update(built)
-        else:
-            quad = a.grid.weights
+        quad = _quadrature(_family(sigma, a.l_dn, dc)[2], a.grid) if origin_tail else a.grid.weights
         total = total + np.vecdot(quad, w)
     total = 2.0 * math.pi / dc.field.gamma * total
     return complex(total) if np.ndim(total) == 0 else total
@@ -471,9 +471,9 @@ def _eigenspinors(j: int, ls, ms, charges, coef, dc: DiracConfig,
     rows = int(index[:, 0].max()) + 1
     entries, built = _orders(orders, rows, grid)
     # the grid norm^2 and first node of every profile, (m, order)
-    sq = np.stack([e[2][:rows] for e in entries], axis=1)
-    first = np.stack([e[1][:rows, 0] for e in entries], axis=1)
-    ladder = charge * (-1) ** j * np.sqrt(2.0 * dc.field.gamma * (n1 + (1 + charge) / 2.0))
+    sq = np.stack([e[1][:rows] for e in entries], axis=1)
+    first = np.stack([e[0][:rows, 0] for e in entries], axis=1)
+    ladder = charge * (-1) ** j * np.sqrt(_e_perp_sq(n1, charge, dc))
     seed = energies + dc.mass  # the seed slot's factor, E + M
     seed_sq, other_sq = sq[index[:, 0], index[:, 1]]
     nrm = np.sqrt(np.maximum(seed ** 2 * seed_sq + ladder ** 2 * other_sq, 0.0))
@@ -496,7 +496,7 @@ def _eigenspinors(j: int, ls, ms, charges, coef, dc: DiracConfig,
               c.view(float).reshape(c.shape + (2,)))
     out = np.empty((2, len(orders), grid.nodes.size), dtype=complex)
     out_re = out.view(float).reshape(out.shape + (2,))
-    for o, (_, prof, _) in enumerate(entries):  # (nodes, m) @ (m, 2) per slot kind, in place
+    for o, (prof, _) in enumerate(entries):  # (nodes, m) @ (m, 2) per slot kind, in place
         np.matmul(prof[:rows].T, coeffs[:, o], out=out_re[:, o])
     spinors = [_seed_block(out[0, seed_o[k]], out[1, other_o[k]], int(charge[k]), int(l[k]), grid)
                for k in bounds[:-1]]

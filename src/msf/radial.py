@@ -68,8 +68,8 @@ class RadialGrid:
     rho_min: float
     # (slice of nodes, (count, n, n) stack of derivative blocks) per run
     runs: tuple = field(repr=False)
-    # the grid's per-Laguerre-order profile store, filled by
-    # msf.dirac._orders and freed with the grid
+    # the grid's per-Laguerre-order store of profiles and norms, written
+    # by msf.dirac._eigenspinors alone and freed with the grid
     _orders: dict = field(default_factory=dict, init=False, repr=False)
 
     def integrate(self, values: np.ndarray):

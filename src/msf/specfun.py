@@ -289,11 +289,8 @@ def _ln_poisson_gamma_mixture(nu: float, u: np.ndarray, v: np.ndarray) -> np.nda
     width = np.minimum(width, _MIX_MAX_TERMS / 14.0)  # 14 widths: the first round
     lo = np.floor(np.maximum(peak - 6.0 * width, 0.0) / _MIX_BLOCK)
     hi = np.floor((peak + 8.0 * width) / _MIX_BLOCK)
-    blocks = hi - lo + 1.0
-    if blocks.sum() * _MIX_BLOCK <= _MIX_ROUND_SIZE:
-        return _ln_mixture_sum(nu, u, v, lo, hi, capped)
     out = np.empty(u.shape)  # keep each round's arrays to about 2^18 terms
-    first = np.cumsum(blocks) * _MIX_BLOCK // _MIX_ROUND_SIZE
+    first = np.cumsum(hi - lo + 1.0) * _MIX_BLOCK // _MIX_ROUND_SIZE
     for idx in np.split(np.arange(u.size), np.flatnonzero(np.diff(first)) + 1):
         out[idx] = _ln_mixture_sum(nu, u[idx], v[idx], lo[idx], hi[idx], capped[idx])
     return out

@@ -598,10 +598,10 @@ def test_grid_store_holds_the_table_rows_read_only():
     grid._orders.update(_orders([0.5, -0.4], 2, grid)[1])
     grid._orders.update(_orders([2.5, -0.4, 0.5], 6, grid)[1])
     for a in (0.5, -0.4, 2.5):
-        quad, prof, sq = entry = grid._orders[a]
+        prof, sq = entry = grid._orders[a]
         np.testing.assert_array_equal(prof, laguerre_fn_table(a, 5, grid.nodes))
-        np.testing.assert_array_equal(quad, _quadrature(a, grid))
-        np.testing.assert_allclose(sq, np.einsum("mn,mn,n->m", prof, prof, quad), rtol=1e-15)
+        np.testing.assert_allclose(sq, np.einsum("mn,mn,n->m", prof, prof, _quadrature(a, grid)),
+                                   rtol=1e-15)
         for arr in entry:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -622,11 +622,14 @@ def test_warm_grid_gives_the_values_of_a_fresh_one(j, vt, charge):
     rel_cs(j, CSLabel(0.2, 0.1j), dc, charge, grid=warm)  # short rows
     l = next(_branch_l_values(j, vt))
     dirac_spinor(resolve_rel_qnums(j, l, 8, charge, dc), dc, charge, warm)  # taller rows
-    # an order first met by d_inner: a quadrature and no rows
+    # the inner product, here of an order the store lacks, writes nothing to it
     far = resolve_rel_qnums(j, l + 12 * (2 * j - 1), 0, charge, dc)
     seed = basis_spinor_component(far, dc, warm)
+    before = dict(warm._orders)
+    assert _row(charge, far.l, dc)[2] not in before
     d_inner(seed, seed, dc)
-    assert len(warm._orders[_row(charge, far.l, dc)[2]][1]) == 0
+    assert warm._orders.keys() == before.keys()
+    assert all(warm._orders[a] is entry for a, entry in before.items())
     a, b = (rel_cs(j, label, dc, charge, grid=g) for g in (warm, fresh))
     assert a.keys() == b.keys()
     for lu in a:
